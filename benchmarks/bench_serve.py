@@ -360,7 +360,7 @@ def test_serve_worker_pool_scaling(store_dir, benchmark):
 
     # The one pool number the nightly gate tracks: a warm worker
     # dispatch round-trip (IPC + engine pass on a served batch).
-    with WorkerPool(1, sim_backend=store.sim_backend) as wpool:
+    with WorkerPool(1) as wpool:
         wpool.warm_up(timeout=120)
         bundle = store.bundle(name)
         mat = _rows(256, 16, seed=4)

@@ -1,33 +1,25 @@
-"""Simulation backends vs. the seed per-node loop.
+"""The levelized simulation engine vs. the seed per-node loop.
 
 Every flow, contest score and benchmark funnels through AIG
-simulation; this bench records, per executor backend (see
-:mod:`repro.sim.backend`), the cost of a cold compile, a warm packed
-run and the batched dataset API on a contest-scale circuit — and
-confirms bit-exactness against the seed simulator (preserved verbatim
-as ``reference_simulate_packed_all``), both directly and through
+simulation; this bench records the cost of a cold compile, a warm
+packed run and the batched dataset API on a contest-scale circuit —
+and confirms bit-exactness against the seed simulator (preserved as
+``reference_simulate_packed_all``), both directly and through
 ``cec.check_equivalence`` on randomized AIGs.
 
-The headline asserts:
-
-* the default engine stays >= 5x over the seed per-node loop (the
-  original engine floor, any box);
-* with numba installed and cores to time reliably, the best backend's
-  warm run is >= 5x over the pre-refactor per-level numpy path.
+The headline assert: the engine stays >= 5x over the seed per-node
+loop warm (and >= 1.5x cold, compile included), on any box.
 """
 
-import os
 import random
 import time
 
 import numpy as np
-import pytest
 
 from _report import echo
 from repro.aig.aig import AIG
 from repro.aig.cec import check_equivalence
 from repro.sim import (
-    available_backends,
     compile_aig,
     reference_simulate_packed_all,
     simulate_datasets,
@@ -37,7 +29,6 @@ from repro.utils.rng import rng_for
 
 N_ANDS = 2000
 N_SAMPLES = 4096
-BACKENDS = available_backends()
 
 
 def _random_aig(n_inputs, n_ands, seed, n_outputs=8):
@@ -55,7 +46,7 @@ def _random_aig(n_inputs, n_ands, seed, n_outputs=8):
 
 def _bench_inputs():
     aig = _random_aig(32, N_ANDS, seed=2026)
-    rng = rng_for("bench-sim-engine")
+    rng = rng_for("sim-engine-bench")
     X = rng.integers(0, 2, size=(N_SAMPLES, 32)).astype(np.uint8)
     return aig, X, pack_bits(X)
 
@@ -80,7 +71,7 @@ def _best_of_interleaved(fns, repeats=10):
 def test_engine_speedup_vs_seed_loop(benchmark):
     aig, _, packed = _bench_inputs()
 
-    compiled = compile_aig(aig)  # session-default backend
+    compiled = compile_aig(aig)
     (seed_time, cold_time, warm_time), (seed_values, cold_values, warm_values) = (
         _best_of_interleaved(
             [
@@ -102,8 +93,7 @@ def test_engine_speedup_vs_seed_loop(benchmark):
     cold_speedup = seed_time / cold_time
     warm_speedup = seed_time / warm_time
     echo("\n=== Levelized simulation engine "
-         f"({N_ANDS} ANDs x {N_SAMPLES} samples, "
-         f"backend {compiled.backend!r}) ===")
+         f"({N_ANDS} ANDs x {N_SAMPLES} samples) ===")
     echo(f"  seed per-node loop:     {1e3 * seed_time:8.2f} ms")
     echo(f"  engine (compile+run):   {1e3 * cold_time:8.2f} ms "
          f"({cold_speedup:.1f}x)")
@@ -114,87 +104,35 @@ def test_engine_speedup_vs_seed_loop(benchmark):
     assert cold_speedup >= 1.5  # even compile+run beats the seed loop
 
 
-def test_backend_matrix_speedup():
-    """Warm-run matrix over every available backend, one circuit.
-
-    The pre-refactor engine is exactly today's ``numpy`` backend (the
-    per-level whole-array path), so the >= 5x acceptance floor for the
-    refactor is: best backend warm run vs ``numpy`` warm run.  That
-    ratio needs a JIT backend — asserted only where numba is installed
-    and the box has cores to time reliably (the CI benches job); the
-    matrix itself runs and bit-checks everywhere.
-    """
+def test_cold_compile(benchmark):
+    """Program build + arena allocation + first run."""
     aig, _, packed = _bench_inputs()
-    engines = {b: compile_aig(aig, backend=b) for b in BACKENDS}
-    for engine in engines.values():
-        engine.run_packed_all(packed)  # JIT/arena warm-up out of band
-    times, results = _best_of_interleaved(
-        [
-            (lambda e=e: e.run_packed_all(packed))
-            for e in engines.values()
-        ]
-    )
-    warm = dict(zip(engines, times, strict=True))
-    cores = os.cpu_count() or 1
-    echo(f"\n=== Backend warm-run matrix ({N_ANDS} ANDs x "
-         f"{N_SAMPLES} samples, {cores} cores) ===")
-    reference = results[0]
-    for (name, t), out in zip(warm.items(), results, strict=True):
-        assert np.array_equal(out, reference), name  # bit-identical
-        echo(f"  {name:<6} {1e3 * t:8.3f} ms "
-             f"({warm['numpy'] / t:5.2f}x vs numpy)")
-    best = min(warm, key=warm.get)
-    best_speedup = warm["numpy"] / warm[best]
-    echo(f"  best: {best} at {best_speedup:.2f}x over the "
-         f"pre-refactor numpy path")
-    if cores >= 4 and "numba" in BACKENDS:
-        assert best_speedup >= 5.0, (
-            f"best backend {best} only {best_speedup:.2f}x over numpy"
-        )
-        # The fused arena path must also never lose to the
-        # allocate-per-call numpy path by more than noise.
-        assert warm["fused"] <= warm["numpy"] * 1.25
-    else:
-        echo(f"  [{cores}-core box, numba "
-             f"{'present' if 'numba' in BACKENDS else 'absent'}: "
-             f"5x wall-clock assert skipped; CI benches enforce it]")
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_backend_cold_compile(benchmark, backend_name):
-    """Program build + executor construction + first run, per backend."""
-    aig, _, packed = _bench_inputs()
-    compile_aig(aig, backend=backend_name).run_packed_all(packed)  # JIT warm
     out = benchmark.pedantic(
-        lambda: compile_aig(aig, backend=backend_name).run_packed_all(packed),
+        lambda: compile_aig(aig).run_packed_all(packed),
         rounds=3, iterations=1,
     )
     assert np.array_equal(out, reference_simulate_packed_all(aig, packed))
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_backend_warm_run(benchmark, backend_name):
-    """Reused engine on fresh packed words, per backend."""
+def test_warm_run(benchmark):
+    """Reused engine on fresh packed words."""
     aig, _, packed = _bench_inputs()
-    compiled = compile_aig(aig, backend=backend_name)
+    compiled = compile_aig(aig)
     compiled.run_packed_all(packed)
     benchmark.pedantic(
         lambda: compiled.run_packed_all(packed), rounds=5, iterations=1
     )
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_backend_batched_datasets(benchmark, backend_name):
-    """The batched dataset API (one packing, one engine pass), per backend."""
+def test_batched_datasets(benchmark):
+    """The batched dataset API (one packing, one engine pass)."""
     aig, X, _ = _bench_inputs()
     mats = [X[:1024], X[1024:2048], X[2048:]]
-    ref = simulate_datasets(aig, mats, backend="numpy")
     outs = benchmark.pedantic(
-        lambda: simulate_datasets(aig, mats, backend=backend_name),
-        rounds=3, iterations=1,
+        lambda: simulate_datasets(aig, mats), rounds=3, iterations=1,
     )
-    for r, g in zip(ref, outs, strict=True):
-        assert np.array_equal(r, g)
+    for mat, out in zip(mats, outs, strict=True):
+        assert np.array_equal(out, compile_aig(aig).run(mat))
 
 
 def test_engine_bit_exact_via_cec(benchmark):

@@ -17,10 +17,14 @@ candidate subgraphs and undo them when they do not improve size.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.utils.bitops import bits_to_int
+
+if TYPE_CHECKING:
+    from repro.sim.engine import CompiledAIG
 
 CONST0 = 0
 CONST1 = 1
@@ -131,10 +135,9 @@ class AIG(GateOps):
         self._strash = {}
         self._strash_log: list[tuple[int, int]] = []
         # Structural version, bumped on every mutation; keys the cached
-        # compiled simulation engines (one per backend, sharing one
-        # program — see :meth:`compiled`).
+        # compiled simulation engine (see :meth:`compiled`).
         self._version = 0
-        self._compiled: tuple[int, tuple[int, ...], dict] | None = None
+        self._compiled: tuple[int, tuple[int, ...], CompiledAIG] | None = None
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -322,7 +325,7 @@ class AIG(GateOps):
     # ------------------------------------------------------------------
     # Simulation (delegates to the levelized engine in repro.sim)
     # ------------------------------------------------------------------
-    def compiled(self, backend: str | None = None):
+    def compiled(self) -> CompiledAIG:
         """The levelized simulation engine for the current structure.
 
         Compiled lazily and cached until the next mutation
@@ -330,42 +333,22 @@ class AIG(GateOps):
         :meth:`rollback`), so repeated simulations of the same graph —
         the common case when scoring one candidate on several sample
         sets — pay the compile cost once.  ``outputs`` is a public
-        list, so the cache is additionally keyed on its contents to
-        stay correct under in-place rewiring.
-
-        ``backend`` selects the executor backend (see
-        :mod:`repro.sim.backend`; ``None`` follows the selection
-        precedence).  The cache keys engines by ``(version, outputs,
-        effective backend)`` but the backend-neutral
-        :class:`~repro.sim.program.SimProgram` is compiled once per
-        structure and shared by every backend's executor.
+        list, so the cache entry ``(version, outputs, engine)`` is
+        additionally keyed on its contents to stay correct under
+        in-place rewiring.
         """
-        from repro.sim.backend import resolve_backend
         from repro.sim.engine import CompiledAIG
 
-        name = resolve_backend(backend)
         outs = tuple(self.outputs)
         if (
             self._compiled is None
             or self._compiled[0] != self._version
             or self._compiled[1] != outs
         ):
-            self._compiled = (self._version, outs, {})
-        engines: dict = self._compiled[2]
-        engine = engines.get(name)
-        if engine is None:
-            if engines:
-                # Reuse the sibling backend's program (no recompile).
-                program = next(iter(engines.values())).program
-            else:
-                program = self
-            engine = CompiledAIG(program, name)
-            engines[name] = engine
-        return engine
+            self._compiled = (self._version, outs, CompiledAIG(self))
+        return self._compiled[2]
 
-    def simulate_packed_all(
-        self, packed_inputs: np.ndarray, backend: str | None = None
-    ) -> np.ndarray:
+    def simulate_packed_all(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Bit-parallel simulation returning values of *every* variable.
 
         ``packed_inputs`` has shape ``(n_inputs, n_words)`` with 64
@@ -373,26 +356,22 @@ class AIG(GateOps):
         Returns the full value matrix, shape ``(num_vars, n_words)``,
         in positive polarity (row of variable ``v`` is ``v``'s value).
         """
-        return self.compiled(backend).run_packed_all(packed_inputs)
+        return self.compiled().run_packed_all(packed_inputs)
 
-    def simulate_packed(
-        self, packed_inputs: np.ndarray, backend: str | None = None
-    ) -> np.ndarray:
+    def simulate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Bit-parallel simulation of the registered outputs.
 
         ``packed_inputs`` has shape ``(n_inputs, n_words)``; returns
         packed output values, shape ``(n_outputs, n_words)``.
         """
-        return self.compiled(backend).run_packed(packed_inputs)
+        return self.compiled().run_packed(packed_inputs)
 
-    def simulate(
-        self, samples: np.ndarray, backend: str | None = None
-    ) -> np.ndarray:
+    def simulate(self, samples: np.ndarray) -> np.ndarray:
         """Evaluate on a ``(n_samples, n_inputs)`` 0/1 matrix.
 
         Returns a ``(n_samples, n_outputs)`` uint8 matrix.
         """
-        return self.compiled(backend).run(samples)
+        return self.compiled().run(samples)
 
     def truth_tables(self, n_vars: int | None = None) -> list[int]:
         """Exhaustive truth table of each output as a Python int.

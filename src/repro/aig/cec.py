@@ -18,13 +18,11 @@ from repro.utils.rng import rng_for
 def simulate_differs(
     a: AIG, b: AIG, n_patterns: int = 4096,
     rng: np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> np.ndarray | None:
     """Random-simulation counterexample search.
 
     Returns an input row where the graphs differ, or None if none was
-    found (which is *not* a proof of equivalence).  ``backend``
-    selects the simulation executor (see :mod:`repro.sim.backend`).
+    found (which is *not* a proof of equivalence).
     """
     if a.n_inputs != b.n_inputs or a.num_outputs != b.num_outputs:
         raise ValueError("interface mismatch")
@@ -33,7 +31,7 @@ def simulate_differs(
     X = rng.integers(0, 2, size=(n_patterns, a.n_inputs)).astype(np.uint8)
     # Pack the pattern matrix once and run both circuits against the
     # shared packed words (repro.sim batched evaluation).
-    out_a, out_b = simulate_circuits([a, b], X, backend=backend)
+    out_a, out_b = simulate_circuits([a, b], X)
     diff = np.nonzero((out_a != out_b).any(axis=1))[0]
     if diff.size:
         return X[diff[0]]
@@ -71,20 +69,16 @@ def _output_bdd(aig: AIG, manager, output: int) -> int:
 def check_equivalence(
     a: AIG, b: AIG, n_patterns: int = 4096,
     rng: np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> tuple[bool, np.ndarray | None]:
     """Prove or refute equivalence.
 
     Returns ``(True, None)`` on a BDD proof of equivalence or
     ``(False, counterexample_row)`` otherwise.  Simulation runs first
-    so most inequivalences are refuted cheaply (on the selected
-    simulation ``backend``; the exact BDD phase is backend-free).
+    so most inequivalences are refuted cheaply.
     """
     from repro.bdd.bdd import BDD
 
-    cex = simulate_differs(
-        a, b, n_patterns=n_patterns, rng=rng, backend=backend
-    )
+    cex = simulate_differs(a, b, n_patterns=n_patterns, rng=rng)
     if cex is not None:
         return False, cex
     manager = BDD(a.n_inputs)

@@ -259,13 +259,12 @@ def fraig_lite(
     max_leaves: int = 12,
     max_visit: int = 48,
     rng: np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> AIG:
     """Merge simulation-equivalent nodes after a bounded exact proof.
 
     Random packed patterns are simulated once through the levelized
-    engine (on the selected executor ``backend``); variables with
-    identical (or complementary) signatures form candidate classes.
+    engine; variables with identical (or complementary) signatures
+    form candidate classes.
     A candidate is merged into its class representative only when
     exhaustive truth tables over a bounded common cut *prove* the
     equivalence, so the output is functionally identical to the input
@@ -278,7 +277,7 @@ def fraig_lite(
     packed = rng.integers(
         0, 1 << 64, size=(aig.n_inputs, n_words), dtype=np.uint64
     )
-    values = aig.simulate_packed_all(packed, backend=backend)
+    values = aig.simulate_packed_all(packed)
     inverted = ~values
     # Canonical signature: complement rows whose first bit is set, so
     # a node and its negation land in the same class.

@@ -13,7 +13,6 @@
     python -m repro.cli serve --store runs/mini --port 8080
     python -m repro.cli predict --store runs/mini --model ex74 \
         --input rows.txt --output preds.txt
-    python -m repro.cli bench-sim --benchmark 74
     python -m repro.cli flows
     python -m repro.cli list "adder*" --families
 
@@ -39,10 +38,7 @@ directories to ``report``.  ``serve`` loads the best stored solution
 per benchmark (a contest run with ``--keep-solutions``, or any
 directory of ``.aag`` files) and answers batched ``/predict/{model}``
 HTTP requests; ``predict`` runs the same models offline on a rows
-file (see :mod:`repro.serve`).  ``contest``, ``serve`` and
-``predict`` accept ``--sim-backend`` to pick the simulation executor
-(numpy, fused or numba — see :mod:`repro.sim.backend`); ``bench-sim``
-times every backend on one learned circuit and checks bit-agreement.
+file (see :mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -147,30 +143,8 @@ def _cmd_run(parser, args) -> None:
         print(f"wrote {args.out}")
 
 
-def _apply_sim_backend(parser, name: str | None) -> None:
-    """Install ``--sim-backend`` as the session default (parent process;
-    the runner's pool initializer forwards it to workers)."""
-    if name is None:
-        return
-    from repro.sim.backend import set_backend
-
-    try:
-        set_backend(name)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _add_sim_backend_arg(sub_parser) -> None:
-    sub_parser.add_argument(
-        "--sim-backend", default=None, metavar="NAME",
-        help="simulation executor: numpy, fused or numba (default: "
-             "REPRO_SIM_BACKEND or fused; numba silently falls back "
-             "to fused when not installed)")
-
-
 def _cmd_contest(parser, args) -> None:
     benchmarks = _selected_specs(parser, args.benchmarks)
-    _apply_sim_backend(parser, args.sim_backend)
     for spec in args.flows:
         _resolved_flow(parser, spec)
     if args.shard is not None:
@@ -246,13 +220,12 @@ def _cmd_serve(parser, args) -> None:
         app = ServeApp(
             args.store, tick_s=args.tick_ms / 1000.0,
             max_batch=args.max_batch, cache_size=args.cache_size,
-            sim_backend=args.sim_backend, workers=args.workers,
+            workers=args.workers,
             max_queued_rows=args.max_queued_rows,
             deadline_ms=args.deadline_ms,
         )
     except (FileNotFoundError, ValueError) as exc:
         parser.error(str(exc))
-    print(f"repro serve: simulation backend {app.store.sim_backend!r}")
     if app.pool is not None:
         # Fork the workers before asyncio spins up any helper threads.
         app.pool.warm_up(timeout=60.0)
@@ -271,83 +244,11 @@ def _cmd_predict(parser, args) -> None:
     try:
         n_rows = predict_file(
             args.store, args.model, args.input, args.output,
-            cache_size=args.cache_size, sim_backend=args.sim_backend,
+            cache_size=args.cache_size,
         )
     except (FileNotFoundError, KeyError, ValueError) as exc:
         parser.error(str(exc.args[0]) if exc.args else str(exc))
     print(f"wrote {n_rows} prediction(s) to {args.output}")
-
-
-def _cmd_bench_sim(parser, args) -> None:
-    """Time every simulation backend on one learned suite circuit."""
-    import time
-
-    import numpy as np
-
-    from repro.sim import CompiledAIG, SimProgram, available_backends, backend_names
-
-    specs = _selected_specs(parser, [args.benchmark])
-    if len(specs) != 1:
-        parser.error(
-            f"--benchmark {args.benchmark!r} selects {len(specs)} "
-            f"problems; 'bench-sim' takes exactly one"
-        )
-    flow = _resolved_flow(parser, args.flow)
-    problem = DEFAULT_REGISTRY.problem(
-        specs[0], n_train=args.samples,
-        n_valid=args.samples, n_test=args.samples,
-        master_seed=args.seed,
-    )
-    solution = flow(problem, effort="small", master_seed=args.seed)
-    aig = solution.aig
-    program = SimProgram(aig)
-    print(f"benchmark: {problem.name}  circuit: {program.num_ands} ANDs, "
-          f"depth {program.depth}, {program.n_inputs} inputs")
-    n_words = max(1, args.sim_samples // 64)
-    rng = np.random.default_rng(args.seed)
-    packed = rng.integers(
-        0, 2**63, size=(program.n_inputs, n_words), dtype=np.int64
-    ).astype(np.uint64)
-    print(f"timing {n_words * 64} samples x {args.repeats} repeats "
-          f"per backend\n")
-    usable = set(available_backends())
-    reference = None
-    base_warm = None
-    print(f"{'backend':<8} {'cold(ms)':>9} {'warm(ms)':>9} "
-          f"{'speedup':>8}  agreement")
-    for name in backend_names():
-        if name not in usable:
-            print(f"{name:<8} {'-':>9} {'-':>9} {'-':>8}  "
-                  f"unavailable (requests fall back)")
-            continue
-        t0 = time.perf_counter()
-        compiled = CompiledAIG(program, backend=name)
-        out = compiled.run_packed_all(packed)
-        cold_ms = (time.perf_counter() - t0) * 1e3
-        warm_s = min(
-            _timed(compiled.run_packed_all, packed)
-            for _ in range(args.repeats)
-        )
-        warm_ms = warm_s * 1e3
-        if reference is None:
-            reference, base_warm = out, warm_ms
-            agree = "reference"
-        else:
-            agree = (
-                "bit-identical" if np.array_equal(out, reference)
-                else "MISMATCH"
-            )
-        speedup = base_warm / warm_ms if warm_ms > 0 else float("inf")
-        print(f"{name:<8} {cold_ms:>9.2f} {warm_ms:>9.3f} "
-              f"{speedup:>7.2f}x  {agree}")
-
-
-def _timed(fn, *fn_args) -> float:
-    import time
-
-    t0 = time.perf_counter()
-    fn(*fn_args)
-    return time.perf_counter() - t0
 
 
 def _cmd_sched(parser, args) -> None:
@@ -467,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only shard K of an N-way deterministic split of the "
              "grid (run each shard into its own --out-dir, then "
              "'repro merge')")
-    _add_sim_backend_arg(contest_p)
 
     report_p = sub.add_parser(
         "report", help="rebuild tables from stored runs (no execution)")
@@ -510,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--deadline-ms", type=float, default=None,
                          help="fail requests still queued after this "
                               "long with 503 (default: no deadline)")
-    _add_sim_backend_arg(serve_p)
 
     predict_p = sub.add_parser(
         "predict", help="offline batch scoring: rows file in, "
@@ -524,23 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict_p.add_argument("--output", required=True,
                            help="where to write one 0/1 line per row")
     predict_p.add_argument("--cache-size", type=int, default=32)
-    _add_sim_backend_arg(predict_p)
-
-    bench_p = sub.add_parser(
-        "bench-sim", help="compare simulation backends on one learned "
-                          "suite circuit (timing + agreement)")
-    bench_p.add_argument("--benchmark", default="74",
-                         help="suite index, name or family spec to "
-                              "learn a probe circuit on")
-    bench_p.add_argument("--flow", default="team01",
-                         help="flow that learns the probe circuit")
-    bench_p.add_argument("--samples", type=int, default=256,
-                         help="training samples for the probe circuit")
-    bench_p.add_argument("--sim-samples", type=int, default=4096,
-                         help="random samples to time each backend on")
-    bench_p.add_argument("--repeats", type=int, default=5,
-                         help="warm-run repeats (minimum is reported)")
-    bench_p.add_argument("--seed", type=int, default=0)
 
     sched_p = sub.add_parser(
         "sched", help="learned pass scheduling: harvest training "
@@ -611,8 +493,6 @@ def main(argv: Sequence[str] | None = None) -> None:
         _cmd_serve(parser, args)
     elif args.command == "predict":
         _cmd_predict(parser, args)
-    elif args.command == "bench-sim":
-        _cmd_bench_sim(parser, args)
     elif args.command == "sched":
         _cmd_sched(parser, args)
     elif args.command == "lint":

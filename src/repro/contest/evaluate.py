@@ -60,16 +60,13 @@ def evaluate_solutions(
     problem: LearningProblem,
     solutions: Sequence[Solution],
     max_nodes: int = MAX_AND_NODES,
-    backend: str | None = None,
 ) -> list[Score]:
     """Score many solutions on one benchmark in a single batched pass.
 
     The test/valid/train matrices are stacked and bit-packed once;
     every circuit is then evaluated against the shared packed words,
     so scoring N candidates costs one packing plus N engine runs
-    instead of 3N full simulations.  ``backend`` selects the
-    simulation executor (see :mod:`repro.sim.backend`); every backend
-    yields bit-identical predictions, so scores are backend-invariant.
+    instead of 3N full simulations.
     """
     solutions = list(solutions)
     if not solutions:
@@ -77,9 +74,7 @@ def evaluate_solutions(
     for solution in solutions:
         _check_interface(problem, solution)
     stacked = np.vstack((problem.test.X, problem.valid.X, problem.train.X))
-    preds = output_predictions(
-        [s.aig for s in solutions], stacked, backend=backend
-    )
+    preds = output_predictions([s.aig for s in solutions], stacked)
     n_test = problem.test.n_samples
     n_valid = problem.valid.n_samples
     scores = []
@@ -108,10 +103,9 @@ def evaluate_solution(
     problem: LearningProblem,
     solution: Solution,
     max_nodes: int = MAX_AND_NODES,
-    backend: str | None = None,
 ) -> Score:
     """Score a solution on all three sample sets (one simulation pass)."""
-    return evaluate_solutions(problem, [solution], max_nodes, backend)[0]
+    return evaluate_solutions(problem, [solution], max_nodes)[0]
 
 
 def summarize(scores: Iterable[Score]) -> dict[str, float]:

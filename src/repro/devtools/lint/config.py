@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 #: so new worker entry points are covered by convention.
 DEFAULT_WORKER_ZONES: dict[str, frozenset[str]] = {
     "repro/runner/task.py": frozenset({
-        "initialize_worker",
         "run_task",
         "make_task_problem",
         "_cached_problem",

@@ -151,18 +151,7 @@ def _execute(
         for spec in pending:
             yield run_task(spec, keep_solutions)
         return
-    # Workers must simulate on the backend the parent resolved —
-    # env-var selection inherits through the environment, but
-    # set_backend()/--sim-backend live in the parent process only.
-    from repro.sim.backend import get_backend
-
-    from repro.runner.task import initialize_worker
-
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=initialize_worker,
-        initargs=(get_backend(),),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = {
             pool.submit(run_task, spec, keep_solutions)
             for spec in pending

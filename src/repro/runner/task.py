@@ -36,27 +36,6 @@ from repro.contest.problem import LearningProblem, Solution
 RECORD_SCHEMA = 1
 
 
-def initialize_worker(sim_backend: str | None = None) -> None:
-    """Process-pool initializer: adopt the parent's session settings.
-
-    Workers spawned by :mod:`repro.runner.runner` respect the
-    ``REPRO_SIM_BACKEND`` environment variable automatically (it is
-    resolved at call time and inherited through the process
-    environment), but a backend chosen *programmatically* in the
-    parent — ``repro.sim.set_backend`` or a ``--sim-backend`` CLI
-    flag — lives only in that process.  The runner forwards the
-    parent's effective backend here so every worker simulates on the
-    same executor the parent would have used.  Records stay
-    byte-identical across backends (the differential tests enforce
-    bit-equality), so this is a performance setting, never a
-    correctness one.
-    """
-    if sim_backend is not None:
-        from repro.sim.backend import set_backend
-
-        set_backend(sim_backend)
-
-
 @dataclass(frozen=True)
 class TaskSpec:
     """One contest execution: flow x benchmark x seed at fixed sizes.

@@ -18,10 +18,8 @@ schema), combining:
 
 Everything is a pure function of the graph structure: the simulation
 patterns are drawn from a :func:`repro.utils.rng.rng_for` stream named
-by the graph's shape, and the sim backends are bit-identical by
-contract (the differential tests pin numpy/fused/numba agreement), so
-the vector is byte-deterministic across processes, job counts and
-executor backends.
+by the graph's shape, so the vector is byte-deterministic across
+processes and job counts.
 
 Vectors are cached per AIG instance keyed on ``(structural version,
 outputs)`` — the same keying the compile cache in
@@ -132,7 +130,7 @@ def _cut_features(aig: AIG) -> tuple[float, ...]:
     return (*size_hist.tolist(), *buckets.tolist(), entropy)
 
 
-def _sim_features(aig: AIG, backend: str | None) -> tuple[float, float, float]:
+def _sim_features(aig: AIG) -> tuple[float, float, float]:
     """Random-stimulus bias signatures through the levelized engine."""
     if aig.n_inputs == 0 or aig.num_ands == 0:
         return 0.0, 0.0, 0.0
@@ -140,7 +138,7 @@ def _sim_features(aig: AIG, backend: str | None) -> tuple[float, float, float]:
     packed = rng.integers(
         0, 1 << 64, size=(aig.n_inputs, _SIM_WORDS), dtype=np.uint64
     )
-    values = aig.simulate_packed_all(packed, backend=backend)
+    values = aig.simulate_packed_all(packed)
     n_bits = 64 * _SIM_WORDS
     ones = np.unpackbits(
         np.ascontiguousarray(values).view(np.uint8), axis=1
@@ -158,13 +156,11 @@ def _sim_features(aig: AIG, backend: str | None) -> tuple[float, float, float]:
     )
 
 
-def extract_features(
-    aig: AIG, backend: str | None = None
-) -> np.ndarray:
+def extract_features(aig: AIG) -> np.ndarray:
     """The feature vector of ``aig`` (shape ``(N_FEATURES,)``, float64).
 
     Pure numpy + the levelized sim engine; deterministic for a given
-    structure, identical on every sim backend.  Cached on the instance
+    structure.  Cached on the instance
     under the same ``(version, outputs)`` key the compile cache uses,
     so repeated probes of an unchanged graph are dictionary hits.
     """
@@ -185,7 +181,7 @@ def extract_features(
             aig.num_ands / depth if depth else 0.0,
             *_fanout_features(aig),
             *_cut_features(aig),
-            *_sim_features(aig, backend),
+            *_sim_features(aig),
         ],
         dtype=np.float64,
     )

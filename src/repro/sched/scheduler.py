@@ -62,7 +62,6 @@ def schedule_opt(
     policy: Policy,
     budget: int = 20,
     rng: np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> tuple[AIG, list[str]]:
     """Optimize ``aig`` by letting ``policy`` schedule up to ``budget``
     pass applications; returns ``(graph, applied pass sequence)``.
@@ -80,7 +79,7 @@ def schedule_opt(
     while len(history) < budget and current.num_ands:
         if len(tried) == len(PASS_NAMES):
             break  # single-pass fixpoint: nothing can improve
-        phi = extract_features(current, backend=backend)
+        phi = extract_features(current)
         name = policy.choose(phi, rng, exclude=frozenset(tried))
         if name is None:
             break

@@ -22,12 +22,11 @@ Batch (:mod:`repro.serve.batching`)
 Execute (:mod:`repro.serve.pool`)
     With ``--workers N`` the coalesced batches are dispatched to a
     :class:`WorkerPool` of N processes, each holding its own LRU of
-    compiled circuits keyed by bundle content digest and simulating
-    on the parent's backend — the event loop never blocks on a
-    CPU-bound engine pass.  ``--workers 0`` keeps the in-process
-    tier.  Per-model backpressure (``--max-queued-rows``,
-    ``--deadline-ms``) answers overload with 503s instead of
-    unbounded queues.
+    compiled circuits keyed by bundle content digest — the event
+    loop never blocks on a CPU-bound engine pass.  ``--workers 0``
+    keeps the in-process tier.  Per-model backpressure
+    (``--max-queued-rows``, ``--deadline-ms``) answers overload with
+    503s instead of unbounded queues.
 
 Observe (:mod:`repro.serve.metrics`)
     ``GET /metrics`` serves Prometheus-text counters, latency and

@@ -356,7 +356,6 @@ class MicroBatcher:
 
     def stats(self) -> dict[str, Any]:
         return {
-            "sim_backend": self.store.sim_backend,
             "requests": self.requests,
             "batches": self.batches,
             "rows_served": self.rows_served,

@@ -93,20 +93,12 @@ class CompiledCircuit:
     (:meth:`repro.aig.aig.AIG.compiled`) with shape validation and the
     grouped-rows entry point the microbatcher uses.  Instances are
     immutable once built and safe to reuse across requests.
-
-    ``backend`` selects the simulation executor; the *effective*
-    backend (after env-var resolution and the numba-missing fallback)
-    is recorded as :attr:`backend`, so the model store's LRU always
-    knows which executor produced a cached entry.
     """
 
-    def __init__(
-        self, aig: AIG, info: ModelInfo, backend: str | None = None
-    ):
+    def __init__(self, aig: AIG, info: ModelInfo):
         self.aig = aig
         self.info = info
-        self.compiled = aig.compiled(backend)
-        self.backend: str = self.compiled.backend
+        self.compiled = aig.compiled()
 
     @property
     def n_inputs(self) -> int:
@@ -238,22 +230,11 @@ class CircuitBundle:
                 self._compiled = None  # keep the info, release the plan
         return self._info
 
-    def compile(self, backend: str | None = None) -> CompiledCircuit:
-        """Parse + levelize-compile the circuit (cached afterwards).
-
-        The memoized instance is keyed on the *effective* backend:
-        asking for a different backend recompiles (sharing the parsed
-        AIG's program through the AIG-side cache is not worth keeping
-        the old executor alive — eviction semantics stay one-entry).
-        """
-        from repro.sim.backend import resolve_backend
-
-        name = resolve_backend(backend)
-        if self._compiled is None or self._compiled.backend != name:
+    def compile(self) -> CompiledCircuit:
+        """Parse + levelize-compile the circuit (cached afterwards)."""
+        if self._compiled is None:
             aig = loads_aag(self.aag_text)
-            self._compiled = CompiledCircuit(
-                aig, self.info_for(aig), backend=name
-            )
+            self._compiled = CompiledCircuit(aig, self.info_for(aig))
         return self._compiled
 
     def drop_compiled(self) -> None:

@@ -100,7 +100,6 @@ class ServeApp:
         tick_s: float = 0.002,
         max_batch: int = 4096,
         cache_size: int = 32,
-        sim_backend: str | None = None,
         workers: int = 0,
         max_queued_rows: int | None = None,
         deadline_ms: float | None = None,
@@ -108,18 +107,12 @@ class ServeApp:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = in-process)")
         if not isinstance(store, ModelStore):
-            store = ModelStore(
-                store, cache_size=cache_size, sim_backend=sim_backend
-            )
+            store = ModelStore(store, cache_size=cache_size)
         self.store = store
         self.metrics = ServeMetrics()
         self.pool: WorkerPool | None = None
         if workers > 0:
-            # Workers adopt the parent's *effective* backend — the
-            # same initializer pattern the contest runner uses.
-            self.pool = WorkerPool(
-                workers, sim_backend=store.sim_backend, cache_size=cache_size
-            )
+            self.pool = WorkerPool(workers, cache_size=cache_size)
         self.batcher = MicroBatcher(
             store,
             tick_s=tick_s,
@@ -190,19 +183,17 @@ class ServeApp:
         return {
             "status": "ok",
             "uptime_s": round(time.monotonic() - self.started, 3),
-            "sim_backend": self.store.sim_backend,
             "store": self.store.stats(),
             "batching": self.batcher.stats(),
             "pool": self.pool.stats() if self.pool is not None else None,
         }
 
     def models(self) -> dict[str, Any]:
-        backends = self.store.compiled_backends()
+        compiled = set(self.store.cached_names())
         infos = []
         for info in self.store.infos():
             payload = info.to_json()
-            payload["compiled"] = info.name in backends
-            payload["backend"] = backends.get(info.name)
+            payload["compiled"] = info.name in compiled
             infos.append(payload)
         return {"models": infos}
 

@@ -20,13 +20,9 @@ Workers own their circuits
     redundant text per dispatch buys total freedom from worker
     affinity — any worker can serve any model at any time.
 
-Parent's backend adopted
-    Workers are initialized with the parent's *effective* simulation
-    backend via the same initializer pattern the contest runner uses
-    (:func:`repro.runner.task.initialize_worker`), so ``--sim-backend``
-    and ``set_backend`` selections made in the server process hold in
-    every worker.  Outputs are bit-identical to in-process evaluation:
-    same AIGER text, same backend, same engine.
+Same engine as in-process
+    Outputs are bit-identical to in-process evaluation: same AIGER
+    text, same engine.
 
 The pool is deliberately *not* asyncio-aware beyond
 :meth:`WorkerPool.submit` returning an :class:`asyncio.Future` via
@@ -48,15 +44,12 @@ _WORKER_CACHE: OrderedDict[str, Any] = OrderedDict()
 _WORKER_CACHE_SIZE = 32
 
 
-def _init_worker(sim_backend: str | None, cache_size: int) -> None:
-    """Worker initializer: adopt the parent's backend, size the LRU."""
-    from repro.runner.task import initialize_worker
-
+def _init_worker(cache_size: int) -> None:
+    """Worker initializer: size the LRU."""
     # Initializer-time global writes are the one sanctioned post-fork
     # mutation: they run once, before any task, identically in every
     # worker — the per-task purity REP303 protects is untouched.
     global _WORKER_CACHE_SIZE  # repro-lint: ignore[REP303]
-    initialize_worker(sim_backend)
     _WORKER_CACHE_SIZE = max(1, int(cache_size))
     _WORKER_CACHE.clear()  # repro-lint: ignore[REP303]
 
@@ -99,30 +92,20 @@ class WorkerPool:
     workers:
         Worker process count (``>= 1``; ``0`` means "no pool" and is
         rejected here — callers keep the in-process path instead).
-    sim_backend:
-        Effective simulation backend name to install in each worker
-        (resolve it in the parent; ``None`` lets workers resolve their
-        own, which only matches when selection came via environment).
     cache_size:
         Compiled circuits each worker keeps, LRU-evicted beyond that.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        sim_backend: str | None = None,
-        cache_size: int = 32,
-    ):
+    def __init__(self, workers: int, cache_size: int = 32):
         if workers < 1:
             raise ValueError("WorkerPool needs workers >= 1 (0 = no pool)")
         self.workers = int(workers)
-        self.sim_backend = sim_backend
         self.cache_size = int(cache_size)
         self.dispatches = 0
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(sim_backend, cache_size),
+            initargs=(cache_size,),
         )
 
     def warm_up(self, timeout: float | None = None) -> None:
@@ -168,7 +151,6 @@ class WorkerPool:
             "workers": self.workers,
             "dispatches": self.dispatches,
             "worker_cache_size": self.cache_size,
-            "sim_backend": self.sim_backend,
         }
 
     def shutdown(self) -> None:

@@ -62,15 +62,9 @@ def predict_file(
     in_path: PathLike,
     out_path: PathLike,
     cache_size: int = 32,
-    sim_backend: str | None = None,
 ) -> int:
-    """Score a rows file against a stored model; returns row count.
-
-    ``sim_backend`` picks the simulation executor (see
-    :mod:`repro.sim.backend`); predictions are bit-identical across
-    backends, so this only changes speed.
-    """
-    store = ModelStore(store_dir, cache_size=cache_size, sim_backend=sim_backend)
+    """Score a rows file against a stored model; returns row count."""
+    store = ModelStore(store_dir, cache_size=cache_size)
     circuit = store.load(model)
     rows = read_rows_file(in_path)
     outputs = circuit.predict(rows)

@@ -46,30 +46,13 @@ def _record_rank(record: dict[str, Any]) -> tuple[Any, ...]:
 
 
 class ModelStore:
-    """Best-solution catalogue over a run store or bundle directory.
+    """Best-solution catalogue over a run store or bundle directory."""
 
-    ``sim_backend`` selects the simulation executor used to compile
-    circuits (see :mod:`repro.sim.backend`); ``None`` resolves the
-    session default once, at construction, so a long-running server's
-    backend never changes under it.  The effective name is recorded
-    as :attr:`sim_backend` and every LRU entry carries the backend
-    that produced it (:attr:`~repro.serve.bundle.CompiledCircuit.
-    backend`).
-    """
-
-    def __init__(
-        self,
-        root: PathLike,
-        cache_size: int = 32,
-        sim_backend: str | None = None,
-    ):
-        from repro.sim.backend import resolve_backend
-
+    def __init__(self, root: PathLike, cache_size: int = 32):
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self.root = Path(root)
         self.cache_size = cache_size
-        self.sim_backend = resolve_backend(sim_backend)
         self._bundles: dict[str, CircuitBundle] = {}
         self._cache: OrderedDict[str, CompiledCircuit] = OrderedDict()
         self.hits = 0
@@ -210,10 +193,6 @@ class ModelStore:
         """Models currently holding a compiled plan (LRU order)."""
         return list(self._cache)
 
-    def compiled_backends(self) -> dict[str, str]:
-        """``{model name: backend}`` for every compiled LRU entry."""
-        return {name: c.backend for name, c in self._cache.items()}
-
     def load(self, name: str) -> CompiledCircuit:
         """The compiled circuit for ``name`` (LRU-cached)."""
         name = self.resolve(name)
@@ -223,7 +202,7 @@ class ModelStore:
             self._cache.move_to_end(name)
             return cached
         self.misses += 1
-        circuit = self._bundles[name].compile(self.sim_backend)
+        circuit = self._bundles[name].compile()
         self._cache[name] = circuit
         while len(self._cache) > self.cache_size:
             evicted, _ = self._cache.popitem(last=False)
@@ -238,7 +217,6 @@ class ModelStore:
             "models": len(self._bundles),
             "compiled": len(self._cache),
             "cache_size": self.cache_size,
-            "sim_backend": self.sim_backend,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

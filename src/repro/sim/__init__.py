@@ -1,4 +1,4 @@
-"""Levelized, vectorized AIG simulation with pluggable backends.
+"""Levelized, vectorized AIG simulation.
 
 The seed simulator (`AIG.simulate_packed_all`) walks the AND nodes one
 at a time in a Python loop — fine for toy circuits, but the dominant
@@ -11,27 +11,18 @@ Program IR (:class:`~repro.sim.program.SimProgram`)
     vectorized Jacobi sweep with an adaptive scalar cutover for
     chain-like graphs) and its variables renumbered into a *slot*
     layout where every logic level occupies a contiguous row range.
-    The program stores both a per-level view (fused fanin gather
-    vectors with complemented fanins grouped into contiguous runs)
-    and a flat per-node view, is immutable and picklable, and is
-    cached on the ``AIG`` keyed by a structural version (see
-    :meth:`AIG.compiled`).
+    Each level is stored as a fused fanin gather vector with
+    complemented fanins grouped into contiguous runs.  Programs are
+    immutable and picklable, and cached on the ``AIG`` keyed by a
+    structural version (see :meth:`AIG.compiled`).
 
-Executor backends (:mod:`repro.sim.backend`, :mod:`repro.sim.executors`)
-    One program, three interchangeable executors — ``numpy`` (the
-    per-level whole-array reference), ``fused`` (same schedule on a
-    preallocated, reused arena: zero allocation per warm run) and
-    ``numba`` (the whole program lowered into a single nopython
-    kernel; optional, silently falling back to ``fused`` when numba
-    is missing).  Selection precedence: call argument >
-    :func:`set_backend` > the ``REPRO_SIM_BACKEND`` env var > the
-    ``fused`` default.  All backends are bit-identical by contract.
-
-Evaluate (:meth:`CompiledAIG.run_packed_all` and friends)
-    A :class:`CompiledAIG` binds one program to one executor and keeps
-    the historical API.  Results are bit-exact with the seed loop
-    (preserved as :func:`reference_simulate_packed_all` for property
-    tests and benchmarks) on every backend.
+Engine (:class:`~repro.sim.engine.CompiledAIG`)
+    One executor: per-level whole-array ops on a preallocated slot
+    arena that is reused across calls, so a warm run allocates
+    nothing.  ``run_packed_all``/``run_packed``/``run`` keep the
+    historical API and are bit-exact with the seed loop, preserved as
+    :func:`reference_simulate_packed_all`, the oracle for property
+    tests and benchmarks.
 
 Batch (:mod:`repro.sim.batch`)
     Two fan-out patterns the contest harness needs constantly:
@@ -45,22 +36,12 @@ Batch (:mod:`repro.sim.batch`)
     compiled circuit, many tiny row blocks*
     (:func:`simulate_rows_grouped`), is the coalescing primitive the
     serving layer (:mod:`repro.serve`) builds its microbatcher on.
-    All four route through the selected executor backend.
 
 `AIG.simulate`, `AIG.simulate_packed`, `AIG.simulate_packed_all` and
 `AIG.truth_tables` all delegate here; existing callers keep their
 signatures and get the fast path for free.
 """
 
-from repro.sim.backend import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    available_backends,
-    backend_names,
-    get_backend,
-    resolve_backend,
-    set_backend,
-)
 from repro.sim.batch import (
     output_predictions,
     simulate_circuits,
@@ -72,25 +53,15 @@ from repro.sim.engine import (
     compile_aig,
     reference_simulate_packed_all,
 )
-from repro.sim.executors import BackendUnavailable, Executor
 from repro.sim.program import SimProgram
 
 __all__ = [
     "CompiledAIG",
     "SimProgram",
-    "Executor",
-    "BackendUnavailable",
     "compile_aig",
     "reference_simulate_packed_all",
     "simulate_datasets",
     "simulate_circuits",
     "simulate_rows_grouped",
     "output_predictions",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "set_backend",
-    "resolve_backend",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
 ]

@@ -3,12 +3,6 @@
 Both directions amortize the expensive part — bit-packing the sample
 matrix and setting up the simulation — across everything that shares
 it.  See :mod:`repro.sim` for the overall lifecycle.
-
-Every batched API takes an optional ``backend`` argument naming the
-executor backend to simulate on (``None`` follows the selection
-precedence in :mod:`repro.sim.backend`), so the contest evaluator,
-``pick_best`` and the serving microbatcher all inherit a backend
-switch without code changes of their own.
 """
 
 from __future__ import annotations
@@ -21,9 +15,7 @@ from repro.utils.bitops import pack_bits, unpack_bits
 
 
 def simulate_datasets(
-    aig,
-    sample_matrices: Sequence[np.ndarray],
-    backend: str | None = None,
+    aig, sample_matrices: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """Simulate one circuit on several sample matrices in one pass.
 
@@ -35,7 +27,7 @@ def simulate_datasets(
     mats = [np.asarray(m, dtype=np.uint8) for m in sample_matrices]
     if not mats:
         return []
-    compiled = aig.compiled(backend)
+    compiled = aig.compiled()
     if len(mats) == 1:
         return [compiled.run(mats[0])]
     stacked = np.vstack(mats)
@@ -49,9 +41,7 @@ def simulate_datasets(
 
 
 def simulate_rows_grouped(
-    compiled,
-    row_blocks: Sequence[np.ndarray],
-    backend: str | None = None,
+    compiled, row_blocks: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """One compiled circuit, many small row blocks, one engine pass.
 
@@ -63,12 +53,7 @@ def simulate_rows_grouped(
     ``(k_i, n_outputs)`` uint8 slice.  Coalescing N single-row
     requests this way replaces N engine invocations (and N packing
     passes) with one.
-
-    ``compiled`` already carries a backend; pass ``backend`` to
-    re-bind the shared program to another executor (no recompile).
     """
-    if backend is not None:
-        compiled = compiled.with_backend(backend)
     blocks = []
     for block in row_blocks:
         mat = np.asarray(block, dtype=np.uint8)
@@ -87,11 +72,7 @@ def simulate_rows_grouped(
     return out
 
 
-def simulate_circuits(
-    aigs: Sequence,
-    samples: np.ndarray,
-    backend: str | None = None,
-) -> list[np.ndarray]:
+def simulate_circuits(aigs: Sequence, samples: np.ndarray) -> list[np.ndarray]:
     """Simulate many circuits on one sample matrix, packing it once.
 
     All circuits must have the same input count as ``samples`` has
@@ -107,21 +88,15 @@ def simulate_circuits(
     packed = pack_bits(samples)
     n_samples = samples.shape[0]
     return [
-        unpack_bits(aig.compiled(backend).run_packed(packed), n_samples)
+        unpack_bits(aig.compiled().run_packed(packed), n_samples)
         for aig in aigs
     ]
 
 
-def output_predictions(
-    aigs: Sequence,
-    samples: np.ndarray,
-    backend: str | None = None,
-) -> list[np.ndarray]:
+def output_predictions(aigs: Sequence, samples: np.ndarray) -> list[np.ndarray]:
     """First-output predictions of many single-output candidates.
 
     Convenience wrapper for the contest setting (one output per
     circuit): returns one ``(n_samples,)`` uint8 vector per circuit.
     """
-    return [
-        out[:, 0] for out in simulate_circuits(aigs, samples, backend)
-    ]
+    return [out[:, 0] for out in simulate_circuits(aigs, samples)]

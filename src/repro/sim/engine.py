@@ -1,61 +1,76 @@
-"""Compiled simulation engines: program IR bound to an executor.
+"""The compiled simulation engine: a program IR plus a reused arena.
 
-See :mod:`repro.sim` for the compile/evaluate lifecycle.  Compilation
-is split in two layers since the backend refactor:
+See :mod:`repro.sim` for the compile/evaluate lifecycle.
 
-* :class:`~repro.sim.program.SimProgram` — the backend-neutral
-  levelized program (gather vectors, complement runs, output spec).
-  Immutable, picklable, independent of the source :class:`AIG`.
-* :class:`CompiledAIG` — one program bound to one executor backend
-  (``numpy``/``fused``/``numba``, see :mod:`repro.sim.backend`).  This
-  is the object consumers hold; it keeps the historical ``run*`` API
-  bit-for-bit.  Engines sharing a program share the compile work —
-  :meth:`with_backend` rebinds without recompiling, and the AIG-side
-  cache (:meth:`repro.aig.aig.AIG.compiled`) keys executors by
-  ``(structural version, outputs, backend)`` while compiling the
-  program once per version.
+* :class:`~repro.sim.program.SimProgram` — the levelized program
+  (gather vectors, complement runs, output spec).  Immutable,
+  picklable, independent of the source :class:`AIG`.
+* :class:`CompiledAIG` — one program plus the slot arena it evaluates
+  into.  This is the object consumers hold (the AIG-side cache
+  :meth:`repro.aig.aig.AIG.compiled` keeps one per structural
+  version); it keeps the historical ``run*`` API bit-for-bit.
+* :func:`reference_simulate_packed_all` — the seed per-node loop,
+  kept as the oracle every test and benchmark checks the engine
+  against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.program import ALL_ONES, SimProgram, _levelize  # noqa: F401
+from repro.sim.program import ALL_ONES, SimProgram, validate_packed
 from repro.utils.bitops import pack_bits, unpack_bits
 
 
+def _run_levels(
+    program: SimProgram,
+    values: np.ndarray,
+    scratch: np.ndarray,
+    packed_inputs: np.ndarray,
+) -> np.ndarray:
+    """The per-level schedule.
+
+    Every slot row is written (const row, input rows, then node
+    ranges level by level), so the arena needs no zero-fill.  Each
+    level is a handful of whole-array ops: a fused ``np.take`` of
+    both fanin row sets, scalar XORs over the contiguous complement
+    runs set up by the compiler, and an AND written straight into the
+    level's contiguous slot range.
+    """
+    values[0] = 0
+    values[1 : 1 + program.n_inputs] = packed_inputs
+    for lo, hi, idx01, c0_start, c1_lo, c1_hi in program.level_ops:
+        k = hi - lo
+        buf = scratch[: 2 * k]
+        np.take(values, idx01, axis=0, out=buf)
+        if c0_start < k:
+            part = buf[c0_start:k]
+            np.bitwise_xor(part, ALL_ONES, out=part)
+        if c1_lo < c1_hi:
+            part = buf[k + c1_lo : k + c1_hi]
+            np.bitwise_xor(part, ALL_ONES, out=part)
+        np.bitwise_and(buf[:k], buf[k:], out=values[lo:hi])
+    return values
+
+
 class CompiledAIG:
-    """A :class:`SimProgram` bound to one executor backend.
+    """A :class:`SimProgram` evaluated on a preallocated, reused arena.
 
     ``source`` is an :class:`~repro.aig.aig.AIG` (compiled here) or an
-    already-built :class:`SimProgram` (shared, no recompile).
-    ``backend`` resolves through :func:`repro.sim.backend.
-    resolve_backend`; the *effective* backend name — after env-var
-    lookup and the numba-missing fallback — is recorded as
-    :attr:`backend`.
+    already-built :class:`SimProgram` (shared, no recompile).  The slot
+    arena and the gather scratch are allocated once per word count and
+    every level runs as in-place ops on them, so a warm run allocates
+    nothing.  One instance serves one caller at a time (the arena is
+    reused across calls); every public ``run*`` method copies out.
     """
 
-    def __init__(
-        self,
-        source: SimProgram | object,
-        backend: str | None = None,
-    ):
-        from repro.sim.backend import executor_for
-
+    def __init__(self, source: SimProgram | object):
         if isinstance(source, SimProgram):
             self.program = source
         else:
             self.program = SimProgram(source)
-        self._executor = executor_for(self.program, backend)
-        self.backend: str = self._executor.name
-
-    def with_backend(self, backend: str | None) -> "CompiledAIG":
-        """This engine, or a sibling on another backend (shared IR)."""
-        from repro.sim.backend import resolve_backend
-
-        if resolve_backend(backend) == self.backend:
-            return self
-        return CompiledAIG(self.program, backend)
+        self._values: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     # -- program delegation (the historical public attributes) ---------
     @property
@@ -98,10 +113,24 @@ class CompiledAIG:
     # ------------------------------------------------------------------
     # Packed evaluation
     # ------------------------------------------------------------------
+    def _arena(self, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+        """The slot arena and gather scratch, rebuilt when n_words changes."""
+        values, scratch = self._values, self._scratch
+        if values is None or scratch is None or values.shape[1] != n_words:
+            values = np.empty(
+                (self.program.num_vars, n_words), dtype=np.uint64
+            )
+            scratch = np.empty(
+                (2 * self.program.max_width, n_words), dtype=np.uint64
+            )
+            self._values, self._scratch = values, scratch
+        return values, scratch
+
     def _run_slots(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Evaluate into the slot layout (borrowed buffer — copy out)."""
-        packed = self.program.validate_packed(packed_inputs)
-        return self._executor.run_slots(packed)
+        packed = validate_packed(packed_inputs, self.program.n_inputs)
+        values, scratch = self._arena(packed.shape[1])
+        return _run_levels(self.program, values, scratch, packed)
 
     def run_packed_all(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Values of *every* variable, shape ``(num_vars, n_words)``.
@@ -110,7 +139,7 @@ class CompiledAIG:
         """
         values = self._run_slots(packed_inputs)
         # Permute back from slot layout to variable order (also copies
-        # out of the executor's reused arena).
+        # out of the reused arena).
         return values.take(self.program.slot, axis=0)
 
     def run_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
@@ -137,23 +166,21 @@ class CompiledAIG:
         return unpack_bits(out, samples.shape[0])
 
 
-def compile_aig(aig, backend: str | None = None) -> CompiledAIG:
-    """Compile ``aig`` into its levelized form on ``backend``."""
-    return CompiledAIG(aig, backend)
+def compile_aig(aig) -> CompiledAIG:
+    """Compile ``aig`` into its levelized form."""
+    return CompiledAIG(aig)
 
 
 def reference_simulate_packed_all(aig, packed_inputs: np.ndarray) -> np.ndarray:
-    """The seed per-node simulation loop, kept verbatim as the oracle.
+    """The seed per-node simulation loop, kept as the oracle.
 
     Property tests and ``benchmarks/bench_sim_engine.py`` compare the
-    levelized engine against this implementation bit for bit.
+    levelized engine against this implementation bit for bit.  Inputs
+    are normalized like :meth:`CompiledAIG.run_packed_all` (a 1-D
+    ``(n_inputs,)`` vector is one word per input).
     """
-    packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
-    if packed_inputs.shape[0] != aig.n_inputs:
-        raise ValueError(
-            f"expected {aig.n_inputs} input rows, got {packed_inputs.shape[0]}"
-        )
-    n_words = packed_inputs.shape[1] if packed_inputs.ndim == 2 else 1
+    packed_inputs = validate_packed(packed_inputs, aig.n_inputs)
+    n_words = packed_inputs.shape[1]
     values = np.zeros((aig.num_vars, n_words), dtype=np.uint64)
     values[1 : 1 + aig.n_inputs] = packed_inputs
     f0 = aig._fanin0

@@ -1,29 +1,14 @@
-"""Backend-neutral simulation program IR.
+"""Simulation program IR.
 
-A :class:`SimProgram` is an AIG lowered into flat levelized arrays —
-the *what* of bit-parallel simulation, with no opinion about *how* the
-arrays are executed.  Executors (:mod:`repro.sim.executors`) consume
-the same program through two equivalent views:
-
-Per-level view (``level_ops``)
-    One ``(lo, hi, idx01, c0_start, c1_lo, c1_hi)`` tuple per logic
-    level: the contiguous *slot* range updated on that level, the
-    fused fanin gather vector (all fanin-0 slots then all fanin-1
-    slots) and the boundaries of the complemented runs.  This is what
-    the whole-array numpy/fused executors iterate.
-
-Per-node view (``node_g0``/``node_g1``/``node_x0``/``node_x1``)
-    The same program flattened to one entry per AND node in slot
-    order: fanin slot indices plus per-node complement XOR masks
-    (``0`` or all-ones).  Slot order is topological, so a single
-    sequential pass is valid — this is what a compiled whole-program
-    kernel (the numba backend) lowers to one nopython loop.
+A :class:`SimProgram` is an AIG lowered into flat levelized arrays:
+one ``(lo, hi, idx01, c0_start, c1_lo, c1_hi)`` tuple per logic level
+(``level_ops``) giving the contiguous *slot* range updated on that
+level, the fused fanin gather vector (all fanin-0 slots then all
+fanin-1 slots) and the boundaries of the complemented runs.
+:class:`repro.sim.engine.CompiledAIG` executes it level by level.
 
 Programs are immutable once built, independent of the source
-:class:`~repro.aig.aig.AIG`, and picklable — the serving layer and the
-process-pool runner can ship them across workers.  The AIG caches one
-program per structural version (see :meth:`repro.aig.aig.AIG.compiled`)
-and shares it between every backend's executor.
+:class:`~repro.aig.aig.AIG`, and picklable.
 """
 
 from __future__ import annotations
@@ -32,9 +17,24 @@ import numpy as np
 
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Bump when the compiled layout changes incompatibly (cache keys and
-#: pickled programs must never be interpreted by mismatched executors).
-PROGRAM_SCHEMA = 1
+#: Bump when the compiled layout changes incompatibly (pickled programs
+#: must never be interpreted by a mismatched engine).
+PROGRAM_SCHEMA = 2
+
+
+def validate_packed(packed_inputs: np.ndarray, n_inputs: int) -> np.ndarray:
+    """Normalize a packed input matrix to ``(n_inputs, n_words)``.
+
+    A 1-D ``(n_inputs,)`` vector is one word per input.
+    """
+    packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
+    if packed_inputs.ndim == 1:
+        packed_inputs = packed_inputs[:, None]
+    if packed_inputs.shape[0] != n_inputs:
+        raise ValueError(
+            f"expected {n_inputs} input rows, got {packed_inputs.shape[0]}"
+        )
+    return packed_inputs
 
 
 def _levelize(
@@ -114,12 +114,8 @@ class SimProgram:
         the maximum level; kept so cached engines also answer
         ``AIG.levels()``/``depth()`` for free.
     level_ops, max_width:
-        The per-level view (see module docstring) and the widest
-        level's node count (sizes executor scratch buffers).
-    node_g0, node_g1, node_x0, node_x1, base_var:
-        The per-node view: fanin slot indices and complement XOR
-        masks, one entry per AND node in slot order; AND node at slot
-        position ``p`` lives in slot ``base_var + p``.
+        The per-level ops (see module docstring) and the widest
+        level's node count (sizes the engine's scratch buffer).
     slot, out_slot, out_mask:
         Variable-to-slot permutation, output slot gather vector and
         output complement mask.
@@ -127,8 +123,8 @@ class SimProgram:
     Internally values live in a *slot* layout — variables renumbered
     so every level occupies a contiguous row range — which turns the
     per-level scatter into a slice store fused with the AND.
-    Executors evaluate in slot space; :class:`repro.sim.engine.
-    CompiledAIG` permutes back to variable order on the way out.
+    The engine evaluates in slot space and permutes back to variable
+    order on the way out.
     """
 
     schema: int
@@ -137,12 +133,7 @@ class SimProgram:
     num_outputs: int
     var_levels: np.ndarray
     depth: int
-    base_var: int
     slot: np.ndarray
-    node_g0: np.ndarray
-    node_g1: np.ndarray
-    node_x0: np.ndarray
-    node_x1: np.ndarray
     max_width: int
     out_var: np.ndarray
     out_slot: np.ndarray
@@ -172,20 +163,12 @@ class SimProgram:
         order = np.argsort(node_lv * 4 + rank, kind="stable")
         bounds = np.searchsorted(node_lv[order], np.arange(1, self.depth + 2))
         base = 1 + self.n_inputs
-        self.base_var = base
         num_ands = v0.shape[0]
         # Slot layout: constant and inputs keep their indices, AND node
         # at global level-order position p lands in slot base + p.
         self.slot = np.arange(self.num_vars, dtype=np.int64)
         self.slot[base + order] = base + np.arange(num_ands, dtype=np.int64)
         v0s, v1s = self.slot[v0], self.slot[v1]
-        # Per-node view in slot order (the whole-program kernels).
-        self.node_g0 = np.ascontiguousarray(v0s[order])
-        self.node_g1 = np.ascontiguousarray(v1s[order])
-        zero = np.uint64(0)
-        self.node_x0 = np.where(c0[order], ALL_ONES, zero).astype(np.uint64)
-        self.node_x1 = np.where(c1[order], ALL_ONES, zero).astype(np.uint64)
-        # Per-level view (the whole-array executors).
         self.level_ops: list[tuple[int, int, np.ndarray, int, int, int]] = []
         self.max_width = 0
         start = 0
@@ -206,6 +189,7 @@ class SimProgram:
         outs = np.asarray(aig.outputs, dtype=np.int64)
         self.out_var = outs >> 1
         self.out_slot = self.slot[self.out_var]
+        zero = np.uint64(0)
         self.out_mask = np.where(outs & 1, ALL_ONES, zero).astype(np.uint64)
 
     @property
@@ -216,15 +200,3 @@ class SimProgram:
     def level_widths(self) -> list[int]:
         """Number of AND nodes on each logic level ``>= 1``."""
         return [hi - lo for lo, hi, *_ in self.level_ops]
-
-    def validate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Normalize a packed input matrix to ``(n_inputs, n_words)``."""
-        packed_inputs = np.asarray(packed_inputs, dtype=np.uint64)
-        if packed_inputs.ndim == 1:
-            packed_inputs = packed_inputs[:, None]
-        if packed_inputs.shape[0] != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} input rows, "
-                f"got {packed_inputs.shape[0]}"
-            )
-        return packed_inputs

@@ -933,8 +933,8 @@ def test_refresh_evicts_stale_compiled_entry(tmp_path):
 
 def test_worker_pool_bit_identity(model_store, run_store_dir):
     """A pool worker rebuilds from the AIGER text and returns outputs
-    bit-identical to in-process evaluation (same text, same backend)."""
-    with WorkerPool(1, sim_backend=model_store.sim_backend) as pool:
+    bit-identical to in-process evaluation (same text, same engine)."""
+    with WorkerPool(1) as pool:
         pool.warm_up(timeout=120)
         for name in model_store.names():
             bundle = model_store.bundle(name)

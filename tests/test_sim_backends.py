@@ -1,122 +1,43 @@
-"""Cross-backend differential tests and backend-selection semantics.
+"""Differential tests of the batched simulation API against the oracle.
 
-Every executor backend must produce *byte-identical* packed words for
-the same program and inputs — the differential tests drive random
-AIGs (hypothesis) and adversarial chain shapes through every available
-backend and compare against the numpy reference with ``tobytes()``
-equality.  Selection tests pin the documented precedence (call arg >
-``set_backend`` > ``REPRO_SIM_BACKEND`` > default) and the
-silent-fallback contract for the optional numba backend.
+Every batch entry point must return exactly the rows the seed loop
+(``reference_simulate_packed_all``) computes, compared with
+``tobytes()`` equality.  Each case runs twice, once per arena state the
+engine can be in.  The ids keep the names of the two executors that
+used to cover those states:
+
+* ``numpy`` — a freshly compiled engine, whose arena is allocated by
+  the call under test;
+* ``fused`` — an engine that already ran the same shapes on other
+  stimulus, so the call under test reuses a dirty arena (the engine
+  promises no zero-fill is needed).
 """
-
-import dataclasses
-import pickle
-import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.aig.aig import AIG, CONST0, CONST1
 from repro.sim import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    BackendUnavailable,
-    CompiledAIG,
-    SimProgram,
-    available_backends,
-    backend as backend_mod,
-    backend_names,
     compile_aig,
-    get_backend,
-    resolve_backend,
-    set_backend,
+    output_predictions,
     simulate_circuits,
     simulate_datasets,
     simulate_rows_grouped,
 )
-from repro.sim.batch import output_predictions
-from repro.sim.program import _levelize
+from repro.utils.bitops import pack_bits, unpack_bits
+from tests.test_sim_engine import build_random_aig, reference_outputs
 
-BACKENDS = available_backends()
-
-
-def build_random_aig(n_inputs, n_nodes, seed, n_outputs=3):
-    rnd = random.Random(seed)
-    aig = AIG(n_inputs)
-    pool = list(aig.input_lits()) + [CONST0, CONST1]
-    for _ in range(n_nodes):
-        a = rnd.choice(pool) ^ rnd.randint(0, 1)
-        b = rnd.choice(pool) ^ rnd.randint(0, 1)
-        pool.append(aig.add_and(a, b))
-    for _ in range(n_outputs):
-        aig.set_output(rnd.choice(pool) ^ rnd.randint(0, 1))
-    return aig
+ARENA_STATES = ["fused", "numpy"]
 
 
-def build_chain_aig(n_nodes):
-    """A pure AND chain: depth == n_nodes, one node per level — the
-    adversarial shape for the Jacobi levelizer."""
-    aig = AIG(2)
-    lit = aig.input_lit(0)
-    for i in range(n_nodes):
-        lit = aig.add_and(lit, aig.input_lit(1) ^ (i & 1))
-    aig.set_output(lit)
-    return aig
-
-
-def random_packed(n_inputs, n_words, seed):
-    rng = np.random.default_rng(seed)
-    return rng.integers(
-        0, 2**63, size=(n_inputs, n_words), dtype=np.int64
-    ).astype(np.uint64)
-
-
-def _levelize_stats(aig):
-    f0 = np.asarray(aig._fanin0, dtype=np.int64)
-    f1 = np.asarray(aig._fanin1, dtype=np.int64)
-    stats = {}
-    lv = _levelize(aig.n_inputs, f0 >> 1, f1 >> 1, _stats=stats)
-    return lv, stats
+def reference_rows(aig, samples):
+    """``AIG.simulate`` semantics computed by the oracle."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.uint8))
+    packed = pack_bits(samples)
+    return unpack_bits(reference_outputs(aig, packed), samples.shape[0])
 
 
 class TestDifferential:
-    """All backends produce byte-identical packed words."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n_inputs=st.integers(min_value=1, max_value=12),
-        n_nodes=st.integers(min_value=0, max_value=200),
-        seed=st.integers(min_value=0, max_value=10**6),
-        n_words=st.integers(min_value=1, max_value=5),
-    )
-    def test_run_packed_all_byte_identical(
-        self, n_inputs, n_nodes, seed, n_words
-    ):
-        aig = build_random_aig(n_inputs, n_nodes, seed)
-        program = SimProgram(aig)
-        packed = random_packed(n_inputs, n_words, seed)
-        ref = CompiledAIG(program, backend="numpy").run_packed_all(packed)
-        for name in BACKENDS:
-            compiled = CompiledAIG(program, backend=name)
-            out = compiled.run_packed_all(packed)
-            assert out.tobytes() == ref.tobytes(), name
-            out2 = compiled.run_packed(packed)
-            ref2 = CompiledAIG(program, backend="numpy").run_packed(packed)
-            assert out2.tobytes() == ref2.tobytes(), name
-
-    @pytest.mark.parametrize("n_nodes", [5000])
-    def test_chain_shape_byte_identical(self, n_nodes):
-        aig = build_chain_aig(n_nodes)
-        program = SimProgram(aig)
-        assert program.depth == n_nodes
-        packed = random_packed(2, 3, seed=n_nodes)
-        ref = CompiledAIG(program, backend="numpy").run_packed_all(packed)
-        for name in BACKENDS:
-            out = CompiledAIG(program, backend=name).run_packed_all(packed)
-            assert out.tobytes() == ref.tobytes(), name
-
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", ARENA_STATES)
     def test_simulate_datasets_matches_numpy(self, name):
         aig = build_random_aig(7, 120, 3)
         rng = np.random.default_rng(3)
@@ -124,12 +45,13 @@ class TestDifferential:
             rng.integers(0, 2, size=(n, 7)).astype(np.uint8)
             for n in (1, 63, 64, 65, 200)
         ]
-        ref = simulate_datasets(aig, mats, backend="numpy")
-        got = simulate_datasets(aig, mats, backend=name)
-        for r, g in zip(ref, got, strict=True):
-            assert g.tobytes() == r.tobytes()
+        if name == "fused":
+            simulate_datasets(aig, [1 - m for m in mats])
+        got = simulate_datasets(aig, mats)
+        for m, g in zip(mats, got, strict=True):
+            assert g.tobytes() == reference_rows(aig, m).tobytes()
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", ARENA_STATES)
     def test_simulate_circuits_matches_numpy(self, name):
         rng = np.random.default_rng(5)
         X = rng.integers(0, 2, size=(150, 6)).astype(np.uint8)
@@ -137,16 +59,17 @@ class TestDifferential:
             build_random_aig(6, n, seed=n, n_outputs=1)
             for n in (0, 15, 90)
         ]
-        ref = simulate_circuits(aigs, X, backend="numpy")
-        got = simulate_circuits(aigs, X, backend=name)
-        for r, g in zip(ref, got, strict=True):
+        refs = [reference_rows(aig, X) for aig in aigs]
+        if name == "fused":
+            simulate_circuits(aigs, 1 - X)
+        got = simulate_circuits(aigs, X)
+        for r, g in zip(refs, got, strict=True):
             assert g.tobytes() == r.tobytes()
-        ref_p = output_predictions(aigs, X, backend="numpy")
-        got_p = output_predictions(aigs, X, backend=name)
-        for r, g in zip(ref_p, got_p, strict=True):
-            assert g.tobytes() == r.tobytes()
+        got_p = output_predictions(aigs, X)
+        for r, g in zip(refs, got_p, strict=True):
+            assert g.tobytes() == r[:, 0].tobytes()
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", ARENA_STATES)
     def test_simulate_rows_grouped_matches_numpy(self, name):
         aig = build_random_aig(5, 60, 9, n_outputs=2)
         rng = np.random.default_rng(9)
@@ -154,202 +77,10 @@ class TestDifferential:
             rng.integers(0, 2, size=(n, 5)).astype(np.uint8)
             for n in (1, 30, 64, 100)
         ]
-        compiled = compile_aig(aig, backend="numpy")
-        ref = simulate_rows_grouped(compiled, blocks)
-        got = simulate_rows_grouped(compiled, blocks, backend=name)
-        for r, g in zip(ref, got, strict=True):
-            assert g.tobytes() == r.tobytes()
-
-    def test_results_are_owned_copies(self):
-        # Arena-reusing executors must hand out copies: a result held
-        # across a later run (or mutated by the caller) must not alias
-        # the internal buffers.
-        aig = build_random_aig(6, 80, 13)
-        for name in BACKENDS:
-            compiled = compile_aig(aig, backend=name)
-            packed = random_packed(6, 2, 13)
-            first = compiled.run_packed_all(packed)
-            snapshot = first.copy()
-            second = compiled.run_packed_all(packed)
-            first[:] = 0  # caller scribbles on its result
-            assert second.tobytes() == snapshot.tobytes(), name
-            assert compiled.run_packed_all(packed).tobytes() == \
-                snapshot.tobytes(), name
-
-    def test_arena_resizes_across_word_counts(self):
-        aig = build_random_aig(8, 100, 21)
-        for name in BACKENDS:
-            compiled = compile_aig(aig, backend=name)
-            for n_words in (3, 1, 5, 3):
-                packed = random_packed(8, n_words, n_words)
-                ref = CompiledAIG(
-                    compiled.program, backend="numpy"
-                ).run_packed_all(packed)
-                out = compiled.run_packed_all(packed)
-                assert out.tobytes() == ref.tobytes(), (name, n_words)
-
-
-class TestLevelizeCutover:
-    def test_depth_65_stays_on_fast_path(self):
-        # The old hard cap (min(num_ands + 1, 64) rounds) kicked a
-        # depth-65 circuit off the vectorized path one round early;
-        # the measured-progress cutover must keep it.
-        aig = build_chain_aig(65)
-        lv, stats = _levelize_stats(aig)
-        assert stats["fallback"] is False
-        assert stats["rounds"] == 65
-        assert int(lv.max()) == 65
-
-    def test_long_chain_bails_after_two_rounds(self):
-        # A chain settles one node per round: the forecast must trip
-        # immediately instead of running O(depth) vector rounds.
-        aig = build_chain_aig(5000)
-        lv, stats = _levelize_stats(aig)
-        assert stats["fallback"] is True
-        assert stats["rounds"] == 2
-        base = 1 + aig.n_inputs
-        assert np.array_equal(
-            lv[base:], np.arange(1, 5001, dtype=np.int32)
-        )
-
-    def test_balanced_circuit_never_trips_cutover(self):
-        # Wide levels settle a whole row per round; the forecast stays
-        # far below break-even, so the fast path runs to completion.
-        aig = build_random_aig(10, 400, 17)
-        lv, stats = _levelize_stats(aig)
-        assert stats["fallback"] is False
-        scalar = [0] * (1 + aig.n_inputs)
-        for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
-            scalar.append(1 + max(scalar[f0 >> 1], scalar[f1 >> 1]))
-        assert lv.tolist() == scalar
-
-    def test_empty_program(self):
-        aig = AIG(3)
-        lv, stats = _levelize_stats(aig)
-        assert stats == {"rounds": 0, "fallback": False}
-        assert lv.tolist() == [0, 0, 0, 0]
-
-
-class TestBackendSelection:
-    @pytest.fixture(autouse=True)
-    def _isolated_selection(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "_forced", None)
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        self.monkeypatch = monkeypatch
-
-    def test_default(self):
-        assert DEFAULT_BACKEND == "fused"
-        assert get_backend() == "fused"
-        assert resolve_backend(None) == "fused"
-
-    def test_env_var_beats_default(self):
-        self.monkeypatch.setenv(ENV_VAR, "numpy")
-        assert get_backend() == "numpy"
-
-    def test_set_backend_beats_env_var(self):
-        self.monkeypatch.setenv(ENV_VAR, "numpy")
-        set_backend("fused")
-        assert get_backend() == "fused"
-        set_backend(None)  # clearing re-exposes the env var
-        assert get_backend() == "numpy"
-
-    def test_call_arg_beats_everything(self):
-        self.monkeypatch.setenv(ENV_VAR, "fused")
-        set_backend("fused")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_names_are_normalized(self):
-        assert resolve_backend("  NumPy ") == "numpy"
-
-    def test_unknown_name_raises_everywhere(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend("bogus")
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            set_backend("bogus")
-        aig = build_random_aig(3, 5, 0)
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            aig.compiled("bogus")
-
-    def test_registry_listing(self):
-        assert backend_names() == ("numpy", "fused", "numba")
-        avail = available_backends()
-        assert "numpy" in avail and "fused" in avail
-        assert set(avail) <= set(backend_names())
-
-    def _disable(self, name):
-        spec = backend_mod._REGISTRY[name]
-        self.monkeypatch.setitem(
-            backend_mod._REGISTRY, name,
-            dataclasses.replace(spec, is_available=lambda: False),
-        )
-
-    def test_unavailable_numba_falls_back_silently(self):
-        self._disable("numba")
-        assert resolve_backend("numba") == "fused"
-        self.monkeypatch.setenv(ENV_VAR, "numba")
-        assert get_backend() == "fused"
-        # and the compiled engine records the *effective* backend
-        aig = build_random_aig(3, 8, 1)
-        assert aig.compiled("numba").backend == "fused"
-
-    def test_unavailable_without_fallback_raises(self):
-        spec = backend_mod._REGISTRY["numpy"]
-        self.monkeypatch.setitem(
-            backend_mod._REGISTRY, "numpy",
-            dataclasses.replace(spec, is_available=lambda: False),
-        )
-        with pytest.raises(BackendUnavailable):
-            resolve_backend("numpy")
-
-    def test_env_var_reaches_compiled_circuits(self):
-        self.monkeypatch.setenv(ENV_VAR, "numpy")
-        aig = build_random_aig(4, 10, 2)
-        assert aig.compiled().backend == "numpy"
-
-
-class TestEngineBackendPlumbing:
-    def test_with_backend_shares_program(self):
-        aig = build_random_aig(5, 40, 4)
-        fused = compile_aig(aig, backend="fused")
-        assert fused.backend == "fused"
-        sibling = fused.with_backend("numpy")
-        assert sibling.backend == "numpy"
-        assert sibling.program is fused.program
-        assert fused.with_backend("fused") is fused
-
-    def test_aig_cache_keyed_by_backend(self):
-        aig = build_random_aig(5, 30, 6)
-        fused = aig.compiled("fused")
-        assert aig.compiled("fused") is fused  # cached
-        ref = aig.compiled("numpy")
-        assert ref is not fused
-        assert ref.program is fused.program  # one program, two engines
-        aig.set_output(aig.input_lit(0))  # structural change
-        assert aig.compiled("fused") is not fused
-
-    def test_program_pickles(self):
-        aig = build_random_aig(6, 70, 8)
-        program = SimProgram(aig)
-        clone = pickle.loads(pickle.dumps(program))
-        packed = random_packed(6, 2, 8)
-        ref = CompiledAIG(program, backend="numpy").run_packed_all(packed)
-        for name in BACKENDS:
-            out = CompiledAIG(clone, backend=name).run_packed_all(packed)
-            assert out.tobytes() == ref.tobytes(), name
-
-
-@pytest.mark.skipif(
-    "numba" not in BACKENDS, reason="numba not installed"
-)
-class TestNumbaBackend:
-    def test_numba_is_selected_not_fallen_back(self):
-        aig = build_random_aig(4, 20, 12)
-        assert aig.compiled("numba").backend == "numba"
-
-    def test_empty_and_constant_programs(self):
-        aig = AIG(2)
-        aig.set_output(CONST1)
-        aig.set_output(aig.input_lit(0) ^ 1)
-        X = np.array([[0, 0], [1, 1]], dtype=np.uint8)
-        ref = aig.simulate(X, backend="numpy")
-        assert np.array_equal(aig.simulate(X, backend="numba"), ref)
+        blocks.append(blocks[1][0])  # a single (n_inputs,) row
+        compiled = compile_aig(aig)
+        if name == "fused":
+            simulate_rows_grouped(compiled, [1 - b for b in blocks])
+        got = simulate_rows_grouped(compiled, blocks)
+        for b, g in zip(blocks, got, strict=True):
+            assert g.tobytes() == reference_rows(aig, b).tobytes()

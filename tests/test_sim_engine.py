@@ -1,11 +1,14 @@
 """Tests for the levelized simulation engine (repro.sim).
 
 The engine must be bit-exact with the seed per-node simulation loop
-(kept as ``reference_simulate_packed_all``); the property test drives
-randomized AIGs with varied input counts, complemented and constant
-outputs, and sample counts on and off the 64-bit word boundary.
+(kept as ``reference_simulate_packed_all``, the oracle); the property
+tests drive randomized AIGs with varied input counts, complemented and
+constant outputs, and sample counts on and off the 64-bit word
+boundary, plus adversarial chain shapes, and compare packed words with
+``tobytes()`` equality.
 """
 
+import pickle
 import random
 
 import numpy as np
@@ -16,12 +19,15 @@ from repro.aig.aig import AIG, CONST0, CONST1, lit_var
 from repro.contest.evaluate import evaluate_solution, evaluate_solutions
 from repro.contest.problem import Solution
 from repro.sim import (
+    CompiledAIG,
+    SimProgram,
     compile_aig,
     output_predictions,
     reference_simulate_packed_all,
     simulate_circuits,
     simulate_datasets,
 )
+from repro.sim.program import _levelize
 from repro.utils.bitops import pack_bits, unpack_bits
 
 
@@ -40,6 +46,24 @@ def build_random_aig(n_inputs, n_nodes, seed, n_outputs=3):
     return aig
 
 
+def build_chain_aig(n_nodes):
+    """A pure AND chain: depth == n_nodes, one node per level — the
+    adversarial shape for the Jacobi levelizer."""
+    aig = AIG(2)
+    lit = aig.input_lit(0)
+    for i in range(n_nodes):
+        lit = aig.add_and(lit, aig.input_lit(1) ^ (i & 1))
+    aig.set_output(lit)
+    return aig
+
+
+def random_packed(n_inputs, n_words, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(
+        0, 2**63, size=(n_inputs, n_words), dtype=np.int64
+    ).astype(np.uint64)
+
+
 def reference_outputs(aig, packed):
     """Output gather on top of the seed loop (the seed simulate_packed)."""
     values = reference_simulate_packed_all(aig, packed)
@@ -49,6 +73,14 @@ def reference_outputs(aig, packed):
         v = values[lit_var(lit)]
         out[k] = v ^ ones if lit & 1 else v
     return out
+
+
+def _levelize_stats(aig):
+    f0 = np.asarray(aig._fanin0, dtype=np.int64)
+    f1 = np.asarray(aig._fanin1, dtype=np.int64)
+    stats = {}
+    lv = _levelize(aig.n_inputs, f0 >> 1, f1 >> 1, _stats=stats)
+    return lv, stats
 
 
 class TestEngineBitExact:
@@ -117,6 +149,128 @@ class TestEngineBitExact:
             aig.simulate_packed_all(np.zeros((3, 1), dtype=np.uint64))
 
 
+class TestOracle:
+    """The engine agrees with the seed loop byte for byte."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_inputs=st.integers(min_value=1, max_value=12),
+        n_nodes=st.integers(min_value=0, max_value=200),
+        seed=st.integers(min_value=0, max_value=10**6),
+        n_words=st.integers(min_value=1, max_value=5),
+    )
+    def test_run_packed_all_byte_identical(
+        self, n_inputs, n_nodes, seed, n_words
+    ):
+        aig = build_random_aig(n_inputs, n_nodes, seed)
+        compiled = compile_aig(aig)
+        packed = random_packed(n_inputs, n_words, seed)
+        ref = reference_simulate_packed_all(aig, packed)
+        assert compiled.run_packed_all(packed).tobytes() == ref.tobytes()
+        assert compiled.run_packed(packed).tobytes() == \
+            reference_outputs(aig, packed).tobytes()
+
+    @pytest.mark.parametrize("n_nodes", [5000])
+    def test_chain_shape_byte_identical(self, n_nodes):
+        aig = build_chain_aig(n_nodes)
+        compiled = compile_aig(aig)
+        assert compiled.depth == n_nodes
+        packed = random_packed(2, 3, seed=n_nodes)
+        ref = reference_simulate_packed_all(aig, packed)
+        assert compiled.run_packed_all(packed).tobytes() == ref.tobytes()
+
+    def test_oracle_accepts_1d_word_vector(self):
+        # One word per input, the shape run_packed_all also accepts.
+        aig = build_random_aig(3, 20, 4)
+        words = random_packed(3, 1, 4)[:, 0]
+        ref = reference_simulate_packed_all(aig, words)
+        assert ref.shape == (aig.num_vars, 1)
+        assert ref.tobytes() == \
+            reference_simulate_packed_all(aig, words[:, None]).tobytes()
+        assert aig.simulate_packed_all(words).tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match="expected 3 input rows"):
+            reference_simulate_packed_all(aig, words[:2])
+
+    def test_results_are_owned_copies(self):
+        # The engine reuses its arena: a result held across a later run
+        # (or mutated by the caller) must not alias the internal buffers.
+        aig = build_random_aig(6, 80, 13)
+        compiled = compile_aig(aig)
+        packed = random_packed(6, 2, 13)
+        first = compiled.run_packed_all(packed)
+        snapshot = first.copy()
+        second = compiled.run_packed_all(packed)
+        first[:] = 0  # caller scribbles on its result
+        assert second.tobytes() == snapshot.tobytes()
+        assert compiled.run_packed_all(packed).tobytes() == \
+            reference_simulate_packed_all(aig, packed).tobytes()
+
+    def test_arena_resizes_across_word_counts(self):
+        aig = build_random_aig(8, 100, 21)
+        compiled = compile_aig(aig)
+        for n_words in (3, 1, 5, 3):
+            packed = random_packed(8, n_words, n_words)
+            ref = reference_simulate_packed_all(aig, packed)
+            out = compiled.run_packed_all(packed)
+            assert out.tobytes() == ref.tobytes(), n_words
+
+    def test_program_pickles(self):
+        aig = build_random_aig(6, 70, 8)
+        program = SimProgram(aig)
+        clone = pickle.loads(pickle.dumps(program))
+        packed = random_packed(6, 2, 8)
+        ref = reference_simulate_packed_all(aig, packed)
+        out = CompiledAIG(clone).run_packed_all(packed)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_engine_shares_a_given_program(self):
+        aig = build_random_aig(5, 40, 4)
+        program = SimProgram(aig)
+        assert CompiledAIG(program).program is program  # no recompile
+        assert compile_aig(aig).program is not program
+
+
+class TestLevelizeCutover:
+    def test_depth_65_stays_on_fast_path(self):
+        # The old hard cap (min(num_ands + 1, 64) rounds) kicked a
+        # depth-65 circuit off the vectorized path one round early;
+        # the measured-progress cutover must keep it.
+        aig = build_chain_aig(65)
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is False
+        assert stats["rounds"] == 65
+        assert int(lv.max()) == 65
+
+    def test_long_chain_bails_after_two_rounds(self):
+        # A chain settles one node per round: the forecast must trip
+        # immediately instead of running O(depth) vector rounds.
+        aig = build_chain_aig(5000)
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is True
+        assert stats["rounds"] == 2
+        base = 1 + aig.n_inputs
+        assert np.array_equal(
+            lv[base:], np.arange(1, 5001, dtype=np.int32)
+        )
+
+    def test_balanced_circuit_never_trips_cutover(self):
+        # Wide levels settle a whole row per round; the forecast stays
+        # far below break-even, so the fast path runs to completion.
+        aig = build_random_aig(10, 400, 17)
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is False
+        scalar = [0] * (1 + aig.n_inputs)
+        for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
+            scalar.append(1 + max(scalar[f0 >> 1], scalar[f1 >> 1]))
+        assert lv.tolist() == scalar
+
+    def test_empty_program(self):
+        aig = AIG(3)
+        lv, stats = _levelize_stats(aig)
+        assert stats == {"rounds": 0, "fallback": False}
+        assert lv.tolist() == [0, 0, 0, 0]
+
+
 class TestCompileCache:
     def test_cache_invalidated_by_mutation_and_rollback(self):
         aig = AIG(2)
@@ -134,6 +288,13 @@ class TestCompileCache:
         assert np.array_equal(
             aig.simulate(X), np.array([[1], [0]], dtype=np.uint8)
         )
+
+    def test_cache_holds_one_engine(self):
+        aig = build_random_aig(5, 30, 6)
+        engine = aig.compiled()
+        assert aig._compiled == (aig._version, tuple(aig.outputs), engine)
+        aig.set_output(aig.input_lit(0))  # structural change
+        assert aig.compiled() is not engine
 
     def test_cache_tracks_inplace_output_rewiring(self):
         # `outputs` is a public list; complementing an entry in place

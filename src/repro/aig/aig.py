@@ -16,6 +16,7 @@ candidate subgraphs and undo them when they do not improve size.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
@@ -132,12 +133,25 @@ class AIG(GateOps):
         self._fanin0: list[int] = []
         self._fanin1: list[int] = []
         self.outputs: list[int] = []
-        self._strash = {}
-        self._strash_log: list[tuple[int, int]] = []
         # Structural version, bumped on every mutation; keys the cached
         # compiled simulation engine (see :meth:`compiled`).
         self._version = 0
         self._compiled: tuple[int, tuple[int, ...], CompiledAIG] | None = None
+
+    @functools.cached_property
+    def _strash(self) -> dict[tuple[int, int], int]:
+        """``(fanin0, fanin1) -> literal`` of every AND node.
+
+        Derived from the fanin lists on first use, then kept in step by
+        :meth:`add_and` and :meth:`rollback`; a graph that is only
+        simulated or renumbered never builds it.
+        """
+        base = self.n_inputs + 1
+        return dict(zip(
+            zip(self._fanin0, self._fanin1, strict=True),
+            range(2 * base, 2 * (base + self.num_ands), 2),
+            strict=True,
+        ))
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -202,12 +216,11 @@ class AIG(GateOps):
         found = self._strash.get(key)
         if found is not None:
             return found
-        var = self.num_vars
-        self._fanin0.append(a)
+        fanin0 = self._fanin0
+        lit = (self.n_inputs + 1 + len(fanin0)) << 1
+        fanin0.append(a)
         self._fanin1.append(b)
-        lit = lit_make(var)
         self._strash[key] = lit
-        self._strash_log.append(key)
         self._version += 1
         return lit
 
@@ -220,16 +233,15 @@ class AIG(GateOps):
     # ------------------------------------------------------------------
     # Checkpoint / rollback for tentative construction
     # ------------------------------------------------------------------
-    def checkpoint(self) -> tuple[int, int, int]:
-        """Snapshot for :meth:`rollback` (node count, strash log, outputs)."""
-        return (self.num_ands, len(self._strash_log), len(self.outputs))
+    def checkpoint(self) -> tuple[int, int]:
+        """Snapshot for :meth:`rollback` (node count, output count)."""
+        return (self.num_ands, len(self.outputs))
 
-    def rollback(self, state: tuple[int, int, int]) -> None:
+    def rollback(self, state: tuple[int, int]) -> None:
         """Undo all nodes/outputs added after ``state`` was taken."""
-        n_ands, n_log, n_outs = state
-        for key in self._strash_log[n_log:]:
+        n_ands, n_outs = state
+        for key in zip(self._fanin0[n_ands:], self._fanin1[n_ands:], strict=True):
             self._strash.pop(key, None)
-        del self._strash_log[n_log:]
         del self._fanin0[n_ands:]
         del self._fanin1[n_ands:]
         del self.outputs[n_outs:]
@@ -266,18 +278,7 @@ class AIG(GateOps):
         """
         if lits is None:
             lits = self.outputs
-        mask = np.zeros(self.num_vars, dtype=bool)
-        stack = [lit_var(lit) for lit in lits]
-        while stack:
-            var = stack.pop()
-            if mask[var]:
-                continue
-            mask[var] = True
-            if self.is_and_var(var):
-                f0, f1 = self.fanins(var)
-                stack.append(lit_var(f0))
-                stack.append(lit_var(f1))
-        return mask
+        return _reachable(self.n_inputs, self._fanin0, self._fanin1, lits)
 
     def count_used_ands(self, lits: Iterable[int] | None = None) -> int:
         """AND nodes in the transitive fanin of ``lits`` (default outputs)."""
@@ -292,24 +293,46 @@ class AIG(GateOps):
         defaults to the registered outputs.
         """
         if lits is None:
-            lits = list(self.outputs)
-        new = AIG(self.n_inputs)
-        mask = self.reachable_vars(lits)
-        mapping = np.full(self.num_vars, -1, dtype=np.int64)
-        mapping[0] = CONST0
-        for i in range(self.n_inputs):
-            mapping[1 + i] = new.input_lit(i)
-        base = self.n_inputs + 1
-        for j in range(self.num_ands):
-            var = base + j
-            if not mask[var]:
-                continue
-            f0, f1 = self._fanin0[j], self._fanin1[j]
-            a = mapping[f0 >> 1] ^ (f0 & 1)
-            b = mapping[f1 >> 1] ^ (f1 & 1)
-            mapping[var] = new.add_and(a, b)
-        for lit in lits:
-            new.set_output(int(mapping[lit_var(lit)]) ^ (lit & 1))
+            lits = self.outputs
+        lits = [int(lit) for lit in lits]
+        return AIG._renumbered(
+            self.n_inputs,
+            np.asarray(self._fanin0, dtype=np.int64),
+            np.asarray(self._fanin1, dtype=np.int64),
+            _reachable(self.n_inputs, self._fanin0, self._fanin1, lits),
+            lits,
+        )
+
+    @classmethod
+    def _renumbered(
+        cls, n_inputs: int, fanin0: np.ndarray, fanin1: np.ndarray,
+        keep: np.ndarray, outputs: list[int],
+    ) -> "AIG":
+        """The graph of the AND nodes marked in ``keep``, renumbered in order.
+
+        Every node enters an :class:`AIG` through :meth:`add_and`, so a
+        graph is always strashed: fanins are sorted, never constant, and
+        no two nodes share a key.  Kept nodes must reference only kept
+        nodes and inputs, and together satisfy the same three
+        properties.  An injective, order-preserving renumbering keeps
+        all three, so kept nodes are copied as they are, without strash
+        lookups: the graph :meth:`add_and` would rebuild.  Its strash
+        table is derived when first needed.
+
+        ``keep`` masks the variables to keep (the constant and inputs
+        always are; the mask is updated in place); ``outputs`` are
+        literals of kept variables.
+        """
+        base = n_inputs + 1
+        keep[:base] = True
+        new_var = np.cumsum(keep) - 1
+        kept = np.flatnonzero(keep[base:])
+        f0, f1 = fanin0[kept], fanin1[kept]
+        new = cls(n_inputs)
+        new._fanin0 = ((new_var[f0 >> 1] << 1) | (f0 & 1)).tolist()
+        new._fanin1 = ((new_var[f1 >> 1] << 1) | (f1 & 1)).tolist()
+        new.outputs = [(int(new_var[lit >> 1]) << 1) | (lit & 1) for lit in outputs]
+        new._version = kept.size + len(outputs)
         return new
 
     def copy(self) -> "AIG":
@@ -318,8 +341,6 @@ class AIG(GateOps):
         new._fanin0 = list(self._fanin0)
         new._fanin1 = list(self._fanin1)
         new.outputs = list(self.outputs)
-        new._strash = dict(self._strash)
-        new._strash_log = list(self._strash_log)
         return new
 
     # ------------------------------------------------------------------
@@ -399,3 +420,28 @@ class AIG(GateOps):
             f"AIG(inputs={self.n_inputs}, ands={self.num_ands}, "
             f"outputs={self.num_outputs})"
         )
+
+
+def _reachable(
+    n_inputs: int, fanin0: list[int], fanin1: list[int], lits: Iterable[int]
+) -> np.ndarray:
+    """Mask of the variables in the transitive fanin of ``lits``.
+
+    One reverse sweep: a node's fanins precede it, so by the time the
+    sweep reaches a variable every fanout that marks it has been seen.
+    """
+    n_vars = n_inputs + 1 + len(fanin0)
+    mark = bytearray(n_vars)
+    for lit in lits:
+        if not 0 <= lit < 2 * n_vars:
+            raise ValueError(f"literal {lit} is not a literal of this graph")
+        mark[lit >> 1] = 1
+    nodes = zip(
+        range(n_vars - 1, n_inputs, -1), reversed(fanin0), reversed(fanin1),
+        strict=True,
+    )
+    for var, f0, f1 in nodes:
+        if mark[var]:
+            mark[f0 >> 1] = 1
+            mark[f1 >> 1] = 1
+    return np.frombuffer(mark, dtype=np.bool_)

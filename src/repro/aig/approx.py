@@ -11,6 +11,8 @@ removing 3000-5000 nodes.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.aig.aig import AIG, CONST0, CONST1
@@ -19,30 +21,143 @@ from repro.utils.rng import rng_for
 
 
 def substitute_constants(aig: AIG, overrides: dict[int, int]) -> AIG:
-    """Rebuild with selected variables replaced by constant literals.
+    """Replace selected AND nodes by constants, fold, and drop dead logic.
 
-    ``overrides`` maps variable index -> constant literal (0 or 1).
+    ``overrides`` maps AND-node variable index -> constant literal
+    (:data:`CONST0` or :data:`CONST1`).  The result is exactly what
+    rebuilding every node through :meth:`AIG.add_and` in index order
+    and then :meth:`AIG.extract_cone` would give, but only the logic
+    the substitution changes is visited:
+
+    * a node is revisited when one of its fanins changed, or when an
+      earlier node now claims its strash key.  Visiting in index order
+      resolves collisions the way the rebuild does: the lower old index
+      creates the node and the higher one merges into it;
+    * fanout reference counts find the nodes that lost their last
+      reference, so dead logic is dropped without a sweep;
+    * one order-preserving renumbering compacts what is left.
     """
-    new = AIG(aig.n_inputs)
-    mapping = np.zeros(aig.num_vars, dtype=np.int64)
-    for i in range(aig.n_inputs):
-        mapping[1 + i] = new.input_lit(i)
+    n_inputs, n_vars = aig.n_inputs, aig.num_vars
+    first_and = n_inputs + 1
     for var, const in overrides.items():
         if aig.is_input_var(var):
             raise ValueError("cannot replace a primary input by a constant")
-        mapping[var] = const
-    base = aig.n_inputs + 1
-    for j in range(aig.num_ands):
-        var = base + j
-        if var in overrides:
+        if not first_and <= var < n_vars:
+            raise ValueError(f"variable {var} is not an AND node of the graph")
+        if const not in (CONST0, CONST1):
+            raise ValueError(
+                f"override {const!r} for variable {var} is not a constant"
+            )
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
+    f0 = np.asarray(fanin0, dtype=np.int64)
+    f1 = np.asarray(fanin1, dtype=np.int64)
+    fanouts, starts, refs = _fanouts(n_vars, f0, f1)
+    forced = {int(var): int(const) for var, const in overrides.items()}
+    # The literal every removed variable now stands for (absent: itself),
+    # the new fanins of the nodes whose strash key changed, and the
+    # literals of those nodes by their new key.
+    moved = dict(forced)
+    rewired: dict[int, tuple[int, int]] = {}
+    created: dict[tuple[int, int], int] = {}
+    heap: list[int] = []
+    queued: set[int] = set()
+
+    def push(var):
+        if var not in queued:
+            queued.add(var)
+            heapq.heappush(heap, var)
+
+    def holder_of(a, b):
+        """The old node with fanins ``(a, b)``, or 0."""
+        outs = fanouts[starts[b >> 1]:starts[(b >> 1) + 1]]
+        hit = outs[(f0[outs - first_and] == a) & (f1[outs - first_and] == b)]
+        return int(hit[0]) if hit.size else 0
+
+    def image(lit):
+        to = moved.get(lit >> 1)
+        return lit if to is None else to ^ (lit & 1)
+
+    def push_fanouts(var):
+        for out in fanouts[starts[var]:starts[var + 1]].tolist():
+            push(out)
+
+    for var in forced:
+        push_fanouts(var)
+    # Every push is above the variable being visited, so the heap visits
+    # in index order and a visited variable's status is final.
+    while heap:
+        var = heapq.heappop(heap)
+        if var in forced:
             continue
-        f0, f1 = aig.fanins(var)
-        a = int(mapping[f0 >> 1]) ^ (f0 & 1)
-        b = int(mapping[f1 >> 1]) ^ (f1 & 1)
-        mapping[var] = new.add_and(a, b)
-    for lit in aig.outputs:
-        new.set_output(int(mapping[lit >> 1]) ^ (lit & 1))
-    return new.extract_cone()
+        j = var - first_and
+        a, b = image(fanin0[j]), image(fanin1[j])
+        if a > b:
+            a, b = b, a
+        # The folds of AIG.add_and.
+        if a == CONST0 or a == b ^ 1:
+            to = CONST0
+        elif a == CONST1 or a == b:
+            to = b
+        else:
+            key = (a, b)
+            to = created.get(key)
+            if to is None:
+                holder = holder_of(a, b)
+                # An earlier old node keeps its key unless it changed.
+                if 0 < holder < var and holder not in moved and holder not in rewired:
+                    to = holder << 1
+                else:
+                    # ``var`` creates this key.  A later node holding it
+                    # in the old graph merges into ``var`` unless its
+                    # own fanins change too, so it is visited as well.
+                    rewired[var] = key
+                    created[key] = var << 1
+                    if holder > var:
+                        push(holder)
+                    continue
+        moved[var] = to
+        push_fanouts(var)
+
+    # Reference counts of the new graph: the removed nodes and the old
+    # fanins of rewired ones let go, the new fanins and outputs take hold.
+    outputs = [image(lit) for lit in aig.outputs]
+    released = [lit >> 1 for var in (*moved, *rewired)
+                for lit in (fanin0[var - first_and], fanin1[var - first_and])]
+    taken = [lit >> 1 for key in rewired.values() for lit in key]
+    np.subtract.at(refs, released, 1)
+    np.add.at(refs, taken + [lit >> 1 for lit in outputs], 1)
+    for var, (a, b) in rewired.items():
+        f0[var - first_and], f1[var - first_and] = a, b
+    keep = np.ones(n_vars, dtype=bool)
+    keep[list(moved)] = False
+    # Drop what lost its last reference, and what only it referenced.
+    dead = np.flatnonzero(keep & (refs == 0))
+    stack = dead[dead >= first_and].tolist()
+    while stack:
+        var = stack.pop()
+        keep[var] = False
+        for lit in (f0[var - first_and], f1[var - first_and]):
+            refs[lit >> 1] -= 1
+            if refs[lit >> 1] == 0 and lit >> 1 >= first_and:
+                stack.append(int(lit >> 1))
+    return AIG._renumbered(n_inputs, f0, f1, keep, outputs)
+
+
+def _fanouts(
+    n_vars: int, fanin0: np.ndarray, fanin1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AND fanouts of every variable, CSR style, and their counts.
+
+    Variable ``v``'s fanouts are ``fanouts[starts[v]:starts[v + 1]]``.
+    """
+    first_and = n_vars - fanin0.size
+    fanin_vars = np.concatenate((fanin0, fanin1)) >> 1
+    counts = np.bincount(fanin_vars, minlength=n_vars)
+    starts = np.zeros(n_vars + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    # A stable sort of the narrowest dtype that fits is a radix sort.
+    order = np.argsort(fanin_vars.astype(np.min_scalar_type(n_vars)), kind="stable")
+    return first_and + order % fanin0.size, starts, counts
 
 
 def approximate_to_size(

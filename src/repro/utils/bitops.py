@@ -13,11 +13,6 @@ import numpy as np
 
 WORD_BITS = 64
 
-# 16-bit popcount lookup used by :func:`popcount64`.
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
-)
-
 
 def pack_bits(matrix: np.ndarray) -> np.ndarray:
     """Pack a ``(n_samples, n_vars)`` 0/1 matrix into uint64 words.
@@ -54,14 +49,8 @@ def unpack_bits(packed: np.ndarray, n_samples: int) -> np.ndarray:
 
 
 def popcount64(words: np.ndarray) -> np.ndarray:
-    """Per-word population count of a uint64 array."""
-    words = np.asarray(words, dtype=np.uint64)
-    mask = np.uint64(0xFFFF)
-    acc = _POP16[(words & mask).astype(np.uint32)].astype(np.uint32)
-    acc += _POP16[((words >> np.uint64(16)) & mask).astype(np.uint32)]
-    acc += _POP16[((words >> np.uint64(32)) & mask).astype(np.uint32)]
-    acc += _POP16[((words >> np.uint64(48)) & mask).astype(np.uint32)]
-    return acc
+    """Per-word population count of a uint64 array (numpy >= 2.0)."""
+    return np.bitwise_count(np.asarray(words, dtype=np.uint64))
 
 
 def bits_to_int(bits: np.ndarray) -> int:

@@ -47,43 +47,83 @@ def loads_aag(text: str) -> AIG:
 
     The serving layer loads circuits straight out of a run store's
     ``solutions/`` files (or any bundle of ``.aag`` text) without
-    round-tripping through a temp file.
+    round-tripping through a temp file.  Malformed text raises
+    ``ValueError`` naming the problem.
     """
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("c")]
+    if not lines:
+        raise ValueError("empty AIGER text")
     header = lines[0].split()
-    if header[0] != "aag":
-        raise ValueError(f"not an ASCII AIGER file: header {header[0]!r}")
-    _, maxvar, n_in, n_latch, n_out, n_and = header[:6]
-    n_in, n_latch, n_out, n_and = map(int, (n_in, n_latch, n_out, n_and))
+    if not header or header[0] != "aag":
+        raise ValueError(f"not an ASCII AIGER file: header {lines[0]!r}")
+    if len(header) < 6:
+        raise ValueError(f"short AIGER header {lines[0]!r} (expected "
+                         f"'aag M I L O A')")
+    n_in, n_latch, n_out, n_and = (_int(f, lines[0]) for f in header[2:6])
     if n_latch:
         raise ValueError("latches are not supported")
-    pos = 1
-    input_lits = [int(lines[pos + i]) for i in range(n_in)]
-    pos += n_in
-    output_lits = [int(lines[pos + i]) for i in range(n_out)]
-    pos += n_out
-    return _rebuild(n_in, input_lits, output_lits, [
-        tuple(map(int, lines[pos + j].split())) for j in range(n_and)
-    ])
+    body = lines[1:1 + n_in + n_out + n_and]
+    rows = [[_int(f, line) for f in line.split()] for line in body]
+    if len(rows) < n_in + n_out + n_and:
+        raise ValueError(
+            f"truncated AIGER text: header declares {n_in + n_out + n_and}"
+            f" literal lines, found {len(rows)}"
+        )
+    for i, row in enumerate(rows):
+        if len(row) != (1 if i < n_in + n_out else 3):
+            raise ValueError(f"malformed AIGER line {body[i]!r}")
+    return _rebuild(
+        n_in,
+        [row[0] for row in rows[:n_in]],
+        [row[0] for row in rows[n_in:n_in + n_out]],
+        [tuple(row) for row in rows[n_in + n_out:]],
+    )
+
+
+def _int(field: str, line: str) -> int:
+    """One non-negative integer field of AIGER line ``line``."""
+    try:
+        value = int(field)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"bad field {field!r} in AIGER line {line!r}")
+    return value
 
 
 def _rebuild(n_in, input_lits, output_lits, and_rows) -> AIG:
     """Reconstruct an AIG from parsed literal rows.
 
     AIGER files may use arbitrary variable numbering; we remap through
-    a literal translation table while re-strashing.
+    a literal translation table while re-strashing.  Inputs and AND
+    left-hand sides must be fresh, even, non-constant literals, and
+    every fanin or output literal must already be defined.
     """
     aig = AIG(n_in)
     lit_map = {0: 0, 1: 1}
+
+    def define(lit: int, new: int, what: str) -> None:
+        if lit & 1 or lit < 2:
+            raise ValueError(f"{what} literal {lit} must be even and "
+                             f"non-constant")
+        if lit in lit_map:
+            raise ValueError(f"{what} literal {lit} is already defined")
+        lit_map[lit] = new
+        lit_map[lit ^ 1] = new ^ 1
+
+    def lookup(lit: int, what: str) -> int:
+        try:
+            return lit_map[lit]
+        except KeyError:
+            raise ValueError(f"undefined {what} literal {lit}") from None
+
     for i, lit in enumerate(input_lits):
-        lit_map[lit] = aig.input_lit(i)
-        lit_map[lit ^ 1] = aig.input_lit(i) ^ 1
+        define(lit, aig.input_lit(i), "input")
     for lhs, rhs0, rhs1 in and_rows:
-        new = aig.add_and(lit_map[rhs0], lit_map[rhs1])
-        lit_map[lhs] = new
-        lit_map[lhs ^ 1] = new ^ 1
+        new = aig.add_and(lookup(rhs0, "fanin"), lookup(rhs1, "fanin"))
+        define(lhs, new, "AND")
     for lit in output_lits:
-        aig.set_output(lit_map[lit])
+        aig.set_output(lookup(lit, "output"))
     return aig
 
 

@@ -10,7 +10,8 @@ The optimization subsystem behind :mod:`repro.aig.optimize`:
 - :mod:`~repro.aig.opt.traverse` — iterative cone walks (no recursion,
   safe on chain-shaped graphs of any depth).
 - :mod:`~repro.aig.opt.passes` — the passes: ``balance``, ``rewrite``,
-  ``refactor``, ``fraig_lite`` and the ``compress`` script.
+  ``refactor``, ``fraig_lite``, the ``compress`` script and its
+  fixed-order fixpoint over a wider palette, ``compress_deep``.
 - :mod:`~repro.aig.opt.reference` — the seed build-measure-rollback
   passes, kept as the pinned baseline for ``bench_opt_engine.py``.
 

@@ -27,14 +27,17 @@ hashed graph, functionally equivalent to their input by construction:
 
 ``compress`` chains them until no improvement, mirroring ABC script
 usage (``resyn2``/``compress2rs``), and never returns a graph larger
-than its input.  Every cone walk is iterative (see
-:mod:`repro.aig.opt.traverse`) — chain-shaped graphs of any depth are
-safe.
+than its input.  ``compress_deep`` hill-climbs a wider palette
+(:data:`DEEP_PASSES`: ``compress``'s round plus a larger-cone
+``refactor`` and a stronger ``fraig_lite``) to a fixpoint.  Every cone
+walk is iterative (see :mod:`repro.aig.opt.traverse`) — chain-shaped
+graphs of any depth are safe.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 
 import numpy as np
 
@@ -349,4 +352,40 @@ def compress(aig: AIG, max_rounds: int = 3) -> AIG:
                 best = cand
         if best.num_ands >= size_before:
             break
+    return best
+
+
+#: ``compress``'s round, then the two moves it never makes: refactor
+#: cones up to 14 leaves and a fraig with more simulation words and a
+#: wider proof cut.
+DEEP_PASSES = (
+    balance,
+    rewrite,
+    refactor,
+    fraig_lite,
+    partial(refactor, max_leaves=14),
+    partial(fraig_lite, n_words=8, max_leaves=16, max_visit=128),
+)
+
+
+def compress_deep(aig: AIG) -> AIG:
+    """Fixed-order hill climb over :data:`DEEP_PASSES` to a fixpoint.
+
+    Tries the passes in order, adopts the first result whose
+    ``(num_ands, depth)`` is strictly smaller and restarts from the
+    first pass; returns when a full sweep adopts nothing.  Every
+    adoption strictly lowers that pair, so the loop terminates, and
+    the result is never larger than the input cone.
+    """
+    best = aig.extract_cone()
+    qor = (best.num_ands, best.depth())
+    improved = True
+    while improved and best.num_ands:
+        improved = False
+        for pass_fn in DEEP_PASSES:
+            cand = pass_fn(best)
+            cand_qor = (cand.num_ands, cand.depth())
+            if cand_qor < qor:
+                best, qor, improved = cand, cand_qor, True
+                break
     return best

@@ -17,6 +17,10 @@ and this facade re-exports the passes under their historical names so
     Simulation-guided, truth-table-proven equivalent-node merging.
 ``compress``
     The iterated script; never returns a graph larger than its input.
+``compress_deep``
+    A fixed-order hill climb over a wider palette (``compress``'s
+    round plus larger-cone ``refactor`` and stronger ``fraig_lite``)
+    to a fixpoint; also never larger than its input.
 
 The seed build-measure-rollback implementations are preserved in
 :mod:`repro.aig.opt.reference` as the benchmark baseline.
@@ -27,13 +31,14 @@ from __future__ import annotations
 from repro.aig.opt.passes import (  # noqa: F401 - re-exported API
     balance,
     compress,
+    compress_deep,
     fraig_lite,
     refactor,
     rewrite,
 )
 from repro.aig.opt.traverse import ffc_leaves as _iterative_ffc_leaves
 
-__all__ = ["balance", "compress", "fraig_lite", "refactor", "rewrite"]
+__all__ = ["balance", "compress", "compress_deep", "fraig_lite", "refactor", "rewrite"]
 
 
 def _ffc_leaves(aig, var, fanout, max_leaves):

@@ -251,33 +251,6 @@ def _cmd_predict(parser, args) -> None:
     print(f"wrote {n_rows} prediction(s) to {args.output}")
 
 
-def _cmd_sched(parser, args) -> None:
-    """Learned-scheduling data plumbing: harvest stores, train."""
-    from pathlib import Path
-
-    if args.sched_command == "harvest":
-        from repro.sched import harvest_run_dirs, tuples_to_jsonl
-
-        tuples = harvest_run_dirs(
-            args.store, horizon=args.horizon,
-            max_circuits=args.max_circuits,
-        )
-        Path(args.out).write_text(
-            tuples_to_jsonl(tuples), encoding="utf-8"
-        )
-        print(f"harvested {len(tuples)} tuples from "
-              f"{len(args.store)} store(s) -> {args.out}")
-    elif args.sched_command == "train":
-        from repro.sched import load_tuples, save_policy, train_policy
-
-        tuples = []
-        for path in args.tuples:
-            tuples.extend(load_tuples(path))
-        policy = train_policy(tuples, l2=args.l2)
-        save_policy(policy, args.out)
-        print(f"trained on {len(tuples)} tuples -> {args.out}")
-
-
 def _cmd_lint(parser, args) -> None:
     """Run the repo-specific determinism/safety lints."""
     from repro.devtools.lint import main as lint_main
@@ -424,42 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="where to write one 0/1 line per row")
     predict_p.add_argument("--cache-size", type=int, default=32)
 
-    sched_p = sub.add_parser(
-        "sched", help="learned pass scheduling: harvest training "
-                      "tuples from run stores, train a policy")
-    sched_sub = sched_p.add_subparsers(dest="sched_command",
-                                       required=True)
-    harvest_p = sched_sub.add_parser(
-        "harvest", help="replay stored solutions (--keep-solutions "
-                        "runs) into (features, pass, QoR-delta) "
-                        "tuples — no flow re-execution")
-    harvest_p.add_argument(
-        "--store", required=True, nargs="+", metavar="DIR",
-        help="contest run director(ies) with kept .aag solutions")
-    harvest_p.add_argument(
-        "--out", required=True,
-        help="destination tuples file (canonical JSONL)")
-    harvest_p.add_argument(
-        "--horizon", type=int, default=4,
-        help="greedy-teacher steps per circuit (default 4)")
-    harvest_p.add_argument(
-        "--max-circuits", type=int, default=None,
-        help="per-store circuit cap (default: all)")
-    train_p = sched_sub.add_parser(
-        "train", help="ridge-train a greedy policy from harvested "
-                      "tuples")
-    train_p.add_argument(
-        "--tuples", required=True, nargs="+", metavar="FILE",
-        help="tuples files written by 'repro sched harvest'")
-    train_p.add_argument(
-        "--out", required=True,
-        help="destination policy JSON (use "
-             "src/repro/sched/default_policy.json to refresh the "
-             "packaged policy)")
-    train_p.add_argument(
-        "--l2", type=float, default=1.0,
-        help="ridge regularization strength (default 1.0)")
-
     lint_p = sub.add_parser(
         "lint", help="repo-specific determinism/safety static "
                      "analysis (see repro lint --list-rules)")
@@ -493,8 +430,6 @@ def main(argv: Sequence[str] | None = None) -> None:
         _cmd_serve(parser, args)
     elif args.command == "predict":
         _cmd_predict(parser, args)
-    elif args.command == "sched":
-        _cmd_sched(parser, args)
     elif args.command == "lint":
         _cmd_lint(parser, args)
 

@@ -1,4 +1,5 @@
-"""The ten contest team flows plus the portfolio, as registered Flows.
+"""The ten contest team flows, the portfolio and ``trees-deep``, as
+registered Flows.
 
 Every flow is a :class:`repro.flows.api.Flow` — a named, registered
 pipeline of :class:`~repro.flows.api.Stage`\\ s with declarative
@@ -42,6 +43,7 @@ from repro.flows import (  # noqa: F401  (registration side effects)
     team08,
     team09,
     team10,
+    trees_deep,
 )
 from repro.flows.api import ArtifactCache, Candidate, Flow, FlowResult, Stage
 from repro.flows.portfolio import virtual_best
@@ -51,10 +53,6 @@ from repro.flows.registry import (
     get_flow,
     resolve_spec,
 )
-
-# The learned-scheduling flows live under repro.sched (they layer on
-# top of this package); importing the module registers them too.
-from repro.sched import flow as _sched_flow_module  # noqa: F401
 
 #: The ten team flows, in contest order (single source of truth: the
 #: portfolio's default member list).

@@ -262,11 +262,13 @@ class FinalizeSpec:
     ``(AIG) -> bool`` (Team 5/6 skip the expensive passes above 4000
     nodes).  Flows that interleave finalization with training (Teams 4
     and 6) set ``Flow.finalize=None`` and finalize inside the stage.
+    ``deep`` swaps ``compress_deep`` in for ``compress``.
     """
 
     max_nodes: int = MAX_AND_NODES
     optimize: bool | Callable[[AIG], bool] = True
     optimize_limit: int = 20000
+    deep: bool = False
 
     def apply(self, aig: AIG, rng: np.random.Generator) -> AIG:
         optimize = self.optimize
@@ -274,7 +276,7 @@ class FinalizeSpec:
             optimize = optimize(aig)
         return finalize_aig(
             aig, rng, max_nodes=self.max_nodes, optimize=optimize,
-            optimize_limit=self.optimize_limit,
+            optimize_limit=self.optimize_limit, deep=self.deep,
         )
 
 

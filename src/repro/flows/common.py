@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.aig.aig import AIG, CONST0, CONST1
 from repro.aig.approx import approximate_to_size
-from repro.aig.optimize import balance, compress
+from repro.aig.optimize import balance, compress, compress_deep
 from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
 from repro.ml.dataset import Dataset
 from repro.ml.metrics import accuracy
@@ -54,23 +54,26 @@ def finalize_aig(
     max_nodes: int = MAX_AND_NODES,
     optimize: bool = True,
     optimize_limit: int = 20000,
+    deep: bool = False,
 ) -> AIG:
     """Post-process a candidate circuit the way the teams used ABC.
 
     Garbage-collects, optimizes (skipping the expensive passes on very
     large graphs), and applies Team 1-style approximation if the result
-    still exceeds the node cap.
+    still exceeds the node cap.  ``deep`` optimizes with
+    ``compress_deep`` instead of ``compress``.
     """
+    opt = compress_deep if deep else compress
     aig = aig.extract_cone()
     if optimize:
         if aig.num_ands <= optimize_limit:
-            aig = compress(aig)
+            aig = opt(aig)
         else:
             aig = balance(aig)
     if aig.num_ands > max_nodes:
         aig = approximate_to_size(aig, max_ands=max_nodes, rng=rng)
         if aig.num_ands <= optimize_limit:
-            aig = compress(aig)
+            aig = opt(aig)
     return aig
 
 

@@ -54,6 +54,22 @@ def virtual_best(scores_by_team: dict[str, list[Score]]) -> list[Score]:
     return best
 
 
+def _parse_members(value: str) -> list[str]:
+    """``flows=`` override value: ``+``-separated registered flow specs.
+
+    Checked when the spec resolves, so a typo fails before any member
+    runs (``ValueError`` with the registry's near-match hint)."""
+    members = value.split("+")
+    for member in members:
+        if not member:
+            raise ValueError(f"empty member flow name in {value!r}")
+        try:
+            REGISTRY.resolve(member)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+    return members
+
+
 def _members_stage(ctx: FlowContext) -> list[Candidate]:
     """Run the member flows and emit each winner's circuit.
 
@@ -157,7 +173,7 @@ FLOW = register(PortfolioFlow(
     finalize=None,  # members already finalized their circuits
     select=_select,
     spec_params={
-        "flows": lambda value: value.split("+"),
+        "flows": _parse_members,
         "jobs": int,
     },
 ))

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.aig.aig import AIG, lit_not
-from repro.aig.aiger import read_aag, read_aiger, write_aag, write_aiger
+from repro.aig.aiger import (
+    loads_aag,
+    read_aag,
+    read_aiger,
+    write_aag,
+    write_aiger,
+)
 from tests.conftest import random_aig
 
 
@@ -75,3 +81,45 @@ class TestFormatDetails:
         write_aag(aig, a)
         write_aiger(aig, b)
         assert read_aag(a).truth_tables() == read_aiger(b).truth_tables()
+
+
+class TestMalformedAag:
+    """``loads_aag`` reads serve bundles: malformed text must raise a
+    ``ValueError`` naming the problem, never a ``KeyError`` or
+    ``IndexError``, and never parse into a different circuit."""
+
+    def _rejects(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            loads_aag(text)
+
+    def test_empty_text(self):
+        self._rejects("", "empty")
+
+    def test_short_header(self):
+        self._rejects("aag 1 1 0\n2\n", "short AIGER header")
+
+    def test_missing_lines(self):
+        self._rejects("aag 3 2 0 1 1\n2\n4\n6\n", "truncated")
+
+    def test_odd_input_literal(self):
+        self._rejects("aag 1 1 0 1 0\n3\n2\n", "input literal 3")
+
+    def test_constant_input_literal(self):
+        self._rejects("aag 1 1 0 1 0\n0\n0\n", "input literal 0")
+
+    def test_duplicate_input_literal(self):
+        self._rejects("aag 2 2 0 1 0\n2\n2\n2\n", "already defined")
+
+    def test_odd_and_lhs(self):
+        self._rejects("aag 3 2 0 1 1\n2\n4\n6\n7 2 4\n", "AND literal 7")
+
+    def test_redefined_and_lhs(self):
+        self._rejects(
+            "aag 4 2 0 1 2\n2\n4\n6\n6 2 4\n6 3 5\n", "already defined"
+        )
+
+    def test_undefined_fanin_literal(self):
+        self._rejects("aag 3 2 0 1 1\n2\n4\n6\n6 2 8\n", "undefined fanin")
+
+    def test_undefined_output_literal(self):
+        self._rejects("aag 3 2 0 1 1\n2\n4\n10\n6 2 4\n", "undefined output")

@@ -57,7 +57,7 @@ class TestCliCoverage:
     def test_all_subcommands_discovered(self):
         commands = cli_subcommands()
         assert "contest" in commands
-        assert "sched" in commands
+        assert "predict" in commands
         assert "lint" in commands
 
     def test_missing_subcommand_reported(self, tmp_path):

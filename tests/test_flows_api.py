@@ -188,6 +188,20 @@ class TestSpecStrings:
         assert spec.overrides == {"flows": ["team01", "team10"],
                                   "jobs": 2}
 
+    def test_unknown_override_suggests(self):
+        with pytest.raises(ValueError, match="did you mean flows"):
+            resolve_spec("portfolio:flow=team01")
+
+    @pytest.mark.parametrize("members,match", [
+        ("team01+nope", "unknown flow 'nope'"),
+        ("team1", "did you mean team10, team01"),
+        ("", "empty member"),
+        ("team01++team10", "empty member"),
+    ])
+    def test_portfolio_members_checked_at_resolve(self, members, match):
+        with pytest.raises(ValueError, match=match):
+            resolve_spec(f"portfolio:flows={members}")
+
     def test_spec_override_wins_over_caller(self, scratch_flow,
                                             small_problem):
         calls = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -263,13 +264,11 @@ class AIG(GateOps):
 
     def fanout_counts(self) -> np.ndarray:
         """Number of fanout references per variable (incl. outputs)."""
-        counts = np.zeros(self.num_vars, dtype=np.int64)
-        for j in range(self.num_ands):
-            counts[self._fanin0[j] >> 1] += 1
-            counts[self._fanin1[j] >> 1] += 1
-        for o in self.outputs:
-            counts[lit_var(o)] += 1
-        return counts
+        refs = np.fromiter(
+            chain(self._fanin0, self._fanin1, self.outputs), dtype=np.int64,
+            count=2 * self.num_ands + len(self.outputs),
+        )
+        return np.bincount(refs >> 1, minlength=self.num_vars)
 
     def reachable_vars(self, lits: Iterable[int] | None = None) -> np.ndarray:
         """Boolean mask of variables in the transitive fanin of ``lits``.

@@ -73,6 +73,15 @@ def cover_table(cover: list[Cube], k: int) -> int:
     return table
 
 
+@lru_cache(maxsize=32)
+def _split_masks(k: int) -> tuple[tuple[int, int, int], ...]:
+    """Per variable ``i`` of ``k``: ``2**i`` and its 1- and 0-minterms."""
+    fm = full_mask(k)
+    return tuple(
+        (1 << i, var_mask(k, i), ~var_mask(k, i) & fm) for i in range(k)
+    )
+
+
 def isop(lower: int, upper: int, k: int) -> tuple[list[Cube], int]:
     """Minato–Morreale irredundant SOP for the interval [lower, upper].
 
@@ -80,50 +89,48 @@ def isop(lower: int, upper: int, k: int) -> tuple[list[Cube], int]:
     (bitwise implication) and ``cover`` is an irredundant cube list
     realizing ``table``.
     """
-    if lower & ~upper & full_mask(k):
+    fm = full_mask(k)
+    if lower & ~upper & fm:
         raise ValueError("infeasible interval: lower not contained in upper")
-    cover, table = _isop(lower, upper, k, k)
-    return cover, table
+    return _isop(lower, upper, k, fm, _split_masks(k))
 
 
-def _isop(lower: int, upper: int, k: int, top: int) -> tuple[list[Cube], int]:
+def _isop(lower: int, upper: int, top: int, fm: int, masks) -> tuple[list[Cube], int]:
     if lower == 0:
         return [], 0
-    if upper == full_mask(k):
-        return [()], full_mask(k)
-    # Split on the highest variable in the support of either bound.
-    var = None
-    for i in reversed(range(top)):
-        if (
-            cofactor0(lower, k, i) != cofactor1(lower, k, i)
-            or cofactor0(upper, k, i) != cofactor1(upper, k, i)
-        ):
-            var = i
+    if upper == fm:
+        return [()], fm
+    # Split on the highest variable below ``top`` in the support of
+    # either bound: ``t`` depends on ``var`` when shifting its
+    # var=1 half down onto its var=0 half changes something.
+    var = top - 1
+    while var >= 0:
+        shift, ones, zeros = masks[var]
+        moved = ((lower >> shift) ^ lower) | ((upper >> shift) ^ upper)
+        if moved & zeros:
             break
-    if var is None:
-        # Constant interval containing 1 (upper != full handled above
-        # only when some var is in support; here lower != 0 and no
-        # support => lower == upper == full, already returned).
-        return [()], full_mask(k)
-    l0, l1 = cofactor0(lower, k, var), cofactor1(lower, k, var)
-    u0, u1 = cofactor0(upper, k, var), cofactor1(upper, k, var)
-    fm = full_mask(k)
-    # Cubes that must contain literal !var / var.
-    c0, f0 = _isop(l0 & ~u1 & fm, u0, k, var)
-    c1, f1 = _isop(l1 & ~u0 & fm, u1, k, var)
-    # Remaining minterms coverable without the split variable.
-    l_rest = (l0 & ~f0 & fm) | (l1 & ~f1 & fm)
-    cr, fr = _isop(l_rest, u0 & u1, k, var)
-    # f0 applies where var=0, f1 where var=1, fr everywhere.
-    nm = var_mask(k, var)
-    table = (f0 & ~nm & fm) | (f1 & nm) | fr
-    cover = (
-        [_extend(c, var, 0) for c in c0]
-        + [_extend(c, var, 1) for c in c1]
-        + cr
-    )
-    return cover, table
-
-
-def _extend(cube: Cube, var: int, value: int) -> Cube:
-    return tuple(sorted(cube + ((var, value),)))
+        var -= 1
+    else:
+        # Constant interval containing 1 (lower != 0 and no support
+        # => lower == upper == full, already returned above).
+        return [()], fm
+    # Cofactors, expanded back over all k variables.
+    l0 = lower & zeros
+    l0 |= l0 << shift
+    l1 = lower & ones
+    l1 |= l1 >> shift
+    u0 = upper & zeros
+    u0 |= u0 << shift
+    u1 = upper & ones
+    u1 |= u1 >> shift
+    # Cubes that must contain literal !var / var, then the remaining
+    # minterms, coverable without the split variable.
+    c0, f0 = _isop(l0 & ~u1, u0, var, fm, masks)
+    c1, f1 = _isop(l1 & ~u0, u1, var, fm, masks)
+    cr, fr = _isop((l0 & ~f0) | (l1 & ~f1), u0 & u1, var, fm, masks)
+    # Sub-covers only split on variables below ``var``, so appending
+    # its literal keeps every cube sorted.
+    cover = [cube + ((var, 0),) for cube in c0]
+    cover += [cube + ((var, 1),) for cube in c1]
+    cover += cr
+    return cover, (f0 & zeros) | (f1 & ones) | fr

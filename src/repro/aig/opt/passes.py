@@ -46,7 +46,7 @@ from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask
 from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
 from repro.aig.opt.library import NpnLibrary, get_library
-from repro.aig.opt.traverse import bounded_cut, cut_truth, ffc_leaves, mffc_size
+from repro.aig.opt.traverse import bounded_cut, cut_truth, ffc_cones
 from repro.utils.rng import rng_for
 
 
@@ -222,7 +222,7 @@ def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
     from repro.aig.build import lut_choice, sop_over_leaves
     from repro.aig.aig import CONST0, CONST1, lit_not
 
-    fanout = aig.fanout_counts()
+    cones, mffc = ffc_cones(aig, aig.fanout_counts().tolist(), max_leaves)
     new = AIG(aig.n_inputs)
     mapping = [0] * aig.num_vars
     for i in range(aig.n_inputs):
@@ -231,14 +231,15 @@ def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
     for j in range(aig.num_ands):
         var = base + j
         f0, f1 = aig.fanins(var)
-        leaves = ffc_leaves(aig, var, fanout, max_leaves)
-        if leaves is not None:
+        cone = cones[j]
+        if cone is not None and len(cone) >= 2:
+            leaves = sorted(cone)
             table = cut_truth(aig, var, leaves)
             fm = full_mask(len(leaves))
             if table == 0 or table == fm:
                 mapping[var] = CONST0 if table == 0 else CONST1
                 continue
-            old_cone = mffc_size(aig, var, fanout)
+            old_cone = mffc[j]
             mapped = [mapping[leaf] for leaf in leaves]
             choice = lut_choice(new, table, mapped, budget=old_cone)
             if choice is not None and choice[0] <= old_cone:

@@ -109,6 +109,42 @@ def ffc_leaves(
     return tuple(sorted(leaves))
 
 
+def ffc_cones(
+    aig: AIG, fanout: Sequence[int], max_leaves: int
+) -> tuple[list[set[int] | None], list[int]]:
+    """Fanout-free-cone leaves and MFFC size of every AND node at once.
+
+    One bottom-up sweep replaces a :func:`ffc_leaves` and a
+    :func:`mffc_size` walk per node.  A node's leaf set is the union
+    of its single-fanout AND fanins' leaf sets plus its other non-
+    constant fanins; it is None ("too wide") when it has more than
+    ``max_leaves`` leaves or any such fanin is too wide.  Its MFFC
+    size is 1 plus its single-fanout AND fanins' sizes.  Entry ``j``
+    of each list is for AND node ``n_inputs + 1 + j``.  Unlike
+    :func:`ffc_leaves`, a set of fewer than 2 leaves is kept.
+    """
+    base = aig.n_inputs + 1
+    leaves: list[set[int] | None] = []
+    sizes: list[int] = []
+    for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
+        cone = set()
+        size = 1
+        for v in (f0 >> 1, f1 >> 1):
+            if v >= base and fanout[v] == 1:
+                inner = leaves[v - base]
+                if inner is None:
+                    cone = None
+                elif cone is not None:
+                    cone |= inner
+                size += sizes[v - base]
+            elif v and cone is not None:
+                cone.add(v)
+        too_wide = cone is None or len(cone) > max_leaves
+        leaves.append(None if too_wide else cone)
+        sizes.append(size)
+    return leaves, sizes
+
+
 def bounded_cut(
     aig: AIG,
     roots: Iterable[int],

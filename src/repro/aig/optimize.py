@@ -36,11 +36,5 @@ from repro.aig.opt.passes import (  # noqa: F401 - re-exported API
     refactor,
     rewrite,
 )
-from repro.aig.opt.traverse import ffc_leaves as _iterative_ffc_leaves
 
 __all__ = ["balance", "compress", "compress_deep", "fraig_lite", "refactor", "rewrite"]
-
-
-def _ffc_leaves(aig, var, fanout, max_leaves):
-    """Backwards-compatible alias for the iterative FFC-leaf walk."""
-    return _iterative_ffc_leaves(aig, var, fanout, max_leaves)

@@ -22,6 +22,7 @@ can turn them into MUX-tree AIGs or path covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats
@@ -94,6 +95,9 @@ class DecisionTree:
         self.decomposition_tau = decomposition_tau
         self.nodes: list[TreeNode] = []
         self.n_inputs: int | None = None
+        # Routing arrays for predict; built on first use, dropped by
+        # fit and prune.
+        self._routing: tuple | None = None
 
     # ------------------------------------------------------------------
     # Fitting
@@ -105,6 +109,7 @@ class DecisionTree:
             raise ValueError("X/y length mismatch")
         self.n_inputs = X.shape[1]
         self.nodes = []
+        self._routing = None
         self._grow(X, y, np.arange(X.shape[0]), depth=0, banned=0)
         return self
 
@@ -249,6 +254,7 @@ class DecisionTree:
         """
         if not self.nodes:
             return self
+        self._routing = None
         self._prune_rec(0, confidence_factor)
         return self
 
@@ -273,24 +279,47 @@ class DecisionTree:
     # Prediction and export
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
+        if not self.nodes:
+            raise ValueError("tree is not fitted")
         X = np.asarray(X, dtype=np.uint8)
         if X.ndim == 1:
             X = X[None, :]
-        out = np.zeros(X.shape[0], dtype=np.uint8)
-        # Route sample groups down the tree iteratively.
-        stack = [(0, np.arange(X.shape[0]))]
+        if self._routing is None:
+            self._routing = self._compile_routing()
+        feature, left, right, value, depth = self._routing
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        # One step per level; leaves route to themselves.
+        for _ in range(depth):
+            node = np.where(X[rows, feature[node]] == 1, right[node], left[node])
+        return value[node]
+
+    def _compile_routing(self) -> tuple:
+        """Per-node split feature, children and leaf value, plus depth.
+
+        A leaf tests feature 0 and has itself as both children, so
+        rows that reach it early stay there; the depth of the
+        reachable tree is the number of routing steps.
+        """
+        n = len(self.nodes)
+        feature = np.zeros(n, dtype=np.intp)
+        left = np.arange(n, dtype=np.intp)
+        right = left.copy()
+        value = np.zeros(n, dtype=np.uint8)
+        depth = 0
+        stack = [(0, 0)]
         while stack:
-            node_id, idx = stack.pop()
-            if idx.size == 0:
-                continue
+            node_id, level = stack.pop()
             node = self.nodes[node_id]
+            value[node_id] = node.value
             if node.is_leaf:
-                out[idx] = node.value
+                depth = max(depth, level)
                 continue
-            mask = X[idx, node.feature] == 1
-            stack.append((node.left, idx[~mask]))
-            stack.append((node.right, idx[mask]))
-        return out
+            feature[node_id] = node.feature
+            left[node_id], right[node_id] = node.left, node.right
+            stack.append((node.left, level + 1))
+            stack.append((node.right, level + 1))
+        return feature, left, right, value, depth
 
     def depth(self) -> int:
         """Maximum root-to-leaf edge count."""
@@ -340,6 +369,7 @@ class DecisionTree:
         return Cover(self.n_inputs, cubes)
 
 
+@lru_cache(maxsize=1 << 14)
 def _pessimistic_errors(n: int, errors: int, cf: float) -> float:
     """C4.5 upper confidence bound on errors at a node.
 

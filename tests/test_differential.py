@@ -1,0 +1,287 @@
+"""Differential tests: the array/sweep hot paths against their oracles.
+
+Cut enumeration, the refactor cone sweep, ISOP and tree routing each
+replaced a straightforward implementation with a faster one that must
+return exactly the same thing.  The straightforward versions live in
+:mod:`tests.oracles` (and, for the cone walks, in
+:mod:`repro.aig.opt.traverse`); every test here compares the two on
+seeded graphs, tables and trees.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.aig.aig import AIG
+from repro.aig.aiger import loads_aag
+from repro.aig.cuts import enumerate_cuts, enumerate_cuts_with_truths
+from repro.aig.isop import full_mask, isop, var_mask
+from repro.aig.opt.traverse import ffc_cones, ffc_leaves, mffc_size
+from repro.ml.decision_tree import DecisionTree, _pessimistic_errors
+from tests import oracles
+
+SHAPES = ("random", "chain", "reconvergent")
+
+
+def strashed_graph(shape: str, n_inputs: int, n_nodes: int, seed: int) -> AIG:
+    """A seeded graph built through ``add_and`` (so strashed).
+
+    ``chain`` ANDs one accumulator with input literals (deep, narrow);
+    ``reconvergent`` draws both fanins from the last few nodes, so
+    cones share logic; ``random`` draws from the whole pool.
+    """
+    rnd = random.Random(seed)
+    aig = AIG(n_inputs)
+    pool = list(aig.input_lits())
+    acc = pool[0]
+    for _ in range(n_nodes):
+        flip = rnd.randint(0, 1)
+        if shape == "chain":
+            acc = aig.add_and(acc, rnd.choice(aig.input_lits()) ^ flip)
+            pool.append(acc)
+            continue
+        if shape == "reconvergent":
+            window = pool[-6:]
+            a, b = rnd.choice(window), rnd.choice(window)
+        else:
+            a, b = rnd.choice(pool), rnd.choice(pool)
+        pool.append(aig.add_and(a ^ flip, b ^ rnd.randint(0, 1)))
+    aig.set_output(pool[-1])
+    return aig
+
+
+def raw_graph(n_inputs: int, n_nodes: int, seed: int) -> AIG:
+    """A seeded graph with constant and duplicate fanins, not strashed."""
+    rnd = random.Random(seed)
+    aig = AIG(n_inputs)
+    for _ in range(n_nodes):
+        top = 2 * aig.num_vars
+        a = rnd.randrange(top)
+        b = rnd.randrange(top)
+        roll = rnd.random()
+        if roll < 0.15:
+            a = rnd.randint(0, 1)
+        elif roll < 0.3:
+            b = a ^ rnd.randint(0, 1)
+        aig._fanin0.append(a)
+        aig._fanin1.append(b)
+    aig.outputs = [2 * (aig.num_vars - 1)]
+    return aig
+
+
+def aag_graph(n_inputs: int, n_nodes: int, seed: int) -> AIG:
+    """:func:`loads_aag` of text with constant and duplicate fanins."""
+    rnd = random.Random(seed)
+    lines = [str(2 * (1 + i)) for i in range(n_inputs)]
+    out = 2 * (n_inputs + n_nodes)
+    lines.append(str(out))
+    for j in range(n_nodes):
+        lhs = 2 * (n_inputs + 1 + j)
+        a = rnd.randrange(lhs)
+        b = a ^ rnd.randint(0, 1) if rnd.random() < 0.2 else rnd.randrange(lhs)
+        if rnd.random() < 0.15:
+            b = rnd.randint(0, 1)
+        lines.append(f"{lhs} {a} {b}")
+    header = f"aag {n_inputs + n_nodes} {n_inputs} 0 1 {n_nodes}"
+    return loads_aag("\n".join([header, *lines]) + "\n")
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+# ---------------------------------------------------------------------
+# Cut enumeration
+# ---------------------------------------------------------------------
+@given(
+    shape=st.sampled_from(SHAPES),
+    n_inputs=st.integers(1, 8),
+    n_nodes=st.integers(0, 60),
+    seed=seeds,
+    k=st.sampled_from([3, 4, 5]),
+    max_cuts=st.sampled_from([5, 8, 12]),
+)
+@settings(max_examples=60, deadline=None)
+def test_cuts_match_oracle_on_strashed_graphs(
+    shape, n_inputs, n_nodes, seed, k, max_cuts
+):
+    aig = strashed_graph(shape, n_inputs, n_nodes, seed)
+    assert enumerate_cuts_with_truths(aig, k, max_cuts) == (
+        oracles.enumerate_cuts_with_truths(aig, k, max_cuts)
+    )
+    assert enumerate_cuts(aig, k, max_cuts) == oracles.enumerate_cuts(
+        aig, k, max_cuts
+    )
+
+
+@given(
+    source=st.sampled_from([raw_graph, aag_graph]),
+    n_inputs=st.integers(1, 6),
+    n_nodes=st.integers(1, 40),
+    seed=seeds,
+    k=st.sampled_from([3, 4, 5]),
+    max_cuts=st.sampled_from([5, 8, 12]),
+)
+@settings(max_examples=60, deadline=None)
+def test_cuts_match_oracle_with_constant_and_duplicate_fanins(
+    source, n_inputs, n_nodes, seed, k, max_cuts
+):
+    aig = source(n_inputs, n_nodes, seed)
+    assert enumerate_cuts_with_truths(aig, k, max_cuts) == (
+        oracles.enumerate_cuts_with_truths(aig, k, max_cuts)
+    )
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_cuts_match_oracle_with_multiword_tables(k):
+    # Tables over more than 6 leaves span several 64-bit words.
+    for seed in range(3):
+        aig = strashed_graph("reconvergent", 10, 40, seed)
+        assert enumerate_cuts_with_truths(aig, k, 6) == (
+            oracles.enumerate_cuts_with_truths(aig, k, 6)
+        )
+
+
+def test_cuts_reject_nonpositive_sizes():
+    aig = strashed_graph("random", 3, 5, 0)
+    with pytest.raises(ValueError):
+        enumerate_cuts(aig, k=0)
+    with pytest.raises(ValueError):
+        enumerate_cuts_with_truths(aig, max_cuts=0)
+
+
+# ---------------------------------------------------------------------
+# Refactor cone sweep
+# ---------------------------------------------------------------------
+@given(
+    source=st.sampled_from(["random", "chain", "reconvergent", "raw", "aag"]),
+    n_inputs=st.integers(1, 16),
+    n_nodes=st.integers(1, 80),
+    seed=seeds,
+    max_leaves=st.sampled_from([4, 10, 14]),
+)
+@settings(max_examples=80, deadline=None)
+def test_cone_sweep_matches_per_node_walks(
+    source, n_inputs, n_nodes, seed, max_leaves
+):
+    if source == "raw":
+        aig = raw_graph(n_inputs, n_nodes, seed)
+    elif source == "aag":
+        aig = aag_graph(n_inputs, n_nodes, seed)
+    else:
+        aig = strashed_graph(source, n_inputs, n_nodes, seed)
+    fanout = aig.fanout_counts()
+    cones, sizes = ffc_cones(aig, fanout.tolist(), max_leaves)
+    base = aig.n_inputs + 1
+    for j in range(aig.num_ands):
+        var = base + j
+        cone = cones[j]
+        swept = None if cone is None or len(cone) < 2 else tuple(sorted(cone))
+        assert swept == ffc_leaves(aig, var, fanout, max_leaves)
+        assert sizes[j] == mffc_size(aig, var, fanout)
+
+
+def test_cone_sweep_propagates_too_wide_fanins():
+    # x4 has 5 leaves, too wide for max_leaves=4; its single-fanout
+    # parent must be too wide as well, even though its other fanin
+    # alone would give it a 2-leaf cone.
+    aig = AIG(7)
+    a, b, c, d, e, f, g = aig.input_lits()
+    x4 = aig.add_and(aig.add_and(aig.add_and(aig.add_and(a, b), c), d), e)
+    top = aig.add_and(x4, aig.add_and(f, g))
+    aig.set_output(top)
+    fanout = aig.fanout_counts()
+    cones, _ = ffc_cones(aig, fanout.tolist(), max_leaves=4)
+    assert cones[(top >> 1) - aig.n_inputs - 1] is None
+    assert ffc_leaves(aig, top >> 1, fanout, 4) is None
+
+
+@given(
+    shape=st.sampled_from(SHAPES),
+    n_nodes=st.integers(0, 60),
+    seed=seeds,
+    n_outputs=st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_fanout_counts_match_loop(shape, n_nodes, seed, n_outputs):
+    aig = strashed_graph(shape, 4, n_nodes, seed)
+    aig.outputs = aig.outputs[:n_outputs] + [2, 3][: max(0, n_outputs - 1)]
+    expected = np.zeros(aig.num_vars, dtype=np.int64)
+    for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
+        expected[f0 >> 1] += 1
+        expected[f1 >> 1] += 1
+    for lit in aig.outputs:
+        expected[lit >> 1] += 1
+    counts = aig.fanout_counts()
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+
+
+# ---------------------------------------------------------------------
+# ISOP
+# ---------------------------------------------------------------------
+def _structured_tables(k: int) -> list[int]:
+    fm = full_mask(k)
+    tables = [0, fm]
+    for i in range(k):
+        tables += [var_mask(k, i), ~var_mask(k, i) & fm]
+    return tables
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_isop_matches_oracle_on_structured_tables(k):
+    for table in _structured_tables(k):
+        assert isop(table, table, k) == oracles.isop(table, table, k)
+
+
+@given(k=st.integers(0, 10), seed=seeds, interval=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_isop_matches_oracle_on_random_tables(k, seed, interval):
+    rnd = random.Random(seed)
+    fm = full_mask(k)
+    f = rnd.getrandbits(1 << k) & fm
+    dc = rnd.getrandbits(1 << k) & fm if interval else 0
+    lower, upper = f & ~dc, f | dc
+    assert isop(lower, upper, k) == oracles.isop(lower, upper, k)
+
+
+# ---------------------------------------------------------------------
+# Decision trees
+# ---------------------------------------------------------------------
+@given(
+    seed=seeds,
+    n=st.integers(1, 200),
+    d=st.integers(1, 10),
+    max_depth=st.sampled_from([None, 1, 3, 6]),
+    cf=st.sampled_from([0.001, 0.1, 0.25, 0.5]),
+)
+@settings(max_examples=50, deadline=None)
+def test_tree_predict_matches_oracle_after_fit_prune_and_refit(
+    seed, n, d, max_depth, cf
+):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, (n, d)).astype(np.uint8)
+    y = (X[:, 0] ^ (X[:, -1] & rng.integers(0, 2, n))).astype(np.uint8)
+    rows = rng.integers(0, 2, (50, d)).astype(np.uint8)
+    tree = DecisionTree(max_depth=max_depth).fit(X, y)
+    assert np.array_equal(tree.predict(rows), oracles.tree_predict(tree, rows))
+    tree.prune(cf)
+    assert np.array_equal(tree.predict(rows), oracles.tree_predict(tree, rows))
+    assert np.array_equal(
+        tree.predict(rows[0]), oracles.tree_predict(tree, rows[0])
+    )
+    tree.fit(X[::-1], 1 - y)
+    assert np.array_equal(tree.predict(rows), oracles.tree_predict(tree, rows))
+
+
+def test_unfitted_tree_predict_raises_value_error():
+    with pytest.raises(ValueError, match="not fitted"):
+        DecisionTree().predict(np.zeros((2, 3), dtype=np.uint8))
+
+
+def test_pessimistic_errors_memo_is_bit_identical():
+    for n, errors, cf in [(100, 5, 0.25), (7, 0, 0.01), (50, 49, 0.5)]:
+        direct = _pessimistic_errors.__wrapped__(n, errors, cf)
+        assert _pessimistic_errors(n, errors, cf) == direct
+        assert _pessimistic_errors(n, errors, cf) == direct  # cache hit

@@ -9,9 +9,12 @@ topological order.
 
 The graph is structurally hashed: :meth:`AIG.add_and` folds constants,
 normalizes fanin order and reuses an existing node when one computes
-the same function of the same fanins.  Optimization passes rely on
-:meth:`AIG.checkpoint` / :meth:`AIG.rollback` to tentatively build
-candidate subgraphs and undo them when they do not improve size.
+the same function of the same fanins.  :meth:`AIG.checkpoint` /
+:meth:`AIG.rollback` undo a tentative construction; only the seed
+reference passes (:mod:`repro.aig.opt.reference`) still build
+candidates that way.  The engine's passes price a candidate without
+touching the graph (:mod:`repro.aig.opt.counting`) and build only the
+winner.
 """
 
 from __future__ import annotations
@@ -60,10 +63,8 @@ def lit_regular(lit: int) -> int:
 class GateOps:
     """Derived gates expressed through ``add_and``.
 
-    Mixed into :class:`AIG` and into the mutation-free cost counter
-    (:class:`repro.aig.opt.counting.VirtualBuilder`), so counting how
-    many nodes a construction *would* add runs the exact same gate
-    decompositions as building it.
+    Mixed into :class:`AIG`; any other class with the same ``add_and``
+    contract gets the same gate decompositions by mixing it in too.
     """
 
     def add_and(self, a: int, b: int) -> int:  # pragma: no cover

@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from repro.aig.aig import AIG, CONST0, CONST1, lit_not
+from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
 from repro.aig.isop import isop
+from repro.aig.opt.counting import Program, price, replay
 
 
 def full_adder(aig: AIG, a: int, b: int, cin: int) -> tuple[int, int]:
@@ -207,42 +208,71 @@ def maj5_tree(aig: AIG, lits: Sequence[int]) -> int:
     return lits[0]
 
 
+def compile_sop(cover, k: int) -> Program:
+    """Compile an OR of cube-ANDs over ``k`` leaves into an AND program.
+
+    The program (see :mod:`repro.aig.opt.counting`) makes exactly the
+    ``add_and`` calls the decomposition makes over real leaf literals:
+    a balanced AND per cube, then a balanced De Morgan OR of the
+    cubes.  A repeated fanin pair is emitted once, as a real build
+    would strash it onto its first occurrence.
+    """
+    nodes: list[tuple[int, int]] = []
+    index: dict[tuple[int, int], int] = {}
+
+    def conj(a: int, b: int) -> int:
+        key = (a, b) if a < b else (b, a)
+        lit = index.get(key)
+        if lit is None:
+            nodes.append(key)
+            lit = index[key] = 2 * (k + len(nodes))
+        return lit
+
+    def disj(a: int, b: int) -> int:
+        return conj(a ^ 1, b ^ 1) ^ 1
+
+    terms = [
+        GateOps._reduce_balanced(
+            [2 + 2 * var + (value ^ 1) for var, value in cube], conj, CONST1
+        )
+        for cube in cover
+    ]
+    out = GateOps._reduce_balanced(terms, disj, CONST0)
+    return tuple(nodes), out
+
+
 @lru_cache(maxsize=1 << 12)
-def _lut_covers(table: int, k: int):
-    """Irredundant covers of both polarities of a truth table."""
+def _lut_programs(table: int, k: int) -> tuple[Program, Program]:
+    """Compiled irredundant SOPs of ``table`` and of its complement.
+
+    The complement's program has its output negated, so both compute
+    ``table``.
+    """
     full = (1 << (1 << k)) - 1
-    pos_cover, _ = isop(table, table, k)
-    neg_cover, _ = isop(~table & full, ~table & full, k)
-    return pos_cover, neg_cover
+    nodes, out = compile_sop(isop(~table & full, ~table & full, k)[0], k)
+    return compile_sop(isop(table, table, k)[0], k), (nodes, out ^ 1)
 
 
 def lut_choice(aig: AIG, table: int, leaves: Sequence[int],
                budget: int = None):
     """Price both SOP polarities of ``table`` against ``aig``.
 
-    Returns ``(cost, cover, negated)`` for the cheaper polarity —
-    where ``cost`` is the exact number of AND nodes
-    ``sop_over_leaves(aig, cover, leaves)`` would add (strash-aware
-    virtual counting; the graph is not touched) — or None when a
-    ``budget`` is given and both polarities exceed it.  The positive
-    polarity wins ties, matching the seed behavior.
+    Returns ``(cost, program)`` for the cheaper polarity — where
+    ``cost`` is the exact number of AND nodes replaying ``program``
+    over ``[CONST0, *leaves]`` would add (the graph is not touched) —
+    or None when a ``budget`` is given and both polarities exceed it.
+    The positive polarity wins ties, matching the seed behavior.
     """
-    from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
-
     k = len(leaves)
-    full = (1 << (1 << k)) - 1
-    table &= full
-    pos_cover, neg_cover = _lut_covers(table, k)
+    table &= (1 << (1 << k)) - 1
+    vals = [CONST0, *leaves]
+    strash, next_var = aig._strash, aig.num_vars
     best = None
-    for cover, negated in ((pos_cover, False), (neg_cover, True)):
+    for program in _lut_programs(table, k):
         cap = budget if best is None else best[0] - 1
-        counter = VirtualBuilder(aig, budget=cap)
-        try:
-            sop_over_leaves(counter, cover, leaves)
-        except BudgetExceeded:
-            continue
-        if best is None or counter.n_new < best[0]:
-            best = (counter.n_new, cover, negated)
+        priced = price(*program, vals, strash, next_var, cap)
+        if priced is not None and (best is None or priced[0] < best[0]):
+            best = (priced[0], program)
     return best
 
 
@@ -250,37 +280,20 @@ def lut(aig: AIG, table: int, leaves: Sequence[int]) -> int:
     """Realize a k-input truth table over the given leaf literals.
 
     Uses the irredundant SOP of whichever polarity is cheaper.  Both
-    polarities are *priced* without touching the graph (virtual
-    strash-aware counting) and only the winner is built, exactly once
-    — no checkpoint/rollback, no structural-version churn.
+    polarities are *priced* without touching the graph (strash-aware
+    counting) and only the winner is built, exactly once — no
+    checkpoint/rollback, no structural-version churn.
     """
-    k = len(leaves)
-    full = (1 << (1 << k)) - 1
-    table &= full
-    if table == 0:
-        return CONST0
-    if table == full:
-        return CONST1
-    _, cover, negated = lut_choice(aig, table, leaves)
-    lit = sop_over_leaves(aig, cover, leaves)
-    return lit_not(lit) if negated else lit
+    _, program = lut_choice(aig, table, leaves)
+    return replay(aig, *program, [CONST0, *leaves])
 
 
 def sop_over_leaves(aig, cover, leaves: Sequence[int]) -> int:
     """Build an OR of cube-ANDs over leaf literals.
 
-    ``aig`` is anything with the ``GateOps`` contract — a real
-    :class:`AIG` or a cost-counting
-    :class:`~repro.aig.opt.counting.VirtualBuilder`.
+    ``aig`` is anything with the ``add_and`` contract of :class:`AIG`.
     """
-    terms = []
-    for cube in cover:
-        lits = [
-            leaves[var] if value else lit_not(leaves[var])
-            for var, value in cube
-        ]
-        terms.append(aig.add_and_multi(lits))
-    return aig.add_or_multi(terms)
+    return replay(aig, *compile_sop(cover, len(leaves)), [CONST0, *leaves])
 
 
 def mux_tree_from_table(

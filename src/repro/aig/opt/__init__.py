@@ -5,8 +5,9 @@ The optimization subsystem behind :mod:`repro.aig.optimize`:
 - :mod:`~repro.aig.opt.npn` — NPN canonicalization of 4-input tables.
 - :mod:`~repro.aig.opt.library` — per-class best-known structures,
   synthesized once per process and instantiated by table lookup.
-- :mod:`~repro.aig.opt.counting` — mutation-free candidate pricing
-  (strash-aware virtual builds, no checkpoint/rollback).
+- :mod:`~repro.aig.opt.counting` — mutation-free candidate pricing:
+  compiled AND programs priced by ``price`` against the graph's strash
+  table and built by ``replay`` (no checkpoint/rollback).
 - :mod:`~repro.aig.opt.traverse` — iterative cone walks (no recursion,
   safe on chain-shaped graphs of any depth).
 - :mod:`~repro.aig.opt.passes` — the passes: ``balance``, ``rewrite``,

@@ -1,76 +1,88 @@
-"""Mutation-free cost evaluation against a live AIG.
+"""Mutation-free pricing of compiled AND programs against a live AIG.
 
-The seed optimization passes measured a rewrite candidate by
-*building* it into the graph behind a checkpoint, reading the node
-delta and rolling back — which thrashes the strash log, bumps the
-structural ``_version`` on every probe (invalidating the cached
-simulation engine) and rebuilds the winner a second time.
+Every structure an optimization pass may build — an NPN library
+recipe, an ISOP cover's sum of products — is compiled once into a
+flat *AND program* over local literals: variable 0 is the constant,
+``1 .. k`` are the leaves and node ``j`` is variable ``1 + k + j``;
+``nodes[j]`` holds its two fanin literals (``2 * var + compl``) and
+``out`` is the output literal.  A candidate is then a program plus
+``vals``, the graph literal of each of its first ``1 + k`` variables.
 
-:class:`VirtualBuilder` replaces that cycle: it exposes the same
-``add_and`` contract as :class:`repro.aig.aig.AIG` — identical
-constant folding, fanin normalization and structural hashing — but
-probes the target graph's strash *read-only* and allocates virtual
-literals for nodes that do not exist yet.  ``n_new`` is then exactly
-the number of AND nodes a real build would append, including sharing
-both with the existing graph and within the candidate itself, and the
-virtual literal sequence matches the literals a real build would
-return (so counting and building stay in lockstep).
+:func:`price` counts the AND nodes building the program would append,
+without touching the graph: it mirrors :meth:`repro.aig.aig.AIG.add_and`
+node by node — identical constant folding, fanin order and structural
+hashing against the graph's strash table, plus a local table for nodes
+the candidate itself creates — and numbers the nodes that do not exist
+yet from ``next_var``, exactly where a real build would place them.
+So the count includes sharing with the graph and within the candidate,
+and the returned literal is the one a real build returns.
+:func:`replay` is that real build, for the winner only.
 """
 
 from __future__ import annotations
 
-from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
+from collections.abc import Sequence
+
+#: ``(nodes, out)`` of an AND program.
+Program = tuple[tuple[tuple[int, int], ...], int]
 
 
-class BudgetExceeded(Exception):
-    """Raised by a budgeted :class:`VirtualBuilder` on the first node
-    that makes the candidate too expensive to win — pricing a losing
-    candidate stops at its first unshared node."""
+def price(
+    nodes: Sequence[tuple[int, int]],
+    out: int,
+    vals: Sequence[int],
+    strash: dict[tuple[int, int], int],
+    next_var: int,
+    budget: int | None = None,
+) -> tuple[int, int] | None:
+    """``(n_new, lit)`` of building the program into a graph.
 
-
-class VirtualBuilder(GateOps):
-    """Counts the AND nodes a construction would add to ``aig``.
-
-    Literals returned by :meth:`add_and` are real literals of the
-    target graph when the node already exists (strash hit or constant
-    fold) and *virtual* literals — numbered from ``2 * aig.num_vars``
-    upward, exactly where a real build would place them — otherwise.
-    The target graph is never touched.
-
-    With ``budget`` set, :class:`BudgetExceeded` is raised as soon as
-    ``n_new`` would exceed it.
+    ``strash`` and ``next_var`` are the graph's strash table and
+    ``num_vars``; neither is modified, nor is ``vals``.  With
+    ``budget`` set, returns None at the first node that would make
+    ``n_new`` exceed it, so a losing candidate stops at its first
+    unshared node.
     """
-
-    def __init__(self, aig: AIG, budget: int = None):
-        self._real_strash = aig._strash
-        self._local: dict[tuple[int, int], int] = {}
-        self._next_var = aig.num_vars
-        self.budget = budget
-        self.n_new = 0
-
-    def add_and(self, a: int, b: int) -> int:
-        # Mirror of AIG.add_and; keep the two in lockstep.
+    # Mirror of AIG.add_and; keep the two in lockstep.
+    vals = list(vals)
+    local: dict[tuple[int, int], int] = {}
+    n_new = 0
+    for f0, f1 in nodes:
+        a = vals[f0 >> 1] ^ (f0 & 1)
+        b = vals[f1 >> 1] ^ (f1 & 1)
         if a > b:
             a, b = b, a
-        if a == CONST0:
-            return CONST0
-        if a == CONST1:
-            return b
-        if a == b:
-            return a
-        if a == lit_not(b):
-            return CONST0
-        key = (a, b)
-        found = self._real_strash.get(key)
-        if found is not None:
-            return found
-        found = self._local.get(key)
-        if found is not None:
-            return found
-        if self.budget is not None and self.n_new >= self.budget:
-            raise BudgetExceeded
-        lit = 2 * self._next_var
-        self._next_var += 1
-        self._local[key] = lit
-        self.n_new += 1
-        return lit
+        if a < 2:  # CONST0 folds to itself, CONST1 to the other fanin
+            lit = b if a else a
+        elif a == b:
+            lit = a
+        elif a ^ b == 1:  # a and its complement
+            lit = 0
+        else:
+            key = (a, b)
+            # Node literals are never 0, so ``or`` only falls through
+            # on a miss.
+            lit = strash.get(key) or local.get(key)
+            if lit is None:
+                if budget is not None and n_new >= budget:
+                    return None
+                lit = 2 * (next_var + n_new)
+                local[key] = lit
+                n_new += 1
+        vals.append(lit)
+    return n_new, vals[out >> 1] ^ (out & 1)
+
+
+def replay(sink, nodes: Sequence[tuple[int, int]], out: int,
+           vals: Sequence[int]) -> int:
+    """Build the program through ``sink.add_and``; returns its output.
+
+    ``sink`` is anything with the ``add_and`` contract of
+    :class:`~repro.aig.aig.AIG`.  Appends exactly the ``n_new`` nodes
+    :func:`price` counts against the same graph.
+    """
+    vals = list(vals)
+    add_and = sink.add_and
+    for f0, f1 in nodes:
+        vals.append(add_and(vals[f0 >> 1] ^ (f0 & 1), vals[f1 >> 1] ^ (f1 & 1)))
+    return vals[out >> 1] ^ (out & 1)

@@ -9,13 +9,12 @@ This module plays that role.
 A class representative is synthesized once per process (ISOP in both
 polarities and a Shannon MUX tree compete; the smallest strashed cone
 wins) and stored as a :class:`Recipe`: a flat list of AND nodes over
-local literals.  Instantiating a recipe replays those ANDs through any
-sink that implements the ``add_and`` contract — a real
-:class:`~repro.aig.aig.AIG` to build, or a
-:class:`~repro.aig.opt.counting.VirtualBuilder` to price the candidate
-without mutating anything.  That duality is what makes the rewriting
-pass mutation-free: every candidate is priced virtually and only the
-winner is ever built.
+local literals — the AND-program shape of
+:mod:`repro.aig.opt.counting`.  :meth:`NpnLibrary.lookup` maps a cut
+function to its recipe and the NPN transform that wires the cut's
+leaves to the recipe's inputs; the rewriting pass prices every
+candidate with :func:`~repro.aig.opt.counting.price` and builds only
+the winner, so it never mutates the graph to measure a gain.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.aig.aig import AIG, CONST0, CONST1, lit_not
+from repro.aig.aig import AIG, CONST0
 from repro.aig.isop import full_mask
+from repro.aig.opt.counting import replay
 from repro.aig.opt.npn import MAX_NPN_VARS, npn_canon
 
 
@@ -67,8 +67,8 @@ class NpnLibrary:
         self.max_vars = max_vars
         self._recipes: dict[tuple[int, int], Recipe] = {}
         # (k, table) -> (recipe, perm, phase, out_neg): canonicalization
-        # and recipe lookup collapsed into one dict hit, since
-        # instantiate() runs hundreds of thousands of times per pass.
+        # and recipe lookup collapsed into one dict hit, since lookup()
+        # runs hundreds of thousands of times per pass.
         self._instances: dict[tuple[int, int], tuple] = {}
 
     # ------------------------------------------------------------------
@@ -85,7 +85,7 @@ class NpnLibrary:
     @staticmethod
     def _synthesize(ctable: int, k: int) -> Recipe:
         # Imported here: repro.aig.build depends on repro.aig.opt for
-        # virtual cost counting, so the reverse import must be lazy.
+        # program pricing, so the reverse import must be lazy.
         from repro.aig.build import from_truth_table
 
         best: AIG = None
@@ -96,37 +96,37 @@ class NpnLibrary:
         return _encode(best)
 
     # ------------------------------------------------------------------
+    def lookup(self, table: int, k: int) -> tuple[Recipe, tuple[int, ...], int, bool]:
+        """``(recipe, perm, phase, out_neg)`` realizing a ``k``-input table.
+
+        Canonical input ``perm[i]`` is driven by leaf ``i``,
+        complemented when bit ``i`` of ``phase`` is set, and the
+        recipe's output is complemented when ``out_neg`` is set.  The
+        constant tables map to an empty recipe.
+        """
+        key = (k, table)
+        found = self._instances.get(key)
+        if found is None:
+            fm = full_mask(k)
+            table &= fm
+            if table == 0 or table == fm:
+                found = (Recipe(k, (), CONST0, 0), tuple(range(k)), 0, table == fm)
+            else:
+                ctable, perm, phase, out_neg = npn_canon(table, k)
+                found = (self.recipe(ctable, k), perm, phase, out_neg)
+            self._instances[key] = found
+        return found
+
     def instantiate(self, sink, table: int, leaves: Sequence[int]) -> int:
         """Realize ``table`` over leaf literals through ``sink.add_and``.
 
-        ``sink`` is an :class:`~repro.aig.aig.AIG` (builds the logic)
-        or a :class:`~repro.aig.opt.counting.VirtualBuilder` (prices
-        it).  Returns the output literal in either domain.
+        Returns the output literal.
         """
-        k = len(leaves)
-        fm = full_mask(k)
-        table &= fm
-        found = self._instances.get((k, table))
-        if found is None:
-            if table == 0:
-                return CONST0
-            if table == fm:
-                return CONST1
-            ctable, perm, phase, out_neg = npn_canon(table, k)
-            recipe = self.recipe(ctable, k)
-            self._instances[(k, table)] = (recipe, perm, phase, out_neg)
-        else:
-            recipe, perm, phase, out_neg = found
-        # Canonical input perm[i] is original leaf i xor phase bit i.
-        vals: list[int] = [CONST0] * (1 + k)
-        for i in range(k):
-            vals[1 + perm[i]] = leaves[i] ^ ((phase >> i) & 1)
-        for f0, f1 in recipe.nodes:
-            a = vals[f0 >> 1] ^ (f0 & 1)
-            b = vals[f1 >> 1] ^ (f1 & 1)
-            vals.append(sink.add_and(a, b))
-        result = vals[recipe.out >> 1] ^ (recipe.out & 1)
-        return lit_not(result) if out_neg else result
+        recipe, perm, phase, out_neg = self.lookup(table, len(leaves))
+        vals: list[int] = [CONST0] * (1 + len(leaves))
+        for i, leaf in enumerate(leaves):
+            vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
+        return replay(sink, recipe.nodes, recipe.out ^ out_neg, vals)
 
     def __len__(self) -> int:
         return len(self._recipes)

@@ -15,7 +15,7 @@ hashed graph, functionally equivalent to their input by construction:
     checkpoint/rollback, no structural-version churn.
 ``refactor``
     Cone-level resynthesis of maximum fanout-free cones up to 10
-    leaves, accepted when the (virtually priced) new cone is no larger
+    leaves, accepted when the new cone (priced, not built) is no larger
     than the old MFFC.
 ``fraig_lite``
     Simulation-guided equivalence-class detection (ABC ``fraig``
@@ -41,12 +41,13 @@ from functools import partial
 
 import numpy as np
 
-from repro.aig.aig import AIG
+from repro.aig.aig import AIG, CONST0, CONST1
+from repro.aig.build import lut_choice
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask
-from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
+from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import NpnLibrary, get_library
-from repro.aig.opt.traverse import bounded_cut, cut_truth, ffc_cones
+from repro.aig.opt.traverse import bounded_cut, cone_truth, cut_truth, ffc_cones
 from repro.utils.rng import rng_for
 
 
@@ -152,11 +153,11 @@ def rewrite(
     ``k`` — fall back to mutation-free ISOP pricing, so the public
     ``k`` parameter keeps its old range.
     """
-    from repro.aig.build import lut_choice, sop_over_leaves
-
     lib = library if library is not None else get_library()
     node_cuts = enumerate_cuts_with_truths(aig, k=k, max_cuts=max_cuts)
+    max_vars, lookup = lib.max_vars, lib.lookup
     new = AIG(aig.n_inputs)
+    strash = new._strash
     mapping = [0] * aig.num_vars
     for i in range(aig.n_inputs):
         mapping[1 + i] = new.input_lit(i)
@@ -165,50 +166,44 @@ def rewrite(
         var = base + j
         f0, f1 = aig.fanins(var)
         ma, mb = _map_lit(mapping, f0), _map_lit(mapping, f1)
-        probe = VirtualBuilder(new)
-        direct_lit = probe.add_and(ma, mb)
-        if probe.n_new == 0:
+        a, b = (ma, mb) if ma < mb else (mb, ma)
+        if a < 2 or a == b or a ^ b == 1 or (a, b) in strash:
             # Constant fold or strash hit: nothing can beat zero cost,
-            # and the returned literal is a real one.
-            mapping[var] = direct_lit
+            # and add_and appends nothing.
+            mapping[var] = new.add_and(ma, mb)
             continue
-        best_cost = probe.n_new  # the direct build costs one node
+        best_cost = 1  # the direct build
         best = None
+        next_var = new.num_vars
         for cut, table in node_cuts[var]:
-            if len(cut) < 2:
+            n = len(cut)
+            if n < 2:
                 continue
-            leaf_lits = [mapping[leaf] for leaf in cut]
-            if len(cut) <= lib.max_vars:
-                # A candidate only wins with strictly fewer new
-                # nodes, so price it with that budget and abandon it
-                # at the first node that cannot be shared.
-                counter = VirtualBuilder(new, budget=best_cost - 1)
-                try:
-                    lib.instantiate(counter, table, leaf_lits)
-                except BudgetExceeded:
-                    continue
-                cost = counter.n_new
+            # A candidate only wins with strictly fewer new nodes, so
+            # price it with that budget and abandon it at the first
+            # node that cannot be shared.
+            if n <= max_vars:
+                recipe, perm, phase, out_neg = lookup(table, n)
+                vals = [CONST0] * (1 + n)
+                for i, leaf in enumerate(cut):
+                    vals[1 + perm[i]] = mapping[leaf] ^ ((phase >> i) & 1)
+                program = (recipe.nodes, recipe.out ^ out_neg)
+                priced = price(*program, vals, strash, next_var, best_cost - 1)
             else:
-                choice = lut_choice(
-                    new, table, leaf_lits, budget=best_cost - 1
-                )
-                if choice is None:
-                    continue
-                cost = choice[0]
-            if cost < best_cost:
-                best_cost = cost
-                best = (cut, table)
+                vals = [CONST0, *(mapping[leaf] for leaf in cut)]
+                priced = lut_choice(new, table, vals[1:], budget=best_cost - 1)
+                if priced is not None:
+                    program = priced[1]
+            if priced is not None and priced[0] < best_cost:
+                best_cost = priced[0]
+                best = (program, vals)
+                if best_cost == 0:
+                    break  # nothing beats a free candidate
         if best is None:
             mapping[var] = new.add_and(ma, mb)
         else:
-            cut, table = best
-            leaf_lits = [mapping[leaf] for leaf in cut]
-            if len(cut) <= lib.max_vars:
-                mapping[var] = lib.instantiate(new, table, leaf_lits)
-            else:
-                _, cover, negated = lut_choice(new, table, leaf_lits)
-                lit = sop_over_leaves(new, cover, leaf_lits)
-                mapping[var] = lit ^ 1 if negated else lit
+            program, vals = best
+            mapping[var] = replay(new, *program, vals)
     for lit in aig.outputs:
         new.set_output(_map_lit(mapping, lit))
     return new.extract_cone()
@@ -219,10 +214,9 @@ def rewrite(
 # ---------------------------------------------------------------------
 def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
     """MFFC cone resynthesis (ABC ``refactor`` analogue)."""
-    from repro.aig.build import lut_choice, sop_over_leaves
-    from repro.aig.aig import CONST0, CONST1, lit_not
-
-    cones, mffc = ffc_cones(aig, aig.fanout_counts().tolist(), max_leaves)
+    cones, mffc, members = ffc_cones(
+        aig, aig.fanout_counts().tolist(), max_leaves
+    )
     new = AIG(aig.n_inputs)
     mapping = [0] * aig.num_vars
     for i in range(aig.n_inputs):
@@ -234,17 +228,15 @@ def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
         cone = cones[j]
         if cone is not None and len(cone) >= 2:
             leaves = sorted(cone)
-            table = cut_truth(aig, var, leaves)
-            fm = full_mask(len(leaves))
-            if table == 0 or table == fm:
+            nodes, start, end = members[j]
+            table = cone_truth(aig, leaves, nodes[start:end])
+            if table == 0 or table == full_mask(len(leaves)):
                 mapping[var] = CONST0 if table == 0 else CONST1
                 continue
-            old_cone = mffc[j]
             mapped = [mapping[leaf] for leaf in leaves]
-            choice = lut_choice(new, table, mapped, budget=old_cone)
-            if choice is not None and choice[0] <= old_cone:
-                lit = sop_over_leaves(new, choice[1], mapped)
-                mapping[var] = lit_not(lit) if choice[2] else lit
+            choice = lut_choice(new, table, mapped, budget=mffc[j])
+            if choice is not None:
+                mapping[var] = replay(new, *choice[1], [CONST0, *mapped])
                 continue
         mapping[var] = new.add_and(
             _map_lit(mapping, f0), _map_lit(mapping, f1)

@@ -18,6 +18,8 @@ from repro.aig.aig import AIG
 from repro.aig.isop import full_mask, var_mask
 
 Cut = tuple[int, ...]
+#: ``(nodes, start, end)``: the AND nodes ``nodes[start:end]``.
+MemberSpan = tuple[list[int], int, int]
 
 
 def cut_truth(aig: AIG, root: int, leaves: Sequence[int]) -> int:
@@ -111,23 +113,32 @@ def ffc_leaves(
 
 def ffc_cones(
     aig: AIG, fanout: Sequence[int], max_leaves: int
-) -> tuple[list[set[int] | None], list[int]]:
-    """Fanout-free-cone leaves and MFFC size of every AND node at once.
+) -> tuple[list[set[int] | None], list[int], list[MemberSpan | None]]:
+    """Fanout-free-cone leaves, MFFC size and members of every AND node.
 
     One bottom-up sweep replaces a :func:`ffc_leaves` and a
     :func:`mffc_size` walk per node.  A node's leaf set is the union
     of its single-fanout AND fanins' leaf sets plus its other non-
     constant fanins; it is None ("too wide") when it has more than
     ``max_leaves`` leaves or any such fanin is too wide.  Its MFFC
-    size is 1 plus its single-fanout AND fanins' sizes.  Entry ``j``
-    of each list is for AND node ``n_inputs + 1 + j``.  Unlike
-    :func:`ffc_leaves`, a set of fewer than 2 leaves is kept.
+    size is 1 plus its single-fanout AND fanins' sizes.  Its members
+    — the AND nodes between the leaves and the node — are those
+    fanins' members followed by the node itself, so every member
+    comes after its fanins; they are given as a span ``(nodes, start,
+    end)``, the members being ``nodes[start:end]``, and the span is
+    None when the cone is too wide.  Entry ``j`` of each list is for
+    AND node ``n_inputs + 1 + j``.  Unlike :func:`ffc_leaves`, a set
+    of fewer than 2 leaves is kept.
     """
     base = aig.n_inputs + 1
     leaves: list[set[int] | None] = []
     sizes: list[int] = []
-    for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
+    members: list[MemberSpan | None] = []
+    for var, f0, f1 in zip(
+        range(base, aig.num_vars), aig._fanin0, aig._fanin1, strict=True
+    ):
         cone = set()
+        inner_spans = []
         size = 1
         for v in (f0 >> 1, f1 >> 1):
             if v >= base and fanout[v] == 1:
@@ -136,13 +147,62 @@ def ffc_cones(
                     cone = None
                 elif cone is not None:
                     cone |= inner
+                    inner_spans.append(members[v - base])
                 size += sizes[v - base]
             elif v and cone is not None:
                 cone.add(v)
-        too_wide = cone is None or len(cone) > max_leaves
-        leaves.append(None if too_wide else cone)
+        if cone is None or len(cone) > max_leaves:
+            leaves.append(None)
+            members.append(None)
+        else:
+            leaves.append(cone)
+            members.append(_member_span(inner_spans, var))
         sizes.append(size)
-    return leaves, sizes
+    return leaves, sizes, members
+
+
+def _member_span(inner_spans: list[MemberSpan], var: int) -> MemberSpan:
+    """Span of ``var``'s members, given its single-fanout fanins' spans.
+
+    A fanin's span ends its list, and only the fanin's one parent —
+    ``var`` — ever extends that list.  So the longer span's list is
+    extended in place with a copy of the other span and ``var``; a
+    member is copied at most log2 of the cone size times, and all
+    spans together stay linear in the graph on chain-shaped cones.
+    """
+    if not inner_spans:
+        return [var], 0, 1
+    inner_spans.sort(key=lambda span: span[2] - span[1])
+    nodes, start, _ = inner_spans.pop()
+    for other, other_start, other_end in inner_spans:
+        nodes += other[other_start:other_end]
+    nodes.append(var)
+    return nodes, start, len(nodes)
+
+
+def cone_truth(aig: AIG, leaves: Sequence[int], members: Iterable[int]) -> int:
+    """Truth table of the last of ``members`` in terms of ``leaves``.
+
+    ``members`` lists the AND nodes between ``leaves`` and the root
+    (the root last), each after its fanins — the members of a
+    :func:`ffc_cones` span.  Equal to :func:`cut_truth` over the same
+    leaves, without its stack walk.
+    """
+    k = len(leaves)
+    fm = full_mask(k)
+    values = {0: 0}
+    for pos, leaf in enumerate(leaves):
+        values[leaf] = var_mask(k, pos)
+    base = aig.n_inputs + 1
+    fanin0, fanin1 = aig._fanin0, aig._fanin1
+    table = 0
+    for var in members:
+        f0, f1 = fanin0[var - base], fanin1[var - base]
+        a = values[f0 >> 1]
+        b = values[f1 >> 1]
+        table = (a ^ fm if f0 & 1 else a) & (b ^ fm if f1 & 1 else b)
+        values[var] = table
+    return table
 
 
 def bounded_cut(

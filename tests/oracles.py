@@ -1,15 +1,15 @@
 """The pre-array implementations, kept as differential-test oracles.
 
-Each function here is the straightforward version of a hot path that
-the library now implements differently; tests assert the library
-returns exactly what these return.  Do not optimize this module.
+Each function or class here is the straightforward version of a hot
+path that the library now implements differently; tests assert the
+library returns exactly what these return.  Do not optimize this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.aig.aig import AIG
+from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
 from repro.aig.isop import cofactor0, cofactor1, full_mask, var_mask
 
 Cut = tuple[int, ...]
@@ -149,6 +149,71 @@ def _isop(lower: int, upper: int, k: int, top: int):
         + cr
     )
     return cover, table
+
+
+# ---------------------------------------------------------------------
+# Candidate pricing: a strash-aware virtual builder driven gate by gate
+# ---------------------------------------------------------------------
+class BudgetExceeded(Exception):
+    """Raised by a budgeted :class:`VirtualBuilder` on the first node
+    that makes the candidate too expensive."""
+
+
+class VirtualBuilder(GateOps):
+    """Counts the AND nodes a construction would add to ``aig``.
+
+    Literals returned by :meth:`add_and` are real literals of the
+    target graph when the node already exists (strash hit or constant
+    fold) and virtual literals, numbered from ``2 * aig.num_vars``
+    upward, otherwise.  The target graph is never touched.  With
+    ``budget`` set, :class:`BudgetExceeded` is raised as soon as
+    ``n_new`` would exceed it.
+    """
+
+    def __init__(self, aig: AIG, budget: int = None):
+        self._real_strash = aig._strash
+        self._local: dict[tuple[int, int], int] = {}
+        self._next_var = aig.num_vars
+        self.budget = budget
+        self.n_new = 0
+
+    def add_and(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a == CONST0:
+            return CONST0
+        if a == CONST1:
+            return b
+        if a == b:
+            return a
+        if a == lit_not(b):
+            return CONST0
+        key = (a, b)
+        found = self._real_strash.get(key)
+        if found is not None:
+            return found
+        found = self._local.get(key)
+        if found is not None:
+            return found
+        if self.budget is not None and self.n_new >= self.budget:
+            raise BudgetExceeded
+        lit = 2 * self._next_var
+        self._next_var += 1
+        self._local[key] = lit
+        self.n_new += 1
+        return lit
+
+
+def sop_over_leaves(sink, cover, leaves) -> int:
+    """OR of cube-ANDs over leaf literals, gate by gate."""
+    terms = []
+    for cube in cover:
+        lits = [
+            leaves[var] if value else lit_not(leaves[var])
+            for var, value in cube
+        ]
+        terms.append(sink.add_and_multi(lits))
+    return sink.add_or_multi(terms)
 
 
 # ---------------------------------------------------------------------

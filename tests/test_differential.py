@@ -1,11 +1,11 @@
 """Differential tests: the array/sweep hot paths against their oracles.
 
-Cut enumeration, the refactor cone sweep, ISOP and tree routing each
-replaced a straightforward implementation with a faster one that must
-return exactly the same thing.  The straightforward versions live in
-:mod:`tests.oracles` (and, for the cone walks, in
-:mod:`repro.aig.opt.traverse`); every test here compares the two on
-seeded graphs, tables and trees.
+Cut enumeration, the refactor cone sweep, ISOP, candidate pricing and
+tree routing each replaced a straightforward implementation with a
+faster one that must return exactly the same thing.  The
+straightforward versions live in :mod:`tests.oracles` (and, for the
+cone walks, in :mod:`repro.aig.opt.traverse`); every test here
+compares the two on seeded graphs, tables and trees.
 """
 
 import random
@@ -17,8 +17,17 @@ from hypothesis import given, settings, strategies as st
 from repro.aig.aig import AIG
 from repro.aig.aiger import loads_aag
 from repro.aig.cuts import enumerate_cuts, enumerate_cuts_with_truths
+from repro.aig.build import compile_sop
 from repro.aig.isop import full_mask, isop, var_mask
-from repro.aig.opt.traverse import ffc_cones, ffc_leaves, mffc_size
+from repro.aig.opt.counting import price, replay
+from repro.aig.opt.library import get_library
+from repro.aig.opt.traverse import (
+    cone_truth,
+    cut_truth,
+    ffc_cones,
+    ffc_leaves,
+    mffc_size,
+)
 from repro.ml.decision_tree import DecisionTree, _pessimistic_errors
 from tests import oracles
 
@@ -172,7 +181,7 @@ def test_cone_sweep_matches_per_node_walks(
     else:
         aig = strashed_graph(source, n_inputs, n_nodes, seed)
     fanout = aig.fanout_counts()
-    cones, sizes = ffc_cones(aig, fanout.tolist(), max_leaves)
+    cones, sizes, _ = ffc_cones(aig, fanout.tolist(), max_leaves)
     base = aig.n_inputs + 1
     for j in range(aig.num_ands):
         var = base + j
@@ -192,9 +201,39 @@ def test_cone_sweep_propagates_too_wide_fanins():
     top = aig.add_and(x4, aig.add_and(f, g))
     aig.set_output(top)
     fanout = aig.fanout_counts()
-    cones, _ = ffc_cones(aig, fanout.tolist(), max_leaves=4)
+    cones, _, _ = ffc_cones(aig, fanout.tolist(), max_leaves=4)
     assert cones[(top >> 1) - aig.n_inputs - 1] is None
     assert ffc_leaves(aig, top >> 1, fanout, 4) is None
+
+
+@given(
+    source=st.sampled_from(["random", "chain", "reconvergent", "raw", "aag"]),
+    n_inputs=st.integers(1, 16),
+    n_nodes=st.integers(1, 80),
+    seed=seeds,
+)
+@settings(max_examples=300, deadline=None)
+def test_member_cone_truth_matches_cut_truth(source, n_inputs, n_nodes, seed):
+    if source == "raw":
+        aig = raw_graph(n_inputs, n_nodes, seed)
+    elif source == "aag":
+        aig = aag_graph(n_inputs, n_nodes, seed)
+    else:
+        aig = strashed_graph(source, n_inputs, n_nodes, seed)
+    fanout = aig.fanout_counts().tolist()
+    base = aig.n_inputs + 1
+    for max_leaves in (4, 10, 14):
+        cones, _, members = ffc_cones(aig, fanout, max_leaves)
+        for j, cone in enumerate(cones):
+            assert (members[j] is None) == (cone is None)
+            if cone is None:
+                continue
+            nodes, start, end = members[j]
+            assert nodes[end - 1] == base + j
+            leaves = sorted(cone)
+            assert cone_truth(aig, leaves, nodes[start:end]) == cut_truth(
+                aig, base + j, leaves
+            )
 
 
 @given(
@@ -216,6 +255,99 @@ def test_fanout_counts_match_loop(shape, n_nodes, seed, n_outputs):
     counts = aig.fanout_counts()
     assert counts.dtype == np.int64
     assert np.array_equal(counts, expected)
+
+
+# ---------------------------------------------------------------------
+# Candidate pricing: compiled AND programs against the virtual builder
+# ---------------------------------------------------------------------
+def leaf_literals(aig: AIG, k: int, rnd: random.Random) -> list[int]:
+    """``k`` literals of ``aig`` with constants, repeats and
+    complementary pairs among them."""
+    leaves: list[int] = []
+    for _ in range(k):
+        roll = rnd.random()
+        if roll < 0.1:
+            leaves.append(rnd.randint(0, 1))
+        elif roll < 0.3 and leaves:
+            leaves.append(rnd.choice(leaves) ^ rnd.randint(0, 1))
+        else:
+            leaves.append(rnd.randrange(2, 2 * aig.num_vars))
+    return leaves
+
+
+def check_program(aig: AIG, nodes, out, vals, build) -> None:
+    """``price`` and ``replay`` of a program against ``build``, the
+    oracle construction of the same logic through any ``add_and``
+    sink, at budgets None, 0, the exact cost and one below it."""
+    exact = oracles.VirtualBuilder(aig)
+    lit = build(exact)
+    cost = exact.n_new
+    for budget in (None, 0, cost, cost - 1):
+        counter = oracles.VirtualBuilder(aig, budget=budget)
+        try:
+            built = build(counter)
+        except oracles.BudgetExceeded:
+            expected = None
+        else:
+            expected = (counter.n_new, built)
+        assert price(nodes, out, vals, aig._strash, aig.num_vars, budget) == (
+            expected
+        )
+    before = aig.num_ands
+    assert replay(aig, nodes, out, vals) == lit
+    assert aig.num_ands - before == cost
+
+
+@given(
+    shape=st.sampled_from(SHAPES),
+    n_nodes=st.integers(0, 40),
+    seed=seeds,
+    k=st.integers(2, 10),
+    negated=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sop_programs_price_like_the_virtual_builder(
+    shape, n_nodes, seed, k, negated
+):
+    rnd = random.Random(seed)
+    aig = strashed_graph(shape, 6, n_nodes, seed)
+    leaves = leaf_literals(aig, k, rnd)
+    table = rnd.getrandbits(1 << k)
+    if negated:
+        table = ~table & full_mask(k)
+    cover, _ = isop(table, table, k)
+    # Build part of the cover first, so the candidate shares logic
+    # with the graph as well as within itself.
+    oracles.sop_over_leaves(aig, cover[: rnd.randint(0, len(cover))], leaves)
+    nodes, out = compile_sop(cover, k)
+    check_program(
+        aig, nodes, out, [0, *leaves],
+        lambda sink: oracles.sop_over_leaves(sink, cover, leaves),
+    )
+
+
+@given(
+    shape=st.sampled_from(SHAPES),
+    n_nodes=st.integers(0, 40),
+    seed=seeds,
+    k=st.integers(1, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_recipe_programs_price_like_instantiate(shape, n_nodes, seed, k):
+    rnd = random.Random(seed)
+    aig = strashed_graph(shape, 6, n_nodes, seed)
+    lib = get_library()
+    leaves = leaf_literals(aig, k, rnd)
+    table = rnd.getrandbits(1 << k)
+    lib.instantiate(aig, rnd.getrandbits(1 << k), leaves)  # shared logic
+    recipe, perm, phase, out_neg = lib.lookup(table, k)
+    vals = [0] * (1 + k)
+    for i, leaf in enumerate(leaves):
+        vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
+    check_program(
+        aig, recipe.nodes, recipe.out ^ out_neg, vals,
+        lambda sink: lib.instantiate(sink, table, leaves),
+    )
 
 
 # ---------------------------------------------------------------------

@@ -12,11 +12,11 @@ from repro.aig.cuts import (
     enumerate_cuts_with_truths,
 )
 from repro.aig.isop import full_mask, isop
-from repro.aig.opt.counting import BudgetExceeded, VirtualBuilder
 from repro.aig.opt.library import NpnLibrary, get_library
 from repro.aig.opt.npn import npn_apply, npn_canon
 from repro.aig.opt.traverse import bounded_cut, cut_truth, mffc_size
 from tests.conftest import random_aig
+from tests.oracles import BudgetExceeded, VirtualBuilder
 
 
 class TestNpnCanon:

@@ -12,7 +12,7 @@ the starter — asserted here too.
 
 from _report import echo
 from repro.cgp import CGPEvolver, CGPGenome, evolve_from_aig
-from repro.contest import build_suite, evaluate_solution, make_problem
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
 from repro.flows.common import aig_accuracy
 from repro.ml.decision_tree import DecisionTree
@@ -22,9 +22,9 @@ from repro.utils.rng import rng_for
 
 
 def _run(samples, generations):
-    suite = build_suite()
-    problem = make_problem(suite[60], n_train=samples, n_valid=samples,
-                           n_test=samples)  # 16-input mixed cone
+    # ex60: a 16-input mixed cone.
+    problem = DEFAULT_REGISTRY.problem("ex60", n_train=samples,
+                                       n_valid=samples, n_test=samples)
     rng = rng_for("bench-cgp")
     # Starter: a small DT, deliberately under-fit (depth 4).
     tree = DecisionTree(max_depth=4).fit(problem.train.X,

@@ -12,7 +12,7 @@ Two design choices DESIGN.md calls out:
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.ml.decision_tree import DecisionTree
 from repro.ml.metrics import accuracy
 
@@ -20,11 +20,12 @@ CASES = [30, 50, 60, 80]
 
 
 def _criterion_sweep(samples):
-    suite = build_suite()
     rows = {}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         row = {}
         for criterion in ("entropy", "gini"):
             tree = DecisionTree(max_depth=8, criterion=criterion)
@@ -32,7 +33,7 @@ def _criterion_sweep(samples):
             row[criterion] = accuracy(
                 problem.test.y, tree.predict(problem.test.X)
             )
-        rows[suite[idx].name] = row
+        rows[problem.name] = row
     return rows
 
 

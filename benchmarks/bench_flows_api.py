@@ -29,7 +29,7 @@ import time
 
 from _report import echo
 from repro.aig.aiger import dumps_aag
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows import REGISTRY, get_flow
 from repro.flows.api import ArtifactCache, Candidate, Flow, Stage
 from repro.synth.from_sop import cover_to_aig
@@ -68,8 +68,8 @@ def _timed(fn):
 
 
 def test_artifact_cache_two_flow_portfolio():
-    problem = make_problem(
-        build_suite()[HEAVY_BENCHMARK],
+    problem = DEFAULT_REGISTRY.problem(
+        DEFAULT_REGISTRY.by_index(HEAVY_BENCHMARK),
         n_train=SAMPLES, n_valid=SAMPLES, n_test=SAMPLES,
     )
     flow_a = REGISTRY.register(_bench_flow("bench-cover-a"))
@@ -119,8 +119,8 @@ def test_real_flows_share_the_match_scan():
     """team01 + team07 share the merged dataset and the standard-
     function match scan through a portfolio's cache — with
     byte-identical Solutions to their cold runs."""
-    problem = make_problem(
-        build_suite()[74], n_train=1000, n_valid=1000, n_test=1000
+    problem = DEFAULT_REGISTRY.problem(
+        "ex74", n_train=1000, n_valid=1000, n_test=1000
     )
     cold01_s, cold01 = _timed(lambda: get_flow("team01").run(problem))
     cold07_s, cold07 = _timed(lambda: get_flow("team07").run(problem))
@@ -155,8 +155,8 @@ def test_registry_dispatch_overhead():
         resolve_flow("team10:effort=full")
     spec_us = (time.perf_counter() - start) / n * 1e6
 
-    problem = make_problem(build_suite()[74], n_train=64, n_valid=64,
-                           n_test=64)
+    problem = DEFAULT_REGISTRY.problem("ex74", n_train=64, n_valid=64,
+                                       n_test=64)
     direct_s, direct = _timed(lambda: get_flow("team10").run(problem))
     resolved_s, resolved = _timed(
         lambda: resolve_flow("team10")(problem)

@@ -12,7 +12,7 @@ between accuracy and area (instead of a single solution)."
 """
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.contest.multioutput import (
     adder_all_bits,
     evaluate_multioutput,
@@ -47,12 +47,11 @@ def test_multioutput_sharing(benchmark, scale):
 
 
 def test_tradeoff_frontier(benchmark, scale):
-    suite = build_suite()
     samples = min(scale["samples"], 800)
 
     def run():
-        problem = make_problem(suite[80], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem("ex80", n_train=samples,
+                                           n_valid=samples, n_test=samples)
         return problem, run_tradeoff(problem, effort="small")
 
     problem, frontier = benchmark.pedantic(run, rounds=1, iterations=1)

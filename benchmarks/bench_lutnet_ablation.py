@@ -10,7 +10,7 @@ scheme is at least as good as pure random wiring on narrow inputs.
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.ml.lutnet import LUTNetwork
 from repro.ml.metrics import accuracy
 from repro.utils.rng import rng_for
@@ -19,11 +19,12 @@ CASES = [30, 50, 60, 80]
 
 
 def _sweep(samples):
-    suite = build_suite()
     results = {}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         row = {}
         for arity in (2, 4, 6):
             for scheme in ("random", "unique"):
@@ -35,7 +36,7 @@ def _sweep(samples):
                 row[(arity, scheme)] = accuracy(
                     problem.test.y, net.predict(problem.test.X)
                 )
-        results[suite[idx].name] = row
+        results[problem.name] = row
     return results
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from _report import echo
 from repro.aig.aig import AIG
 from repro.aig.build import symmetric_function
-from repro.aig.optimize import balance, compress, refactor, rewrite
+from repro.aig.opt.passes import balance, compress, refactor, rewrite
 from repro.ml.decision_tree import DecisionTree
 from repro.synth.from_sop import cover_to_aig
 from repro.utils.rng import rng_for

@@ -4,8 +4,8 @@
 x seed, which made the seed's build-measure-rollback pass loop the
 hottest remaining path.  This bench races the NPN-library engine
 (:mod:`repro.aig.opt.passes`) against the pinned seed implementation
-(:mod:`repro.aig.opt.reference`) on contest-scale learned circuits and
-asserts the engine contract:
+(the seed passes in :mod:`tests.oracles`) on contest-scale learned
+circuits and asserts the engine contract:
 
 - aggregate wall-clock speedup >= 3x (the acceptance bar; measured
   4-5x on a dev box) with a lenient 2x floor on single-core boxes,
@@ -25,11 +25,11 @@ import numpy as np
 from _report import echo
 from repro.aig.aig import AIG
 from repro.aig.build import parity_chain, symmetric_function
-from repro.aig.opt.reference import reference_compress
-from repro.aig.optimize import compress
+from repro.aig.opt.passes import compress
 from repro.ml.decision_tree import DecisionTree
 from repro.synth.from_sop import cover_to_aig
 from repro.utils.rng import rng_for
+from tests.oracles import reference_compress
 
 
 def _victims():

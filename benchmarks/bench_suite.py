@@ -8,12 +8,12 @@ MNIST/CIFAR group pairs).
 from collections import Counter
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.contest.imagelike import GROUP_COMPARISONS
 
 
 def _taxonomy():
-    suite = build_suite()
+    suite = [DEFAULT_REGISTRY.by_index(i) for i in range(100)]
     by_category = Counter(s.category for s in suite)
     return suite, by_category
 
@@ -59,11 +59,9 @@ def test_table2_group_comparisons(benchmark):
 
 def test_sampling_protocol(benchmark):
     """The contest protocol: three same-sized disjoint PLA sets."""
-    suite = build_suite()
-
     def sample():
-        return make_problem(suite[30], n_train=200, n_valid=200,
-                            n_test=200)
+        return DEFAULT_REGISTRY.problem("ex30", n_train=200, n_valid=200,
+                                        n_test=200)
 
     problem = benchmark.pedantic(sample, rounds=1, iterations=1)
     assert problem.train.n_samples == 200

@@ -12,7 +12,7 @@ its best member.
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, evaluate_solution, make_problem
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
 from repro.flows.common import aig_accuracy
 from repro.ml.decision_tree import DecisionTree
@@ -28,12 +28,13 @@ CASES = [30, 50, 60, 74, 80, 90]
 
 
 def _run(samples):
-    suite = build_suite()
     per_method = {m: [] for m in ("dt", "fringe", "nn", "lutnet",
                                   "ensemble")}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         rng = rng_for("bench-team3", idx)
         tree = DecisionTree(max_depth=8).fit(problem.train.X,
                                              problem.train.y)

@@ -10,7 +10,7 @@ total loss stays bounded, and the final AIG still clearly learns.
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows.common import aig_accuracy
 from repro.ml.metrics import accuracy
 from repro.ml.mlp import MLP
@@ -21,11 +21,12 @@ CASES = [30, 50, 60]
 
 
 def _pipeline(samples):
-    suite = build_suite()
     stages = {"initial": [], "pruned": [], "synthesized": []}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         rng = rng_for("bench-table5", idx)
         mlp = MLP(hidden_sizes=(32, 16), activation="sigmoid", rng=rng)
         Xf = problem.train.X.astype(float)

@@ -12,20 +12,21 @@ dominates.
 from collections import Counter
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows import get_flow
 
 CASES = [0, 21, 30, 50, 60, 74, 75, 80, 90]
 
 
 def _run(samples):
-    suite = build_suite()
     winners = []
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         solution = get_flow("team05").run(problem, effort="small")
-        winners.append((suite[idx].name, solution.method))
+        winners.append((problem.name, solution.method))
     return winners
 
 

@@ -11,16 +11,17 @@ near-perfect cases).
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, evaluate_solution, make_problem
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
 
 
 def _run(indices, samples):
-    suite = build_suite()
     scores = []
     for idx in indices:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         solution = get_flow("team10").run(problem, effort="small")
         scores.append(evaluate_solution(problem, solution))
     return scores

@@ -14,7 +14,7 @@ gracefully toward the constant predictor, never below chance.
 
 from _report import echo
 from repro.aig.approx import approximate_to_size
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows.common import aig_accuracy
 from repro.ml.lutnet import LUTNetwork
 from repro.synth.from_lutnet import lutnet_to_aig
@@ -22,9 +22,8 @@ from repro.utils.rng import rng_for
 
 
 def _approx_sweep(samples):
-    suite = build_suite()
-    problem = make_problem(suite[90], n_train=samples, n_valid=500,
-                           n_test=samples)
+    problem = DEFAULT_REGISTRY.problem("ex90", n_train=samples, n_valid=500,
+                                       n_test=samples)
     rng = rng_for("bench-approx")
     net = LUTNetwork(n_layers=6, luts_per_layer=512, lut_size=4,
                      rng=rng)

@@ -12,7 +12,7 @@ minterms.
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows.common import aig_accuracy
 from repro.ml.forest import RandomForest
 from repro.ml.lutnet import LUTNetwork
@@ -26,11 +26,12 @@ CASES = [0, 21, 30, 41, 60, 75, 80, 90]  # easy + hard spread
 
 
 def _run_methods(samples):
-    suite = build_suite()
     results = {}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         rng = rng_for("bench-team1", idx)
         row = {}
         cover = espresso_from_samples(
@@ -50,7 +51,7 @@ def _run_methods(samples):
         rf_aig = forest_to_aig(forest).extract_cone()
         row["forest"] = (aig_accuracy(rf_aig, problem.test),
                          rf_aig.num_ands)
-        results[suite[idx].name] = row
+        results[problem.name] = row
     return results
 
 

@@ -10,7 +10,7 @@ We run both on a benchmark spread and assert those three shapes.
 import numpy as np
 
 from _report import echo
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows.common import aig_accuracy
 from repro.ml.decision_tree import DecisionTree
 from repro.ml.rules import PartRuleLearner
@@ -21,11 +21,12 @@ CASES = [0, 21, 30, 50, 60, 74, 75, 80, 90]
 
 
 def _compare(samples):
-    suite = build_suite()
     rows = {}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         merged = problem.merged_train_valid()
         tree = DecisionTree().fit(merged.X, merged.y)
         tree.prune(0.25)
@@ -34,7 +35,7 @@ def _compare(samples):
             merged.X, merged.y
         )
         part_aig = rules_to_aig(rules).extract_cone()
-        rows[suite[idx].name] = {
+        rows[problem.name] = {
             "j48": (aig_accuracy(j48_aig, problem.test),
                     j48_aig.num_ands),
             "part": (aig_accuracy(part_aig, problem.test),

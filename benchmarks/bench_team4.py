@@ -10,20 +10,21 @@ feature-selectable cases (comparator / image-like).
 """
 
 from _report import echo
-from repro.contest import build_suite, evaluate_solution, make_problem
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
 
 CASES = [30, 50, 74, 80, 90]
 
 
 def _run(samples):
-    suite = build_suite()
     scores = {}
     for idx in CASES:
-        problem = make_problem(suite[idx], n_train=samples,
-                               n_valid=samples, n_test=samples)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=samples,
+            n_valid=samples, n_test=samples,
+        )
         solution = get_flow("team04").run(problem, effort="small")
-        scores[suite[idx].name] = evaluate_solution(problem, solution)
+        scores[problem.name] = evaluate_solution(problem, solution)
     return scores
 
 

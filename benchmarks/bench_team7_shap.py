@@ -12,7 +12,7 @@ import numpy as np
 from _report import echo
 from repro.aig.aig import AIG
 from repro.aig.build import maj5_tree
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.shap import mean_abs_shapley
 from repro.utils.rng import rng_for
@@ -42,9 +42,9 @@ def test_fig25_maj5_tree(benchmark, rng_seed=0):
 
 
 def _shap_comparator(samples):
-    suite = build_suite()
-    problem = make_problem(suite[31], n_train=samples, n_valid=samples,
-                           n_test=samples)  # 20-bit comparator
+    # ex31: a 20-bit comparator.
+    problem = DEFAULT_REGISTRY.problem("ex31", n_train=samples,
+                                       n_valid=samples, n_test=samples)
     model = GradientBoostedTrees(n_estimators=25, max_depth=4)
     model.fit(problem.train.X, problem.train.y)
     rng = rng_for("bench-shap")
@@ -88,9 +88,8 @@ def test_fig27_comparator_shap_pattern(benchmark, scale):
 
 
 def _shap_vs_correlation(samples):
-    suite = build_suite()
-    problem = make_problem(suite[30], n_train=samples, n_valid=samples,
-                           n_test=samples)
+    problem = DEFAULT_REGISTRY.problem("ex30", n_train=samples,
+                                       n_valid=samples, n_test=samples)
     model = GradientBoostedTrees(n_estimators=25, max_depth=4)
     model.fit(problem.train.X, problem.train.y)
     rng = rng_for("bench-shap26")

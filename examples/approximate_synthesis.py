@@ -19,7 +19,7 @@ import numpy as np
 from repro.aig.aig import AIG
 from repro.aig.approx import approximate_to_size
 from repro.aig.build import multiplier
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.ml.forest import RandomForest
 from repro.ml.metrics import accuracy
 from repro.synth.from_forest import forest_to_aig
@@ -47,9 +47,8 @@ def exact_circuit_approximation() -> None:
 
 def learned_circuit_tradeoff() -> None:
     print("\n-- accuracy vs size on an MNIST-like benchmark --")
-    suite = build_suite()
-    problem = make_problem(suite[80], n_train=1500, n_valid=500,
-                           n_test=1500)
+    problem = DEFAULT_REGISTRY.problem("ex80", n_train=1500, n_valid=500,
+                                       n_test=1500)
     rng = rng_for("example-pareto")
     print(f"{'trees':>6} {'depth':>6} {'ands':>6} {'test acc':>9}")
     for n_trees, depth in [(1, 4), (1, 8), (3, 8), (7, 8), (15, 8)]:

@@ -8,7 +8,7 @@ library; this example demonstrates them.
 Run:  python examples/future_extensions.py
 """
 
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.contest.multioutput import (
     adder_all_bits,
     evaluate_multioutput,
@@ -35,9 +35,8 @@ def multi_output_demo() -> None:
 
 def tradeoff_demo() -> None:
     print("\n-- accuracy-area Pareto set on an MNIST-like benchmark --")
-    suite = build_suite()
-    problem = make_problem(suite[80], n_train=1200, n_valid=600,
-                           n_test=1200)
+    problem = DEFAULT_REGISTRY.problem("ex80", n_train=1200, n_valid=600,
+                                       n_test=1200)
     frontier = run_tradeoff(problem, effort="small")
     print(f"  {'ANDs':>6} {'valid acc':>10} {'test acc':>9}")
     for point in frontier:

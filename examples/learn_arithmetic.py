@@ -14,16 +14,16 @@ Run:  python examples/learn_arithmetic.py
 """
 
 from repro.bdd import BDD, restrict
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.ml.decision_tree import DecisionTree
 from repro.ml.metrics import accuracy
 from repro.synth.matching import match_standard_function
 
 
 def main() -> None:
-    suite = build_suite()
-    spec = suite[1]  # 2nd MSB of a 16-bit adder
-    problem = make_problem(spec, n_train=2000, n_valid=500, n_test=2000)
+    spec = DEFAULT_REGISTRY.by_index(1)  # 2nd MSB of a 16-bit adder
+    problem = DEFAULT_REGISTRY.problem(spec, n_train=2000, n_valid=500,
+                                       n_test=2000)
     k = spec.n_inputs // 2
     print(f"benchmark {spec.name}: {spec.description}\n")
 

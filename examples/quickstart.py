@@ -11,20 +11,20 @@ Run:  python examples/quickstart.py
 from pathlib import Path
 
 from repro.aig import write_aag
-from repro.contest import build_suite, evaluate_solution, make_problem
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
 from repro.twolevel.pla import write_pla
 
 
 def main() -> None:
-    suite = build_suite()
-    spec = suite[30]
+    spec = DEFAULT_REGISTRY.by_index(30)
     print(f"benchmark {spec.name}: {spec.description} "
           f"({spec.n_inputs} inputs)")
 
     # Sample the train/validation/test triple (scaled down from the
     # contest's 6400/6400/6400 so the example runs in seconds).
-    problem = make_problem(spec, n_train=1000, n_valid=1000, n_test=1000)
+    problem = DEFAULT_REGISTRY.problem(spec, n_train=1000, n_valid=1000,
+                                       n_test=1000)
     print(f"train onset fraction: {problem.train.onset_fraction():.2f}")
 
     # The contest distributed the data as PLA files; write one to show

@@ -17,13 +17,7 @@ API:
 """
 
 from repro.aig import AIG
-from repro.contest import (
-    LearningProblem,
-    Solution,
-    build_suite,
-    evaluate_solution,
-    make_problem,
-)
+from repro.contest import LearningProblem, Solution, evaluate_solution
 from repro.ml.dataset import Dataset
 
 __version__ = "1.0.0"
@@ -33,8 +27,6 @@ __all__ = [
     "Dataset",
     "LearningProblem",
     "Solution",
-    "build_suite",
     "evaluate_solution",
-    "make_problem",
     "__version__",
 ]

@@ -21,8 +21,8 @@ from repro.aig.aiger import (dumps_aag, read_aag, read_aiger, write_aag,
                              write_aiger)
 from repro.aig.approx import approximate_to_size
 from repro.aig.cec import check_equivalence
-from repro.aig.optimize import (balance, compress, fraig_lite, refactor,
-                                rewrite)
+from repro.aig.opt.passes import (balance, compress, fraig_lite, refactor,
+                                  rewrite)
 
 __all__ = [
     "AIG",

@@ -11,10 +11,10 @@ The graph is structurally hashed: :meth:`AIG.add_and` folds constants,
 normalizes fanin order and reuses an existing node when one computes
 the same function of the same fanins.  :meth:`AIG.checkpoint` /
 :meth:`AIG.rollback` undo a tentative construction; only the seed
-reference passes (:mod:`repro.aig.opt.reference`) still build
-candidates that way.  The engine's passes price a candidate without
-touching the graph (:mod:`repro.aig.opt.counting`) and build only the
-winner.
+reference passes, kept as test oracles in ``tests/oracles.py``, still
+build candidates that way.  The engine's passes price a candidate
+without touching the graph (:mod:`repro.aig.opt.counting`) and build
+only the winner.
 """
 
 from __future__ import annotations

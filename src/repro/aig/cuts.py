@@ -31,21 +31,17 @@ sort by ``(len, leaves)``, keep the first ``max_cuts``, take the first
 source pair — so results are identical cut for cut and table for
 table.  Truth tables come from the fanin tables, so no cone is ever
 walked and the cost per cut stays constant on chain-shaped graphs.
-
-:func:`cut_function` (cone evaluation for arbitrary leaf sets, used by
-the refactoring pass and by tests) delegates to the iterative walker
-in :mod:`repro.aig.opt.traverse`.
+Cone evaluation over arbitrary leaf sets is
+:func:`repro.aig.opt.traverse.cut_truth`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
 from repro.aig.aig import AIG
-from repro.aig.opt import traverse
 
 Cut = tuple[int, ...]  # sorted variable indices
 
@@ -277,51 +273,18 @@ class _CutArrays:
         }
 
 
-def enumerate_cuts(
-    aig: AIG, k: int = 4, max_cuts: int = 8
-) -> dict[int, list[Cut]]:
-    """Per-variable k-feasible cuts (including the trivial cut).
-
-    Returns a dict mapping each variable index to a list of cuts; each
-    cut is a sorted tuple of leaf variable indices.  The constant
-    variable never appears as a leaf.
-    """
-    return {
-        var: [cut for cut, _ in entries]
-        for var, entries in enumerate_cuts_with_truths(aig, k, max_cuts).items()
-    }
-
-
 def enumerate_cuts_with_truths(
     aig: AIG, k: int = 4, max_cuts: int = 8
 ) -> dict[int, list[tuple[Cut, int]]]:
-    """Cuts plus the node's truth table over each cut's leaves.
+    """Per-variable k-feasible cuts, each with its root's truth table.
 
-    Same enumeration as :func:`enumerate_cuts`, but every surviving
-    cut carries the function of its root in terms of its leaves,
-    assembled bottom-up from the fanin cut tables.  Entries are
-    ``(cut, table)`` pairs; the table of the trivial cut ``(var,)`` is
-    the identity ``0b10``.
+    Returns a dict mapping each variable index to its kept cuts
+    (including the trivial cut) as ``(cut, table)`` pairs: a cut is a
+    sorted tuple of leaf variable indices (the constant variable never
+    appears as a leaf), and its table is the function of the root in
+    terms of the leaves, assembled bottom-up from the fanin cut
+    tables.  The table of the trivial cut ``(var,)`` is the identity
+    ``0b10``.
     """
     return _CutArrays(aig, k, max_cuts).pairs()
 
-
-def cut_function(aig: AIG, root: int, leaves: Sequence[int]) -> int:
-    """Truth table of variable ``root`` in terms of ``leaves``.
-
-    ``leaves`` must be a cut of ``root`` (every path from the root to
-    the inputs passes through a leaf); otherwise a ``ValueError`` is
-    raised when an input variable outside the cut is reached.
-    Iterative — safe on cones of any depth.
-    """
-    return traverse.cut_truth(aig, root, leaves)
-
-
-def mffc_size(aig: AIG, var: int, fanout: Sequence[int]) -> int:
-    """Size of the maximum fanout-free cone rooted at ``var``.
-
-    ``fanout`` is the fanout count array of the graph.  The MFFC is the
-    set of AND nodes that would become dead if ``var`` were removed.
-    Iterative — safe on cones of any depth.
-    """
-    return traverse.mffc_size(aig, var, fanout)

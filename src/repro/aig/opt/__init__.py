@@ -1,6 +1,7 @@
 """NPN-library rewriting engine.
 
-The optimization subsystem behind :mod:`repro.aig.optimize`:
+The size/depth optimization subsystem; :mod:`repro.aig` exports its
+passes:
 
 - :mod:`~repro.aig.opt.npn` — NPN canonicalization of 4-input tables.
 - :mod:`~repro.aig.opt.library` — per-class best-known structures,
@@ -13,8 +14,6 @@ The optimization subsystem behind :mod:`repro.aig.optimize`:
 - :mod:`~repro.aig.opt.passes` — the passes: ``balance``, ``rewrite``,
   ``refactor``, ``fraig_lite``, the ``compress`` script and its
   fixed-order fixpoint over a wider palette, ``compress_deep``.
-- :mod:`~repro.aig.opt.reference` — the seed build-measure-rollback
-  passes, kept as the pinned baseline for ``bench_opt_engine.py``.
 
 Submodules are imported lazily by their users to keep import edges
 acyclic (``repro.aig.build`` prices SOP polarities through

@@ -5,9 +5,8 @@ were recursive, and their recursion depth is bounded only by the cone
 depth — on chain-shaped graphs (deep ripple/parity chains, exactly
 what the circuit builders emit for learned arithmetic) they blew the
 Python recursion limit.  Every walk here uses an explicit stack, so
-graph depth is never a correctness concern again; the pass layer,
-:mod:`repro.aig.cuts` and the fraig-lite prover all route through
-these helpers.
+graph depth is never a correctness concern again; the pass layer and
+the fraig-lite prover route through these helpers.
 """
 
 from __future__ import annotations
@@ -63,72 +62,24 @@ def cut_truth(aig: AIG, root: int, leaves: Sequence[int]) -> int:
     return values[root]
 
 
-def mffc_size(aig: AIG, var: int, fanout: Sequence[int]) -> int:
-    """Size of the maximum fanout-free cone rooted at ``var``.
-
-    ``fanout`` is the fanout count array of the graph.  The MFFC is
-    the set of AND nodes that would become dead if ``var`` were
-    removed.
-    """
-    if not aig.is_and_var(var):
-        return 0
-    counted = set()
-    stack = [(var, True)]
-    while stack:
-        v, is_root = stack.pop()
-        if v in counted or not aig.is_and_var(v):
-            continue
-        if not is_root and fanout[v] > 1:
-            continue
-        counted.add(v)
-        f0, f1 = aig.fanins(v)
-        stack.append((f0 >> 1, False))
-        stack.append((f1 >> 1, False))
-    return len(counted)
-
-
-def ffc_leaves(
-    aig: AIG, var: int, fanout: Sequence[int], max_leaves: int
-) -> Cut | None:
-    """Leaf variables of the fanout-free cone of ``var`` (or None).
-
-    Expands single-fanout AND fanins; everything else is a leaf.
-    Returns None when the cone has fewer than 2 or more than
-    ``max_leaves`` leaves.
-    """
-    leaves = set()
-    stack = [lit >> 1 for lit in aig.fanins(var)]
-    while stack:
-        v = stack.pop()
-        if aig.is_and_var(v) and fanout[v] == 1:
-            stack.extend(lit >> 1 for lit in aig.fanins(v))
-        elif not aig.is_const_var(v):
-            leaves.add(v)
-        if len(leaves) > max_leaves:
-            return None
-    if len(leaves) < 2:
-        return None
-    return tuple(sorted(leaves))
-
-
 def ffc_cones(
     aig: AIG, fanout: Sequence[int], max_leaves: int
 ) -> tuple[list[set[int] | None], list[int], list[MemberSpan | None]]:
     """Fanout-free-cone leaves, MFFC size and members of every AND node.
 
-    One bottom-up sweep replaces a :func:`ffc_leaves` and a
-    :func:`mffc_size` walk per node.  A node's leaf set is the union
-    of its single-fanout AND fanins' leaf sets plus its other non-
-    constant fanins; it is None ("too wide") when it has more than
-    ``max_leaves`` leaves or any such fanin is too wide.  Its MFFC
+    One bottom-up sweep replaces a fanout-free-cone walk and an MFFC
+    walk per node.  A node's leaf set is the union of its single-
+    fanout AND fanins' leaf sets plus its other non-constant fanins;
+    it is None ("too wide") when it has more than ``max_leaves``
+    leaves or any such fanin is too wide.  Its MFFC
     size is 1 plus its single-fanout AND fanins' sizes.  Its members
     — the AND nodes between the leaves and the node — are those
     fanins' members followed by the node itself, so every member
     comes after its fanins; they are given as a span ``(nodes, start,
     end)``, the members being ``nodes[start:end]``, and the span is
     None when the cone is too wide.  Entry ``j`` of each list is for
-    AND node ``n_inputs + 1 + j``.  Unlike :func:`ffc_leaves`, a set
-    of fewer than 2 leaves is kept.
+    AND node ``n_inputs + 1 + j``.  A set of fewer than 2 leaves is
+    kept.
     """
     base = aig.n_inputs + 1
     leaves: list[set[int] | None] = []

@@ -3,12 +3,11 @@
 ``registry`` is the source of truth for benchmarks: named specs
 (``ex00``..``ex99``, the paper's Table I grid) plus parameterized
 generator families (``adder:width=48``, ``cone:inputs=120,seed=7``)
-materialized lazily through a bounded cache; ``suite`` keeps the
-historical index-addressed ``build_suite()``/``make_problem()``
-interface as a byte-identical shim; ``problem`` defines the
-train/validation/test triple handed to the team flows; ``evaluate``
-scores solutions the way the contest did (test accuracy, 5000-AND
-cap, ties broken by size).
+materialized lazily through a bounded cache; ``suite`` documents
+the Table I grid; ``problem`` defines the train/validation/test
+triple handed to the team flows; ``evaluate`` scores solutions the
+way the contest did (test accuracy, 5000-AND cap, ties broken by
+size).
 """
 
 from repro.contest.evaluate import Score, evaluate_solution
@@ -21,22 +20,14 @@ from repro.contest.registry import (
     ProblemSpec,
     clear_cache,
 )
-from repro.contest.suite import (
-    BenchmarkSpec,
-    build_suite,
-    default_small_indices,
-    make_problem,
-)
+from repro.contest.suite import default_small_indices
 
 __all__ = [
     "LearningProblem",
     "Solution",
     "Score",
     "evaluate_solution",
-    "BenchmarkSpec",
-    "build_suite",
     "default_small_indices",
-    "make_problem",
     "DEFAULT_REGISTRY",
     "GeneratorFamily",
     "MaterialCache",

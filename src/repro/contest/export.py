@@ -15,7 +15,7 @@ import argparse
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.contest.suite import build_suite, make_problem
+from repro.contest.registry import DEFAULT_REGISTRY
 from repro.twolevel.pla import write_pla
 
 
@@ -25,14 +25,21 @@ def export_benchmarks(
     samples: int = 6400,
     master_seed: int = 0,
 ) -> Iterable[Path]:
-    """Write the train/valid/test PLA triple per benchmark index."""
-    suite = build_suite()
+    """Write the train/valid/test PLA triple per benchmark index.
+
+    Every index is resolved before any file is written, so an index
+    outside 0..99 raises ``IndexError`` and leaves ``out_dir`` as it
+    was.
+    """
+    specs = [
+        DEFAULT_REGISTRY.by_index(idx)
+        for idx in (indices if indices is not None else range(100))
+    ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for idx in indices if indices is not None else range(100):
-        spec = suite[idx]
-        problem = make_problem(
+    for spec in specs:
+        problem = DEFAULT_REGISTRY.problem(
             spec, n_train=samples, n_valid=samples, n_test=samples,
             master_seed=master_seed,
         )
@@ -54,9 +61,12 @@ def main(argv: Sequence[str] | None = None) -> None:
     parser.add_argument("--samples", type=int, default=6400)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    written = export_benchmarks(
-        args.out_dir, args.indices, args.samples, args.seed
-    )
+    try:
+        written = export_benchmarks(
+            args.out_dir, args.indices, args.samples, args.seed
+        )
+    except IndexError as exc:
+        parser.error(str(exc))
     print(f"wrote {len(list(written))} PLA files to {args.out_dir}")
 
 

@@ -7,8 +7,7 @@ registered :class:`GeneratorFamily` (``adder:width=48``,
 lazily per task — a 500-benchmark grid is 500 small spec objects, not
 500 resident datasets.  The paper's grid survives as 100 *named*
 specs (``ex00``..``ex99``) whose sampling is byte-identical to the
-historical ``build_suite()``/``make_problem()`` path, pinned by the
-golden fingerprint tests.
+pre-registry implementation, pinned by the golden fingerprint tests.
 
 Three layers:
 
@@ -68,9 +67,9 @@ class MaterialCache:
     Keys are hashable tuples chosen by the families (a spec's
     ``(family, params)``, or a shared component like one image model
     serving ten benchmarks).  LRU eviction bounds the heavy state —
-    balanced random cones, prototype image models — that the old
-    ``build_suite()`` ``lru_cache`` + ``_lazy`` wrappers pinned for
-    process lifetime in every worker.
+    balanced random cones, prototype image models — that the
+    pre-registry suite tuple pinned for process lifetime in every
+    worker.
     """
 
     def __init__(self, maxsize: int = 32):
@@ -147,9 +146,10 @@ class ProblemSpec:
 
     ``index`` is set only for the 100 paper benchmarks; it keeps their
     historical RNG stream (``rng_for("problem", index, seed)``) so the
-    registry reproduces ``make_problem`` byte-identically.  Generated
-    specs derive their stream from the canonical name instead — any
-    process can rebuild the exact datasets from the name alone.
+    registry reproduces the pre-registry samples byte-identically.
+    Generated specs derive their stream from the canonical name
+    instead — any process can rebuild the exact datasets from the
+    name alone.
     """
 
     name: str
@@ -191,10 +191,6 @@ class GeneratorFamily:
     describe: Callable[[dict[str, Any]], str] | None = field(
         default=None
     )
-    #: True when specs materialize to a generative sampler instead of
-    #: a deterministic label function (lets the suite shim expose the
-    #: right slot without materializing anything).
-    generative: bool = False
     #: Optional post-resolution hook for defaults that depend on other
     #: parameters (e.g. adder ``bit`` defaulting to the MSB of
     #: ``width``).  Runs before the canonical name is derived, so the
@@ -510,7 +506,7 @@ class ProblemRegistry:
         in input space (split from one without-replacement draw);
         generative benchmarks use independent draws, like the
         contest's image data.  Paper benchmarks reproduce the
-        historical ``make_problem`` byte-for-byte.
+        pre-registry samples byte-for-byte.
         """
         spec = self.get(spec)
         material = self.materialize(spec)
@@ -795,7 +791,6 @@ def _builtin_families() -> list[GeneratorFamily]:
             n_inputs=lambda p: _image_pixels("mnist"),
             build=_image_family("mnist"),
             describe=lambda p: f"MNIST-like groups {p['comparison']}",
-            generative=True,
         ),
         GeneratorFamily(
             name="cifar", category="cifar-like",
@@ -804,7 +799,6 @@ def _builtin_families() -> list[GeneratorFamily]:
             n_inputs=lambda p: _image_pixels("cifar"),
             build=_image_family("cifar"),
             describe=lambda p: f"CIFAR-like groups {p['comparison']}",
-            generative=True,
         ),
         GeneratorFamily(
             name="perturbed", category="perturbed",
@@ -930,7 +924,7 @@ def _build_default_registry() -> ProblemRegistry:
     return reg
 
 
-#: The process-wide registry every layer (suite shim, runner, CLI,
+#: The process-wide registry every layer (runner, CLI, benches,
 #: analysis, serving) resolves benchmarks through.
 DEFAULT_REGISTRY = _build_default_registry()
 

@@ -1,4 +1,4 @@
-"""The 100-benchmark suite of Table I — now a registry shim.
+"""The 100-benchmark suite of Table I.
 
 ======  ==========================================================
 ex      contents
@@ -21,150 +21,13 @@ section 3).  Sampling follows the contest: 6400 train + 6400
 validation + 6400 test rows, drawn without replacement where the input
 space allows.
 
-.. deprecated::
-    ``build_suite()`` / ``make_problem()`` are thin shims over
-    :mod:`repro.contest.registry` kept for the historical
-    index-addressed interface; their outputs are byte-identical to the
-    pre-registry implementation (pinned by the golden fingerprint
-    tests).  New code should resolve problems through
-    ``repro.contest.registry.DEFAULT_REGISTRY`` — named specs,
-    parameterized generator families, glob selection — and sample via
-    ``DEFAULT_REGISTRY.problem(spec, ...)``.  Unlike the old eager
-    tuple, the shim holds no datasets and no generator state: heavy
-    materializations (random cones, image models) live in the
-    registry's bounded, clearable cache.
+The benchmarks themselves are the named specs ``ex00``..``ex99`` of
+:data:`repro.contest.registry.DEFAULT_REGISTRY`; sample one with
+``DEFAULT_REGISTRY.problem("ex30", n_train=...)`` or address it by
+index with ``DEFAULT_REGISTRY.by_index(30)``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
-
-from repro.contest.problem import LearningProblem
-from repro.contest.registry import (
-    DEFAULT_REGISTRY,
-    ProblemSpec,
-    unique_uniform_rows,
-)
-from repro.ml.dataset import Dataset
-from repro.utils.rng import rng_for
-
-# Backwards-compatible alias (the old private name).
-_unique_uniform_rows = unique_uniform_rows
-
-# Historical grid constants, re-exported from the registry.
-from repro.contest.registry import (  # noqa: E402, F401  (public re-exports)
-    ADDER_WIDTHS,
-    COMPARATOR_WIDTHS,
-    CONE_INPUTS,
-    DIVIDER_WIDTHS,
-    MULTIPLIER_WIDTHS,
-    SQRT_WIDTHS,
-)
-
-
-@dataclass
-class BenchmarkSpec:
-    """One contest benchmark: a named sampling procedure.
-
-    Kept as the ``build_suite()`` element type for compatibility.  The
-    ``label_fn``/``sampler`` slots are lazy proxies into the registry's
-    bounded materialization cache — constructing the suite builds
-    nothing and pins nothing.
-    """
-
-    index: int
-    category: str
-    description: str
-    n_inputs: int
-    # Either a deterministic label function over uniform inputs...
-    label_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    # ...or a full generative sampler (image-like benchmarks).
-    sampler: Callable | None = field(default=None, repr=False)
-
-    @property
-    def name(self) -> str:
-        return f"ex{self.index:02d}"
-
-    def sample(
-        self, n: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``n`` labelled samples."""
-        if self.sampler is not None:
-            return self.sampler(n, rng)
-        label_fn = self.label_fn
-        if label_fn is None:
-            raise ValueError(
-                f"benchmark {self.name} has neither label_fn nor sampler"
-            )
-        X = unique_uniform_rows(self.n_inputs, n, rng)
-        return X, label_fn(X)
-
-
-class _RegistryLabelFn:
-    """Label-function proxy: materializes through the registry cache."""
-
-    __slots__ = ("_spec",)
-
-    def __init__(self, spec: ProblemSpec):
-        self._spec = spec
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        label_fn = DEFAULT_REGISTRY.materialize(self._spec).label_fn
-        if label_fn is None:
-            raise ValueError(
-                f"{self._spec.name} is generative and has no label_fn"
-            )
-        return label_fn(X)
-
-
-class _RegistrySampler:
-    """Sampler proxy: materializes through the registry cache."""
-
-    __slots__ = ("_spec", "n_inputs")
-
-    def __init__(self, spec: ProblemSpec):
-        self._spec = spec
-        self.n_inputs = spec.n_inputs
-
-    def __call__(self, n: int, rng: np.random.Generator):
-        sampler = DEFAULT_REGISTRY.materialize(self._spec).sampler
-        if sampler is None:
-            raise ValueError(
-                f"{self._spec.name} is deterministic and has no sampler"
-            )
-        return sampler(n, rng)
-
-
-def _shim_spec(spec: ProblemSpec) -> BenchmarkSpec:
-    generative = DEFAULT_REGISTRY.families[spec.family].generative
-    return BenchmarkSpec(
-        index=spec.index,
-        category=spec.category,
-        description=spec.description,
-        n_inputs=spec.n_inputs,
-        label_fn=None if generative else _RegistryLabelFn(spec),
-        sampler=_RegistrySampler(spec) if generative else None,
-    )
-
-
-@lru_cache(maxsize=1)
-def build_suite() -> tuple[BenchmarkSpec, ...]:
-    """All 100 paper benchmark specs, index-aligned with the paper.
-
-    Deprecated shim (see module docstring): the tuple holds only
-    lightweight proxies; generator state lives in the registry's
-    bounded cache, so caching this tuple pins no datasets or models.
-    """
-    specs: list[BenchmarkSpec] = [
-        _shim_spec(DEFAULT_REGISTRY.by_index(i)) for i in range(100)
-    ]
-    if [s.index for s in specs] != list(range(100)):
-        raise RuntimeError("registry paper indices are not 0..99")
-    return tuple(specs)
 
 
 def default_small_indices() -> list[int]:
@@ -177,35 +40,3 @@ def default_small_indices() -> list[int]:
     """
     return [0, 1, 10, 11, 20, 27, 30, 31, 40, 47,
             50, 59, 60, 69, 74, 75, 80, 81, 90, 91]
-
-
-def make_problem(
-    spec: BenchmarkSpec,
-    n_train: int = 6400,
-    n_valid: int = 6400,
-    n_test: int = 6400,
-    master_seed: int = 0,
-) -> LearningProblem:
-    """Sample a train/validation/test triple for one benchmark.
-
-    Deprecated shim over ``DEFAULT_REGISTRY.problem`` (byte-identical
-    for the 100 paper benchmarks).  For deterministic label functions
-    the three sets are disjoint in input space (split from one
-    without-replacement draw); generative benchmarks use independent
-    draws, like the contest's image data.
-    """
-    rng = rng_for("problem", spec.index, master_seed)
-    total = n_train + n_valid + n_test
-    X, y = spec.sample(total, rng)
-    train = Dataset(X[:n_train], y[:n_train])
-    valid = Dataset(X[n_train : n_train + n_valid],
-                    y[n_train : n_train + n_valid])
-    test = Dataset(X[n_train + n_valid :], y[n_train + n_valid :])
-    return LearningProblem(
-        name=spec.name,
-        category=spec.category,
-        n_inputs=spec.n_inputs,
-        train=train,
-        valid=valid,
-        test=test,
-    )

@@ -19,14 +19,7 @@ Look flows up through the registry::
 
 ``TECHNIQUES`` is the Fig. 1 matrix (derived from the registered
 flows' metadata): which representation/technique each team used.
-
-``ALL_FLOWS`` is the deprecated pre-registry interface — a plain
-``{name: callable}`` dict over the ten team flows.  It keeps working
-(the values are the registered Flow objects, which are callable with
-the historical signature) but new code should use the registry.
 """
-
-import warnings as _warnings
 
 # Importing the flow modules registers their Flows.
 from repro.flows import (  # noqa: F401  (registration side effects)
@@ -58,29 +51,6 @@ from repro.flows.registry import (
 #: portfolio's default member list).
 TEAM_FLOW_NAMES = _portfolio_module.DEFAULT_MEMBERS
 
-
-class _DeprecatedFlowDict(dict):
-    """``ALL_FLOWS`` shim: warns once on item access, then behaves
-    like the historical dict (values are callable Flow objects)."""
-
-    _warned = False
-
-    def __getitem__(self, key):
-        if not _DeprecatedFlowDict._warned:
-            _DeprecatedFlowDict._warned = True
-            _warnings.warn(
-                "ALL_FLOWS is deprecated; resolve flows through the "
-                "registry (repro.flows.get_flow / resolve_spec)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return super().__getitem__(key)
-
-
-ALL_FLOWS = _DeprecatedFlowDict(
-    (name, REGISTRY.get(name)) for name in TEAM_FLOW_NAMES
-)
-
 # Fig. 1: techniques used by each team.
 TECHNIQUE_NAMES = (
     "decision tree",
@@ -103,7 +73,6 @@ TECHNIQUES = {
 }
 
 __all__ = [
-    "ALL_FLOWS",
     "ArtifactCache",
     "Candidate",
     "Flow",

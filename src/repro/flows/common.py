@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.aig.aig import AIG, CONST0, CONST1
 from repro.aig.approx import approximate_to_size
-from repro.aig.optimize import balance, compress, compress_deep
+from repro.aig.opt.passes import balance, compress, compress_deep
 from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
 from repro.ml.dataset import Dataset
 from repro.ml.metrics import accuracy

@@ -33,7 +33,7 @@ from repro.flows.api import (
 )
 from repro.flows.registry import REGISTRY, register
 
-#: The ten team flows, in historical ``ALL_FLOWS`` order.
+#: The ten team flows, in contest order.
 DEFAULT_MEMBERS = tuple(f"team{i:02d}" for i in range(1, 11))
 
 
@@ -177,15 +177,3 @@ FLOW = register(PortfolioFlow(
         "jobs": int,
     },
 ))
-
-
-def run(
-    problem: LearningProblem,
-    effort: str = "small",
-    master_seed: int = 0,
-    flows: Sequence[str] | None = None,
-    jobs: int = 1,
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("portfolio")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed,
-                    flows=flows, jobs=jobs)

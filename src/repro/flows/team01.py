@@ -16,7 +16,6 @@ constant substitution (``repro.aig.approx``).
 
 from __future__ import annotations
 
-from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import (
     Candidate,
     FinalizeSpec,
@@ -130,10 +129,3 @@ FLOW = register(Flow(
     # Approximate oversize candidates before comparing, as the team did.
     finalize=FinalizeSpec(),
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team01")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

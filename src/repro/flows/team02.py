@@ -9,7 +9,6 @@ J48 through a PLA (``j48topla``), PART through a priority network.
 
 from __future__ import annotations
 
-from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import (
     Candidate,
     FinalizeSpec,
@@ -131,10 +130,3 @@ FLOW = register(Flow(
     finalize=FinalizeSpec(),
     select=select_sole_candidate,
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team02")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aig.aig import AIG
-from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
+from repro.contest.problem import MAX_AND_NODES
 from repro.flows.api import (
     Candidate,
     FinalizeSpec,
@@ -159,10 +159,3 @@ FLOW = register(Flow(
     finalize=FinalizeSpec(),
     select=select_sole_candidate,
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team03")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.aig.aig import AIG
 from repro.aig.build import mux_tree_from_table
-from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
+from repro.contest.problem import MAX_AND_NODES, Solution
 from repro.flows.api import Candidate, Flow, FlowContext, Stage
 from repro.flows.common import constant_solution, finalize_aig, pick_best
 from repro.flows.registry import register
@@ -156,10 +156,3 @@ FLOW = register(Flow(
     finalize=None,  # finalization happens inside the attempt loop
     select=_select_stashed_best,
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team04")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

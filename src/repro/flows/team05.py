@@ -17,7 +17,6 @@ from itertools import combinations, product
 import numpy as np
 
 from repro.aig.aig import AIG, lit_not
-from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import (
     ArtifactCache,
     Candidate,
@@ -250,10 +249,3 @@ FLOW = register(Flow(
     # The team skipped the expensive passes on big SOPs.
     finalize=FinalizeSpec(optimize=lambda aig: aig.num_ands < 4000),
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team05")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

@@ -10,7 +10,6 @@ ablation bench reproduces.
 
 from __future__ import annotations
 
-from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import Candidate, Flow, FlowContext, Stage
 from repro.flows.common import finalize_aig
 from repro.flows.registry import register
@@ -67,10 +66,3 @@ FLOW = register(Flow(
     ),
     finalize=None,  # finalization interleaves with training
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team06")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

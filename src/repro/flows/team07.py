@@ -13,7 +13,7 @@ busts the cap.
 
 from __future__ import annotations
 
-from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
+from repro.contest.problem import MAX_AND_NODES
 from repro.flows.api import (
     Candidate,
     FinalizeSpec,
@@ -95,10 +95,3 @@ FLOW = register(Flow(
     finalize=FinalizeSpec(),
     select=select_sole_candidate,
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team07")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.aig.aig import AIG
 from repro.aig.build import from_truth_table
-from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import Candidate, FinalizeSpec, Flow, FlowContext, Stage
 from repro.flows.registry import register
 from repro.ml.decision_tree import DecisionTree
@@ -119,10 +118,3 @@ FLOW = register(Flow(
     ),
     finalize=FinalizeSpec(),
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team08")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

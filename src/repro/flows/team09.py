@@ -12,7 +12,7 @@ selection of larger phenotypes comes from ``repro.cgp``.
 from __future__ import annotations
 
 from repro.cgp import AIG_FUNCTIONS, XAIG_FUNCTIONS, CGPEvolver, CGPGenome
-from repro.contest.problem import LearningProblem, Solution
+from repro.contest.problem import Solution
 from repro.flows.api import Candidate, FinalizeSpec, Flow, FlowContext, Stage
 from repro.flows.common import aig_accuracy
 from repro.flows.registry import register
@@ -126,10 +126,3 @@ FLOW = register(Flow(
     finalize=FinalizeSpec(),
     package=_package,
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team09")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

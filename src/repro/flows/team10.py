@@ -10,7 +10,6 @@ AND nodes, none above 300).
 
 from __future__ import annotations
 
-from repro.contest.problem import LearningProblem, Solution
 from repro.flows.api import (
     Candidate,
     FinalizeSpec,
@@ -63,10 +62,3 @@ FLOW = register(Flow(
     finalize=FinalizeSpec(),
     select=select_sole_candidate,
 ))
-
-
-def run(
-    problem: LearningProblem, effort: str = "small", master_seed: int = 0
-) -> Solution:
-    """Deprecated shim — use ``repro.flows.get_flow("team10")``."""
-    return FLOW.run(problem, effort=effort, master_seed=master_seed)

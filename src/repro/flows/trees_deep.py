@@ -3,7 +3,7 @@
 Decision trees at a few leaf granularities, trained on train+valid
 merged and synthesized through the SOP path, then finalized with
 ``FinalizeSpec(deep=True)``: ``finalize_aig`` runs the fixed-order
-deep hill climb (:func:`repro.aig.optimize.compress_deep`) where every
+deep hill climb (:func:`repro.aig.opt.passes.compress_deep`) where every
 team flow runs ``compress``.  Every pass is exact, so the flow's
 validation accuracy equals that of a plain-``compress`` twin over the
 same candidates and only sizes differ — ``bench_deep_compress.py``

@@ -13,8 +13,9 @@ classic espresso loop specialized to that setting:
     Greedy removal of cubes whose covered ON-minterms are covered by
     the remaining cubes.
 ``REDUCE``
-    Each cube is shrunk to the smallest cube containing the ON-minterms
-    only it covers, enabling a different expansion next round.
+    Cube by cube, each is shrunk to the smallest cube containing the
+    ON-minterms only it covers (counting the cubes already shrunk),
+    enabling a different expansion next round.
 
 Team 1 runs espresso "with an option to finish optimization after the
 first irredundant operation"; pass ``first_irredundant=True`` for that
@@ -190,6 +191,12 @@ def _reduce_all(
         same = (rows == rows[0]).all(axis=0)
         out_mask[ci] = same.astype(np.uint8)
         out_val[ci] = rows[0] * same
+        # A row this cube gave up may now rest on one later cube alone,
+        # which must keep it: two cubes sharing a row may not both drop
+        # it.
+        bound = np.nonzero(same)[0]
+        kept = (on[:, bound] == rows[0][bound]).all(axis=1)
+        counts = counts - (coverage[ci] & ~kept)
     return out_mask, out_val
 
 

@@ -30,7 +30,7 @@ def random_aig(n_inputs: int, n_nodes: int, seed: int, n_outputs: int = 1) -> AI
 @pytest.fixture
 def small_problem():
     """A tiny but non-trivial learning problem (10-bit comparator)."""
-    from repro.contest import build_suite, make_problem
+    from repro.contest import DEFAULT_REGISTRY
 
-    suite = build_suite()
-    return make_problem(suite[30], n_train=300, n_valid=300, n_test=300)
+    return DEFAULT_REGISTRY.problem("ex30", n_train=300, n_valid=300,
+                                    n_test=300)

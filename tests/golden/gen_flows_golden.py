@@ -3,9 +3,9 @@
 The committed JSON was captured from the *pre-redesign* module-level
 ``run()`` implementations (before the Flow API landed), so the golden
 test in ``tests/test_flows_golden.py`` proves the registry/Stage ports
-produce byte-identical Solutions.  Only regenerate this file when a
-flow's behaviour is changed *deliberately* — doing so re-baselines the
-equivalence pin.
+produce byte-identical Solutions.  This script now runs the registered
+flows, so regenerating re-baselines the equivalence pin: only do it
+when a flow's behaviour is changed *deliberately*.
 
 Run:  PYTHONPATH=src python tests/golden/gen_flows_golden.py
 """
@@ -54,24 +54,17 @@ def solution_entry(solution):
 
 
 def run_case(benchmark, flow_name, members):
-    from repro.contest import build_suite, make_problem
+    from repro.contest import DEFAULT_REGISTRY
+    from repro.flows import get_flow
 
-    problem = make_problem(
-        build_suite()[benchmark], n_train=N_SAMPLES, n_valid=N_SAMPLES,
-        n_test=N_SAMPLES, master_seed=MASTER_SEED,
+    problem = DEFAULT_REGISTRY.problem(
+        DEFAULT_REGISTRY.by_index(benchmark), n_train=N_SAMPLES,
+        n_valid=N_SAMPLES, n_test=N_SAMPLES, master_seed=MASTER_SEED,
     )
-    if flow_name == "portfolio":
-        from repro.flows import portfolio
-
-        solution = portfolio.run(
-            problem, effort="small", master_seed=MASTER_SEED, flows=members
-        )
-    else:
-        from repro.flows import ALL_FLOWS
-
-        solution = ALL_FLOWS[flow_name](
-            problem, effort="small", master_seed=MASTER_SEED
-        )
+    kwargs = {} if members is None else {"flows": members}
+    solution = get_flow(flow_name).run(
+        problem, effort="small", master_seed=MASTER_SEED, **kwargs
+    )
     return solution_entry(solution)
 
 

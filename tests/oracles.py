@@ -2,15 +2,24 @@
 
 Each function or class here is the straightforward version of a hot
 path that the library now implements differently; tests assert the
-library returns exactly what these return.  Do not optimize this module.
+library returns exactly what these return.  The seed optimization
+passes at the end are also the baseline ``bench_opt_engine.py`` races
+the engine against.  Do not optimize this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
+from repro.aig import build
+from repro.aig import isop as isop_lib
 from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
+from repro.aig.cuts import enumerate_cuts_with_truths as library_cuts
 from repro.aig.isop import cofactor0, cofactor1, full_mask, var_mask
+from repro.aig.opt.passes import _map_lit, balance
+from repro.aig.opt.traverse import cut_truth
 
 Cut = tuple[int, ...]
 
@@ -62,17 +71,6 @@ def _merge_node_cuts(
         pruned_sets.append(cs)
     pruned.sort(key=lambda c: (len(c), c))
     return pruned[:max_cuts], merged
-
-
-def enumerate_cuts(aig: AIG, k: int = 4, max_cuts: int = 8) -> dict[int, list[Cut]]:
-    cuts: dict[int, list[Cut]] = {0: [()]}
-    for i in range(aig.n_inputs):
-        cuts[1 + i] = [(1 + i,)]
-    base = aig.n_inputs + 1
-    for j in range(aig.num_ands):
-        var = base + j
-        cuts[var], _ = _merge_node_cuts(cuts, aig, var, k, max_cuts)
-    return cuts
 
 
 def enumerate_cuts_with_truths(
@@ -237,3 +235,171 @@ def tree_predict(tree, X: np.ndarray) -> np.ndarray:
         stack.append((node.left, idx[~mask]))
         stack.append((node.right, idx[mask]))
     return out
+
+
+# ---------------------------------------------------------------------
+# Fanout-free cones: one walk per node
+# ---------------------------------------------------------------------
+def mffc_size(aig: AIG, var: int, fanout: Sequence[int]) -> int:
+    """Size of the maximum fanout-free cone rooted at ``var``: the AND
+    nodes that would become dead if ``var`` were removed."""
+    if not aig.is_and_var(var):
+        return 0
+    counted = set()
+    stack = [(var, True)]
+    while stack:
+        v, is_root = stack.pop()
+        if v in counted or not aig.is_and_var(v):
+            continue
+        if not is_root and fanout[v] > 1:
+            continue
+        counted.add(v)
+        f0, f1 = aig.fanins(v)
+        stack.append((f0 >> 1, False))
+        stack.append((f1 >> 1, False))
+    return len(counted)
+
+
+def ffc_leaves(
+    aig: AIG, var: int, fanout: Sequence[int], max_leaves: int
+) -> Cut | None:
+    """Leaf variables of the fanout-free cone of ``var``, or None when
+    the cone has fewer than 2 or more than ``max_leaves`` leaves."""
+    leaves = set()
+    stack = [lit >> 1 for lit in aig.fanins(var)]
+    while stack:
+        v = stack.pop()
+        if aig.is_and_var(v) and fanout[v] == 1:
+            stack.extend(lit >> 1 for lit in aig.fanins(v))
+        elif not aig.is_const_var(v):
+            leaves.add(v)
+        if len(leaves) > max_leaves:
+            return None
+    if len(leaves) < 2:
+        return None
+    return tuple(sorted(leaves))
+
+
+# ---------------------------------------------------------------------
+# The seed optimization passes: build, measure, roll back
+# ---------------------------------------------------------------------
+# Every rewrite candidate is tentatively built into the output graph
+# (per-candidate ISOP resynthesis included), measured, rolled back,
+# and the winner rebuilt.  Cut enumeration, ``cut_truth`` and
+# ``balance`` are the library's current versions, so the baseline
+# measures the seed *algorithm*, not its recursion crashes.
+def seed_lut(aig: AIG, table: int, leaves) -> int:
+    """The seed ``build.lut``: per-call double ISOP, build both
+    polarities behind a checkpoint, roll back, rebuild the winner."""
+    k = len(leaves)
+    full = (1 << (1 << k)) - 1
+    table &= full
+    if table == 0:
+        return CONST0
+    if table == full:
+        return CONST1
+    pos_cover, _ = isop_lib.isop(table, table, k)
+    neg_cover, _ = isop_lib.isop(~table & full, ~table & full, k)
+    state = aig.checkpoint()
+    build.sop_over_leaves(aig, pos_cover, leaves)
+    pos_cost = aig.num_ands - state[0]
+    aig.rollback(state)
+    neg = build.sop_over_leaves(aig, neg_cover, leaves)
+    neg_cost = aig.num_ands - state[0]
+    if neg_cost < pos_cost:
+        return lit_not(neg)
+    aig.rollback(state)
+    return build.sop_over_leaves(aig, pos_cover, leaves)
+
+
+def reference_rewrite(aig: AIG, k: int = 4, max_cuts: int = 8) -> AIG:
+    """Seed cut rewriting: build, measure, roll back every candidate."""
+    node_cuts = library_cuts(aig, k=k, max_cuts=max_cuts)
+    new = AIG(aig.n_inputs)
+    mapping = np.zeros(aig.num_vars, dtype=np.int64)
+    for i in range(aig.n_inputs):
+        mapping[1 + i] = new.input_lit(i)
+    base = aig.n_inputs + 1
+    for j in range(aig.num_ands):
+        var = base + j
+        f0, f1 = aig.fanins(var)
+        candidates = [("direct", None, None)]
+        for cut, _ in node_cuts[var]:
+            if len(cut) < 2 or cut == (var,):
+                continue
+            table = cut_truth(aig, var, cut)
+            candidates.append(("cut", cut, table))
+        best_cost = None
+        best_kind = None
+        for kind, cut, table in candidates:
+            state = new.checkpoint()
+            if kind == "direct":
+                new.add_and(_map_lit(mapping, f0), _map_lit(mapping, f1))
+            else:
+                seed_lut(new, table, [int(mapping[leaf]) for leaf in cut])
+            cost = new.num_ands - state[0]
+            new.rollback(state)
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_kind = (kind, cut, table)
+        kind, cut, table = best_kind
+        if kind == "direct":
+            mapping[var] = new.add_and(
+                _map_lit(mapping, f0), _map_lit(mapping, f1)
+            )
+        else:
+            mapping[var] = seed_lut(new, table, [int(mapping[leaf]) for leaf in cut])
+    for lit in aig.outputs:
+        new.set_output(_map_lit(mapping, lit))
+    return new.extract_cone()
+
+
+def reference_refactor(aig: AIG, max_leaves: int = 10) -> AIG:
+    """Seed MFFC resynthesis: build the cone, compare, roll back."""
+    fanout = aig.fanout_counts()
+    new = AIG(aig.n_inputs)
+    mapping = np.zeros(aig.num_vars, dtype=np.int64)
+    for i in range(aig.n_inputs):
+        mapping[1 + i] = new.input_lit(i)
+    base = aig.n_inputs + 1
+    for j in range(aig.num_ands):
+        var = base + j
+        f0, f1 = aig.fanins(var)
+        direct = lambda: new.add_and(  # noqa: E731 - tiny local thunk
+            _map_lit(mapping, f0), _map_lit(mapping, f1)
+        )
+        leaves = ffc_leaves(aig, var, fanout, max_leaves)
+        if leaves is None:
+            mapping[var] = direct()
+            continue
+        table = cut_truth(aig, var, leaves)
+        old_cone = mffc_size(aig, var, fanout)
+        state = new.checkpoint()
+        cand = seed_lut(new, table, [int(mapping[leaf]) for leaf in leaves])
+        cost = new.num_ands - state[0]
+        if cost <= old_cone:
+            mapping[var] = cand
+        else:
+            new.rollback(state)
+            mapping[var] = direct()
+    for lit in aig.outputs:
+        new.set_output(_map_lit(mapping, lit))
+    return new.extract_cone()
+
+
+def reference_compress(aig: AIG, max_rounds: int = 3) -> AIG:
+    """Seed optimization script (no fraig pass existed yet)."""
+    best = aig.extract_cone()
+    for _ in range(max_rounds):
+        size_before = best.num_ands
+        for pass_fn in (
+            balance, reference_rewrite, reference_refactor, reference_rewrite
+        ):
+            cand = pass_fn(best)
+            if cand.num_ands < best.num_ands or (
+                cand.num_ands == best.num_ands and cand.depth() < best.depth()
+            ):
+                best = cand
+        if best.num_ands >= size_before:
+            break
+    return best

@@ -196,8 +196,8 @@ class TestLUTs:
         # version advances exactly once per appended AND node (plus
         # one for set_output), and no dead garbage is left over.
         # The seed implementation (build-rollback-rebuild) is pinned
-        # once, in the reference baseline module.
-        from repro.aig.opt.reference import _seed_lut as seed_lut
+        # once, among the seed passes in the test oracles.
+        from tests.oracles import seed_lut
 
         for trial in range(40):
             k = int(rng.integers(1, 5))

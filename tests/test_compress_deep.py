@@ -4,7 +4,7 @@ import pytest
 
 from repro.aig.aiger import dumps_aag, loads_aag
 from repro.aig.cec import check_equivalence
-from repro.aig.optimize import compress_deep
+from repro.aig.opt.passes import compress_deep
 from repro.contest.problem import MAX_AND_NODES
 from repro.flows import REGISTRY
 from repro.flows.api import FinalizeSpec, Flow

@@ -5,11 +5,10 @@ import pytest
 
 from repro.aig.aig import AIG, CONST1
 from repro.contest import (
+    DEFAULT_REGISTRY,
     Solution,
-    build_suite,
     default_small_indices,
     evaluate_solution,
-    make_problem,
 )
 from repro.contest.functions import (
     SYMMETRIC_SIGNATURES,
@@ -32,14 +31,20 @@ from repro.contest.imagelike import (
 from repro.contest.randomlogic import random_cone_function
 
 
+def _paper_suite():
+    """The 100 paper benchmark specs, index-aligned with Table I."""
+    return [DEFAULT_REGISTRY.by_index(i) for i in range(100)]
+
+
 class TestSuiteStructure:
     def test_has_100_benchmarks(self):
-        suite = build_suite()
+        suite = _paper_suite()
         assert len(suite) == 100
         assert [s.index for s in suite] == list(range(100))
+        assert [s.name for s in suite] == DEFAULT_REGISTRY.names()
 
     def test_table1_categories(self):
-        suite = build_suite()
+        suite = _paper_suite()
         expected = {
             "adder": range(0, 10),
             "divider": range(10, 20),
@@ -58,17 +63,17 @@ class TestSuiteStructure:
                 assert suite[i].category == category, (i, suite[i].category)
 
     def test_names(self):
-        suite = build_suite()
+        suite = _paper_suite()
         assert suite[0].name == "ex00"
         assert suite[99].name == "ex99"
 
     def test_small_indices_cover_categories(self):
-        suite = build_suite()
+        suite = _paper_suite()
         cats = {suite[i].category for i in default_small_indices()}
         assert len(cats) == 11
 
     def test_input_ranges(self):
-        suite = build_suite()
+        suite = _paper_suite()
         assert suite[0].n_inputs == 32      # 16-bit adder
         assert suite[9].n_inputs == 512     # 256-bit adder bits
         assert suite[74].n_inputs == 16     # parity
@@ -211,15 +216,16 @@ class TestImageLike:
 
 class TestProblemsAndScoring:
     def test_sets_disjoint_for_functions(self):
-        suite = build_suite()
-        p = make_problem(suite[30], n_train=200, n_valid=200, n_test=200)
+        p = DEFAULT_REGISTRY.problem("ex30", n_train=200, n_valid=200,
+                                     n_test=200)
         seen = {tuple(r) for r in p.train.X}
         assert not any(tuple(r) in seen for r in p.test.X)
 
     def test_problem_reproducible(self):
-        suite = build_suite()
-        p1 = make_problem(suite[75], n_train=100, n_valid=100, n_test=100)
-        p2 = make_problem(suite[75], n_train=100, n_valid=100, n_test=100)
+        p1 = DEFAULT_REGISTRY.problem("ex75", n_train=100, n_valid=100,
+                                      n_test=100)
+        p2 = DEFAULT_REGISTRY.problem("ex75", n_train=100, n_valid=100,
+                                      n_test=100)
         assert np.array_equal(p1.train.X, p2.train.X)
         assert np.array_equal(p1.test.y, p2.test.y)
 
@@ -276,14 +282,13 @@ class TestSamplingBalance:
     def test_split_fractions_agree(self):
         """Regression: set-order leakage once skewed the three splits'
         label distributions on narrow-input benchmarks."""
-        suite = build_suite()
         for idx in (30, 74, 21):
-            p = make_problem(suite[idx], n_train=400, n_valid=400,
-                             n_test=400)
+            p = DEFAULT_REGISTRY.problem(f"ex{idx}", n_train=400,
+                                         n_valid=400, n_test=400)
             fracs = [
                 p.train.onset_fraction(),
                 p.valid.onset_fraction(),
                 p.test.onset_fraction(),
             ]
             spread = max(fracs) - min(fracs)
-            assert spread < 0.12, (suite[idx].name, fracs)
+            assert spread < 0.12, (p.name, fracs)

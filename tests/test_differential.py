@@ -3,9 +3,8 @@
 Cut enumeration, the refactor cone sweep, ISOP, candidate pricing and
 tree routing each replaced a straightforward implementation with a
 faster one that must return exactly the same thing.  The
-straightforward versions live in :mod:`tests.oracles` (and, for the
-cone walks, in :mod:`repro.aig.opt.traverse`); every test here
-compares the two on seeded graphs, tables and trees.
+straightforward versions live in :mod:`tests.oracles`; every test
+here compares the two on seeded graphs, tables and trees.
 """
 
 import random
@@ -16,18 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.aig import AIG
 from repro.aig.aiger import loads_aag
-from repro.aig.cuts import enumerate_cuts, enumerate_cuts_with_truths
+from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.build import compile_sop
 from repro.aig.isop import full_mask, isop, var_mask
 from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import get_library
-from repro.aig.opt.traverse import (
-    cone_truth,
-    cut_truth,
-    ffc_cones,
-    ffc_leaves,
-    mffc_size,
-)
+from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
 from repro.ml.decision_tree import DecisionTree, _pessimistic_errors
 from tests import oracles
 
@@ -119,9 +112,6 @@ def test_cuts_match_oracle_on_strashed_graphs(
     assert enumerate_cuts_with_truths(aig, k, max_cuts) == (
         oracles.enumerate_cuts_with_truths(aig, k, max_cuts)
     )
-    assert enumerate_cuts(aig, k, max_cuts) == oracles.enumerate_cuts(
-        aig, k, max_cuts
-    )
 
 
 @given(
@@ -155,7 +145,7 @@ def test_cuts_match_oracle_with_multiword_tables(k):
 def test_cuts_reject_nonpositive_sizes():
     aig = strashed_graph("random", 3, 5, 0)
     with pytest.raises(ValueError):
-        enumerate_cuts(aig, k=0)
+        enumerate_cuts_with_truths(aig, k=0)
     with pytest.raises(ValueError):
         enumerate_cuts_with_truths(aig, max_cuts=0)
 
@@ -187,8 +177,8 @@ def test_cone_sweep_matches_per_node_walks(
         var = base + j
         cone = cones[j]
         swept = None if cone is None or len(cone) < 2 else tuple(sorted(cone))
-        assert swept == ffc_leaves(aig, var, fanout, max_leaves)
-        assert sizes[j] == mffc_size(aig, var, fanout)
+        assert swept == oracles.ffc_leaves(aig, var, fanout, max_leaves)
+        assert sizes[j] == oracles.mffc_size(aig, var, fanout)
 
 
 def test_cone_sweep_propagates_too_wide_fanins():
@@ -203,7 +193,7 @@ def test_cone_sweep_propagates_too_wide_fanins():
     fanout = aig.fanout_counts()
     cones, _, _ = ffc_cones(aig, fanout.tolist(), max_leaves=4)
     assert cones[(top >> 1) - aig.n_inputs - 1] is None
-    assert ffc_leaves(aig, top >> 1, fanout, 4) is None
+    assert oracles.ffc_leaves(aig, top >> 1, fanout, 4) is None
 
 
 @given(

@@ -7,7 +7,7 @@ from repro.aig.aig import AIG, CONST0, CONST1, lit_not
 from repro.aig.aiger import read_aag, read_aiger, write_aag, write_aiger
 from repro.aig.approx import approximate_to_size
 from repro.aig.build import ripple_adder
-from repro.aig.optimize import balance, compress, rewrite
+from repro.aig.opt.passes import balance, compress, rewrite
 from repro.contest import Solution, evaluate_solution
 from repro.ml.dataset import Dataset
 from repro.ml.decision_tree import DecisionTree

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.contest.export import export_benchmarks, main
-from repro.contest.suite import build_suite, make_problem
+from repro.contest.registry import DEFAULT_REGISTRY
 from repro.ml.dataset import Dataset
 from repro.twolevel.pla import read_pla
 
@@ -17,8 +17,8 @@ SPLITS = ("train", "valid", "test")
 
 
 def _problem(index, samples, seed=0):
-    return make_problem(
-        build_suite()[index], n_train=samples, n_valid=samples,
+    return DEFAULT_REGISTRY.problem(
+        DEFAULT_REGISTRY.by_index(index), n_train=samples, n_valid=samples,
         n_test=samples, master_seed=seed,
     )
 
@@ -27,7 +27,7 @@ def _problem(index, samples, seed=0):
 def test_export_round_trip(tmp_path, index):
     samples = 40
     written = list(export_benchmarks(tmp_path, indices=[index], samples=samples))
-    name = build_suite()[index].name
+    name = DEFAULT_REGISTRY.by_index(index).name
     assert [p.name for p in written] == [f"{name}.{s}.pla" for s in SPLITS]
 
     problem = _problem(index, samples)
@@ -65,3 +65,17 @@ def test_export_cli_indices_and_seed(tmp_path, capsys):
     expected = _problem(74, 24, seed=5).test
     assert np.array_equal(parsed.X, expected.X)
     assert np.array_equal(parsed.y, expected.y)
+
+
+@pytest.mark.parametrize("indices", [["-1"], ["100"], ["0", "100"]])
+def test_export_cli_rejects_out_of_range_indices(tmp_path, capsys, indices):
+    # -1 must not wrap around to ex99, and 100 must not crash with a
+    # traceback; no file is written before every index is resolved.
+    out_dir = tmp_path / "exported"
+    out_dir.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(out_dir), "--indices", *indices,
+              "--samples", "8"])
+    assert exc.value.code == 2
+    assert "out of range" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []

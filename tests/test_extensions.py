@@ -4,7 +4,7 @@ suite export and the CLI."""
 import numpy as np
 import pytest
 
-from repro.contest import build_suite
+from repro.contest import DEFAULT_REGISTRY
 from repro.contest.export import export_benchmarks
 from repro.contest.multioutput import (
     adder_all_bits,
@@ -111,8 +111,8 @@ class TestExportAndCLI:
         X, y = pla.to_samples()
         assert X.shape == (50, 20)
         # Labels match the ground-truth comparator.
-        suite = build_suite()
-        assert np.array_equal(y, suite[30].label_fn(X))
+        label_fn = DEFAULT_REGISTRY.materialize("ex30").label_fn
+        assert np.array_equal(y, label_fn(X))
 
     def test_cli_list(self, capsys):
         from repro.cli import main

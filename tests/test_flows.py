@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.contest import build_suite, evaluate_solution, make_problem
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import TEAM_FLOW_NAMES, TECHNIQUE_NAMES, TECHNIQUES, get_flow
-from repro.flows.portfolio import run as portfolio_run
 
 
 @pytest.fixture(scope="module")
 def comparator_problem():
-    suite = build_suite()
-    return make_problem(suite[30], n_train=250, n_valid=250, n_test=250)
+    return DEFAULT_REGISTRY.problem("ex30", n_train=250, n_valid=250,
+                                    n_test=250)
 
 
 @pytest.fixture(scope="module")
 def parity_problem():
-    suite = build_suite()
-    return make_problem(suite[74], n_train=250, n_valid=250, n_test=250)
+    return DEFAULT_REGISTRY.problem("ex74", n_train=250, n_valid=250,
+                                    n_test=250)
 
 
 @pytest.mark.parametrize("flow_name", sorted(TEAM_FLOW_NAMES))
@@ -91,7 +90,7 @@ class TestPortfolio:
             ).valid_accuracy
             for f in flows
         ]
-        portfolio = portfolio_run(
+        portfolio = get_flow("portfolio").run(
             comparator_problem, effort="small", flows=flows
         )
         score = evaluate_solution(comparator_problem, portfolio)

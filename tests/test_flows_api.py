@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.aig.aig import AIG, CONST0
+from repro.contest import DEFAULT_REGISTRY
 from repro.contest.problem import Solution
 from repro.flows import (
-    ALL_FLOWS,
     REGISTRY,
     TEAM_FLOW_NAMES,
     get_flow,
@@ -24,6 +24,12 @@ from repro.flows.api import (
     check_flow_contract,
 )
 from repro.flows.registry import FlowSpec, parse_spec
+
+
+def unregistered_flow(problem, effort="small", master_seed=0):
+    """A module-level flow outside the registry."""
+    return get_flow("team10").run(problem, effort=effort,
+                                  master_seed=master_seed)
 
 
 def _trivial_flow(name: str) -> Flow:
@@ -76,18 +82,6 @@ class TestRegistry:
     def test_spec_like_name_rejected(self):
         with pytest.raises(ValueError, match="spec syntax"):
             REGISTRY.register(_trivial_flow("bad=name"))
-
-    def test_all_flows_shim_matches_registry(self):
-        assert set(ALL_FLOWS) == set(TEAM_FLOW_NAMES)
-        for name in TEAM_FLOW_NAMES:
-            assert ALL_FLOWS[name] is REGISTRY.get(name)
-
-    def test_all_flows_access_warns_deprecation(self):
-        from repro.flows import _DeprecatedFlowDict
-
-        _DeprecatedFlowDict._warned = False
-        with pytest.warns(DeprecationWarning, match="registry"):
-            ALL_FLOWS["team01"]
 
 
 class TestContract:
@@ -237,10 +231,9 @@ class TestSpecStrings:
         spec = resolve_flow("team01:effort=full")
         assert isinstance(spec, FlowSpec)
         # The dotted-path escape hatch for unregistered callables.
-        dotted = resolve_flow("repro.flows.team01:run")
-        from repro.flows import team01
-
-        assert dotted is team01.run
+        assert resolve_flow(f"{__name__}:unregistered_flow") is (
+            unregistered_flow
+        )
 
     def test_flow_name_for_round_trips_registry_objects(self):
         from repro.runner import flow_name_for
@@ -279,10 +272,8 @@ class TestArtifactCache:
         assert calls == [1]
 
     def test_problems_are_isolated(self, small_problem):
-        from repro.contest import build_suite, make_problem
-
-        other = make_problem(build_suite()[0], n_train=32, n_valid=32,
-                             n_test=32)
+        other = DEFAULT_REGISTRY.problem("ex00", n_train=32, n_valid=32,
+                                         n_test=32)
         cache = ArtifactCache()
         cache.get_or_compute(small_problem, "f", (), lambda: "a")
         assert cache.get_or_compute(other, "f", (), lambda: "b") == "b"
@@ -315,13 +306,11 @@ class TestArtifactCache:
         # hold a strong reference to every problem it has seen.
         import gc
 
-        from repro.contest import build_suite, make_problem
-
         cache = ArtifactCache()
-        suite = build_suite()
         seen = []
         for _ in range(4):
-            p = make_problem(suite[0], n_train=16, n_valid=16, n_test=16)
+            p = DEFAULT_REGISTRY.problem("ex00", n_train=16, n_valid=16,
+                                         n_test=16)
             seen.append(id(p))
             marker = object()
             got = cache.get_or_compute(p, "f", (), lambda: marker)
@@ -340,10 +329,8 @@ class TestCrossFlowSharing:
 
     @pytest.fixture(scope="class")
     def parity_problem(self):
-        from repro.contest import build_suite, make_problem
-
-        return make_problem(build_suite()[74], n_train=200, n_valid=200,
-                            n_test=200)
+        return DEFAULT_REGISTRY.problem("ex74", n_train=200, n_valid=200,
+                                        n_test=200)
 
     def test_match_family_computed_once_across_flows(self,
                                                      parity_problem):
@@ -399,22 +386,18 @@ class TestFlowResult:
         assert "leaves" in record.provenance
 
     def test_candidate_table_covers_all_stages(self):
-        from repro.contest import build_suite, make_problem
-
         # A random control cone: no standard-function match, so the
         # espresso + beam + forests stages all emit into the funnel.
-        problem = make_problem(build_suite()[50], n_train=150,
-                               n_valid=150, n_test=150)
+        problem = DEFAULT_REGISTRY.problem("ex50", n_train=150,
+                                           n_valid=150, n_test=150)
         result = get_flow("team01").run_detailed(problem)
         assert not result.short_circuited
         stages = {c.stage for c in result.candidates}
         assert {"espresso", "lutnet-beam", "forests"} <= stages
 
     def test_short_circuit_flagged(self):
-        from repro.contest import build_suite, make_problem
-
-        parity = make_problem(build_suite()[74], n_train=200,
-                              n_valid=200, n_test=200)
+        parity = DEFAULT_REGISTRY.problem("ex74", n_train=200,
+                                          n_valid=200, n_test=200)
         result = get_flow("team07").run_detailed(parity)
         assert result.short_circuited
         assert result.solution.method == "team07:match"

@@ -155,7 +155,7 @@ class TestFinalizeOptimizeLimit:
         fits under optimize_limit; the pipeline is exactly
         compress -> approximate -> compress."""
         from repro.aig.approx import approximate_to_size
-        from repro.aig.optimize import compress
+        from repro.aig.opt.passes import compress
 
         max_nodes = 60
         got = finalize_aig(
@@ -201,9 +201,9 @@ class TestPortfolioFallback:
         # Regression: used to raise "cannot unpack non-sequence
         # NoneType" because pick_best returns None for no candidates.
         from repro.contest.problem import MAX_AND_NODES
-        from repro.flows import portfolio
+        from repro.flows import get_flow
 
-        solution = portfolio.run(small_problem, flows=[])
+        solution = get_flow("portfolio").run(small_problem, flows=[])
         assert solution.is_legal(MAX_AND_NODES)
         assert solution.aig.num_ands == 0
         assert solution.method.endswith("+const")

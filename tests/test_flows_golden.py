@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.aig.aiger import dumps_aag
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.flows import get_flow
 from repro.runner.task import _json_safe
 
@@ -28,9 +28,8 @@ _problems = {}
 
 def _problem(benchmark: int):
     if benchmark not in _problems:
-        suite = build_suite()
-        _problems[benchmark] = make_problem(
-            suite[benchmark],
+        _problems[benchmark] = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(benchmark),
             n_train=GOLDEN["n_samples"],
             n_valid=GOLDEN["n_samples"],
             n_test=GOLDEN["n_samples"],

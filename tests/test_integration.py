@@ -5,10 +5,10 @@ import pytest
 
 from repro.aig import read_aag, write_aag
 from repro.aig.cec import check_equivalence
-from repro.aig.optimize import compress
+from repro.aig.opt.passes import compress
 from repro.analysis import run_contest, table3, win_rates
-from repro.contest import build_suite, evaluate_solution, make_problem
-from repro.flows import ALL_FLOWS
+from repro.contest import DEFAULT_REGISTRY, evaluate_solution
+from repro.flows import get_flow
 from repro.ml.arff import read_arff, write_arff
 from repro.ml.dataset import Dataset
 from repro.ml.decision_tree import DecisionTree
@@ -52,7 +52,7 @@ class TestOptimizationSoundness:
     """compress must be provably safe on real flow outputs."""
 
     def test_flow_output_equivalence(self, small_problem):
-        solution = ALL_FLOWS["team10"](small_problem, effort="small")
+        solution = get_flow("team10").run(small_problem, effort="small")
         optimized = compress(solution.aig)
         ok, cex = check_equivalence(solution.aig, optimized)
         assert ok, f"optimization broke the circuit at {cex}"
@@ -62,7 +62,7 @@ class TestMiniContest:
     @pytest.fixture(scope="class")
     def contest(self):
         flows = {
-            name: ALL_FLOWS[name] for name in ("team01", "team07", "team10")
+            name: get_flow(name) for name in ("team01", "team07", "team10")
         }
         return run_contest(
             [30, 74], flows, n_train=200, n_valid=200, n_test=200
@@ -96,9 +96,10 @@ class TestHardBenchmarksStayHard:
 
     @pytest.mark.parametrize("idx", [21])  # 8-bit multiplier middle bit
     def test_dt_fails_multiplier_middle(self, idx):
-        suite = build_suite()
-        problem = make_problem(suite[idx], n_train=400, n_valid=200,
-                               n_test=400)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=400, n_valid=200,
+            n_test=400,
+        )
         tree = DecisionTree(max_depth=8).fit(
             problem.train.X, problem.train.y
         )

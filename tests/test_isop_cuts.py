@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.aig.cuts import cut_function, enumerate_cuts, mffc_size
+from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import (
     cofactor0,
     cofactor1,
@@ -15,7 +15,23 @@ from repro.aig.isop import (
     support,
     var_mask,
 )
+from repro.aig.opt.traverse import cut_truth, ffc_cones
 from tests.conftest import random_aig
+
+
+def _cuts(aig, k):
+    """``{var: [cut, ...]}`` without the tables."""
+    return {
+        var: [cut for cut, _ in entries]
+        for var, entries in enumerate_cuts_with_truths(aig, k=k).items()
+    }
+
+
+def _mffc_size(aig, var):
+    """MFFC size of ``var`` from the one-sweep cone pass (sizes do not
+    depend on ``max_leaves``)."""
+    _, sizes, _ = ffc_cones(aig, aig.fanout_counts().tolist(), max_leaves=2)
+    return sizes[var - aig.n_inputs - 1]
 
 
 class TestTruthTableOps:
@@ -89,13 +105,13 @@ class TestIsop:
 class TestCuts:
     def test_trivial_cuts_present(self):
         aig = random_aig(4, 10, seed=5)
-        cuts = enumerate_cuts(aig, k=4)
+        cuts = _cuts(aig, k=4)
         for var in range(1 + aig.n_inputs, aig.num_vars):
             assert (var,) in cuts[var]
 
     def test_cut_size_bounded(self):
         aig = random_aig(6, 40, seed=6)
-        cuts = enumerate_cuts(aig, k=3)
+        cuts = _cuts(aig, k=3)
         for var, cl in cuts.items():
             for cut in cl:
                 if cut != (var,):
@@ -110,7 +126,7 @@ class TestCuts:
             dtype=np.uint8,
         )
         values = unpack_bits(aig.simulate_packed_all(pack_bits(grid)), 32)
-        cuts = enumerate_cuts(aig, k=4)
+        cuts = _cuts(aig, k=4)
         checked = 0
         for var, cl in cuts.items():
             if not aig.is_and_var(var):
@@ -118,7 +134,7 @@ class TestCuts:
             for cut in cl:
                 if cut == (var,):
                     continue
-                table = cut_function(aig, var, cut)
+                table = cut_truth(aig, var, cut)
                 for m in range(32):
                     idx = 0
                     for pos, leaf in enumerate(cut):
@@ -132,7 +148,7 @@ class TestCuts:
         aig = random_aig(4, 15, seed=9)
         last = aig.num_vars - 1
         with pytest.raises(ValueError):
-            cut_function(aig, last, ())
+            cut_truth(aig, last, ())
 
     def test_mffc_of_chain(self):
         from repro.aig.aig import AIG
@@ -142,8 +158,7 @@ class TestCuts:
         x = aig.add_and(a, b)
         y = aig.add_and(x, c)
         aig.set_output(y)
-        fanout = aig.fanout_counts()
-        assert mffc_size(aig, y >> 1, fanout) == 2
+        assert _mffc_size(aig, y >> 1) == 2
 
     def test_mffc_iterative_on_deep_chain(self):
         # Satellite regression: the recursive walk blew the Python
@@ -156,8 +171,7 @@ class TestCuts:
         for i in range(1, n):
             acc = aig.add_and(acc, aig.input_lit(i))
         aig.set_output(acc)
-        fanout = aig.fanout_counts()
-        assert mffc_size(aig, acc >> 1, fanout) == n - 1
+        assert _mffc_size(aig, acc >> 1) == n - 1
 
     def test_cut_function_iterative_on_deep_cone(self):
         # Satellite regression: a 4-leaf cut of a chain over repeated
@@ -171,5 +185,5 @@ class TestCuts:
         for i in range(5000):
             acc = aig.add_and(acc, (x, y)[i % 2] ^ ((i // 3) & 1))
         aig.set_output(acc)
-        table = cut_function(aig, acc >> 1, (x >> 1, y >> 1))
+        table = cut_truth(aig, acc >> 1, (x >> 1, y >> 1))
         assert table == aig.truth_tables()[0]

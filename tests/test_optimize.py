@@ -5,8 +5,8 @@ import pytest
 from repro.aig.aig import AIG
 from repro.aig.build import (multiplier, parity_chain, ripple_adder,
                              ripple_chain, symmetric_function)
-from repro.aig.optimize import (balance, compress, fraig_lite, refactor,
-                                rewrite)
+from repro.aig.opt.passes import (balance, compress, fraig_lite, refactor,
+                                  rewrite)
 from tests.conftest import random_aig
 
 PASSES = [balance, rewrite, refactor, fraig_lite, compress]

@@ -1,4 +1,4 @@
-"""make_problem guarantees the parallel runner depends on.
+"""Problem-sampling guarantees the parallel runner depends on.
 
 Workers re-sample problems inside their own processes, so two
 properties are load-bearing: the train/valid/test split must be
@@ -12,7 +12,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.contest import build_suite, make_problem
+from repro.contest import DEFAULT_REGISTRY
 from repro.runner import dataset_fingerprint
 
 
@@ -25,9 +25,10 @@ def _row_ints(X):
 class TestSplitDisjointness:
     @pytest.mark.parametrize("idx", [30, 74, 75])
     def test_deterministic_benchmarks_split_disjoint(self, idx):
-        suite = build_suite()
-        problem = make_problem(suite[idx], n_train=200, n_valid=200,
-                               n_test=200, master_seed=0)
+        problem = DEFAULT_REGISTRY.problem(
+            DEFAULT_REGISTRY.by_index(idx), n_train=200, n_valid=200,
+            n_test=200, master_seed=0,
+        )
         train = _row_ints(problem.train.X)
         valid = _row_ints(problem.valid.X)
         test = _row_ints(problem.test.X)

@@ -1,13 +1,13 @@
 """Property-based tests (hypothesis) on core data structures."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.aig.aig import AIG, lit_not
 from repro.aig.build import from_truth_table, ripple_adder
 from repro.aig.cec import check_equivalence
 from repro.aig.isop import cover_table, full_mask, isop
-from repro.aig.optimize import balance, compress, fraig_lite, refactor, rewrite
+from repro.aig.opt.passes import balance, compress, fraig_lite, refactor, rewrite
 from repro.twolevel.cube import Cube
 from repro.twolevel.espresso import espresso
 from repro.utils.bitops import pack_bits, unpack_bits
@@ -157,6 +157,9 @@ def test_isop_interval(k, f, dc):
     st.sets(st.integers(0, 63), min_size=1, max_size=20),
 )
 @settings(max_examples=60, deadline=None)
+# Regression: REDUCE shrank both cubes sharing an ON-minterm away from
+# it, and the cover lost minterms 40 and 56.
+@example(n=6, onset={0, 1, 8, 28, 34, 40, 50, 54, 56}, offset={52})
 def test_espresso_validity(n, onset, offset):
     onset = {m & ((1 << n) - 1) for m in onset}
     offset = {m & ((1 << n) - 1) for m in offset} - onset

@@ -1,12 +1,12 @@
 """The problem registry: golden byte-identity, cache bounds, selectors.
 
-The registry replaced the hardcoded ``build_suite()`` tuple; these
-tests pin the three promises of that refactor:
+The registry replaced a hardcoded tuple of the 100 paper benchmarks;
+these tests pin the three promises of that refactor:
 
 1. **Byte identity** — all 100 paper benchmarks sample exactly the
    bytes the pre-registry code sampled (golden fingerprints captured
-   from the old implementation), through both the ``build_suite()``
-   shim and the registry-direct path.
+   from the old implementation), through both the runner's dataset
+   fingerprint and the registry-direct path.
 2. **Bounded laziness** — describing specs builds nothing; heavy
    generator state (balanced cones, image models) lives in one
    explicit, size-bounded, clearable per-process cache.
@@ -24,8 +24,6 @@ import pytest
 from repro.contest import (
     DEFAULT_REGISTRY,
     MaterialCache,
-    ProblemSpec,
-    build_suite,
     clear_cache,
 )
 from repro.contest.registry import (
@@ -40,7 +38,7 @@ GOLDEN = Path(__file__).parent / "golden" / "problem_fingerprints.json"
 
 
 def _registry_fingerprint(name, n_train, n_valid, n_test, master_seed):
-    """Fingerprint via the registry-direct path (no shim)."""
+    """Fingerprint via the registry-direct path."""
     import hashlib
 
     import numpy as np
@@ -89,6 +87,8 @@ class TestGoldenFingerprints:
             ) == want, name
 
     def test_registry_direct_path_matches_shim(self, golden):
+        # The golden bytes were captured through the index-addressed
+        # suite interface the registry replaced.
         g = golden["alt"]
         for name, want in g["values"].items():
             assert _registry_fingerprint(
@@ -105,23 +105,26 @@ class TestGoldenFingerprints:
         ) == g["values"][name]
 
 
-class TestSuiteShim:
-    def test_shim_exposes_the_paper_grid(self):
-        suite = build_suite()
-        assert len(suite) == 100
+class TestPaperGrid:
+    def test_registry_exposes_the_paper_grid(self):
+        suite = [DEFAULT_REGISTRY.by_index(i) for i in range(100)]
         assert [s.index for s in suite] == list(range(100))
         assert suite[74].name == "ex74"
         assert suite[74].n_inputs == 16
+        for bad in (-1, 100):
+            with pytest.raises(IndexError, match="out of range"):
+                DEFAULT_REGISTRY.by_index(bad)
 
-    def test_shim_slots_match_family_kind(self):
-        suite = build_suite()
-        assert suite[74].label_fn is not None and suite[74].sampler is None
-        assert suite[80].sampler is not None and suite[80].label_fn is None
+    def test_materialized_slots_match_family_kind(self):
+        parity = DEFAULT_REGISTRY.materialize("ex74")
+        assert parity.label_fn is not None and parity.sampler is None
+        mnist = DEFAULT_REGISTRY.materialize("ex80")
+        assert mnist.sampler is not None and mnist.label_fn is None
 
-    def test_building_the_suite_materializes_nothing(self):
+    def test_describing_the_suite_materializes_nothing(self):
         clear_cache()
-        build_suite.cache_clear()
-        build_suite()
+        specs = DEFAULT_REGISTRY.select("ex*")
+        assert len(specs) == 100 and all(s.description for s in specs)
         assert len(DEFAULT_REGISTRY.cache) == 0
 
 

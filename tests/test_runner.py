@@ -13,6 +13,7 @@ import pytest
 
 from repro.aig.aiger import read_aag
 from repro.contest.evaluate import Score
+from repro.flows import REGISTRY, get_flow
 from repro.runner import (
     RunStore,
     TaskSpec,
@@ -40,6 +41,12 @@ GRID = dict(
     flow_names=["team10", "team02"],
     n_train=48, n_valid=48, n_test=48,
 )
+
+
+def unregistered_flow(problem, effort="small", master_seed=0):
+    """A module-level flow outside the registry."""
+    return get_flow("team10").run(problem, effort=effort,
+                                  master_seed=master_seed)
 
 
 def _grid_specs():
@@ -119,18 +126,15 @@ class TestScoreRoundTrip:
 
 class TestFlowResolution:
     def test_all_flows_names_resolve(self):
-        from repro.flows import ALL_FLOWS
-
-        for name, flow in ALL_FLOWS.items():
+        for name in REGISTRY.names():
+            flow = REGISTRY.get(name)
             assert resolve_flow(name) is flow
             assert flow_name_for(name, flow) == name
 
     def test_dotted_path_resolves(self):
-        from repro.flows import team10
-
-        name = flow_name_for("mine", team10.run)
-        assert ":" in name
-        assert resolve_flow(name) is team10.run
+        name = flow_name_for("mine", unregistered_flow)
+        assert name == f"{__name__}:unregistered_flow"
+        assert resolve_flow(name) is unregistered_flow
 
     def test_unknown_flow_rejected(self):
         with pytest.raises(KeyError):
@@ -391,9 +395,8 @@ class TestStore:
 class TestRunContestWrapper:
     def test_flows_dict_and_list_agree(self):
         from repro.analysis import run_contest
-        from repro.flows import ALL_FLOWS
 
-        by_dict = run_contest([74], {"team10": ALL_FLOWS["team10"]},
+        by_dict = run_contest([74], {"team10": get_flow("team10")},
                               n_train=32, n_valid=32, n_test=32)
         by_list = run_contest([74], ["team10"],
                               n_train=32, n_valid=32, n_test=32)
@@ -408,9 +411,8 @@ class TestRunContestWrapper:
 
     def test_non_importable_callable_still_runs_inline(self):
         from repro.analysis import run_contest
-        from repro.flows import ALL_FLOWS
 
-        wrapped = lambda p, **kw: ALL_FLOWS["team10"](p, **kw)  # noqa: E731
+        wrapped = lambda p, **kw: get_flow("team10")(p, **kw)  # noqa: E731
         run = run_contest([74], {"mine": wrapped},
                           n_train=32, n_valid=32, n_test=32)
         direct = run_contest([74], ["team10"],
@@ -433,8 +435,7 @@ class TestRunContestWrapper:
 
 class TestPortfolioParallel:
     def test_parallel_matches_serial(self, small_problem):
-        from repro.flows import portfolio
-
+        portfolio = get_flow("portfolio")
         serial = portfolio.run(small_problem, flows=["team10", "team02"])
         parallel = portfolio.run(small_problem,
                                  flows=["team10", "team02"], jobs=2)

@@ -4,20 +4,24 @@ sample cleanly and deterministically."""
 import numpy as np
 import pytest
 
-from repro.contest import build_suite
+from repro.contest import DEFAULT_REGISTRY
 from repro.utils.rng import rng_for
 
 
 @pytest.fixture(scope="module")
 def suite():
-    return build_suite()
+    return [DEFAULT_REGISTRY.by_index(i) for i in range(100)]
+
+
+def _sample(spec, n, rng):
+    return DEFAULT_REGISTRY.materialize(spec).sample(spec.n_inputs, n, rng)
 
 
 @pytest.mark.parametrize("index", range(100))
 def test_benchmark_samples(index, suite):
     spec = suite[index]
     rng = rng_for("suite-smoke", index)
-    X, y = spec.sample(40, rng)
+    X, y = _sample(spec, 40, rng)
     assert X.shape == (40, spec.n_inputs)
     assert y.shape == (40,)
     assert X.dtype == np.uint8
@@ -28,8 +32,8 @@ def test_benchmark_samples(index, suite):
 def test_sampling_deterministic_per_index(suite):
     for index in (0, 25, 55, 85):
         spec = suite[index]
-        X1, y1 = spec.sample(30, rng_for("det", index))
-        X2, y2 = spec.sample(30, rng_for("det", index))
+        X1, y1 = _sample(spec, 30, rng_for("det", index))
+        X2, y2 = _sample(spec, 30, rng_for("det", index))
         assert np.array_equal(X1, X2)
         assert np.array_equal(y1, y2)
 
@@ -39,8 +43,8 @@ def test_deterministic_functions_are_functions(suite):
     for index in (3, 13, 23, 33, 43, 53, 63, 73):
         spec = suite[index]
         rng = rng_for("fn", index)
-        X, y = spec.sample(25, rng)
-        again = spec.label_fn(X)
+        X, y = _sample(spec, 25, rng)
+        again = DEFAULT_REGISTRY.materialize(spec).label_fn(X)
         assert np.array_equal(y, again), spec.name
 
 

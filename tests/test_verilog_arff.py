@@ -5,7 +5,7 @@ import pytest
 
 from repro.aig.aig import AIG, lit_not
 from repro.aig.cec import check_equivalence, simulate_differs
-from repro.aig.optimize import compress
+from repro.aig.opt.passes import compress
 from repro.ml.arff import read_arff, write_arff
 from repro.ml.dataset import Dataset
 from repro.ml.decision_tree import DecisionTree

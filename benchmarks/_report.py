@@ -1,11 +1,10 @@
 """Report collector for the experiment benches.
 
 pytest captures stdout, so tables printed inside bench tests would be
-invisible in the default ``pytest benchmarks/ --benchmark-only`` run.
+invisible in the default ``pytest -q benchmarks/bench_*.py`` run.
 Benches call :func:`echo` instead of ``print``; the collected blocks
 are re-emitted by the ``pytest_terminal_summary`` hook in conftest so
-every reproduced table/figure appears at the end of the run (and in
-``bench_output.txt``).
+every reproduced table/figure appears at the end of the run.
 """
 
 

@@ -41,7 +41,7 @@ def _learn_with_order(X, y, order, n_train, method="restrict"):
     return accuracy(y[n_train:], pred), bdd.count_nodes(g)
 
 
-def test_bdd_learns_adder_with_good_order(benchmark, scale):
+def test_bdd_learns_adder_with_good_order(scale):
     k = 8
     n_train = min(scale["samples"], 1200)
     rng = rng_for("bench-bdd")
@@ -58,9 +58,7 @@ def test_bdd_learns_adder_with_good_order(benchmark, scale):
                                       method="two_sided")
         return good, bad, two_sided
 
-    (good_acc, good_nodes), (bad_acc, bad_nodes), (ts_acc, ts_nodes) = (
-        benchmark.pedantic(run, rounds=1, iterations=1)
-    )
+    (good_acc, good_nodes), (bad_acc, bad_nodes), (ts_acc, ts_nodes) = run()
     echo("\n=== Appendix: BDD don't-care minimization on adder ===")
     echo(f"  MSB-first order, restrict:        acc {100 * good_acc:.1f}% "
           f"({good_nodes} nodes)")
@@ -76,7 +74,7 @@ def test_bdd_learns_adder_with_good_order(benchmark, scale):
     assert ts_acc < good_acc - 0.2
 
 
-def test_bdd_learns_wide_xor_bdt_cannot(benchmark, scale):
+def test_bdd_learns_wide_xor_bdt_cannot(scale):
     """Appendix: 'BDD can learn a large XOR ... BDT cannot'."""
     n = 12
     n_train = min(scale["samples"], 1500)
@@ -97,8 +95,7 @@ def test_bdd_learns_wide_xor_bdt_cannot(benchmark, scale):
         dt_acc = accuracy(y[n_train:], tree.predict(X[n_train:]))
         return bdd_acc, nodes, dt_acc
 
-    bdd_acc, nodes, dt_acc = benchmark.pedantic(run, rounds=1,
-                                                iterations=1)
+    bdd_acc, nodes, dt_acc = run()
     echo(f"\n  12-XOR: BDD {100 * bdd_acc:.1f}% ({nodes} nodes) vs "
           f"BDT {100 * dt_acc:.1f}%")
     assert dt_acc < 0.65, "depth-limited DT must fail wide XOR"

@@ -52,13 +52,11 @@ def _run(samples, generations):
             rand_fit, flow_score)
 
 
-def test_cgp_bootstrap_vs_random(benchmark, scale):
+def test_cgp_bootstrap_vs_random(scale):
     samples = min(scale["samples"], 600)
     generations = 800 if scale["name"] != "full" else 10000
     (starter_train, starter_test, boot_fit, boot_test, rand_fit,
-     flow_score) = benchmark.pedantic(
-        lambda: _run(samples, generations), rounds=1, iterations=1
-    )
+     flow_score) = _run(samples, generations)
     echo("\n=== Ablation: CGP initialization ===")
     echo(f"  DT starter:       train {100 * starter_train:.1f}%  "
          f"test {100 * starter_test:.1f}%")

@@ -77,10 +77,8 @@ def _compare():
     return totals, seconds, larger, accuracy_diffs
 
 
-def test_deep_compress_smaller_than_compress(benchmark):
-    totals, seconds, larger, accuracy_diffs = benchmark.pedantic(
-        _compare, rounds=1, iterations=1
-    )
+def test_deep_compress_smaller_than_compress():
+    totals, seconds, larger, accuracy_diffs = _compare()
     ratio = totals["deep"] / max(totals["compress"], 1)
     echo(f"\n=== Deep compress vs compress ({len(SLICE)} benchmarks, "
          f"{SAMPLES} samples) ===")

@@ -37,11 +37,9 @@ def _criterion_sweep(samples):
     return rows
 
 
-def test_criterion_ablation(benchmark, scale):
+def test_criterion_ablation(scale):
     samples = min(scale["samples"], 800)
-    rows = benchmark.pedantic(
-        lambda: _criterion_sweep(samples), rounds=1, iterations=1
-    )
+    rows = _criterion_sweep(samples)
     echo("\n=== Ablation: entropy vs gini ===")
     gaps = []
     for name, row in rows.items():
@@ -51,7 +49,7 @@ def test_criterion_ablation(benchmark, scale):
     assert float(np.mean(gaps)) < 0.05, "criteria should agree closely"
 
 
-def test_functional_decomposition_ablation(benchmark, rng):
+def test_functional_decomposition_ablation(rng):
     def run():
         X = rng.integers(0, 2, size=(3000, 8)).astype(np.uint8)
         y = (X[:, 6] ^ X[:, 7]).astype(np.uint8)
@@ -64,8 +62,7 @@ def test_functional_decomposition_ablation(benchmark, rng):
             accuracy(y[2000:], decomp.predict(X[2000:])),
         )
 
-    plain_acc, decomp_acc = benchmark.pedantic(run, rounds=1,
-                                               iterations=1)
+    plain_acc, decomp_acc = run()
     echo(f"\n  XOR root split: plain {100 * plain_acc:.1f}% vs "
           f"decomposition {100 * decomp_acc:.1f}%")
     # Team 8's claim: decomposition finds the XOR structure a gain

@@ -32,7 +32,7 @@ def _instances(n_instances=25, seed=0):
     return out
 
 
-def test_espresso_vs_exact(benchmark):
+def test_espresso_vs_exact():
     instances = _instances()
 
     def run():
@@ -51,7 +51,7 @@ def test_espresso_vs_exact(benchmark):
                          t_heur, t_first, t_exact))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     echo("\n=== Ablation: espresso vs exact QM ===")
     echo(f"  {'n':>2} {'full':>5} {'first':>6} {'exact':>6}"
           f" {'t_full':>8} {'t_exact':>8}")

@@ -17,11 +17,8 @@ from repro.analysis import (
 )
 
 
-def test_fig2_pareto(benchmark, contest_run, scale):
-    frontier = benchmark.pedantic(
-        lambda: accuracy_size_tradeoff(contest_run.scores_by_team),
-        rounds=1, iterations=1,
-    )
+def test_fig2_pareto(contest_run, scale):
+    frontier = accuracy_size_tradeoff(contest_run.scores_by_team)
     echo(f"\n=== Fig. 2: virtual-best Pareto (scale={scale['name']}) ===")
     for size, acc in frontier:
         echo(f"  avg size {size:8.1f}  avg accuracy {100 * acc:6.2f}%")

@@ -12,11 +12,8 @@ from _report import echo
 from repro.analysis import per_benchmark_best
 
 
-def test_fig3_max_accuracy(benchmark, contest_run, scale):
-    best = benchmark.pedantic(
-        lambda: per_benchmark_best(contest_run.scores_by_team),
-        rounds=1, iterations=1,
-    )
+def test_fig3_max_accuracy(contest_run, scale):
+    best = per_benchmark_best(contest_run.scores_by_team)
     echo(f"\n=== Fig. 3: best accuracy per benchmark "
           f"(scale={scale['name']}) ===")
     for name in sorted(best):

@@ -11,11 +11,8 @@ from _report import echo
 from repro.analysis import win_rates
 
 
-def test_fig4_win_rates(benchmark, contest_run, scale):
-    wins = benchmark.pedantic(
-        lambda: win_rates(contest_run.scores_by_team),
-        rounds=1, iterations=1,
-    )
+def test_fig4_win_rates(contest_run, scale):
+    wins = win_rates(contest_run.scores_by_team)
     n_benchmarks = len(next(iter(contest_run.scores_by_team.values())))
     echo(f"\n=== Fig. 4: win counts over {n_benchmarks} benchmarks "
           f"(scale={scale['name']}) ===")

@@ -22,7 +22,7 @@ from repro.contest.multioutput import (
 from repro.flows.tradeoff import run_tradeoff
 
 
-def test_multioutput_sharing(benchmark, scale):
+def test_multioutput_sharing(scale):
     samples = min(scale["samples"] * 4, 3000)
 
     def run():
@@ -33,7 +33,7 @@ def test_multioutput_sharing(benchmark, scale):
         aig = shared_tree_flow(problem, max_depth=8)
         return evaluate_multioutput(problem, aig)
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     echo("\n=== Future work: multi-output sharing ===")
     echo(f"  per-output acc: "
           f"{[round(a, 3) for a in report['per_output']]}")
@@ -46,7 +46,7 @@ def test_multioutput_sharing(benchmark, scale):
     assert report["sharing_factor"] > 1.05
 
 
-def test_tradeoff_frontier(benchmark, scale):
+def test_tradeoff_frontier(scale):
     samples = min(scale["samples"], 800)
 
     def run():
@@ -54,7 +54,7 @@ def test_tradeoff_frontier(benchmark, scale):
                                            n_valid=samples, n_test=samples)
         return problem, run_tradeoff(problem, effort="small")
 
-    problem, frontier = benchmark.pedantic(run, rounds=1, iterations=1)
+    problem, frontier = run()
     echo("\n=== Future work: accuracy-area frontier (ex80) ===")
     for point in frontier:
         test_acc = float(

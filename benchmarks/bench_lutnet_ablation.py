@@ -40,11 +40,9 @@ def _sweep(samples):
     return results
 
 
-def test_lutnet_ablation(benchmark, scale):
+def test_lutnet_ablation(scale):
     samples = min(scale["samples"], 800)
-    results = benchmark.pedantic(
-        lambda: _sweep(samples), rounds=1, iterations=1
-    )
+    results = _sweep(samples)
     echo("\n=== Ablation: LUT arity x wiring scheme ===")
     configs = sorted(next(iter(results.values())))
     header = "  case   " + "  ".join(f"k{a}/{s[:3]}" for a, s in configs)

@@ -34,7 +34,7 @@ def _victims():
     return out
 
 
-def test_optimization_ablation(benchmark):
+def test_optimization_ablation():
     victims = _victims()
 
     def run():
@@ -47,7 +47,7 @@ def test_optimization_ablation(benchmark):
             rows.append((name, row))
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     echo("\n=== Ablation: AIG optimization passes (ands, depth) ===")
     for name, row in rows:
         cells = "  ".join(

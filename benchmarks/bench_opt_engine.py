@@ -54,7 +54,7 @@ def _victims():
     return out
 
 
-def test_opt_engine_speedup_and_parity(benchmark):
+def test_opt_engine_speedup_and_parity():
     victims = _victims()
     rows = []
     ref_total = new_total = 0.0
@@ -69,10 +69,6 @@ def test_opt_engine_speedup_and_parity(benchmark):
         new_total += new_s
         rows.append((name, aig.num_ands, ref_s, ref.num_ands, new_s,
                      new.num_ands))
-
-    benchmark.pedantic(
-        lambda: compress(victims[1][1]), rounds=3, iterations=1
-    )
 
     speedup = ref_total / new_total
     cores = os.cpu_count() or 1
@@ -95,15 +91,13 @@ def test_opt_engine_speedup_and_parity(benchmark):
     assert speedup >= floor, f"speedup {speedup:.2f}x < {floor}x"
 
 
-def test_opt_engine_chain_safety(benchmark):
+def test_opt_engine_chain_safety():
     # The seed's recursive cone walks overflowed on graphs like this;
     # the iterative engine must finish and stay exact.
     aig = parity_chain(n_inputs=4, n_nodes=5000)
     assert aig.num_ands >= 5000
 
-    out = benchmark.pedantic(
-        lambda: compress(aig), rounds=1, iterations=1
-    )
+    out = compress(aig)
     assert out.truth_tables() == aig.truth_tables()
     assert out.num_ands <= aig.count_used_ands()
     echo("\n=== compress on a 5000-node parity chain ===")

@@ -58,7 +58,7 @@ def _timed_run(specs, jobs, out_dir):
     return time.perf_counter() - start, run
 
 
-def test_runner_parallel_speedup_and_determinism(benchmark, tmp_path):
+def test_runner_parallel_speedup_and_determinism(tmp_path):
     specs = contest_tasks(BENCHMARKS, FLOWS, SAMPLES, SAMPLES, SAMPLES)
     assert len(specs) == 16
 
@@ -70,12 +70,6 @@ def test_runner_parallel_speedup_and_determinism(benchmark, tmp_path):
     _timed_run(specs[:8], 1, tmp_path / "resumed")
     _timed_run(specs, 2, tmp_path / "resumed")
     resume_s, resumed = _timed_run(specs, 1, tmp_path / "resumed")
-
-    benchmark.pedantic(
-        lambda: run_contest_tasks(specs, jobs=1,
-                                  out_dir=tmp_path / "serial"),
-        rounds=3, iterations=1,
-    )  # fully-resumed reload path
 
     # --- golden determinism -----------------------------------------
     assert _records(tmp_path / "serial") == _records(tmp_path / "parallel")

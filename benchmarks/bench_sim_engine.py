@@ -1,11 +1,11 @@
 """The levelized simulation engine vs. the seed per-node loop.
 
 Every flow, contest score and benchmark funnels through AIG
-simulation; this bench records the cost of a cold compile, a warm
-packed run and the batched dataset API on a contest-scale circuit —
-and confirms bit-exactness against the seed simulator (preserved as
-``reference_simulate_packed_all``), both directly and through
-``cec.check_equivalence`` on randomized AIGs.
+simulation; this bench races a cold compile and a warm packed run
+against the seed loop on a contest-scale circuit, and confirms that
+the engine and the batched dataset API are bit-exact against the seed
+simulator (preserved as ``reference_simulate_packed_all``), both
+directly and through ``cec.check_equivalence`` on randomized AIGs.
 
 The headline assert: the engine stays >= 5x over the seed per-node
 loop warm (and >= 1.5x cold, compile included), on any box.
@@ -68,7 +68,7 @@ def _best_of_interleaved(fns, repeats=10):
     return bests, results
 
 
-def test_engine_speedup_vs_seed_loop(benchmark):
+def test_engine_speedup_vs_seed_loop():
     aig, _, packed = _bench_inputs()
 
     compiled = compile_aig(aig)
@@ -83,9 +83,6 @@ def test_engine_speedup_vs_seed_loop(benchmark):
                 lambda: compiled.run_packed_all(packed),
             ]
         )
-    )
-    benchmark.pedantic(
-        lambda: compiled.run_packed_all(packed), rounds=3, iterations=1
     )
 
     assert np.array_equal(seed_values, cold_values)
@@ -104,38 +101,23 @@ def test_engine_speedup_vs_seed_loop(benchmark):
     assert cold_speedup >= 1.5  # even compile+run beats the seed loop
 
 
-def test_cold_compile(benchmark):
+def test_cold_compile():
     """Program build + arena allocation + first run."""
     aig, _, packed = _bench_inputs()
-    out = benchmark.pedantic(
-        lambda: compile_aig(aig).run_packed_all(packed),
-        rounds=3, iterations=1,
-    )
+    out = compile_aig(aig).run_packed_all(packed)
     assert np.array_equal(out, reference_simulate_packed_all(aig, packed))
 
 
-def test_warm_run(benchmark):
-    """Reused engine on fresh packed words."""
-    aig, _, packed = _bench_inputs()
-    compiled = compile_aig(aig)
-    compiled.run_packed_all(packed)
-    benchmark.pedantic(
-        lambda: compiled.run_packed_all(packed), rounds=5, iterations=1
-    )
-
-
-def test_batched_datasets(benchmark):
+def test_batched_datasets():
     """The batched dataset API (one packing, one engine pass)."""
     aig, X, _ = _bench_inputs()
     mats = [X[:1024], X[1024:2048], X[2048:]]
-    outs = benchmark.pedantic(
-        lambda: simulate_datasets(aig, mats), rounds=3, iterations=1,
-    )
+    outs = simulate_datasets(aig, mats)
     for mat, out in zip(mats, outs, strict=True):
         assert np.array_equal(out, compile_aig(aig).run(mat))
 
 
-def test_engine_bit_exact_via_cec(benchmark):
+def test_engine_bit_exact_via_cec():
     def run():
         checked = 0
         for seed in range(6):
@@ -159,6 +141,6 @@ def test_engine_bit_exact_via_cec(benchmark):
             checked += 1
         return checked
 
-    checked = benchmark.pedantic(run, rounds=1, iterations=1)
+    checked = run()
     echo(f"  cec-confirmed engine on {checked} randomized AIGs")
     assert checked == 6

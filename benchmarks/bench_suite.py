@@ -18,10 +18,8 @@ def _taxonomy():
     return suite, by_category
 
 
-def test_table1_taxonomy(benchmark):
-    suite, by_category = benchmark.pedantic(
-        _taxonomy, rounds=1, iterations=1
-    )
+def test_table1_taxonomy():
+    suite, by_category = _taxonomy()
     echo("\n=== Table I: benchmark taxonomy ===")
     ranges = {}
     for s in suite:
@@ -41,10 +39,8 @@ def test_table1_taxonomy(benchmark):
         assert 16 <= lo and hi <= 200
 
 
-def test_table2_group_comparisons(benchmark):
-    groups = benchmark.pedantic(
-        lambda: GROUP_COMPARISONS, rounds=1, iterations=1
-    )
+def test_table2_group_comparisons():
+    groups = GROUP_COMPARISONS
     echo("\n=== Table II: group comparisons (A -> 0, B -> 1) ===")
     for i, (a, b) in enumerate(groups):
         echo(f"  row {i}: A={a} B={b}")
@@ -57,13 +53,10 @@ def test_table2_group_comparisons(benchmark):
     assert len(groups) == 10
 
 
-def test_sampling_protocol(benchmark):
+def test_sampling_protocol():
     """The contest protocol: three same-sized disjoint PLA sets."""
-    def sample():
-        return DEFAULT_REGISTRY.problem("ex30", n_train=200, n_valid=200,
-                                        n_test=200)
-
-    problem = benchmark.pedantic(sample, rounds=1, iterations=1)
+    problem = DEFAULT_REGISTRY.problem("ex30", n_train=200, n_valid=200,
+                                       n_test=200)
     assert problem.train.n_samples == 200
     assert problem.valid.n_samples == 200
     assert problem.test.n_samples == 200

@@ -17,10 +17,8 @@ from repro.analysis import format_table3, table3
 from repro.flows import TECHNIQUE_NAMES, TECHNIQUES
 
 
-def test_table3(benchmark, contest_run, scale):
-    rows = benchmark.pedantic(
-        lambda: table3(contest_run.scores_by_team), rounds=1, iterations=1
-    )
+def test_table3(contest_run, scale):
+    rows = table3(contest_run.scores_by_team)
     echo(f"\n=== Table III (scale={scale['name']}) ===")
     echo(format_table3(rows))
 
@@ -43,7 +41,7 @@ def test_table3(benchmark, contest_run, scale):
         assert abs(r["overfit"]) < 0.2, r["team"]
 
 
-def test_per_category_accuracy(benchmark, contest_run, scale):
+def test_per_category_accuracy(contest_run, scale):
     """Section V's qualitative per-category observations, quantified:
     learners do worst on the arithmetic categories and best on the
     saturating ones (comparators, symmetric with matching teams)."""
@@ -54,11 +52,7 @@ def test_per_category_accuracy(benchmark, contest_run, scale):
         spec.name: spec.category
         for spec in map(DEFAULT_REGISTRY.by_index, range(100))
     }
-    table = benchmark.pedantic(
-        lambda: per_category_table(contest_run.scores_by_team,
-                                   categories),
-        rounds=1, iterations=1,
-    )
+    table = per_category_table(contest_run.scores_by_team, categories)
     cats = sorted({c for row in table.values() for c in row})
     echo(f"\n=== per-category mean accuracy (scale={scale['name']}) ===")
     echo("  team    " + " ".join(c[:8].rjust(9) for c in cats))
@@ -74,8 +68,8 @@ def test_per_category_accuracy(benchmark, contest_run, scale):
         assert best > 0.9, f"someone should ace {cat}"
 
 
-def test_fig1_technique_matrix(benchmark):
-    matrix = benchmark.pedantic(lambda: TECHNIQUES, rounds=1, iterations=1)
+def test_fig1_technique_matrix():
+    matrix = TECHNIQUES
     echo("\n=== Fig. 1: representation/technique matrix ===")
     header = "          " + " ".join(
         name[:7].rjust(8) for name in TECHNIQUE_NAMES

@@ -74,11 +74,9 @@ def _run(samples):
     return per_method
 
 
-def test_table4_team3_methods(benchmark, scale):
+def test_table4_team3_methods(scale):
     samples = min(scale["samples"], 800)
-    per_method = benchmark.pedantic(
-        lambda: _run(samples), rounds=1, iterations=1
-    )
+    per_method = _run(samples)
     echo("\n=== Table IV: Team 3 method comparison ===")
     averages = {}
     for method, entries in per_method.items():

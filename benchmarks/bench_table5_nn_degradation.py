@@ -45,11 +45,9 @@ def _pipeline(samples):
     return stages
 
 
-def test_table5_nn_degradation(benchmark, scale):
+def test_table5_nn_degradation(scale):
     samples = min(scale["samples"], 800)
-    stages = benchmark.pedantic(
-        lambda: _pipeline(samples), rounds=1, iterations=1
-    )
+    stages = _pipeline(samples)
     means = {k: float(np.mean(v)) for k, v in stages.items()}
     echo("\n=== Table V: NN accuracy through the pipeline ===")
     for stage, acc in means.items():

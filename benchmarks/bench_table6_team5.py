@@ -30,11 +30,9 @@ def _run(samples):
     return winners
 
 
-def test_table6_team5_breakdown(benchmark, scale):
+def test_table6_team5_breakdown(scale):
     samples = min(scale["samples"], 700)
-    winners = benchmark.pedantic(
-        lambda: _run(samples), rounds=1, iterations=1
-    )
+    winners = _run(samples)
     tool = Counter()
     proportion = Counter()
     for name, method in winners:

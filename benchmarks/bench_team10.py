@@ -27,11 +27,9 @@ def _run(indices, samples):
     return scores
 
 
-def test_fig32_fig33_team10(benchmark, scale):
+def test_fig32_fig33_team10(scale):
     samples = min(scale["samples"], 1000)
-    scores = benchmark.pedantic(
-        lambda: _run(scale["indices"], samples), rounds=1, iterations=1
-    )
+    scores = _run(scale["indices"], samples)
     echo("\n=== Figs. 32/33: Team 10 accuracy and AIG size ===")
     for s in scores:
         echo(f"  {s.benchmark}: acc {100 * s.test_accuracy:6.2f}%  "

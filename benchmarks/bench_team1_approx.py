@@ -41,11 +41,9 @@ def _approx_sweep(samples):
     return sweep
 
 
-def test_fig7_approximation_degradation(benchmark, scale):
+def test_fig7_approximation_degradation(scale):
     samples = max(min(scale["samples"] * 4, 2000), 1000)
-    sweep = benchmark.pedantic(
-        lambda: _approx_sweep(samples), rounds=1, iterations=1
-    )
+    sweep = _approx_sweep(samples)
     echo("\n=== Fig. 7: LUT-net accuracy vs approximated size ===")
     base_size, base_acc = sweep[0]
     for ands, acc in sweep:

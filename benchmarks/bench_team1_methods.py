@@ -55,11 +55,9 @@ def _run_methods(samples):
     return results
 
 
-def test_fig5_fig6_single_methods(benchmark, scale):
+def test_fig5_fig6_single_methods(scale):
     samples = min(scale["samples"], 1000)
-    results = benchmark.pedantic(
-        lambda: _run_methods(samples), rounds=1, iterations=1
-    )
+    results = _run_methods(samples)
     echo(f"\n=== Figs. 5/6: single-method accuracy and size ===")
     echo(f"  {'case':6s} {'espresso':>16} {'lutnet':>16} {'forest':>16}")
     for name, row in results.items():

@@ -44,11 +44,9 @@ def _compare(samples):
     return rows
 
 
-def test_fig11_fig12_j48_vs_part(benchmark, scale):
+def test_fig11_fig12_j48_vs_part(scale):
     samples = min(scale["samples"], 800)
-    rows = benchmark.pedantic(
-        lambda: _compare(samples), rounds=1, iterations=1
-    )
+    rows = _compare(samples)
     echo("\n=== Figs. 11/12: J48 vs PART ===")
     echo(f"  {'case':6s} {'J48 acc':>8} {'PART acc':>9} "
           f"{'J48 ands':>9} {'PART ands':>10}")

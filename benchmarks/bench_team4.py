@@ -28,13 +28,11 @@ def _run(samples):
     return scores
 
 
-def test_fig21_team4(benchmark, scale):
+def test_fig21_team4(scale):
     # The subspace-expansion flow needs a few hundred samples per
     # selected feature group to rank features reliably; floor at 600.
     samples = max(min(scale["samples"], 800), 600)
-    scores = benchmark.pedantic(
-        lambda: _run(samples), rounds=1, iterations=1
-    )
+    scores = _run(samples)
     echo("\n=== Fig. 21: Team 4 accuracy / node count ===")
     for name, s in scores.items():
         echo(f"  {name}: valid {100 * s.valid_accuracy:6.2f}%  "

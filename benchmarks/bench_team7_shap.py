@@ -18,7 +18,7 @@ from repro.ml.shap import mean_abs_shapley
 from repro.utils.rng import rng_for
 
 
-def test_fig25_maj5_tree(benchmark, rng_seed=0):
+def test_fig25_maj5_tree(rng_seed=0):
     rng = np.random.default_rng(rng_seed)
 
     def build_and_measure():
@@ -29,9 +29,7 @@ def test_fig25_maj5_tree(benchmark, rng_seed=0):
         want = (X.sum(axis=1) >= 63).astype(np.uint8)
         return aig, float((got == want).mean())
 
-    aig, agreement = benchmark.pedantic(
-        build_and_measure, rounds=1, iterations=1
-    )
+    aig, agreement = build_and_measure()
     echo(f"\n=== Fig. 25: MAJ-5 tree vs true 125-majority ===")
     echo(f"  nodes={aig.num_ands} agreement={100 * agreement:.1f}%")
     # Far cheaper than an exact 125-input majority and well above
@@ -68,11 +66,9 @@ def _shap_comparator(samples):
     return problem, signed
 
 
-def test_fig27_comparator_shap_pattern(benchmark, scale):
+def test_fig27_comparator_shap_pattern(scale):
     samples = min(scale["samples"], 600)
-    problem, signed = benchmark.pedantic(
-        lambda: _shap_comparator(samples), rounds=1, iterations=1
-    )
+    problem, signed = _shap_comparator(samples)
     k = problem.n_inputs // 2
     echo("\n=== Fig. 27: mean Shapley values, comparator operands ===")
     echo(f"  word A: {np.round(signed[:k], 2)}")
@@ -105,11 +101,9 @@ def _shap_vs_correlation(samples):
     return problem, corr, importance
 
 
-def test_fig26_shap_vs_correlation(benchmark, scale):
+def test_fig26_shap_vs_correlation(scale):
     samples = min(scale["samples"], 600)
-    problem, corr, importance = benchmark.pedantic(
-        lambda: _shap_vs_correlation(samples), rounds=1, iterations=1
-    )
+    problem, corr, importance = _shap_vs_correlation(samples)
     k = problem.n_inputs // 2
     echo("\n=== Fig. 26: |corr| vs mean |SHAP| (comparator) ===")
     echo(f"  |corr|  MSBs: {np.round(np.abs(corr)[[k-1, 2*k-1]], 3)}")

@@ -1,122 +1,166 @@
 #!/usr/bin/env python
-"""Gate bench timings against a committed baseline.
+"""Paired perfbench gate: this tree against a base commit.
 
-Used by the nightly workflow::
+    python benchmarks/check_regression.py --base origin/main
 
-    python -m pytest benchmarks/ -q --benchmark-json=bench_results.json
-    python benchmarks/check_regression.py \
-        --results bench_results.json \
-        --baseline benchmarks/BENCH_baseline.json --tolerance 0.20
+Checks ``--base`` out in a temporary ``git worktree``, then runs every
+workload listed in ``BENCHMARK.json`` (``python3 perfbench/run.py
+--workload W``) in both trees for 10 pairs, alternating which side
+runs first so a slow stretch of the host hits both sides alike.  Each
+run's last stdout line is its JSON result.  Timings are only compared
+between runs on the same machine in the same window, so no baseline
+file is kept.
 
-Raw wall-clock comparisons across machines are meaningless (a cold CI
-runner is not the laptop that recorded the baseline), so the check is
-*speed-normalized*: each benchmark's current/baseline ratio is divided
-by the median ratio across all shared benchmarks.  A uniformly slower
-machine moves every ratio equally and cancels out; a genuine
-regression moves one benchmark against the pack and fails the gate
-when it exceeds ``1 + tolerance``.
-
-``--update`` rewrites the baseline from a results file (run it on a
-quiet machine when a deliberate perf change shifts the floor).
+Exit 1 when any run is not ``correct``, when the head fails a larger
+share of operations than the base, or when an end-to-end metric's head
+median is worse than the base median by more than its relative
+``bound``.  A metric whose base interquartile spread, relative to its
+median, is wider than the bound is reported *unresolved*: the base
+cannot tell a regression of that size from noise, so it does not fail.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
+import math
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-def load_means(results_path: Path) -> dict[str, float]:
-    """``{benchmark fullname: mean seconds}`` from pytest-benchmark JSON."""
-    data = json.loads(results_path.read_text(encoding="utf-8"))
-    means: dict[str, float] = {}
-    for bench in data.get("benchmarks", []):
-        means[bench["fullname"]] = float(bench["stats"]["mean"])
-    return means
+from stats import percentile  # noqa: E402
+
+PAIRS = 10
 
 
-def write_baseline(baseline_path: Path, means: dict[str, float]) -> None:
-    payload = {
-        "comment": (
-            "Mean seconds per pytest-benchmark fixture benchmark. "
-            "Regenerate with benchmarks/check_regression.py --update "
-            "after deliberate perf changes."
-        ),
-        "benchmarks": {name: means[name] for name in sorted(means)},
-    }
-    baseline_path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def parse_result(stdout: str) -> dict:
+    """The JSON result on a run's last line; a run that printed none
+    (it crashed) counts as one failed operation."""
+    lines = stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
 
 
-def check(
-    results: dict[str, float],
-    baseline: dict[str, float],
-    tolerance: float,
-) -> int:
-    shared = sorted(set(results) & set(baseline))
-    new = sorted(set(results) - set(baseline))
-    gone = sorted(set(baseline) - set(results))
-    if not shared:
-        print("error: no benchmarks shared with the baseline — wrong "
-              "results file, or the baseline needs --update")
-        return 2
-    ratios = {name: results[name] / baseline[name] for name in shared}
-    machine = statistics.median(ratios.values())
-    print(f"{len(shared)} shared benchmark(s); machine-speed factor "
-          f"{machine:.2f}x (median current/baseline ratio)")
-    failures = []
-    for name in shared:
-        normalized = ratios[name] / machine
-        flag = ""
-        if normalized > 1.0 + tolerance:
-            failures.append(name)
-            flag = f"  << regression (> {1 + tolerance:.2f}x)"
-        print(f"  {normalized:6.2f}x  {name}{flag}")
-    for name in new:
-        print(f"    new   {name} ({results[name] * 1e3:.1f} ms, "
-              f"not in baseline — add via --update)")
-    for name in gone:
-        print(f"    gone  {name} (in baseline, absent from results)")
-    if failures:
-        print(f"\nFAIL: {len(failures)} benchmark(s) regressed beyond "
-              f"{tolerance:.0%} after machine-speed normalization")
-        return 1
-    if gone:
-        # A baselined bench that vanished is a silently dropped perf
-        # floor (rename, collection failure) — fail loudly; a
-        # deliberate removal goes through --update.
-        print(f"\nFAIL: {len(gone)} baselined benchmark(s) missing from "
-              f"the results — renamed/removed?  Refresh with --update")
-        return 1
-    print(f"\nOK: no normalized regression beyond {tolerance:.0%}")
-    return 0
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return percentile(values, 25), percentile(values, 50), percentile(values, 75)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--results", type=Path, required=True,
-                        help="pytest-benchmark --benchmark-json output")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "BENCH_baseline.json")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed normalized slowdown (0.20 = 20%%)")
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from --results")
+def relative(new: float, old: float) -> float:
+    if old:
+        return (new - old) / abs(old)
+    return 0.0 if new == old else math.copysign(math.inf, new - old)
+
+
+def compare(end_to_end: list[dict], base: list[dict],
+            head: list[dict]) -> tuple[list[dict], list[str]]:
+    """Judge one workload's paired runs.
+
+    Returns one row per end-to-end metric the runs report, and the
+    reasons the gate fails (empty when it passes).
+    """
+    problems = []
+    for side, runs in (("base", base), ("head", head)):
+        wrong = sum(not run["correct"] for run in runs)
+        if wrong:
+            problems.append(f"{wrong} of {len(runs)} {side} runs not correct")
+    shares = [sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+              for runs in (base, head)]
+    if shares[1] > shares[0]:
+        problems.append(f"head fails {shares[1]:.2%} of operations, "
+                        f"base {shares[0]:.2%}")
+    rows = []
+    for metric in end_to_end:
+        name = metric["name"]
+        if not all(name in run["metrics"] for run in base + head):
+            continue
+        b = quartiles([run["metrics"][name]["value"] for run in base])
+        h = quartiles([run["metrics"][name]["value"] for run in head])
+        change = relative(h[1], b[1])
+        worse = change if metric["better"] == "lower" else -change
+        if b[2] - b[0] > metric["bound"] * abs(b[1]):
+            verdict = "unresolved"
+        elif worse > metric["bound"]:
+            verdict = "WORSE"
+            problems.append(f"{name} median {h[1]:.6g} is {worse:.1%} worse "
+                            f"than base {b[1]:.6g} (bound {metric['bound']:.0%})")
+        else:
+            verdict = "ok"
+        rows.append({"metric": name, "unit": metric["unit"], "base": b,
+                     "head": h, "change": change, "verdict": verdict})
+    return rows, problems
+
+
+def run_once(tree: Path, command: list[str], workload: str) -> dict:
+    # perfbench puts its own tree's src/ first; an inherited PYTHONPATH
+    # could still hand one tree's modules to the other's subprocesses.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([*command, "--workload", workload], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    result = parse_result(proc.stdout)
+    if not result["correct"]:
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+    return result
+
+
+def fmt(q: tuple[float, float, float]) -> str:
+    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+
+def gate(base_tree: Path) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    trees = {"base": base_tree, "head": ROOT}
+    failed = False
+    print(f"{'workload':<16}{'metric':<20}{'base median [q1, q3]':<34}"
+          f"{'head median [q1, q3]':<34}{'change':>9}  verdict")
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs: dict[str, list[dict]] = {"base": [], "head": []}
+        for pair in range(PAIRS):
+            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            for side in order:
+                runs[side].append(run_once(trees[side], spec["command"], workload))
+            print(f"# {workload} pair {pair + 1}/{PAIRS} done", file=sys.stderr)
+        rows, problems = compare(spec["end_to_end"], runs["base"], runs["head"])
+        for row in rows:
+            print(f"{workload:<16}{row['metric']:<20}{fmt(row['base']):<34}"
+                  f"{fmt(row['head']):<34}{row['change']:>+9.1%}  {row['verdict']}")
+        for problem in problems:
+            print(f"FAIL {workload}: {problem}")
+        failed = failed or bool(problems)
+    print("FAIL" if failed else f"OK: {PAIRS} pairs per workload")
+    return 1 if failed else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, metavar="REF",
+                        help="commit to compare this tree against")
     args = parser.parse_args(argv)
-    results = load_means(args.results)
-    if not results:
-        print(f"error: {args.results} holds no benchmark entries")
-        return 2
-    if args.update:
-        write_baseline(args.baseline, results)
-        print(f"wrote {len(results)} baseline entries to {args.baseline}")
-        return 0
-    baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
-    return check(results, baseline["benchmarks"], args.tolerance)
+    with tempfile.TemporaryDirectory(prefix="perfbench-base-") as tmp:
+        base_tree = Path(tmp) / "base"
+        added = subprocess.run(
+            ["git", "-C", str(ROOT), "worktree", "add", "--detach",
+             str(base_tree), args.base],
+            capture_output=True, text=True)
+        if added.returncode:
+            parser.error(f"cannot check out {args.base!r}: {added.stderr.strip()}")
+        try:
+            return gate(base_tree)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
+                            "--force", str(base_tree)], check=False)
+            # perfbench keeps its scratch under .perfbench_work/ and
+            # empties it on exit; drop the directory if the gate made it.
+            try:
+                (ROOT / ".perfbench_work").rmdir()
+            except OSError:
+                pass
 
 
 if __name__ == "__main__":

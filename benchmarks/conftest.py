@@ -32,7 +32,7 @@ import _report
 
 def pytest_terminal_summary(terminalreporter):
     """Re-emit every reproduced table/figure after the run (stdout is
-    captured inside tests, so this is what lands in bench_output.txt)."""
+    captured inside tests, so this is where they show)."""
     lines = _report.drain()
     if not lines:
         return

@@ -471,7 +471,12 @@ class ProblemRegistry:
 
     def _select_manifest(self, path: str) -> list[ProblemSpec]:
         """A suite manifest: one selector pattern per line."""
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read suite manifest {path!r}: {exc.strerror or exc}"
+            ) from exc
         specs: list[ProblemSpec] = []
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()

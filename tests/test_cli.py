@@ -206,6 +206,20 @@ class TestContestAndReport:
         assert exc.value.code == 2
         assert "matched nothing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", ["missing.txt", ""])
+    def test_unreadable_manifest_rejected(self, capsys, tmp_path,
+                                          monkeypatch, manifest):
+        # A missing file and a directory ("@" alone names the cwd).
+        monkeypatch.chdir(tmp_path)
+        for argv in (["list", f"@{manifest}"],
+                     ["contest", "--benchmarks", f"@{manifest}",
+                      "--flows", "team10"]):
+            with pytest.raises(SystemExit) as exc:
+                _run(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"cannot read suite manifest {manifest!r}" in err
+
     def test_contest_bad_shard_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             _run(["contest", "--benchmarks", "74", "--flows", "team10",

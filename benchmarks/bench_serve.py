@@ -1,7 +1,7 @@
 """Serving layer: coalesced vs single-row throughput, cold vs warm,
-worker-pool scaling and saturation behavior under load.
+and saturation behavior under load.
 
-Four claims are measured on a real store (a mini contest run with kept
+Three claims are measured on a real store (a mini contest run with kept
 solutions):
 
 1. *Coalescing pays.*  N single-row requests answered one at a time
@@ -20,13 +20,7 @@ solutions):
    the levelized compile (cold); subsequent loads are an LRU hit
    (warm).  The warm path must be faster; both are reported.
 
-3. *Workers scale the engine off the loop.*  The same concurrent load
-   driven over real HTTP against ``workers=0`` (engine passes inline
-   on the event loop) and a worker pool.  On a box with >= 4 cores the
-   pooled server must reach >= 2x the single-process throughput;
-   measured numbers are reported on every box.
-
-4. *Saturation sheds, never strands.*  Past ``max_queued_rows`` the
+3. *Saturation sheds, never strands.*  Past ``max_queued_rows`` the
    server answers 503 (with ``Retry-After``); every request still gets
    *an* answer, and every 200 is bit-exact.
 
@@ -37,7 +31,7 @@ Run standalone for the load-generator mode (sweeps concurrency to
 find the saturation knee)::
 
     PYTHONPATH=src:benchmarks python benchmarks/bench_serve.py \
-        --load --workers 4 --requests 512
+        --load --requests 512
 """
 
 import asyncio
@@ -58,7 +52,6 @@ from repro.serve import (
     ModelStore,
     ServeApp,
     ServerHandle,
-    WorkerPool,
 )
 
 BENCHMARKS = [30, 74]
@@ -309,71 +302,8 @@ def _run_load(handle, name, rows, expected, n_requests, concurrency):
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool scaling + saturation benches
+# Saturation bench
 # ---------------------------------------------------------------------------
-
-LOAD_REQUESTS = 192
-LOAD_CONCURRENCY = 16
-MIN_POOL_SPEEDUP = 2.0
-P99_BUDGET_MS = 1000.0
-
-
-def test_serve_worker_pool_scaling(store_dir):
-    """HTTP throughput, workers=0 vs a pool, same load either way."""
-    cores = os.cpu_count() or 1
-    pool_workers = min(4, max(2, cores))
-    store = ModelStore(store_dir)
-    name = "ex74"
-    aig = read_aag(RunStore(store_dir).solution_path(store.info(name).key))
-    rows = _rows(64, 16, seed=3)
-    expected = aig.simulate(rows)
-
-    summaries = {}
-    for n_workers in (0, pool_workers):
-        app = ServeApp(
-            ModelStore(store_dir), tick_s=0.002, workers=n_workers
-        )
-        with ServerHandle(app) as handle:
-            _run_load(handle, name, rows, expected, 32, 4)  # warm-up
-            summaries[n_workers] = _run_load(
-                handle, name, rows, expected,
-                LOAD_REQUESTS, LOAD_CONCURRENCY,
-            )
-            if n_workers:
-                assert app.pool is not None
-                assert app.pool.stats()["dispatches"] >= 1
-
-    echo(f"\n=== Worker-pool scaling (ex74, {LOAD_REQUESTS} requests, "
-         f"{LOAD_CONCURRENCY} connections, {cores} cores) ===")
-    for n_workers, summary in summaries.items():
-        tier = "in-process" if n_workers == 0 else f"{n_workers} workers"
-        echo(f"  {tier:12s} {summary['rps']:8.0f} req/s   "
-             f"p50 {summary['p50_ms']:7.2f} ms   "
-             f"p99 {summary['p99_ms']:7.2f} ms")
-    speedup = summaries[pool_workers]["rps"] / summaries[0]["rps"]
-    echo(f"  pool vs in-process: {speedup:.2f}x")
-
-    # A warm worker dispatch round-trip (IPC + engine pass on a served
-    # batch) answers bit-exact, outside any HTTP load.
-    with WorkerPool(1) as wpool:
-        wpool.warm_up(timeout=120)
-        bundle = store.bundle(name)
-        mat = _rows(256, 16, seed=4)
-        warm = wpool.predict_sync(bundle.digest, bundle.aag_text, mat)
-        assert np.array_equal(warm, aig.simulate(mat))  # unconditional
-
-    if cores >= 4:
-        assert speedup >= MIN_POOL_SPEEDUP, (
-            f"worker pool {speedup:.2f}x < {MIN_POOL_SPEEDUP}x "
-            f"on {cores} cores"
-        )
-        assert summaries[pool_workers]["p99_ms"] <= P99_BUDGET_MS, (
-            f"pooled p99 {summaries[pool_workers]['p99_ms']:.1f} ms "
-            f"over the {P99_BUDGET_MS:.0f} ms budget"
-        )
-    else:
-        echo(f"  [{cores}-core box: {MIN_POOL_SPEEDUP}x / p99 wall-clock "
-             f"asserts skipped; measured {speedup:.2f}x]")
 
 
 def test_serve_saturation_sheds_load_cleanly(store_dir):
@@ -432,7 +362,6 @@ def _load_main(argv=None):
                         help="existing run/bundle dir (default: build a "
                              "mini contest run in a temp dir)")
     parser.add_argument("--model", default="ex74")
-    parser.add_argument("--workers", type=int, default=0)
     parser.add_argument("--requests", type=int, default=512,
                         help="requests per concurrency level")
     parser.add_argument("--concurrency", type=int, default=None,
@@ -456,14 +385,13 @@ def _load_main(argv=None):
 
         app = ServeApp(
             ModelStore(store_root), tick_s=args.tick_ms / 1000.0,
-            workers=args.workers, max_queued_rows=args.max_queued_rows,
+            max_queued_rows=args.max_queued_rows,
             deadline_ms=args.deadline_ms,
         )
         levels = [args.concurrency] if args.concurrency else \
             [1, 2, 4, 8, 16, 32, 64]
-        tier = f"{args.workers} workers" if args.workers else "in-process"
         print(f"load sweep: model {name!r}, {args.requests} requests per "
-              f"level, {tier}, {os.cpu_count()} cores")
+              f"level, {os.cpu_count()} cores")
         print(f"{'conc':>6} {'req/s':>10} {'p50 ms':>9} {'p99 ms':>9} "
               f"{'200':>6} {'503':>6}")
         knee = None

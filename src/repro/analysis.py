@@ -238,10 +238,10 @@ def run_contest(
     (``"team01"``, ``"portfolio"``, ``"team01:effort=full"`` — the
     registry is the source of truth, see :mod:`repro.flows.registry`)
     or a ``{display name: callable}`` dict (the historical interface).
-    Parallel or stored runs need callables resolvable by name so
-    workers can re-resolve them; purely in-process runs (``jobs=1``,
-    no ``out_dir``) keep accepting arbitrary callables (lambdas,
-    partials) and fall back to invoking them directly.
+    Every run goes through the runner, which ships flows by name, so
+    the callables must be resolvable by name (registered flows or
+    module-level functions); a lambda or partial raises
+    ``ValueError``.
 
     ``shard="k/N"`` runs only the grid subset owned by shard ``k``
     (deterministic key-hash partition).  Run each shard into its own
@@ -259,19 +259,9 @@ def run_contest(
     )
 
     if isinstance(flows, dict):
-        try:
-            flow_names = {
-                name: flow_name_for(name, flow)
-                for name, flow in flows.items()
-            }
-        except ValueError:
-            if jobs > 1 or out_dir is not None or shard is not None:
-                raise
-            return _run_contest_inline(
-                benchmarks, flows, n_train=n_train, n_valid=n_valid,
-                n_test=n_test, effort=effort, master_seed=master_seed,
-                trials=trials, verbose=verbose,
-            )
+        flow_names = {
+            name: flow_name_for(name, flow) for name, flow in flows.items()
+        }
     else:
         # Fail fast on unknown flows / malformed specs instead of
         # erroring task-by-task inside the workers.
@@ -312,42 +302,3 @@ def merge_contest_runs(out_dirs: Sequence[str]) -> ContestRun:
     from repro.runner import load_contest_runs
 
     return load_contest_runs(out_dirs)
-
-
-def _run_contest_inline(
-    benchmarks: Sequence[object],
-    flows: dict[str, object],
-    n_train: int,
-    n_valid: int,
-    n_test: int,
-    effort: str,
-    master_seed: int,
-    trials: int,
-    verbose: bool,
-) -> ContestRun:
-    """The pre-runner serial loop, kept for non-importable callables."""
-    from repro.contest import DEFAULT_REGISTRY, evaluate_solution
-
-    scores_by_team: dict[str, list[Score]] = {name: [] for name in flows}
-    for entry in benchmarks:
-        if isinstance(entry, int):
-            spec = DEFAULT_REGISTRY.by_index(entry)
-        else:
-            spec = DEFAULT_REGISTRY.get(entry)
-        for t in range(trials):
-            seed = master_seed + t
-            problem = DEFAULT_REGISTRY.problem(
-                spec, n_train=n_train, n_valid=n_valid,
-                n_test=n_test, master_seed=seed,
-            )
-            for name, flow in flows.items():
-                solution = flow(problem, effort=effort, master_seed=seed)
-                score = evaluate_solution(problem, solution)
-                scores_by_team[name].append(score)
-                if verbose:
-                    print(
-                        f"{problem.name} {name} s{seed}: "
-                        f"acc={score.test_accuracy:.3f} "
-                        f"ands={score.num_ands} [{solution.method}]"
-                    )
-    return ContestRun(scores_by_team)

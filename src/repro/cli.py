@@ -220,22 +220,15 @@ def _cmd_serve(parser, args) -> None:
         app = ServeApp(
             args.store, tick_s=args.tick_ms / 1000.0,
             max_batch=args.max_batch, cache_size=args.cache_size,
-            workers=args.workers,
             max_queued_rows=args.max_queued_rows,
             deadline_ms=args.deadline_ms,
         )
     except (FileNotFoundError, ValueError) as exc:
         parser.error(str(exc))
-    if app.pool is not None:
-        # Fork the workers before asyncio spins up any helper threads.
-        app.pool.warm_up(timeout=60.0)
-        print(f"repro serve: {app.pool.workers} worker process(es) warm")
     try:
         asyncio.run(serve_forever(app, args.host, args.port))
     except KeyboardInterrupt:
         print("\nrepro serve: stopped")
-    finally:
-        app.close()
 
 
 def _cmd_predict(parser, args) -> None:
@@ -373,11 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flush a model's queue at this many rows")
     serve_p.add_argument("--cache-size", type=int, default=32,
                          help="compiled circuits kept in the LRU")
-    serve_p.add_argument("--workers", type=int, default=0,
-                         help="worker processes executing batches "
-                              "(0 = in the serving process)")
     serve_p.add_argument("--max-queued-rows", type=int, default=None,
-                         help="per-model queued+inflight row cap; past "
+                         help="per-model cap on queued rows; past "
                               "it /predict answers 503 (default: "
                               "unbounded)")
     serve_p.add_argument("--deadline-ms", type=float, default=None,

@@ -3,9 +3,9 @@
 The rules themselves are generic AST checks; this module pins them to
 the places where this codebase's determinism contracts actually live:
 
-- which modules are *worker zones* (code that runs inside forked
-  worker processes and must stay pure — see
-  :mod:`repro.runner.task` and :mod:`repro.serve.pool`),
+- which modules are *worker zones* (code that runs inside the
+  runner's forked worker processes and must stay pure — see
+  :mod:`repro.runner.task`),
 - which files are allowed to touch global RNG machinery (only
   :mod:`repro.utils.rng`, the seed-derivation chokepoint),
 - which path prefixes individual rules skip (benchmarks assert their
@@ -25,14 +25,7 @@ DEFAULT_WORKER_ZONES: dict[str, frozenset[str]] = {
         "run_task",
         "make_task_problem",
         "_cached_problem",
-        "run_flow_on_problem",
         "dataset_fingerprint",
-    }),
-    "repro/serve/pool.py": frozenset({
-        "_init_worker",
-        "_worker_compiled",
-        "_worker_predict",
-        "_worker_ping",
     }),
 }
 

@@ -399,7 +399,7 @@ class Flow:
         self.package = package
         self.description = description
         #: extra spec-string override keys -> value parsers (e.g. the
-        #: portfolio's ``flows=team01+team10`` and ``jobs=4``).
+        #: portfolio's ``flows=team01+team10``).
         self.spec_params = dict(spec_params or {})
 
     # -- metadata ----------------------------------------------------
@@ -512,7 +512,7 @@ def check_flow_contract(fn: Callable, name: str = "<flow>") -> None:
     """Raise unless ``fn`` honours ``run(problem, effort="small",
     master_seed=0)``: those exact leading parameters, defaults on
     everything after ``problem``.  Extra parameters are allowed only
-    with defaults (the portfolio's ``flows``/``jobs``/``cache``)."""
+    with defaults (the portfolio's ``flows``/``cache``)."""
     sig = inspect.signature(fn)
     params = [p for p in sig.parameters.values()
               if p.kind is not inspect.Parameter.VAR_KEYWORD]

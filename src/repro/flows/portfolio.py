@@ -11,8 +11,8 @@ As a :class:`~repro.flows.api.Flow` the portfolio honours the same
 contract as every team flow — ``run(problem, effort, master_seed)`` —
 so it is runnable from the CLI (``repro run --flow portfolio``), valid
 in contest grids, and resolvable by spec string
-(``portfolio:flows=team01+team10,jobs=4``).  Member flows run with a
-*shared* :class:`~repro.flows.api.ArtifactCache`, so deterministic
+(``portfolio:flows=team01+team10``).  Member flows run serially with
+a *shared* :class:`~repro.flows.api.ArtifactCache`, so deterministic
 artifacts (the merged train+valid dataset, the standard-function match
 scan Teams 1 and 7 both perform) are computed once per problem.
 """
@@ -71,42 +71,22 @@ def _parse_members(value: str) -> list[str]:
 
 
 def _members_stage(ctx: FlowContext) -> list[Candidate]:
-    """Run the member flows and emit each winner's circuit.
+    """Run the member flows in order and emit each winner's circuit.
 
-    With ``jobs > 1`` the member flows execute concurrently on a
-    process pool through the runner task layer; each flow is a pure
-    function of (problem, seed), so the selected solution is identical
-    to the serial run's.  The serial path passes this flow's artifact
-    cache down, so members share deterministic artifacts.
+    Members get this flow's artifact cache, so they share
+    deterministic artifacts.  A contest grid already spreads tasks
+    over the runner's process pool; the members of one task run
+    serially.
     """
     names = ctx.state.get("flows")
     names = list(names) if names is not None else list(DEFAULT_MEMBERS)
-    jobs = ctx.state.get("jobs") or 1
-    if jobs > 1 and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.runner import run_flow_on_problem
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_flow_on_problem, ctx.problem, name,
-                            ctx.effort, ctx.master_seed)
-                for name in names
-            ]
-            # Collect in submission order: selection must see the same
-            # candidate order as the serial loop.
-            solutions = {
-                name: future.result()
-                for name, future in zip(names, futures, strict=True)
-            }
-    else:
-        solutions = {
-            name: REGISTRY.resolve(name)(
-                ctx.problem, effort=ctx.effort,
-                master_seed=ctx.master_seed, cache=ctx.cache,
-            )
-            for name in names
-        }
+    solutions = {
+        name: REGISTRY.resolve(name)(
+            ctx.problem, effort=ctx.effort,
+            master_seed=ctx.master_seed, cache=ctx.cache,
+        )
+        for name in names
+    }
     ctx.state["member_names"] = names
     ctx.state["solutions"] = solutions
     return [Candidate(name, solutions[name].aig) for name in names]
@@ -137,8 +117,8 @@ def _select(ctx: FlowContext) -> Solution:
 
 
 class PortfolioFlow(Flow):
-    """Composite flow with two extra (defaulted) contract parameters:
-    the member subset and the process-pool width."""
+    """Composite flow with one extra (defaulted) contract parameter:
+    the member subset."""
 
     def run(
         self,
@@ -147,12 +127,11 @@ class PortfolioFlow(Flow):
         master_seed: int = 0,
         *,
         flows: Sequence[str] | None = None,
-        jobs: int = 1,
         cache: ArtifactCache | None = None,
     ) -> Solution:
         return self.run_detailed(
             problem, effort=effort, master_seed=master_seed, cache=cache,
-            state={"flows": flows, "jobs": jobs},
+            state={"flows": flows},
         ).solution
 
     __call__ = run
@@ -162,9 +141,9 @@ FLOW = register(PortfolioFlow(
     "portfolio",
     team="virtual best",
     techniques={"ensemble"},
-    description="Runs member team flows (serially with a shared "
-                "artifact cache, or on a process pool) and keeps the "
-                "best by validation accuracy",
+    description="Runs member team flows serially with a shared "
+                "artifact cache and keeps the best by validation "
+                "accuracy",
     # Members interpret the effort knob themselves.
     efforts={"small": {}, "full": {}},
     stages=(
@@ -172,8 +151,5 @@ FLOW = register(PortfolioFlow(
     ),
     finalize=None,  # members already finalized their circuits
     select=_select,
-    spec_params={
-        "flows": _parse_members,
-        "jobs": int,
-    },
+    spec_params={"flows": _parse_members},
 ))

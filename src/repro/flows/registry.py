@@ -6,7 +6,7 @@ accepts plain names (``"team01"``) and *spec strings* with overrides::
 
     team01                      the flow, contract defaults
     team01:effort=full          effort pinned (wins over the caller's)
-    portfolio:flows=team01+team10,jobs=4
+    portfolio:flows=team01+team10
                                 flow-specific extras (declared by the
                                 flow via ``spec_params``)
 

@@ -57,7 +57,6 @@ from repro.runner.task import (
     dataset_fingerprint,
     flow_name_for,
     resolve_flow,
-    run_flow_on_problem,
     run_task,
     score_from_record,
     score_to_record,
@@ -77,7 +76,6 @@ __all__ = [
     "parse_shard",
     "resolve_flow",
     "run_contest_tasks",
-    "run_flow_on_problem",
     "run_task",
     "run_tasks",
     "score_from_record",

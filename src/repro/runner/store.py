@@ -186,8 +186,17 @@ class RunStore:
 
     def append(self, record: dict[str, Any],
                aag: str | None = None) -> None:
-        """Persist one completed task (record line + optional .aag)."""
+        """Persist one completed task (optional .aag + record line).
+
+        The circuit is written first and the record line last: the
+        record marks the task done, so a failure between the two must
+        leave the task unmarked (resume re-runs it) rather than marked
+        done without its circuit.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
+        if aag is not None:
+            self.solutions_dir.mkdir(parents=True, exist_ok=True)
+            self.solution_path(record["key"]).write_text(aag, encoding="ascii")
         # A previous append torn mid-line (crash during write) leaves
         # a fragment with no trailing newline.  Truncate it away so
         # interior lines are always complete records — the fragment's
@@ -202,10 +211,6 @@ class RunStore:
                     fh.truncate(data.rfind(b"\n") + 1)
         with self.records_path.open("a", encoding="utf-8") as fh:
             fh.write(canonical_line(record) + "\n")
-        if aag is not None:
-            self.solutions_dir.mkdir(parents=True, exist_ok=True)
-            path = self.solutions_dir / _solution_filename(record["key"])
-            path.write_text(aag, encoding="ascii")
 
     def solution_path(self, key: str) -> Path:
         """Canonical (write-side) location of a task's circuit."""

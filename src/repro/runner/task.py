@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.contest.evaluate import Score, evaluate_solution
-from repro.contest.problem import LearningProblem, Solution
+from repro.contest.problem import LearningProblem
 
 #: Bump when the record layout changes incompatibly.
 RECORD_SCHEMA = 1
@@ -121,9 +121,9 @@ def flow_name_for(name: str, flow: Callable) -> str:
     except (ImportError, AttributeError, KeyError):
         pass
     raise ValueError(
-        f"flow {name!r} ({flow!r}) is not resolvable by name; parallel "
-        f"and stored runs need flows reachable via the registry or a "
-        f"module-level 'module:qualname' path"
+        f"flow {name!r} ({flow!r}) is not resolvable by name; contest "
+        f"runs need flows reachable via the registry or a module-level "
+        f"'module:qualname' path"
     )
 
 
@@ -283,17 +283,3 @@ def run_task(spec: TaskSpec, keep_solution: bool = False) -> TaskResult:
         record=record,
         aag=dumps_aag(solution.aig) if keep_solution else None,
     )
-
-
-def run_flow_on_problem(
-    problem: LearningProblem,
-    flow: str,
-    effort: str = "small",
-    master_seed: int = 0,
-) -> Solution:
-    """Process-pool-friendly flow invocation on an in-memory problem.
-
-    Used by the portfolio's parallel mode, where the problem is already
-    sampled in the parent and shipped (pickled) to workers.
-    """
-    return resolve_flow(flow)(problem, effort=effort, master_seed=master_seed)

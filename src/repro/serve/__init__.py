@@ -19,14 +19,10 @@ Batch (:mod:`repro.serve.batching`)
     packing and per-level dispatch across every row in flight.
     Results are bit-identical to per-request evaluation.
 
-Execute (:mod:`repro.serve.pool`)
-    With ``--workers N`` the coalesced batches are dispatched to a
-    :class:`WorkerPool` of N processes, each holding its own LRU of
-    compiled circuits keyed by bundle content digest — the event
-    loop never blocks on a CPU-bound engine pass.  ``--workers 0``
-    keeps the in-process tier.  Per-model backpressure
-    (``--max-queued-rows``, ``--deadline-ms``) answers overload with
-    503s instead of unbounded queues.
+    Every flush runs inline on the event loop: at serving batch sizes
+    an engine pass costs less than the HTTP handling around it.
+    Per-model backpressure (``--max-queued-rows``, ``--deadline-ms``)
+    answers overload with 503s instead of unbounded queues.
 
 Observe (:mod:`repro.serve.metrics`)
     ``GET /metrics`` serves Prometheus-text counters, latency and
@@ -40,8 +36,8 @@ Serve (:mod:`repro.serve.http` / :mod:`repro.serve.predict`)
 
 ``benchmarks/bench_serve.py`` measures the design: coalesced
 throughput vs a single-row request loop, cold-vs-warm compile cost
-through the LRU, and (``--load``) saturation behavior and worker
-scaling under thousands of concurrent keep-alive connections.
+through the LRU, and (``--load``) saturation behavior under
+thousands of concurrent keep-alive connections.
 """
 
 from repro.serve.batching import (
@@ -53,7 +49,6 @@ from repro.serve.batching import (
 from repro.serve.bundle import CircuitBundle, CompiledCircuit, ModelInfo
 from repro.serve.http import ServeApp, ServerHandle, serve_forever
 from repro.serve.metrics import MetricsRegistry, ServeMetrics, parse_metrics_text
-from repro.serve.pool import WorkerPool
 from repro.serve.predict import predict_file, read_rows_file
 from repro.serve.store import ModelStore
 
@@ -70,7 +65,6 @@ __all__ = [
     "ServeApp",
     "ServeMetrics",
     "ServerHandle",
-    "WorkerPool",
     "parse_metrics_text",
     "predict_file",
     "read_rows_file",

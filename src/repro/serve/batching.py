@@ -9,20 +9,12 @@ soon as ``max_batch`` rows are waiting — the whole queue is flushed
 as **one** grouped engine pass, and each awaiting caller receives
 exactly its own slice of the result.
 
-Execution happens in one of two tiers:
-
-In-process (``pool=None``)
-    The flush runs the engine synchronously on the event loop
-    (microseconds at serving batch sizes).  Simple, zero IPC — but a
-    long pass blocks every other model's tick.
-Worker pool (``pool=``:class:`~repro.serve.pool.WorkerPool`)
-    The flush stacks the queue into one matrix and dispatches it to a
-    worker process; the loop keeps serving while workers burn CPU.
-    Results are distributed back on the loop when the dispatch lands.
-
-Either way, coalescing changes *when* rows are simulated, never
-*what* the engine computes — outputs are bit-identical to per-request
-evaluation.
+The flush runs the engine synchronously on the event loop. At
+serving batch sizes one grouped pass takes well under a millisecond,
+less than the HTTP handling around it, so there is nothing to gain
+from shipping it to another process. Coalescing changes *when* rows
+are simulated, never *what* the engine computes — outputs are
+bit-identical to per-request evaluation.
 
 Failures are classified, not conflated (callers turn these into HTTP
 statuses):
@@ -31,10 +23,9 @@ statuses):
     *This caller's* rows are malformed — raised from
     :meth:`predict` before anything is queued; nobody else sees it.
 :class:`QueueSaturated` at enqueue
-    The model's queue (queued + in-flight rows) is at
-    ``max_queued_rows``; admitting more would grow latency without
-    bound.  The caller should retry after :attr:`~QueueSaturated.
-    retry_after_s`.
+    The model's queued rows are at ``max_queued_rows``; admitting
+    more would grow latency without bound.  The caller should retry
+    after :attr:`~QueueSaturated.retry_after_s`.
 :class:`DeadlineExceeded` while queued
     The request sat in the queue past ``deadline_s``; it is answered
     (503) immediately — *before* the batch flushes — and its rows are
@@ -55,7 +46,6 @@ import numpy as np
 
 from repro.serve.bundle import validate_rows
 from repro.serve.metrics import ServeMetrics
-from repro.serve.pool import WorkerPool
 from repro.serve.store import ModelStore
 from repro.sim.batch import simulate_rows_grouped
 
@@ -105,12 +95,9 @@ class MicroBatcher:
         next loop iteration, after every already-scheduled enqueue.
     max_batch:
         Flush immediately once this many rows are queued for a model.
-    pool:
-        Optional :class:`~repro.serve.pool.WorkerPool`; flushes are
-        dispatched to worker processes instead of running inline.
     max_queued_rows:
-        Per-model admission bound on queued + in-flight rows; beyond
-        it, :meth:`predict` raises :class:`QueueSaturated` instead of
+        Per-model admission bound on queued rows; beyond it,
+        :meth:`predict` raises :class:`QueueSaturated` instead of
         queueing (``None`` = unbounded, the historical behavior).
     deadline_s:
         Maximum time a request may wait in the queue before being
@@ -126,7 +113,6 @@ class MicroBatcher:
         store: ModelStore,
         tick_s: float = 0.002,
         max_batch: int = 4096,
-        pool: WorkerPool | None = None,
         max_queued_rows: int | None = None,
         deadline_s: float | None = None,
         metrics: ServeMetrics | None = None,
@@ -140,13 +126,11 @@ class MicroBatcher:
         self.store = store
         self.tick_s = tick_s
         self.max_batch = max_batch
-        self.pool = pool
         self.max_queued_rows = max_queued_rows
         self.deadline_s = deadline_s
         self.metrics = metrics
         self._queues: dict[str, list[_Pending]] = {}
         self._queued_rows: dict[str, int] = {}
-        self._inflight_rows: dict[str, int] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self.requests = 0
         self.batches = 0
@@ -159,19 +143,12 @@ class MicroBatcher:
     # -- admission ---------------------------------------------------
 
     def pending_rows(self, name: str) -> int:
-        """Rows currently queued or dispatched-but-unanswered."""
-        return (
-            self._queued_rows.get(name, 0)
-            + self._inflight_rows.get(name, 0)
-        )
+        """Rows currently queued and not yet flushed."""
+        return self._queued_rows.get(name, 0)
 
     def queue_depths(self) -> dict[str, int]:
         """``{model: queued rows}`` for every non-empty queue."""
         return {k: v for k, v in self._queued_rows.items() if v}
-
-    def inflight_depths(self) -> dict[str, int]:
-        """``{model: in-flight rows}`` for every live dispatch."""
-        return {k: v for k, v in self._inflight_rows.items() if v}
 
     async def predict(self, name: str, rows: Any) -> np.ndarray:
         """Queue ``rows`` for ``name``; resolves at the next flush.
@@ -184,8 +161,7 @@ class MicroBatcher:
         """
         name = self.store.resolve(name)
         # Validation needs only the model's interface, which the
-        # catalogue serves without compiling — in pool mode the parent
-        # never needs the compiled circuit at all.
+        # catalogue serves without compiling.
         info = self.store.info(name)
         mat = validate_rows(rows, info.n_inputs, name)
         if self.max_queued_rows is not None and (
@@ -252,10 +228,7 @@ class MicroBatcher:
             return
         blocks = [e.mat for e in live]
         total_rows = sum(b.shape[0] for b in blocks)
-        if self.pool is None:
-            self._flush_inline(name, live, blocks, total_rows)
-        else:
-            self._flush_to_pool(name, live, blocks, total_rows)
+        self._flush_inline(name, live, blocks, total_rows)
 
     def _flush_inline(
         self,
@@ -275,49 +248,6 @@ class MicroBatcher:
         for entry, out in zip(live, outs, strict=True):
             if not entry.future.done():
                 entry.future.set_result(out)
-
-    def _flush_to_pool(
-        self,
-        name: str,
-        live: list[_Pending],
-        blocks: list[np.ndarray],
-        total_rows: int,
-    ) -> None:
-        if self.pool is None:  # callers route here only in pool mode
-            raise RuntimeError("_flush_to_pool called without a pool")
-        bundle = self.store.bundle(name)
-        stacked = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        self._inflight_rows[name] = (
-            self._inflight_rows.get(name, 0) + total_rows
-        )
-        try:
-            dispatch = self.pool.submit(bundle.digest, bundle.aag_text, stacked)
-        except Exception as exc:  # pool already shut down, etc.
-            self._inflight_rows[name] -= total_rows
-            self._fail_batch(live, name, exc)
-            return
-
-        def _deliver(done: asyncio.Future[np.ndarray]) -> None:
-            self._inflight_rows[name] = max(
-                0, self._inflight_rows.get(name, 0) - total_rows
-            )
-            exc = None if done.cancelled() else done.exception()
-            if done.cancelled() or exc is not None:
-                self._fail_batch(
-                    live, name,
-                    exc if exc is not None else RuntimeError("dispatch cancelled"),
-                )
-                return
-            merged = done.result()
-            self._record_batch(len(live), total_rows)
-            offset = 0
-            for entry in live:
-                k = entry.mat.shape[0]
-                if not entry.future.done():
-                    entry.future.set_result(merged[offset : offset + k])
-                offset += k
-
-        dispatch.add_done_callback(_deliver)
 
     def _fail_batch(
         self, live: list[_Pending], name: str, exc: BaseException
@@ -367,5 +297,4 @@ class MicroBatcher:
             "max_batch": self.max_batch,
             "max_queued_rows": self.max_queued_rows,
             "deadline_s": self.deadline_s,
-            "workers": self.pool.workers if self.pool is not None else 0,
         }

@@ -37,33 +37,35 @@ def validate_rows(rows: Any, n_inputs: int, name: str) -> np.ndarray:
     rejected rather than coerced.
     """
     raw = np.asarray(rows)
-    # The uint8 cast would silently truncate 0.9 to 0; fractional
-    # (or NaN/inf) input is a caller bug, not a prediction.
-    if raw.dtype.kind == "f" and not np.all(np.equal(np.mod(raw, 1), 0)):
+    # Only numbers: numpy would happily cast "1" or a bool-ish object.
+    if raw.dtype.kind not in "biuf":
         raise ValueError(
-            f"model {name!r} takes 0/1 rows, got fractional values"
+            f"model {name!r} takes 0/1 rows, got non-numeric {raw.dtype} values"
         )
-    try:
-        mat = raw.astype(np.uint8)
-    except (OverflowError, ValueError, TypeError):
-        raise ValueError(f"model {name!r} takes 0/1 rows") from None
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.ndim != 2 or mat.shape[1] != n_inputs:
+    if raw.ndim == 1:
+        raw = raw[None, :]
+    if raw.ndim != 2 or raw.shape[1] != n_inputs:
         raise ValueError(
             f"model {name!r} takes rows of "
-            f"{n_inputs} bits, got shape {tuple(mat.shape)}"
+            f"{n_inputs} bits, got shape {tuple(raw.shape)}"
         )
-    # Strictly 0/1: the packed representation encodes bit s at
-    # position s, so a stray 2 (or a negative wrapped to 255)
-    # would carry into a *neighbouring sample's* bit once rows are
-    # coalesced into one batch — garbage in one request must never
-    # touch another's output.
-    if mat.size and mat.max() > 1:
-        raise ValueError(
-            f"model {name!r} takes 0/1 rows, got value {int(mat.max())}"
-        )
-    return mat
+    # Strictly 0/1, checked *before* the uint8 cast, which would wrap
+    # 256 to 0, -1 to 255 and truncate 0.9 to 0.  The packed
+    # representation encodes bit s at position s, so a stray 2 would
+    # carry into a *neighbouring sample's* bit once rows are coalesced
+    # into one batch — garbage in one request must never touch
+    # another's output.
+    if raw.dtype.kind != "b":
+        binary = (raw == 0) | (raw == 1)
+        if not binary.all():
+            bad = raw[~binary][0]
+            kind = (
+                "fractional value"
+                if raw.dtype.kind == "f" and not float(bad).is_integer()
+                else "value"
+            )
+            raise ValueError(f"model {name!r} takes 0/1 rows, got {kind} {bad}")
+    return raw.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,9 @@ class CircuitBundle:
 
         Two bundles with the same digest serve bit-identical circuits;
         a different digest under the same model name means the store
-        now holds a *different* solution.  The model store's LRU and
-        the worker pool's per-process caches both key on this, so a
-        refreshed store can never keep serving a stale compile.
+        now holds a *different* solution.  The model store's refresh
+        evicts on a changed digest, so a refreshed store can never
+        keep serving a stale compile.
         """
         if self._digest is None:
             self._digest = hashlib.sha256(

@@ -4,7 +4,7 @@ A deliberately small HTTP/1.1 server (no third-party dependencies —
 ``asyncio.start_server`` plus hand-rolled request parsing) exposing:
 
 ``GET /healthz``
-    Liveness + uptime + batching/cache/pool statistics.
+    Liveness + uptime + batching/cache statistics.
 ``GET /models``
     The catalogue: one metadata object per servable model.
 ``GET /metrics``
@@ -19,8 +19,7 @@ A deliberately small HTTP/1.1 server (no third-party dependencies —
     ``AIG.simulate`` on the same rows — the handler only queues rows
     into the shared :class:`~repro.serve.batching.MicroBatcher`, which
     coalesces concurrent requests into one engine pass per model per
-    tick, executed inline (``workers=0``) or on a
-    :class:`~repro.serve.pool.WorkerPool` process (``workers>0``).
+    tick, run inline on the event loop.
 
 Error statuses are *classified*: a malformed request is that
 caller's 400; a saturated queue or an expired queue deadline is a 503
@@ -49,7 +48,6 @@ from repro.serve.batching import (
     QueueSaturated,
 )
 from repro.serve.metrics import ServeMetrics
-from repro.serve.pool import WorkerPool
 from repro.serve.store import ModelStore
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -84,12 +82,7 @@ class HttpError(Exception):
 class ServeApp:
     """Routes requests over one :class:`ModelStore` + microbatcher.
 
-    ``workers=0`` (the default) keeps the historical single-process
-    server: engine passes run inline on the event loop.  ``workers>0``
-    builds a :class:`~repro.serve.pool.WorkerPool` that executes each
-    coalesced batch in a worker process holding its own compiled-
-    circuit LRU — the loop never blocks on the engine, so independent
-    models' ticks (and all connection I/O) proceed during a pass.
+    Engine passes run inline on the event loop, one process in all.
     ``max_queued_rows``/``deadline_ms`` bound each model's queue (see
     :mod:`repro.serve.batching` for the 503 semantics).
     """
@@ -100,24 +93,17 @@ class ServeApp:
         tick_s: float = 0.002,
         max_batch: int = 4096,
         cache_size: int = 32,
-        workers: int = 0,
         max_queued_rows: int | None = None,
         deadline_ms: float | None = None,
     ):
-        if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = in-process)")
         if not isinstance(store, ModelStore):
             store = ModelStore(store, cache_size=cache_size)
         self.store = store
         self.metrics = ServeMetrics()
-        self.pool: WorkerPool | None = None
-        if workers > 0:
-            self.pool = WorkerPool(workers, cache_size=cache_size)
         self.batcher = MicroBatcher(
             store,
             tick_s=tick_s,
             max_batch=max_batch,
-            pool=self.pool,
             max_queued_rows=max_queued_rows,
             deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
             metrics=self.metrics,
@@ -159,23 +145,13 @@ class ServeApp:
             batcher.queue_depths, label="model",
         )
         metrics.attach_gauge(
-            "inflight_rows",
-            "Rows dispatched to workers, not yet answered.",
-            batcher.inflight_depths, label="model",
-        )
-        metrics.attach_gauge(
-            "workers", "Worker processes (0 = in-process execution).",
-            lambda: self.pool.workers if self.pool is not None else 0,
-        )
-        metrics.attach_gauge(
             "requests_handled", "Total HTTP requests answered.",
             lambda: self.requests_handled,
         )
 
     def close(self) -> None:
-        """Release the worker pool (idempotent; safe with workers=0)."""
-        if self.pool is not None:
-            self.pool.shutdown()
+        """Release the app's resources: it holds none beyond memory,
+        so this is a no-op, safe to call any number of times."""
 
     # -- endpoint bodies (JSON-object in, JSON-object out) -----------
 
@@ -185,7 +161,6 @@ class ServeApp:
             "uptime_s": round(time.monotonic() - self.started, 3),
             "store": self.store.stats(),
             "batching": self.batcher.stats(),
-            "pool": self.pool.stats() if self.pool is not None else None,
         }
 
     def models(self) -> dict[str, Any]:
@@ -418,20 +393,13 @@ async def start_async_server(
 async def serve_forever(app: ServeApp, host: str, port: int) -> None:
     server = await start_async_server(app, host, port)
     addr = server.sockets[0].getsockname()
-    tier = (
-        f"{app.pool.workers} worker process(es)"
-        if app.pool is not None else "in-process execution"
-    )
     print(
         f"repro serve: {len(app.store.names())} model(s) on "
         f"http://{addr[0]}:{addr[1]}  (tick {app.batcher.tick_s * 1e3:g} ms, "
-        f"max batch {app.batcher.max_batch}, {tier})"
+        f"max batch {app.batcher.max_batch})"
     )
-    try:
-        async with server:
-            await server.serve_forever()
-    finally:
-        app.close()
+    async with server:
+        await server.serve_forever()
 
 
 class ServerHandle:
@@ -452,11 +420,6 @@ class ServerHandle:
         self._thread: threading.Thread | None = None
 
     def __enter__(self) -> ServerHandle:
-        # Spawn pool workers from *this* thread, before the server
-        # thread exists — forking under a live event-loop thread is
-        # where fork-safety problems breed.
-        if self.app.pool is not None:
-            self.app.pool.warm_up(timeout=60)
         ready = threading.Event()
 
         def run() -> None:
@@ -506,4 +469,3 @@ class ServerHandle:
             asyncio.run_coroutine_threadsafe(_graceful_stop(), loop)
         if self._thread is not None:
             self._thread.join(timeout=10)
-        self.app.close()

@@ -176,14 +176,6 @@ class ModelStore:
         """
         return self._bundles[self.resolve(name)].info()
 
-    def bundle(self, name: str) -> CircuitBundle:
-        """The raw bundle (AIGER text + digest) behind a model.
-
-        What the worker pool ships to workers: the text to rebuild
-        from, the digest to cache by.  Does not compile anything.
-        """
-        return self._bundles[self.resolve(name)]
-
     def infos(self) -> list[ModelInfo]:
         return [self.info(name) for name in self.names()]
 

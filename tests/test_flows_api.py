@@ -150,9 +150,9 @@ class TestSpecStrings:
         assert parse_spec("team01") == ("team01", {})
 
     def test_parse_overrides(self):
-        name, overrides = parse_spec("portfolio:flows=a+b,jobs=4")
+        name, overrides = parse_spec("portfolio:flows=a+b,effort=full")
         assert name == "portfolio"
-        assert overrides == {"flows": "a+b", "jobs": "4"}
+        assert overrides == {"flows": "a+b", "effort": "full"}
 
     @pytest.mark.parametrize("bad", ["", ":effort=full", "team01:effort",
                                      "team01:effort=full,effort=small"])
@@ -178,9 +178,11 @@ class TestSpecStrings:
             resolve_spec("team01:jobs=4")
 
     def test_portfolio_spec_params_coerced(self):
-        spec = resolve_spec("portfolio:flows=team01+team10,jobs=2")
-        assert spec.overrides == {"flows": ["team01", "team10"],
-                                  "jobs": 2}
+        spec = resolve_spec("portfolio:flows=team01+team10")
+        assert spec.overrides == {"flows": ["team01", "team10"]}
+        # The members run serially: there is no pool width to set.
+        with pytest.raises(ValueError, match="override"):
+            resolve_spec("portfolio:jobs=2")
 
     def test_unknown_override_suggests(self):
         with pytest.raises(ValueError, match="did you mean flows"):

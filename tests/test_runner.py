@@ -7,6 +7,7 @@ identical reconstructed tables.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +375,31 @@ class TestStore:
         assert {s.key for s in specs} <= set(store.load_records())
         assert again.table3()  # reconstructs fine
 
+    def test_failed_solution_write_leaves_task_unmarked(
+            self, tmp_path, monkeypatch):
+        """The record line marks a task done, so it lands after the
+        circuit: a failed ``.aag`` write must leave the task to re-run,
+        not stored as done without its circuit."""
+        specs = contest_tasks([74], ["team10"], 32, 32, 32)
+        key = specs[0].key
+        write_text = Path.write_text
+
+        def failing_write(path, *args, **kwargs):
+            if path.suffix == ".aag":
+                raise OSError("disk full")
+            return write_text(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", failing_write)
+            with pytest.raises(OSError, match="disk full"):
+                run_contest_tasks(specs, out_dir=tmp_path,
+                                  keep_solutions=True)
+        store = RunStore(tmp_path)
+        assert key not in store.load_records()
+        run_contest_tasks(specs, out_dir=tmp_path, keep_solutions=True)
+        assert key in store.load_records()
+        assert store.has_solution(key)
+
     def test_mid_file_corruption_still_raises(self, tmp_path):
         store = RunStore(tmp_path)
         store.append({"key": "a", "schema": 1})
@@ -409,37 +435,13 @@ class TestRunContestWrapper:
                           n_test=32, trials=3)
         assert len(run.scores_by_team["team10"]) == 3
 
-    def test_non_importable_callable_still_runs_inline(self):
-        from repro.analysis import run_contest
-
-        wrapped = lambda p, **kw: get_flow("team10")(p, **kw)  # noqa: E731
-        run = run_contest([74], {"mine": wrapped},
-                          n_train=32, n_valid=32, n_test=32)
-        direct = run_contest([74], ["team10"],
-                             n_train=32, n_valid=32, n_test=32)
-        assert [s.test_accuracy for s in run.scores_by_team["mine"]] == \
-            [s.test_accuracy for s in direct.scores_by_team["team10"]]
-
     def test_non_importable_callable_rejected_for_parallel_or_store(
             self, tmp_path):
+        """Every run ships flows by name, in-process serial runs too."""
         from repro.analysis import run_contest
 
         flows = {"lam": lambda p, **kw: None}
-        with pytest.raises(ValueError, match="importable"):
-            run_contest([74], flows, n_train=8, n_valid=8, n_test=8,
-                        jobs=2)
-        with pytest.raises(ValueError, match="importable"):
-            run_contest([74], flows, n_train=8, n_valid=8, n_test=8,
-                        out_dir=tmp_path)
-
-
-class TestPortfolioParallel:
-    def test_parallel_matches_serial(self, small_problem):
-        portfolio = get_flow("portfolio")
-        serial = portfolio.run(small_problem, flows=["team10", "team02"])
-        parallel = portfolio.run(small_problem,
-                                 flows=["team10", "team02"], jobs=2)
-        assert parallel.method == serial.method
-        assert parallel.metadata["selected_flow"] == \
-            serial.metadata["selected_flow"]
-        assert parallel.aig.num_ands == serial.aig.num_ands
+        for kwargs in ({}, {"jobs": 2}, {"out_dir": tmp_path}):
+            with pytest.raises(ValueError, match="not resolvable by name"):
+                run_contest([74], flows, n_train=8, n_valid=8, n_test=8,
+                            **kwargs)

@@ -27,7 +27,6 @@ from repro.serve import (
     QueueSaturated,
     ServeApp,
     ServerHandle,
-    WorkerPool,
     parse_metrics_text,
 )
 from repro.serve.metrics import MetricsRegistry
@@ -235,6 +234,14 @@ def test_predict_rejects_non_binary_values(model_store):
     )
     with pytest.raises(ValueError):
         circuit.predict([[-1] * 16])
+    # Out-of-range integers must not wrap into valid bits on the uint8
+    # cast (256 -> 0, 257 -> 1), and strings are not numbers.
+    for rows in ([[256] + [1] * 15], [[257] + [0] * 15],
+                 [["1", "0"] * 8], np.full((1, 16), 256, dtype=np.int64)):
+        with pytest.raises(ValueError, match="0/1"):
+            circuit.predict(rows)
+        with pytest.raises(ValueError, match="0/1"):
+            circuit.predict_grouped([rows])
 
 
 def test_model_store_info_does_not_compile(run_store_dir):
@@ -442,6 +449,11 @@ def test_http_rejects_non_binary_rows(served):
         served, "POST", "/predict/ex74", json.dumps({"row": [0.9] * 16})
     )
     assert status == 400 and "fractional" in body["error"]
+    # 256 must not wrap to 0 on the uint8 cast and be answered.
+    status, body = _request(
+        served, "POST", "/predict/ex74", json.dumps({"row": [256] + [0] * 15})
+    )
+    assert status == 400 and "0/1" in body["error"]
 
 
 def test_http_malformed_content_length_gets_400(served):
@@ -534,6 +546,23 @@ def test_serve_cli_parser():
     )
     assert args.command == "serve"
     assert args.port == 9000 and args.tick_ms == 1.0
+
+
+def test_serve_cli_parser_pool_flags():
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(["serve", "--store", "runs/x"])
+    assert args.max_queued_rows is None and args.deadline_ms is None
+    args = build_parser().parse_args([
+        "serve", "--store", "runs/x",
+        "--max-queued-rows", "4096", "--deadline-ms", "50",
+    ])
+    assert args.max_queued_rows == 4096 and args.deadline_ms == 50.0
+    # The process pool is gone: --workers is no longer an option.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["serve", "--store", "runs/x", "--workers", "4"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +847,6 @@ def test_metrics_reconcile_with_requests_handled(model_store):
     assert metrics["repro_serve_batches_total"] == app.batcher.batches
     assert metrics["repro_serve_predict_latency_seconds_count"] == 2
     assert metrics['repro_serve_http_requests_total{endpoint="/predict"}'] == 2
-    assert metrics["repro_serve_workers"] == 0
 
 
 def test_metrics_instruments_unit():
@@ -924,82 +952,3 @@ def test_refresh_evicts_stale_compiled_entry(tmp_path):
     ms.refresh()
     assert ms.stats()["stale_evictions"] == 1
     assert ms.cached_names() == ["ex00"]
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool execution tier
-# ---------------------------------------------------------------------------
-
-
-def test_worker_pool_bit_identity(model_store, run_store_dir):
-    """A pool worker rebuilds from the AIGER text and returns outputs
-    bit-identical to in-process evaluation (same text, same engine)."""
-    with WorkerPool(1) as pool:
-        pool.warm_up(timeout=120)
-        for name in model_store.names():
-            bundle = model_store.bundle(name)
-            aig = _stored_winner_aig(run_store_dir, model_store, name)
-            rows = _random_rows(37, aig.n_inputs, seed=13)
-            got = pool.predict_sync(bundle.digest, bundle.aag_text, rows)
-            assert np.array_equal(got, aig.simulate(rows))
-        # Same digest again: served from the worker's LRU.
-        got = pool.predict_sync(bundle.digest, bundle.aag_text, rows[:5])
-        assert np.array_equal(got, aig.simulate(rows[:5]))
-        assert pool.stats()["dispatches"] == len(model_store.names()) + 1
-    with pytest.raises(ValueError):
-        WorkerPool(0)
-
-
-def test_http_with_workers_bit_identical(model_store, run_store_dir):
-    """The full stack — HTTP, coalescing, process dispatch, split —
-    must not change one output bit vs AIG.simulate."""
-    app = ServeApp(model_store, tick_s=0.002, workers=1)
-    with ServerHandle(app) as handle:
-        aig = _stored_winner_aig(run_store_dir, model_store, "ex74")
-        rows = _random_rows(16, 16, seed=21)
-        expected = aig.simulate(rows)
-
-        def one(i):
-            return i, _request(
-                handle, "POST", "/predict/ex74",
-                json.dumps({"row": rows[i].tolist()}),
-            )
-
-        with ThreadPoolExecutor(max_workers=8) as tpool:
-            for i, (status, body) in tpool.map(one, range(len(rows))):
-                assert status == 200
-                assert np.array_equal(
-                    np.asarray(body["outputs"], dtype=np.uint8)[0],
-                    expected[i],
-                )
-        status, health = _request(handle, "GET", "/healthz")
-        assert status == 200
-        assert health["pool"]["workers"] == 1
-        assert health["pool"]["dispatches"] >= 1
-        assert health["batching"]["workers"] == 1
-        # Parent process never compiled: validation came off the
-        # catalogue, execution happened in the worker.
-        assert health["store"]["compiled"] == 0
-    # 400s stay classified with the pool on: malformed rows are
-    # rejected at enqueue and never reach a worker.
-    app2 = ServeApp(model_store, tick_s=0.002, workers=1)
-    with ServerHandle(app2) as handle:
-        status, body = _request(
-            handle, "POST", "/predict/ex74",
-            json.dumps({"rows": [[2] * 16]}),
-        )
-        assert status == 400 and "0/1" in body["error"]
-
-
-def test_serve_cli_parser_pool_flags():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["serve", "--store", "runs/x"])
-    assert args.workers == 0
-    assert args.max_queued_rows is None and args.deadline_ms is None
-    args = build_parser().parse_args([
-        "serve", "--store", "runs/x", "--workers", "4",
-        "--max-queued-rows", "4096", "--deadline-ms", "50",
-    ])
-    assert args.workers == 4
-    assert args.max_queued_rows == 4096 and args.deadline_ms == 50.0

@@ -51,8 +51,9 @@ class CGPEvolver:
         self.log = EvolutionLog()
 
     # ------------------------------------------------------------------
-    def _fitness(self, genome: CGPGenome, packed, y_packed, n_samples) -> float:
-        out = genome.evaluate_packed(packed)
+    @staticmethod
+    def _fitness(out, y_packed, n_samples) -> float:
+        """Accuracy of a packed output row against packed labels."""
         wrong = out ^ y_packed
         # Mask padding bits in the last word.
         pad = n_samples % 64
@@ -83,7 +84,9 @@ class CGPEvolver:
         rate = self.mutation_rate
         batch = None
         packed, y_packed, n_eval = packed_full, y_packed_full, n
-        parent_fit = self._fitness(parent, packed, y_packed, n_eval)
+        parent_fit = self._fitness(
+            parent.evaluate_packed(packed), y_packed, n_eval)
+        parent_size = parent.phenotype_size()
         for gen in range(generations):
             if self.batch_size is not None and self.batch_size < n:
                 if batch is None or gen % self.batch_generations == 0:
@@ -94,31 +97,36 @@ class CGPEvolver:
                     y_packed = pack_bits(y[idx][:, None])[0]
                     n_eval = self.batch_size
                     parent_fit = self._fitness(
-                        parent, packed, y_packed, n_eval
+                        parent.evaluate_packed(packed), y_packed, n_eval
                     )
             improved = False
             best_child = None
             best_fit = -1.0
+            best_size = 0
             for _ in range(self.lam):
                 child = parent.mutate(rate, self.rng)
-                fit = self._fitness(child, packed, y_packed, n_eval)
+                # One active-set walk serves the fitness and the size.
+                active = child.active_nodes()
+                fit = self._fitness(child._evaluate_active(packed, active),
+                                    y_packed, n_eval)
                 if fit > best_fit or (
                     fit == best_fit
                     and best_child is not None
-                    and child.phenotype_size() > best_child.phenotype_size()
+                    and len(active) > best_size
                 ):
                     best_fit = fit
                     best_child = child
+                    best_size = len(active)
             if best_fit > parent_fit:
                 improved = True
             # Neutral drift: accept >=, preferring larger phenotypes on
             # exact ties with the parent.
             if best_fit > parent_fit or (
-                best_fit == parent_fit
-                and best_child.phenotype_size() >= parent.phenotype_size()
+                best_fit == parent_fit and best_size >= parent_size
             ):
                 parent = best_child
                 parent_fit = best_fit
+                parent_size = best_size
             # 1/5th success rule; the floor keeps at least ~one gene
             # mutating per offspring so the search never freezes.
             min_rate = 1.0 / (3 * parent.n_nodes + 1)
@@ -128,7 +136,8 @@ class CGPEvolver:
                 rate = max(rate * 1.5 ** (-0.25), min_rate)
             self.log.fitness.append(parent_fit)
             self.log.mutation_rate.append(rate)
-        final_fit = self._fitness(parent, packed_full, y_packed_full, n)
+        final_fit = self._fitness(parent.evaluate_packed(packed_full),
+                                  y_packed_full, n)
         return parent, final_fit
 
 

@@ -133,15 +133,17 @@ class CGPGenome:
     # ------------------------------------------------------------------
     def active_nodes(self) -> list[int]:
         """Node indices in the phenotype, in evaluation order."""
+        n_inputs = self.n_inputs
+        in0, in1 = self.in0.tolist(), self.in1.tolist()
         active = set()
-        stack = [self.output - self.n_inputs]
+        stack = [self.output - n_inputs]
         while stack:
             node = stack.pop()
             if node < 0 or node in active:
                 continue
             active.add(node)
-            for ref in (self.in0[node], self.in1[node]):
-                stack.append(int(ref) - self.n_inputs)
+            stack.append(in0[node] - n_inputs)
+            stack.append(in1[node] - n_inputs)
         return sorted(active)
 
     def phenotype_size(self) -> int:
@@ -149,19 +151,28 @@ class CGPGenome:
 
     def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Bit-parallel evaluation; returns packed output row."""
-        n_words = packed_inputs.shape[1]
-        values: dict[int, np.ndarray] = {
-            i: packed_inputs[i] for i in range(self.n_inputs)
-        }
-        for node in self.active_nodes():
-            fn = _IMPL[self.function_set[self.funcs[node]]]
-            a = values[int(self.in0[node])]
-            b = values[int(self.in1[node])]
-            values[self.n_inputs + node] = fn(a, b)
-        out = values.get(self.output)
-        if out is None:  # output points at an inactive index: constant 0
-            out = np.zeros(n_words, dtype=np.uint64)
-        return out
+        return self._evaluate_active(packed_inputs, self.active_nodes())
+
+    def _evaluate_active(self, packed_inputs: np.ndarray,
+                         active: list[int]) -> np.ndarray:
+        """:meth:`evaluate_packed` over an already computed
+        :meth:`active_nodes` list."""
+        n_inputs = self.n_inputs
+        impls = [_IMPL[name] for name in self.function_set]
+        funcs = self.funcs.tolist()
+        in0, in1 = self.in0.tolist(), self.in1.tolist()
+        # Data index i is input row i below n_inputs, else the value of
+        # node i - n_inputs; an active node's fanins are inputs or
+        # earlier active nodes, and so is the output.
+        values: list = [None] * (n_inputs + self.n_nodes)
+        for node in active:
+            a, b = in0[node], in1[node]
+            values[n_inputs + node] = impls[funcs[node]](
+                packed_inputs[a] if a < n_inputs else values[a],
+                packed_inputs[b] if b < n_inputs else values[b],
+            )
+        out = self.output
+        return packed_inputs[out] if out < n_inputs else values[out]
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         from repro.utils.bitops import pack_bits, unpack_bits

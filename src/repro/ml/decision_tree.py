@@ -29,6 +29,7 @@ from scipy import stats
 
 from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
+from repro.utils.bitops import pack_bits, unpack_bits
 
 _EPS = 1e-12
 
@@ -36,7 +37,8 @@ _EPS = 1e-12
 def entropy(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Binary entropy of ``pos`` successes out of ``total`` (vectorized)."""
     total = np.maximum(total, _EPS)
-    p = np.clip(pos / total, _EPS, 1 - _EPS)
+    # Bitwise the same as ``np.clip``, without its dispatch overhead.
+    p = np.minimum(np.maximum(pos / total, _EPS), 1 - _EPS)
     return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
 
 
@@ -110,23 +112,30 @@ class DecisionTree:
         self.n_inputs = X.shape[1]
         self.nodes = []
         self._routing = None
-        self._grow(X, y, np.arange(X.shape[0]), depth=0, banned=0)
+        # Node sample sets are bit masks over the rows, and split
+        # counts are popcounts of column AND mask: no per-node copy.
+        # ``cols[1]`` keeps only the positive rows of ``cols[0]``.
+        cols = pack_bits(X).T  # (n_words, n_features)
+        cols = np.stack([cols, cols & pack_bits(y[:, None]).T])
+        everyone = pack_bits(np.ones((X.shape[0], 1), dtype=np.uint8))[0]
+        self._grow(X, y, cols, everyone, X.shape[0], int(y.sum()),
+                   depth=0, banned=np.zeros(X.shape[1], dtype=bool))
         return self
 
     def _impurity(self, pos, total):
         fn = entropy if self.criterion == "entropy" else gini
         return fn(pos, total)
 
-    def _grow(self, X, y, idx, depth, banned) -> int:
-        """Grow a subtree over ``idx``; returns its node index.
+    def _grow(self, X, y, cols, mask, n, n_pos, depth, banned) -> int:
+        """Grow a subtree over the ``n`` rows set in ``mask``, ``n_pos``
+        of them positive; returns its node index.
 
-        ``banned`` is a bitmask of features already used on this path
-        (re-splitting a binary feature is useless).
+        ``cols`` holds the feature columns packed 64 rows to a word,
+        over all rows and over the positive rows; ``banned`` flags the
+        features already used on this path (re-splitting a binary
+        feature is useless).
         """
         node_id = len(self.nodes)
-        y_here = y[idx]
-        n = len(idx)
-        n_pos = int(y_here.sum())
         value = 1 if 2 * n_pos > n else 0
         node = TreeNode(
             value=value,
@@ -141,7 +150,9 @@ class DecisionTree:
             or n < max(2, 2 * self.min_samples_leaf)
         ):
             return node_id
-        feature, gain = self._best_split(X, y, idx, banned)
+        # Per feature: rows, and positive rows, with the feature at 1.
+        ones, pos_ones = np.bitwise_count(cols & mask[:, None]).sum(axis=1)
+        feature, gain = self._best_split(ones, pos_ones, n, n_pos, banned)
         if feature is None:
             return node_id
         use_decomposition = (
@@ -149,50 +160,52 @@ class DecisionTree:
             and gain < self.decomposition_tau
         )
         if use_decomposition:
+            idx = np.flatnonzero(unpack_bits(mask, X.shape[0])[:, 0])
             alt = self._decomposition_split(X, y, idx, banned)
             if alt is not None:
                 feature = alt
         elif gain < self.min_gain:
             return node_id
-        mask = X[idx, feature] == 1
-        idx_left = idx[~mask]
-        idx_right = idx[mask]
+        n_right, pos_right = int(ones[feature]), int(pos_ones[feature])
         if (
-            len(idx_left) < self.min_samples_leaf
-            or len(idx_right) < self.min_samples_leaf
+            n - n_right < self.min_samples_leaf
+            or n_right < self.min_samples_leaf
         ):
             return node_id
         node.feature = feature
         node.is_leaf = False
-        new_banned = banned | (1 << feature)
-        node.left = self._grow(X, y, idx_left, depth + 1, new_banned)
-        node.right = self._grow(X, y, idx_right, depth + 1, new_banned)
+        new_banned = banned.copy()
+        new_banned[feature] = True
+        column = cols[0, :, feature]
+        node.left = self._grow(X, y, cols, mask & ~column, n - n_right,
+                               n_pos - pos_right, depth + 1, new_banned)
+        node.right = self._grow(X, y, cols, mask & column, n_right,
+                                pos_right, depth + 1, new_banned)
         return node_id
 
-    def _best_split(self, X, y, idx, banned) -> tuple[int | None, float]:
-        """Highest-gain feature over the node's samples (vectorized)."""
-        Xn = X[idx]
-        yn = y[idx]
-        n = len(idx)
-        ones = Xn.sum(axis=0).astype(np.float64)          # count x=1
-        pos_ones = Xn[yn == 1].sum(axis=0).astype(np.float64)
-        n_pos = float(yn.sum())
+    def _best_split(self, ones, pos_ones, n, n_pos,
+                    banned) -> tuple[int | None, float]:
+        """Highest-gain feature from the node's per-feature counts.
+
+        The parent and both sides of every split go through one
+        impurity call; it is elementwise, so each value is the one a
+        separate call would give.
+        """
+        ones = ones.astype(np.float64)
+        pos_ones = pos_ones.astype(np.float64)
+        n_pos = float(n_pos)
         zeros = n - ones
         pos_zeros = n_pos - pos_ones
-        parent = self._impurity(np.array(n_pos), np.array(float(n)))
-        child = (
-            ones / n * self._impurity(pos_ones, ones)
-            + zeros / n * self._impurity(pos_zeros, zeros)
+        impurity = self._impurity(
+            np.concatenate([pos_ones, pos_zeros, [n_pos]]),
+            np.concatenate([ones, zeros, [float(n)]]),
         )
-        gains = parent - child
+        d = len(ones)
+        child = ones / n * impurity[:d] + zeros / n * impurity[d:-1]
+        gains = impurity[-1] - child
         # A split is useless if one side is empty or the feature was
         # already used on this path.
-        gains = np.where((ones == 0) | (zeros == 0), -np.inf, gains)
-        if banned:
-            banned_idx = [
-                i for i in range(X.shape[1]) if banned & (1 << i)
-            ]
-            gains[banned_idx] = -np.inf
+        gains[(ones == 0) | (zeros == 0) | banned] = -np.inf
         best = int(np.argmax(gains))
         if not np.isfinite(gains[best]):
             return None, 0.0
@@ -209,7 +222,7 @@ class DecisionTree:
         yn = y[idx]
         chosen = None
         for feature in range(X.shape[1]):
-            if banned & (1 << feature):
+            if banned[feature]:
                 continue
             mask = Xn[:, feature] == 1
             y0, y1 = yn[~mask], yn[mask]
@@ -279,20 +292,25 @@ class DecisionTree:
     # Prediction and export
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.nodes:
-            raise ValueError("tree is not fitted")
+        routes = self._routes()
         X = np.asarray(X, dtype=np.uint8)
         if X.ndim == 1:
             X = X[None, :]
+        # Routing reads a flattened X, so a narrower X would be read
+        # past its rows; extra columns are never tested and are ignored.
+        if X.shape[1] < self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} features, got {X.shape[1]}"
+            )
+        return route(X, routes, np.zeros(1, dtype=np.intp))[:, 0]
+
+    def _routes(self) -> tuple:
+        """The compiled routing arrays, built on first use."""
+        if not self.nodes:
+            raise ValueError("tree is not fitted")
         if self._routing is None:
             self._routing = self._compile_routing()
-        feature, left, right, value, depth = self._routing
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        # One step per level; leaves route to themselves.
-        for _ in range(depth):
-            node = np.where(X[rows, feature[node]] == 1, right[node], left[node])
-        return value[node]
+        return self._routing
 
     def _compile_routing(self) -> tuple:
         """Per-node split feature, children and leaf value, plus depth.
@@ -367,6 +385,28 @@ class DecisionTree:
 
         rec(0, [])
         return Cover(self.n_inputs, cubes)
+
+
+def route(X, routes: tuple, roots: np.ndarray) -> np.ndarray:
+    """Leaf values reached by every row of ``X`` from every root node.
+
+    ``routes`` is ``(feature, left, right, value, depth)`` as
+    :meth:`DecisionTree._compile_routing` builds it, possibly for many
+    trees concatenated; the result has shape ``(n_rows, len(roots))``.
+    One step per level; leaves route to themselves.  ``X`` must be at
+    least as wide as the largest split feature.
+    """
+    feature, left, right, value, depth = routes
+    n, d = X.shape
+    flat = np.ascontiguousarray(X).ravel()
+    base = (np.arange(n) * d)[:, None]
+    # Child of node i on bit b is children[2 * i + b].
+    children = np.stack([left, right], axis=1).ravel()
+    node = np.broadcast_to(roots, (n, len(roots)))
+    for _ in range(depth):
+        bit = flat.take(base + feature.take(node)) == 1
+        node = children.take(2 * node + bit)
+    return value.take(node)
 
 
 @lru_cache(maxsize=1 << 14)

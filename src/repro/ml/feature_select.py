@@ -119,18 +119,31 @@ def permutation_importance(
     n_repeats: int = 5,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Mean accuracy drop when each feature column is shuffled."""
+    """Mean accuracy drop when each feature column is shuffled.
+
+    ``predict`` must label each row on its own: the ``n_repeats``
+    shuffled copies of one column are stacked and predicted in one
+    call.  Permutations are drawn column by column, repeat by repeat.
+    """
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be at least 1, got {n_repeats}")
     if rng is None:
         rng = np.random.default_rng(0)
     X = np.asarray(X)
     y = np.asarray(y).ravel()
+    n = X.shape[0]
     baseline = accuracy(y, predict(X))
     importances = np.zeros(X.shape[1])
+    stacked = np.tile(X, (n_repeats, 1))
     for col in range(X.shape[1]):
-        drops = []
-        for _ in range(n_repeats):
-            shuffled = X.copy()
-            shuffled[:, col] = shuffled[rng.permutation(X.shape[0]), col]
-            drops.append(baseline - accuracy(y, predict(shuffled)))
+        stacked[:, col] = np.concatenate(
+            [X[rng.permutation(n), col] for _ in range(n_repeats)]
+        )
+        pred = predict(stacked)
+        drops = [
+            baseline - accuracy(y, pred[r * n:(r + 1) * n])
+            for r in range(n_repeats)
+        ]
         importances[col] = float(np.mean(drops))
+        stacked[:, col] = np.tile(X[:, col], n_repeats)
     return importances

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.decision_tree import DecisionTree
+from repro.ml.decision_tree import DecisionTree, route
 
 
 class RandomForest:
@@ -72,14 +72,34 @@ class RandomForest:
         return self
 
     def votes(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree predictions, shape ``(n_samples, n_trees)``."""
+        """Per-tree predictions, shape ``(n_samples, n_trees)``.
+
+        All trees route together on the full ``X``: their routing
+        arrays are concatenated, with each split feature mapped through
+        the tree's feature subset, so no per-tree column copy is made.
+        """
+        if not self.trees:
+            raise ValueError("forest is not fitted")
         X = np.asarray(X, dtype=np.uint8)
         if X.ndim == 1:
             X = X[None, :]
-        out = np.zeros((X.shape[0], self.n_trees), dtype=np.uint8)
-        for t, (tree, cols) in enumerate(zip(self.trees, self.feature_subsets, strict=True)):
-            out[:, t] = tree.predict(X[:, cols])
-        return out
+        if X.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} features, got {X.shape[1]}"
+            )
+        feature, left, right, value, depth = zip(
+            *(tree._routes() for tree in self.trees), strict=True
+        )
+        roots = np.cumsum([0] + [len(f) for f in feature[:-1]])
+        routes = (
+            np.concatenate([cols[f] for cols, f in
+                            zip(self.feature_subsets, feature, strict=True)]),
+            np.concatenate([c + r for c, r in zip(left, roots, strict=True)]),
+            np.concatenate([c + r for c, r in zip(right, roots, strict=True)]),
+            np.concatenate(value),
+            max(depth),
+        )
+        return route(X, routes, roots)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         votes = self.votes(X)

@@ -55,10 +55,15 @@ def cross_val_accuracy(
     """Mean k-fold accuracy of a ``fit_predict(X_tr, y_tr, X_te)`` callable.
 
     This mirrors how Teams 2 and 7 pick classifier configurations by
-    cross-validating on the training data only.
+    cross-validating on the training data only.  Folds left empty
+    (fewer samples of a class than folds) are skipped, not scored 0.
     """
     scores = []
     for train_idx, test_idx in stratified_kfold(y, n_folds, rng):
+        if not len(test_idx):
+            continue
         pred = fit_predict(X[train_idx], y[train_idx], X[test_idx])
         scores.append(accuracy(y[test_idx], pred))
+    if not scores:
+        raise ValueError("no samples to cross-validate")
     return float(np.mean(scores))

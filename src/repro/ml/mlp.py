@@ -30,7 +30,8 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+        # Bitwise the same as ``np.clip``, without its dispatch overhead.
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -30), 30)))
     if name == "tanh":
         return np.tanh(z)
     if name == "sine":

@@ -13,6 +13,7 @@ import numpy as np
 from repro.aig.aig import AIG
 from repro.aig.build import lut
 from repro.ml.mlp import MLP, _act
+from repro.utils.bitops import bits_to_int
 
 MAX_FANIN_FOR_SYNTH = 16
 
@@ -25,13 +26,12 @@ def _neuron_table(weights: np.ndarray, bias: float, activation: str) -> int:
             f"neuron fanin {k} too large to enumerate; prune the network "
             f"to <= {MAX_FANIN_FOR_SYNTH} first"
         )
-    table = 0
-    for pattern in range(1 << k):
-        bits = np.array([(pattern >> i) & 1 for i in range(k)], dtype=float)
-        z = float(weights @ bits + bias)
-        if _act(activation, np.array(z)) >= 0.5:
-            table |= 1 << pattern
-    return table
+    patterns = np.arange(1 << k)
+    grid = ((patterns[:, None] >> np.arange(k)) & 1).astype(np.float64)
+    # One dot product per pattern, as a neuron evaluates one input: a
+    # single ``grid @ weights`` may round differently in the last bit.
+    z = np.array([weights @ row for row in grid]) + bias
+    return bits_to_int(_act(activation, z) >= 0.5)
 
 
 def mlp_to_aig(model: MLP) -> AIG:

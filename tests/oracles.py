@@ -20,6 +20,11 @@ from repro.aig.cuts import enumerate_cuts_with_truths as library_cuts
 from repro.aig.isop import cofactor0, cofactor1, full_mask, var_mask
 from repro.aig.opt.passes import _map_lit, balance
 from repro.aig.opt.traverse import cut_truth
+from repro.cgp.genome import _IMPL, CGPGenome
+from repro.ml.decision_tree import DecisionTree, TreeNode, gini
+from repro.ml.metrics import accuracy
+from repro.ml.mlp import _act
+from repro.utils.bitops import pack_bits, popcount64
 
 Cut = tuple[int, ...]
 
@@ -235,6 +240,253 @@ def tree_predict(tree, X: np.ndarray) -> np.ndarray:
         stack.append((node.left, idx[~mask]))
         stack.append((node.right, idx[mask]))
     return out
+
+
+# ---------------------------------------------------------------------
+# Learners: per-node row copies, per-tree column copies, one predict
+# per shuffled copy, one Python bit list per neuron pattern, and a
+# fresh active-set walk for every CGP evaluation and size query
+# ---------------------------------------------------------------------
+def entropy(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
+    total = np.maximum(total, 1e-12)
+    p = np.clip(pos / total, 1e-12, 1 - 1e-12)
+    return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+
+
+def act(name: str, z: np.ndarray) -> np.ndarray:
+    if name == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -30, 30)))
+    return _act(name, z)
+
+
+def neuron_table(weights: np.ndarray, bias: float, activation: str) -> int:
+    k = weights.shape[0]
+    table = 0
+    for pattern in range(1 << k):
+        bits = np.array([(pattern >> i) & 1 for i in range(k)], dtype=float)
+        z = float(weights @ bits + bias)
+        if act(activation, np.array(z)) >= 0.5:
+            table |= 1 << pattern
+    return table
+
+
+def permutation_importance(predict, X, y, n_repeats=5, rng=None):
+    if rng is None:
+        rng = np.random.default_rng(0)
+    X = np.asarray(X)
+    y = np.asarray(y).ravel()
+    baseline = accuracy(y, predict(X))
+    importances = np.zeros(X.shape[1])
+    for col in range(X.shape[1]):
+        drops = []
+        for _ in range(n_repeats):
+            shuffled = X.copy()
+            shuffled[:, col] = shuffled[rng.permutation(X.shape[0]), col]
+            drops.append(baseline - accuracy(y, predict(shuffled)))
+        importances[col] = float(np.mean(drops))
+    return importances
+
+
+class ReferenceTree(DecisionTree):
+    """:class:`DecisionTree` growing over row-index arrays, copying
+    ``X[idx]`` at every node and banning features by an int bitmask."""
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=np.uint8)
+        y = np.asarray(y, dtype=np.uint8).ravel()
+        self.n_inputs = X.shape[1]
+        self.nodes = []
+        self._routing = None
+        self._grow(X, y, np.arange(X.shape[0]), depth=0, banned=0)
+        return self
+
+    def _impurity(self, pos, total):
+        fn = entropy if self.criterion == "entropy" else gini
+        return fn(pos, total)
+
+    def _grow(self, X, y, idx, depth, banned) -> int:
+        node_id = len(self.nodes)
+        y_here = y[idx]
+        n = len(idx)
+        n_pos = int(y_here.sum())
+        value = 1 if 2 * n_pos > n else 0
+        node = TreeNode(value=value, n_samples=n,
+                        n_errors=min(n_pos, n - n_pos))
+        self.nodes.append(node)
+        if (
+            n_pos == 0
+            or n_pos == n
+            or (self.max_depth is not None and depth >= self.max_depth)
+            or n < max(2, 2 * self.min_samples_leaf)
+        ):
+            return node_id
+        feature, gain = self._best_split(X, y, idx, banned)
+        if feature is None:
+            return node_id
+        if self.decomposition_tau is not None and gain < self.decomposition_tau:
+            alt = self._decomposition_split(X, y, idx, banned)
+            if alt is not None:
+                feature = alt
+        elif gain < self.min_gain:
+            return node_id
+        mask = X[idx, feature] == 1
+        idx_left = idx[~mask]
+        idx_right = idx[mask]
+        if (
+            len(idx_left) < self.min_samples_leaf
+            or len(idx_right) < self.min_samples_leaf
+        ):
+            return node_id
+        node.feature = feature
+        node.is_leaf = False
+        new_banned = banned | (1 << feature)
+        node.left = self._grow(X, y, idx_left, depth + 1, new_banned)
+        node.right = self._grow(X, y, idx_right, depth + 1, new_banned)
+        return node_id
+
+    def _best_split(self, X, y, idx, banned):
+        Xn = X[idx]
+        yn = y[idx]
+        n = len(idx)
+        ones = Xn.sum(axis=0).astype(np.float64)
+        pos_ones = Xn[yn == 1].sum(axis=0).astype(np.float64)
+        n_pos = float(yn.sum())
+        zeros = n - ones
+        pos_zeros = n_pos - pos_ones
+        parent = self._impurity(np.array(n_pos), np.array(float(n)))
+        child = (
+            ones / n * self._impurity(pos_ones, ones)
+            + zeros / n * self._impurity(pos_zeros, zeros)
+        )
+        gains = parent - child
+        gains = np.where((ones == 0) | (zeros == 0), -np.inf, gains)
+        if banned:
+            banned_idx = [i for i in range(X.shape[1]) if banned & (1 << i)]
+            gains[banned_idx] = -np.inf
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains[best]):
+            return None, 0.0
+        return best, float(gains[best])
+
+    def _decomposition_split(self, X, y, idx, banned):
+        Xn = X[idx]
+        yn = y[idx]
+        chosen = None
+        for feature in range(X.shape[1]):
+            if banned & (1 << feature):
+                continue
+            mask = Xn[:, feature] == 1
+            y0, y1 = yn[~mask], yn[mask]
+            if len(y0) == 0 or len(y1) == 0:
+                continue
+            constant = y0.min() == y0.max() or y1.min() == y1.max()
+            if constant or self._looks_complement(Xn, yn, feature, mask):
+                chosen = feature
+        return chosen
+
+
+def forest_votes(forest, X: np.ndarray) -> np.ndarray:
+    X = np.asarray(X, dtype=np.uint8)
+    if X.ndim == 1:
+        X = X[None, :]
+    out = np.zeros((X.shape[0], forest.n_trees), dtype=np.uint8)
+    for t, (tree, cols) in enumerate(
+        zip(forest.trees, forest.feature_subsets, strict=True)
+    ):
+        out[:, t] = tree.predict(X[:, cols])
+    return out
+
+
+def cgp_active_nodes(genome) -> list[int]:
+    active = set()
+    stack = [genome.output - genome.n_inputs]
+    while stack:
+        node = stack.pop()
+        if node < 0 or node in active:
+            continue
+        active.add(node)
+        for ref in (genome.in0[node], genome.in1[node]):
+            stack.append(int(ref) - genome.n_inputs)
+    return sorted(active)
+
+
+def cgp_evaluate_packed(genome, packed_inputs: np.ndarray) -> np.ndarray:
+    n_words = packed_inputs.shape[1]
+    values = {i: packed_inputs[i] for i in range(genome.n_inputs)}
+    for node in cgp_active_nodes(genome):
+        fn = _IMPL[genome.function_set[genome.funcs[node]]]
+        a = values[int(genome.in0[node])]
+        b = values[int(genome.in1[node])]
+        values[genome.n_inputs + node] = fn(a, b)
+    out = values.get(genome.output)
+    if out is None:
+        out = np.zeros(n_words, dtype=np.uint64)
+    return out
+
+
+def cgp_run(evolver, X, y, generations=2000, seed_genome=None):
+    """``CGPEvolver.run`` evaluating and sizing every genome afresh."""
+
+    def fitness(genome, packed, y_packed, n_samples):
+        wrong = cgp_evaluate_packed(genome, packed) ^ y_packed
+        pad = n_samples % 64
+        if pad:
+            wrong[-1] &= np.uint64((1 << pad) - 1)
+        return 1.0 - int(popcount64(wrong).sum()) / n_samples
+
+    def size(genome):
+        return len(cgp_active_nodes(genome))
+
+    X = np.asarray(X, dtype=np.uint8)
+    y = np.asarray(y, dtype=np.uint8).ravel()
+    n = X.shape[0]
+    packed_full = pack_bits(X)
+    y_packed_full = pack_bits(y[:, None])[0]
+    if seed_genome is not None:
+        parent = seed_genome
+    else:
+        parent = CGPGenome.random(
+            X.shape[1], evolver.n_nodes, evolver.rng, evolver.function_set
+        )
+    rate = evolver.mutation_rate
+    batch = None
+    packed, y_packed, n_eval = packed_full, y_packed_full, n
+    parent_fit = fitness(parent, packed, y_packed, n_eval)
+    for gen in range(generations):
+        if evolver.batch_size is not None and evolver.batch_size < n:
+            if batch is None or gen % evolver.batch_generations == 0:
+                batch = evolver.rng.choice(n, size=evolver.batch_size,
+                                           replace=False)
+                packed = pack_bits(X[batch])
+                y_packed = pack_bits(y[batch][:, None])[0]
+                n_eval = evolver.batch_size
+                parent_fit = fitness(parent, packed, y_packed, n_eval)
+        best_child = None
+        best_fit = -1.0
+        for _ in range(evolver.lam):
+            child = parent.mutate(rate, evolver.rng)
+            fit = fitness(child, packed, y_packed, n_eval)
+            if fit > best_fit or (
+                fit == best_fit
+                and best_child is not None
+                and size(child) > size(best_child)
+            ):
+                best_fit = fit
+                best_child = child
+        improved = best_fit > parent_fit
+        if best_fit > parent_fit or (
+            best_fit == parent_fit and size(best_child) >= size(parent)
+        ):
+            parent = best_child
+            parent_fit = best_fit
+        min_rate = 1.0 / (3 * parent.n_nodes + 1)
+        if improved:
+            rate = min(rate * 1.5, 0.5)
+        else:
+            rate = max(rate * 1.5 ** (-0.25), min_rate)
+        evolver.log.fitness.append(parent_fit)
+        evolver.log.mutation_rate.append(rate)
+    return parent, fitness(parent, packed_full, y_packed_full, n)
 
 
 # ---------------------------------------------------------------------

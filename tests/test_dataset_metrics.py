@@ -90,3 +90,23 @@ class TestMetrics:
             return Xb[:, 1]
 
         assert cross_val_accuracy(fit_predict, X, y, 5, rng) == 1.0
+
+    def test_cross_val_skips_empty_folds(self, rng):
+        # 3 rows over 5 folds leave test folds empty; they must not
+        # count as accuracy 0 (which gave 0.4 for a perfect learner).
+        X = np.array([[0], [1], [1]], dtype=np.uint8)
+        y = X[:, 0].copy()
+        calls = []
+
+        def fit_predict(Xa, ya, Xb):
+            calls.append(len(Xb))
+            return Xb[:, 0]
+
+        assert cross_val_accuracy(fit_predict, X, y, 5, rng) == 1.0
+        assert sum(calls) == 3 and 0 not in calls
+
+    def test_cross_val_rejects_no_samples(self, rng):
+        X = np.zeros((0, 2), dtype=np.uint8)
+        y = np.zeros(0, dtype=np.uint8)
+        with pytest.raises(ValueError, match="no samples"):
+            cross_val_accuracy(lambda Xa, ya, Xb: Xb[:, 0], X, y, 3, rng)

@@ -42,6 +42,20 @@ class TestFitting:
         assert tree.num_leaves() == 1
         assert tree.predict(X).tolist() == [1, 1, 1]
 
+    def test_predict_rejects_narrow_width(self, rng):
+        # Routing reads a flattened X, so a narrower X must not be
+        # indexed past its rows.
+        X, y = _make(rng, lambda X: X[:, 0] & X[:, 7])
+        tree = DecisionTree().fit(X, y)
+        with pytest.raises(ValueError, match="expected 8 features"):
+            tree.predict(X[:, :7])
+
+    def test_predict_ignores_extra_columns(self, rng):
+        X, y = _make(rng, lambda X: X[:, 0] & X[:, 7])
+        tree = DecisionTree().fit(X, y)
+        wide = np.hstack([X, 1 - X[:, :3]])
+        assert tree.predict(wide).tolist() == tree.predict(X).tolist()
+
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError):
             DecisionTree(criterion="mse")

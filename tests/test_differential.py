@@ -1,12 +1,15 @@
 """Differential tests: the array/sweep hot paths against their oracles.
 
-Cut enumeration, the refactor cone sweep, ISOP, candidate pricing and
-tree routing each replaced a straightforward implementation with a
-faster one that must return exactly the same thing.  The
+Cut enumeration, the refactor cone sweep, ISOP, candidate pricing,
+tree routing and the learner stages (tree growth, forest votes,
+permutation importance, neuron tables, CGP evaluation) each replaced
+a straightforward implementation with a faster one that must return
+exactly the same thing.  The
 straightforward versions live in :mod:`tests.oracles`; every test
 here compares the two on seeded graphs, tables and trees.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -21,7 +24,13 @@ from repro.aig.isop import full_mask, isop, var_mask
 from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import get_library
 from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
-from repro.ml.decision_tree import DecisionTree, _pessimistic_errors
+from repro.cgp import AIG_FUNCTIONS, XAIG_FUNCTIONS, CGPEvolver, CGPGenome
+from repro.ml.decision_tree import DecisionTree, _pessimistic_errors, entropy
+from repro.ml.feature_select import permutation_importance
+from repro.ml.forest import RandomForest
+from repro.ml.mlp import _ACTIVATIONS
+from repro.synth.from_mlp import _neuron_table
+from repro.utils.bitops import pack_bits
 from tests import oracles
 
 SHAPES = ("random", "chain", "reconvergent")
@@ -407,3 +416,165 @@ def test_pessimistic_errors_memo_is_bit_identical():
         direct = _pessimistic_errors.__wrapped__(n, errors, cf)
         assert _pessimistic_errors(n, errors, cf) == direct
         assert _pessimistic_errors(n, errors, cf) == direct  # cache hit
+
+
+# ---------------------------------------------------------------------
+# Learners: bit-packed tree growth, routed forest votes, batched
+# permutation importance, one-pass neuron tables, CGP active sets
+# ---------------------------------------------------------------------
+def labelled_rows(seed: int, n: int, d: int, noise: float):
+    """Rows whose label mixes a few features with seeded label noise,
+    so trees grow both pure and impure leaves."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, (n, d)).astype(np.uint8)
+    y = X[:, 0] ^ (X[:, -1] & X[:, d // 2])
+    y ^= (rng.random(n) < noise).astype(np.uint8)
+    return X, y.astype(np.uint8)
+
+
+def node_list(tree) -> list[tuple]:
+    return [dataclasses.astuple(node) for node in tree.nodes]
+
+
+@given(
+    seed=seeds,
+    n=st.integers(0, 300),
+    d=st.integers(1, 12),
+    noise=st.sampled_from([0.0, 0.1, 0.4]),
+    criterion=st.sampled_from(["entropy", "gini"]),
+    max_depth=st.sampled_from([None, 1, 3, 6]),
+    min_samples_leaf=st.integers(1, 5),
+    tau=st.sampled_from([None, 0.05, 0.5]),
+)
+@settings(max_examples=120, deadline=None)
+def test_tree_nodes_match_row_copying_oracle(
+    seed, n, d, noise, criterion, max_depth, min_samples_leaf, tau
+):
+    X, y = labelled_rows(seed, n, d, noise)
+    kwargs = dict(criterion=criterion, max_depth=max_depth,
+                  min_samples_leaf=min_samples_leaf, decomposition_tau=tau)
+    tree = DecisionTree(**kwargs).fit(X, y)
+    reference = oracles.ReferenceTree(**kwargs).fit(X, y)
+    assert node_list(tree) == node_list(reference)
+
+
+@given(values=st.lists(
+    st.tuples(st.integers(0, 500), st.integers(0, 500)), min_size=1,
+    max_size=40,
+))
+@settings(max_examples=80, deadline=None)
+def test_entropy_matches_clip_oracle_bitwise(values):
+    pos = np.array([min(p, t) for p, t in values], dtype=np.float64)
+    total = np.array([t for _, t in values], dtype=np.float64)
+    assert entropy(pos, total).tobytes() == oracles.entropy(pos, total).tobytes()
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 200),
+    d=st.integers(1, 12),
+    n_trees=st.sampled_from([1, 3, 7]),
+    fraction=st.sampled_from([None, 0.3, 0.8]),
+)
+@settings(max_examples=40, deadline=None)
+def test_routed_forest_votes_match_column_copying_oracle(
+    seed, n, d, n_trees, fraction
+):
+    X, y = labelled_rows(seed, n, d, 0.1)
+    forest = RandomForest(n_trees=n_trees, max_depth=6,
+                          feature_fraction=fraction,
+                          rng=np.random.default_rng(seed)).fit(X, y)
+    rows = np.random.default_rng(seed + 1).integers(0, 2, (64, d))
+    assert np.array_equal(forest.votes(rows), oracles.forest_votes(forest, rows))
+    assert np.array_equal(forest.votes(rows[0]),
+                          oracles.forest_votes(forest, rows[0]))
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 150),
+    d=st.integers(1, 8),
+    n_repeats=st.integers(1, 4),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_permutation_importance_matches_oracle(seed, n, d, n_repeats):
+    X, y = labelled_rows(seed, n, d, 0.1)
+    forest = RandomForest(n_trees=3, max_depth=4,
+                          rng=np.random.default_rng(seed)).fit(X, y)
+    got = permutation_importance(forest.predict, X, y, n_repeats=n_repeats,
+                                 rng=np.random.default_rng(seed))
+    want = oracles.permutation_importance(
+        forest.predict, X, y, n_repeats=n_repeats,
+        rng=np.random.default_rng(seed),
+    )
+    assert got.tobytes() == want.tobytes()
+
+
+@given(
+    k=st.integers(0, 12),
+    seed=seeds,
+    activation=st.sampled_from(_ACTIVATIONS),
+    scale=st.sampled_from([0.1, 1.0, 3.0, 40.0]),
+    anchor=st.sampled_from(["none", "integral", "tie"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_neuron_tables_match_per_pattern_oracle(
+    k, seed, activation, scale, anchor
+):
+    """``integral`` weights put many patterns exactly on a threshold;
+    ``tie`` sets the bias so that one pattern's z is 0.5 (the relu and
+    identity threshold) as a per-pattern dot product computes it, where
+    a matrix product that rounds the dot differently flips the bit."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(0.0, scale, k)
+    bias = float(rng.normal(0.0, scale))
+    if anchor == "integral":
+        weights = np.round(weights)
+        bias = float(np.round(bias)) + rng.choice([0.0, 0.5])
+    elif anchor == "tie":
+        pattern = int(rng.integers(0, 1 << k))
+        bits = np.array([(pattern >> i) & 1 for i in range(k)], dtype=float)
+        bias = 0.5 - float(weights @ bits)
+    assert _neuron_table(weights, bias, activation) == oracles.neuron_table(
+        weights, bias, activation
+    )
+
+
+@given(
+    seed=seeds,
+    n_inputs=st.integers(1, 8),
+    n_nodes=st.integers(1, 60),
+    xaig=st.booleans(),
+    output_input=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_cgp_evaluation_matches_dict_oracle(
+    seed, n_inputs, n_nodes, xaig, output_input
+):
+    rng = np.random.default_rng(seed)
+    functions = XAIG_FUNCTIONS if xaig else AIG_FUNCTIONS
+    genome = CGPGenome.random(n_inputs, n_nodes, rng, functions)
+    if output_input:
+        genome.output = int(rng.integers(0, n_inputs))
+    packed = pack_bits(rng.integers(0, 2, (130, n_inputs)))
+    assert genome.active_nodes() == oracles.cgp_active_nodes(genome)
+    assert np.array_equal(genome.evaluate_packed(packed),
+                          oracles.cgp_evaluate_packed(genome, packed))
+
+
+@pytest.mark.parametrize("batch_size", [None, 50])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cgp_run_trajectory_matches_oracle(seed, batch_size):
+    X, y = labelled_rows(seed, 120, 5, 0.0)
+    runs = []
+    for run in (CGPEvolver.run, oracles.cgp_run):
+        evolver = CGPEvolver(n_nodes=40, batch_size=batch_size,
+                             batch_generations=20,
+                             rng=np.random.default_rng(seed))
+        genome, fit = run(evolver, X, y, generations=80)
+        runs.append((
+            evolver.log.fitness, evolver.log.mutation_rate, fit,
+            genome.funcs.tolist(), genome.in0.tolist(), genome.in1.tolist(),
+            genome.output,
+        ))
+    assert runs[0] == runs[1]

@@ -70,6 +70,13 @@ class TestScores:
         top3 = set(np.argsort(-imp)[:3].tolist())
         assert top3 == {2, 5, 8}
 
+    @pytest.mark.parametrize("n_repeats", [0, -1])
+    def test_permutation_importance_rejects_no_repeats(self, rng, n_repeats):
+        X, y = _relevant_problem(rng)
+        with pytest.raises(ValueError, match="n_repeats"):
+            permutation_importance(lambda m: m[:, 2], X, y,
+                                   n_repeats=n_repeats, rng=rng)
+
 
 class TestShapley:
     def test_sampled_matches_exact_linear(self, rng):

@@ -44,6 +44,20 @@ class TestForest:
             assert len(cols) == 6
             assert np.all(np.diff(cols) > 0)
 
+    def test_unfitted_forest_raises(self):
+        X = np.zeros((2, 4), dtype=np.uint8)
+        with pytest.raises(ValueError, match="not fitted"):
+            RandomForest(n_trees=3).predict(X)
+        with pytest.raises(ValueError, match="not fitted"):
+            RandomForest(n_trees=3).votes(X)
+
+    def test_wrong_width_raises(self, rng):
+        X, y, Xt, _ = _problem(rng)
+        forest = RandomForest(n_trees=3, rng=rng).fit(X, y)
+        for bad in (Xt[:, :-1], np.hstack([Xt, Xt[:, :1]])):
+            with pytest.raises(ValueError, match="expected 12 features"):
+                forest.predict(bad)
+
     def test_deterministic_with_seed(self, rng):
         X, y, Xt, _ = _problem(rng)
         f1 = RandomForest(n_trees=5, rng=np.random.default_rng(3)).fit(X, y)

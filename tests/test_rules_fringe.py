@@ -100,6 +100,19 @@ class TestFringeDT:
         model = FringeDT(max_features=8).fit(X, y)
         assert len(model.features) <= 8
 
+    def test_predict_after_iteration_cap(self, rng):
+        # Stopping at max_iterations right after adding fringe features
+        # leaves a tree fitted on fewer columns than featurize() returns;
+        # the tree reads only its own columns.
+        X = rng.integers(0, 2, size=(600, 6)).astype(np.uint8)
+        y = (X[:, 0] ^ X[:, 1]).astype(np.uint8)
+        model = FringeDT(max_iterations=1).fit(X, y)
+        assert len(model.features) > 0
+        Xa = model.featurize(X)
+        assert Xa.shape[1] > model.tree.n_inputs
+        expected = model.tree.predict(Xa[:, : model.tree.n_inputs])
+        assert model.predict(X).tolist() == expected.tolist()
+
     def test_predict_requires_fit(self):
         with pytest.raises(RuntimeError):
             FringeDT().predict(np.zeros((1, 3), dtype=np.uint8))

@@ -9,12 +9,10 @@ topological order.
 
 The graph is structurally hashed: :meth:`AIG.add_and` folds constants,
 normalizes fanin order and reuses an existing node when one computes
-the same function of the same fanins.  :meth:`AIG.checkpoint` /
-:meth:`AIG.rollback` undo a tentative construction; only the seed
-reference passes, kept as test oracles in ``tests/oracles.py``, still
-build candidates that way.  The engine's passes price a candidate
-without touching the graph (:mod:`repro.aig.opt.counting`) and build
-only the winner.
+the same function of the same fanins.  Nodes are only ever appended,
+so the node count and the outputs identify a graph's structure.  The
+engine's passes price a candidate without touching the graph
+(:mod:`repro.aig.opt.counting`) and build only the winner.
 """
 
 from __future__ import annotations
@@ -135,9 +133,7 @@ class AIG(GateOps):
         self._fanin0: list[int] = []
         self._fanin1: list[int] = []
         self.outputs: list[int] = []
-        # Structural version, bumped on every mutation; keys the cached
-        # compiled simulation engine (see :meth:`compiled`).
-        self._version = 0
+        # ``(num_ands, outputs, engine)``: see :meth:`compiled`.
         self._compiled: tuple[int, tuple[int, ...], CompiledAIG] | None = None
 
     @functools.cached_property
@@ -145,8 +141,8 @@ class AIG(GateOps):
         """``(fanin0, fanin1) -> literal`` of every AND node.
 
         Derived from the fanin lists on first use, then kept in step by
-        :meth:`add_and` and :meth:`rollback`; a graph that is only
-        simulated or renumbered never builds it.
+        :meth:`add_and`, the only way a node enters the graph; a graph
+        that is only simulated or renumbered never builds it.
         """
         base = self.n_inputs + 1
         return dict(zip(
@@ -223,31 +219,12 @@ class AIG(GateOps):
         fanin0.append(a)
         self._fanin1.append(b)
         self._strash[key] = lit
-        self._version += 1
         return lit
 
     def set_output(self, lit: int) -> int:
         """Append an output literal; returns its output index."""
         self.outputs.append(lit)
-        self._version += 1
         return len(self.outputs) - 1
-
-    # ------------------------------------------------------------------
-    # Checkpoint / rollback for tentative construction
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> tuple[int, int]:
-        """Snapshot for :meth:`rollback` (node count, output count)."""
-        return (self.num_ands, len(self.outputs))
-
-    def rollback(self, state: tuple[int, int]) -> None:
-        """Undo all nodes/outputs added after ``state`` was taken."""
-        n_ands, n_outs = state
-        for key in zip(self._fanin0[n_ands:], self._fanin1[n_ands:], strict=True):
-            self._strash.pop(key, None)
-        del self._fanin0[n_ands:]
-        del self._fanin1[n_ands:]
-        del self.outputs[n_outs:]
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Structural analysis
@@ -332,7 +309,6 @@ class AIG(GateOps):
         new._fanin0 = ((new_var[f0 >> 1] << 1) | (f0 & 1)).tolist()
         new._fanin1 = ((new_var[f1 >> 1] << 1) | (f1 & 1)).tolist()
         new.outputs = [(int(new_var[lit >> 1]) << 1) | (lit & 1) for lit in outputs]
-        new._version = kept.size + len(outputs)
         return new
 
     def copy(self) -> "AIG":
@@ -349,24 +325,19 @@ class AIG(GateOps):
     def compiled(self) -> CompiledAIG:
         """The levelized simulation engine for the current structure.
 
-        Compiled lazily and cached until the next mutation
-        (:meth:`add_and` appending a node, :meth:`set_output`,
-        :meth:`rollback`), so repeated simulations of the same graph —
-        the common case when scoring one candidate on several sample
-        sets — pay the compile cost once.  ``outputs`` is a public
-        list, so the cache entry ``(version, outputs, engine)`` is
-        additionally keyed on its contents to stay correct under
-        in-place rewiring.
+        Compiled lazily and cached, so repeated simulations of the same
+        graph — the common case when scoring one candidate on several
+        sample sets — pay the compile cost once.  Nodes are only
+        appended, so the node count and the outputs identify the
+        structure: the cache entry ``(num_ands, outputs, engine)`` is
+        stale once a node is appended or an output is added or rewired
+        in place (``outputs`` is a public list).
         """
         from repro.sim.engine import CompiledAIG
 
-        outs = tuple(self.outputs)
-        if (
-            self._compiled is None
-            or self._compiled[0] != self._version
-            or self._compiled[1] != outs
-        ):
-            self._compiled = (self._version, outs, CompiledAIG(self))
+        n_ands, outs = self.num_ands, tuple(self.outputs)
+        if self._compiled is None or self._compiled[:2] != (n_ands, outs):
+            self._compiled = (n_ands, outs, CompiledAIG(self))
         return self._compiled[2]
 
     def simulate_packed_all(self, packed_inputs: np.ndarray) -> np.ndarray:

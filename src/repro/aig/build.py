@@ -281,8 +281,8 @@ def lut(aig: AIG, table: int, leaves: Sequence[int]) -> int:
 
     Uses the irredundant SOP of whichever polarity is cheaper.  Both
     polarities are *priced* without touching the graph (strash-aware
-    counting) and only the winner is built, exactly once — no
-    checkpoint/rollback, no structural-version churn.
+    counting) and only the winner is built, exactly once: nodes are
+    only appended, so a node built for the losing polarity would stay.
     """
     _, program = lut_choice(aig, table, leaves)
     return replay(aig, *program, [CONST0, *leaves])

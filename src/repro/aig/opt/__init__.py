@@ -8,7 +8,8 @@ passes:
   synthesized once per process and instantiated by table lookup.
 - :mod:`~repro.aig.opt.counting` — mutation-free candidate pricing:
   compiled AND programs priced by ``price`` against the graph's strash
-  table and built by ``replay`` (no checkpoint/rollback).
+  table and built by ``replay``; nodes are only appended, so only a
+  winner is ever built.
 - :mod:`~repro.aig.opt.traverse` — iterative cone walks (no recursion,
   safe on chain-shaped graphs of any depth).
 - :mod:`~repro.aig.opt.passes` — the passes: ``balance``, ``rewrite``,

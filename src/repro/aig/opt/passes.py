@@ -11,8 +11,8 @@ hashed graph, functionally equivalent to their input by construction:
     functions are computed bottom-up during enumeration, reduced to
     their NPN class, and the class's best-known structure is *priced*
     against the output graph with mutation-free strash-aware counting.
-    Only the winning candidate is built — no per-candidate ISOP, no
-    checkpoint/rollback, no structural-version churn.
+    Only the winning candidate is built, with no per-candidate ISOP:
+    nodes are only appended, so a built loser would stay.
 ``refactor``
     Cone-level resynthesis of maximum fanout-free cones up to 10
     leaves, accepted when the new cone (priced, not built) is no larger

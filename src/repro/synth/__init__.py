@@ -15,8 +15,6 @@ from repro.synth.from_rules import rules_to_aig
 from repro.synth.from_sop import cover_to_aig
 from repro.synth.from_tree import fringe_dt_to_aig, tree_to_aig
 from repro.synth.matching import match_standard_function
-from repro.synth.popcount_tree import PopcountTreeClassifier
-from repro.synth.verilog import aig_to_verilog, tree_to_verilog
 
 __all__ = [
     "cover_to_aig",
@@ -28,7 +26,4 @@ __all__ = [
     "mlp_to_aig",
     "lutnet_to_aig",
     "match_standard_function",
-    "PopcountTreeClassifier",
-    "aig_to_verilog",
-    "tree_to_verilog",
 ]

@@ -540,6 +540,30 @@ def ffc_leaves(
 # and the winner rebuilt.  Cut enumeration, ``cut_truth`` and
 # ``balance`` are the library's current versions, so the baseline
 # measures the seed *algorithm*, not its recursion crashes.
+#
+# ``AIG`` only appends nodes, so the seed's checkpoint and rollback
+# live here as the two helpers below.
+def checkpoint(aig: AIG) -> tuple[int, int]:
+    """Snapshot for :func:`rollback`: (node count, output count)."""
+    return (aig.num_ands, len(aig.outputs))
+
+
+def rollback(aig: AIG, state: tuple[int, int]) -> None:
+    """Undo every node and output added after ``state`` was taken.
+
+    Drops the compiled engine too: the graph may grow back to the same
+    node count and outputs with different nodes, which its cache key
+    would not tell apart.
+    """
+    n_ands, n_outs = state
+    for key in zip(aig._fanin0[n_ands:], aig._fanin1[n_ands:], strict=True):
+        aig._strash.pop(key, None)
+    del aig._fanin0[n_ands:]
+    del aig._fanin1[n_ands:]
+    del aig.outputs[n_outs:]
+    aig._compiled = None
+
+
 def seed_lut(aig: AIG, table: int, leaves) -> int:
     """The seed ``build.lut``: per-call double ISOP, build both
     polarities behind a checkpoint, roll back, rebuild the winner."""
@@ -552,15 +576,15 @@ def seed_lut(aig: AIG, table: int, leaves) -> int:
         return CONST1
     pos_cover, _ = isop_lib.isop(table, table, k)
     neg_cover, _ = isop_lib.isop(~table & full, ~table & full, k)
-    state = aig.checkpoint()
+    state = checkpoint(aig)
     build.sop_over_leaves(aig, pos_cover, leaves)
     pos_cost = aig.num_ands - state[0]
-    aig.rollback(state)
+    rollback(aig, state)
     neg = build.sop_over_leaves(aig, neg_cover, leaves)
     neg_cost = aig.num_ands - state[0]
     if neg_cost < pos_cost:
         return lit_not(neg)
-    aig.rollback(state)
+    rollback(aig, state)
     return build.sop_over_leaves(aig, pos_cover, leaves)
 
 
@@ -584,13 +608,13 @@ def reference_rewrite(aig: AIG, k: int = 4, max_cuts: int = 8) -> AIG:
         best_cost = None
         best_kind = None
         for kind, cut, table in candidates:
-            state = new.checkpoint()
+            state = checkpoint(new)
             if kind == "direct":
                 new.add_and(_map_lit(mapping, f0), _map_lit(mapping, f1))
             else:
                 seed_lut(new, table, [int(mapping[leaf]) for leaf in cut])
             cost = new.num_ands - state[0]
-            new.rollback(state)
+            rollback(new, state)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_kind = (kind, cut, table)
@@ -626,13 +650,13 @@ def reference_refactor(aig: AIG, max_leaves: int = 10) -> AIG:
             continue
         table = cut_truth(aig, var, leaves)
         old_cone = mffc_size(aig, var, fanout)
-        state = new.checkpoint()
+        state = checkpoint(new)
         cand = seed_lut(new, table, [int(mapping[leaf]) for leaf in leaves])
         cost = new.num_ands - state[0]
         if cost <= old_cone:
             mapping[var] = cand
         else:
-            new.rollback(state)
+            rollback(new, state)
             mapping[var] = direct()
     for lit in aig.outputs:
         new.set_output(_map_lit(mapping, lit))

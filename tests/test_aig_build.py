@@ -188,30 +188,24 @@ class TestLUTs:
             assert aig.truth_tables()[0] == table
 
     def test_lut_builds_winning_polarity_exactly_once(self, rng):
-        # Satellite regression: the seed built the positive cover,
-        # rolled it back to price the negative one, and rebuilt the
-        # winner — so winning polarities were constructed twice and
-        # every call left checkpoint/rollback churn behind.  Now every
-        # mutation of the graph must be a kept node: the structural
-        # version advances exactly once per appended AND node (plus
-        # one for set_output), and no dead garbage is left over.
-        # The seed implementation (build-rollback-rebuild) is pinned
-        # once, among the seed passes in the test oracles.
+        # Regression: the seed built the positive cover, rolled it
+        # back to price the negative one, and rebuilt the winner, so
+        # winning polarities were constructed twice.  ``AIG`` only
+        # appends nodes now, so every node built must be a kept node:
+        # no dead garbage is left over.  The seed implementation
+        # (build-rollback-rebuild) is pinned once, among the seed
+        # passes in the test oracles.
         from tests.oracles import seed_lut
 
         for trial in range(40):
             k = int(rng.integers(1, 5))
             table = int(rng.integers(0, 1 << (1 << k)))
             aig = AIG(k)
-            version_before = aig._version
             lit = lut(aig, table, aig.input_lits())
             # Returned literal and node count unchanged vs the seed.
             oracle = AIG(k)
             assert lit == seed_lut(oracle, table, oracle.input_lits())
             assert aig.num_ands == oracle.num_ands
-            # Each polarity built at most once: no rollbacks, no
-            # rebuilds — one version bump per kept node, zero churn.
-            assert aig._version - version_before == aig.num_ands
             aig.set_output(lit)
             assert aig.truth_tables()[0] == table & ((1 << (1 << k)) - 1)
             # Nothing dead left behind by the losing polarity.

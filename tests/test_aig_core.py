@@ -5,6 +5,7 @@ import pytest
 
 from repro.aig.aig import AIG, CONST0, CONST1, lit_make, lit_not, lit_var
 from tests.conftest import random_aig
+from tests.oracles import checkpoint, rollback
 
 
 class TestLiterals:
@@ -71,15 +72,22 @@ class TestConstruction:
 
 
 class TestRollback:
+    """The seed passes' rollback, a test-oracle helper: ``AIG``
+    itself only appends nodes."""
+
+    def test_aig_has_no_rollback(self):
+        assert not hasattr(AIG, "checkpoint")
+        assert not hasattr(AIG, "rollback")
+
     def test_rollback_removes_nodes_and_strash(self):
         aig = AIG(3)
         a, b, c = (aig.input_lit(i) for i in range(3))
         aig.add_and(a, b)
-        state = aig.checkpoint()
+        state = checkpoint(aig)
         aig.add_and(a, c)
         aig.add_and(b, c)
         aig.set_output(CONST1)
-        aig.rollback(state)
+        rollback(aig, state)
         assert aig.num_ands == 1
         assert aig.num_outputs == 0
         # Strash entries for rolled-back nodes must be gone: re-adding
@@ -91,9 +99,9 @@ class TestRollback:
         aig = AIG(2)
         a, b = aig.input_lit(0), aig.input_lit(1)
         x = aig.add_and(a, b)
-        state = aig.checkpoint()
+        state = checkpoint(aig)
         aig.add_and(a, lit_not(b))
-        aig.rollback(state)
+        rollback(aig, state)
         assert aig.add_and(a, b) == x
 
 

@@ -12,6 +12,7 @@ from repro.aig.aiger import dumps_aag
 from repro.aig.approx import approximate_to_size, substitute_constants
 from repro.aig.build import multiplier
 from tests.conftest import random_aig
+from tests import oracles
 
 
 def _multiplier_aig(k=6):
@@ -315,10 +316,10 @@ def build_strashed_graph(seed, n_inputs, n_nodes, rollback):
 
     grow(n_nodes)
     if rollback:
-        state = aig.checkpoint()
+        state = oracles.checkpoint(aig)
         kept, kept_folds, kept_shown = len(pool), len(folds), len(shown)
         grow(n_nodes // 2 + 1)
-        aig.rollback(state)
+        oracles.rollback(aig, state)
         del pool[kept:], folds[kept_folds:], shown[kept_shown:]
         grow(n_nodes // 2)
     outputs = [CONST0, CONST1, *pool]

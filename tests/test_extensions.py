@@ -1,5 +1,4 @@
-"""Extensions: popcount side circuit, multi-output, trade-off flow,
-suite export and the CLI."""
+"""Extensions: multi-output, trade-off flow, suite export and the CLI."""
 
 import numpy as np
 import pytest
@@ -14,30 +13,7 @@ from repro.contest.multioutput import (
     shared_tree_flow,
 )
 from repro.flows.tradeoff import run_tradeoff
-from repro.ml.metrics import accuracy
-from repro.synth.popcount_tree import PopcountTreeClassifier
 from repro.twolevel.pla import read_pla
-
-
-class TestPopcountTree:
-    def test_learns_noisy_symmetric(self, rng):
-        X = rng.integers(0, 2, size=(2000, 12)).astype(np.uint8)
-        y = (X.sum(axis=1) >= 6).astype(np.uint8)
-        noise = (rng.random(2000) < 0.05).astype(np.uint8)
-        model = PopcountTreeClassifier().fit(X[:1500], y[:1500] ^ noise[:1500])
-        acc = accuracy(y[1500:], model.predict(X[1500:]))
-        assert acc > 0.9
-
-    def test_aig_matches_model(self, rng):
-        X = rng.integers(0, 2, size=(1000, 10)).astype(np.uint8)
-        y = ((X.sum(axis=1) % 3) == 0).astype(np.uint8)
-        model = PopcountTreeClassifier().fit(X, y)
-        aig = model.to_aig()
-        assert np.array_equal(aig.simulate(X)[:, 0], model.predict(X))
-
-    def test_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            PopcountTreeClassifier().predict(np.zeros((1, 4), np.uint8))
 
 
 class TestMultiOutput:

@@ -1,6 +1,5 @@
 """Cross-module integration tests: full pipelines end to end."""
 
-import numpy as np
 import pytest
 
 from repro.aig import read_aag, write_aag
@@ -9,7 +8,6 @@ from repro.aig.opt.passes import compress
 from repro.analysis import run_contest, table3, win_rates
 from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
-from repro.ml.arff import read_arff, write_arff
 from repro.ml.dataset import Dataset
 from repro.ml.decision_tree import DecisionTree
 from repro.synth.from_tree import tree_to_aig
@@ -38,14 +36,6 @@ class TestPlaToAigPipeline:
         )
         assert score.legal
         assert score.test_accuracy > 0.8
-
-    def test_arff_path_matches_pla_path(self, tmp_path, small_problem):
-        """Team 2's ARFF detour must not change the data."""
-        arff = tmp_path / "train.arff"
-        write_arff(small_problem.train, arff)
-        via_arff = read_arff(arff)
-        assert np.array_equal(via_arff.X, small_problem.train.X)
-        assert np.array_equal(via_arff.y, small_problem.train.y)
 
 
 class TestOptimizationSoundness:

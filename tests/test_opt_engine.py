@@ -164,11 +164,11 @@ class TestVirtualBuilder:
 
     def test_graph_is_never_touched(self):
         aig = AIG(3)
-        version = aig._version
+        aig.set_output(aig.input_lit(0))
         counter = VirtualBuilder(aig)
         counter.add_and_multi([aig.input_lit(i) for i in range(3)])
         assert aig.num_ands == 0
-        assert aig._version == version
+        assert aig.outputs == [aig.input_lit(0)]
 
     def test_budget_aborts(self):
         aig = AIG(4)

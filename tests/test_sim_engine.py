@@ -29,6 +29,7 @@ from repro.sim import (
 )
 from repro.sim.program import _levelize
 from repro.utils.bitops import pack_bits, unpack_bits
+from tests.oracles import checkpoint, rollback
 
 
 def build_random_aig(n_inputs, n_nodes, seed, n_outputs=3):
@@ -278,23 +279,50 @@ class TestCompileCache:
         X = np.array([[1, 1], [1, 0]], dtype=np.uint8)
         first = aig.compiled()
         assert aig.compiled() is first  # cached while unchanged
-        state = aig.checkpoint()
+        state = checkpoint(aig)
         aig.set_output(aig.add_and(aig.input_lit(0), aig.input_lit(1) ^ 1))
         assert aig.compiled() is not first
         assert np.array_equal(
             aig.simulate(X), np.array([[1, 0], [0, 1]], dtype=np.uint8)
         )
-        aig.rollback(state)
+        rollback(aig, state)
         assert np.array_equal(
             aig.simulate(X), np.array([[1], [0]], dtype=np.uint8)
         )
 
+    def test_rollback_then_regrow_recompiles(self):
+        # Regrown to the same node count and outputs with a different
+        # node: the rollback helper drops the engine that the cache key
+        # cannot tell from the new graph's.
+        aig = AIG(2)
+        a, b = aig.input_lit(0), aig.input_lit(1)
+        state = checkpoint(aig)
+        aig.set_output(aig.add_and(a, b ^ 1))
+        stale = aig.compiled()
+        rollback(aig, state)
+        aig.set_output(aig.add_and(a ^ 1, b))
+        assert aig._compiled is None
+        assert aig.compiled() is not stale
+        X = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        assert np.array_equal(aig.simulate(X)[:, 0], [1, 0])
+
     def test_cache_holds_one_engine(self):
         aig = build_random_aig(5, 30, 6)
         engine = aig.compiled()
-        assert aig._compiled == (aig._version, tuple(aig.outputs), engine)
+        assert aig._compiled == (aig.num_ands, tuple(aig.outputs), engine)
         aig.set_output(aig.input_lit(0))  # structural change
         assert aig.compiled() is not engine
+
+    def test_cache_tracks_direct_fanin_appends(self):
+        # The cache is keyed on the node count, so a node appended to
+        # the fanin lists directly (bypassing add_and) is seen too.
+        aig = AIG(2)
+        aig.set_output(aig.add_and(aig.input_lit(0), aig.input_lit(1)))
+        engine = aig.compiled()
+        aig._fanin0.append(aig.input_lit(0) ^ 1)
+        aig._fanin1.append(aig.input_lit(1))
+        assert aig.compiled() is not engine
+        assert aig.levels().tolist() == [0, 0, 0, 1, 1]
 
     def test_cache_tracks_inplace_output_rewiring(self):
         # `outputs` is a public list; complementing an entry in place

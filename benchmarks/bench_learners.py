@@ -69,8 +69,8 @@ def trees(clock, X, y):
         dict(),
         dict(max_depth=8, decomposition_tau=0.05),
     ):
-        # The decomposition fallback's Python loops cost the same on
-        # both sides, so it is timed apart from plain growth.
+        # The oracle keeps the row-at-a-time complement scan of the
+        # decomposition fallback, so it is timed apart from plain growth.
         name = "DecisionTree.fit" + (", tau" if "decomposition_tau" in kwargs
                                      else "")
         ref, new = clock.race(

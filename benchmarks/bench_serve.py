@@ -12,8 +12,10 @@ solutions):
    per-level dispatch, so batched throughput must be >= 5x the
    single-row request loop — asserted when the box has >= 2 cores
    (wall-clock asserts flake on starved single-core CI runners),
-   reported always.  The raw engine-level gain (per-row ``predict``
-   vs one ``predict_grouped`` pass, no event loop in the way) is
+   reported always.  Each side is timed as the best of three runs,
+   so one run slowed by a busy neighbour does not decide the ratio.
+   The raw engine-level gain (validate plus ``run`` per row vs one
+   ``simulate_rows_grouped`` pass, no event loop in the way) is
    reported alongside.
 
 2. *Compile once, serve forever.*  The first ``load`` of a model pays
@@ -53,12 +55,15 @@ from repro.serve import (
     ServeApp,
     ServerHandle,
 )
+from repro.serve.bundle import validate_rows
+from repro.sim.batch import simulate_rows_grouped
 
 BENCHMARKS = [30, 74]
 FLOWS = ["team01", "team10"]
 SAMPLES = 64
 N_ROWS = 512
 MIN_SPEEDUP = 5.0
+REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +78,20 @@ def store_dir(tmp_path_factory):
 def _rows(n, width, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=(n, width)).astype(np.uint8)
+
+
+def _best_of(fn, repeats=REPEATS):
+    """Fastest of ``repeats`` calls and every call's result.
+
+    The bench box is shared: one slow run says more about its
+    neighbours than about the code, so each side keeps its best time.
+    """
+    best, results = float("inf"), []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        results.append(fn())
+        best = min(best, time.perf_counter() - start)
+    return best, results
 
 
 def test_serve_coalescing_speedup_and_bit_identity(store_dir):
@@ -93,9 +112,7 @@ def test_serve_coalescing_speedup_and_bit_identity(store_dir):
             outs.append(await batcher.predict(name, rows[i]))
         return batcher, outs
 
-    start = time.perf_counter()
-    single_batcher, singles = asyncio.run(drive_singles())
-    single_s = time.perf_counter() - start
+    single_s, single_runs = _best_of(lambda: asyncio.run(drive_singles()))
 
     # --- coalesced: the same requests arriving concurrently ----------
     async def drive_coalesced():
@@ -105,47 +122,59 @@ def test_serve_coalescing_speedup_and_bit_identity(store_dir):
         )
         return batcher, outs
 
-    start = time.perf_counter()
-    batcher, coalesced = asyncio.run(drive_coalesced())
-    coalesced_s = time.perf_counter() - start
+    coalesced_s, coalesced_runs = _best_of(
+        lambda: asyncio.run(drive_coalesced())
+    )
 
     # --- raw engine-level coalescing (no event loop in the way) ------
-    start = time.perf_counter()
-    per_row = [circuit.predict(rows[i]) for i in range(N_ROWS)]
-    per_row_s = time.perf_counter() - start
-    start = time.perf_counter()
-    grouped = circuit.predict_grouped(list(rows))
-    grouped_s = time.perf_counter() - start
+    # Both sides validate every row, as the batcher does at enqueue.
+    def per_row():
+        return [
+            circuit.run(validate_rows(rows[i], circuit.n_inputs, name))
+            for i in range(N_ROWS)
+        ]
 
-    # --- bit-identity: unconditional ---------------------------------
-    for i in range(N_ROWS):
-        assert np.array_equal(singles[i][0], expected[i])
-        assert np.array_equal(coalesced[i][0], expected[i])
-        assert np.array_equal(per_row[i][0], expected[i])
-        assert np.array_equal(grouped[i][0], expected[i])
+    def grouped():
+        blocks = [validate_rows(r, circuit.n_inputs, name) for r in rows]
+        return simulate_rows_grouped(circuit, blocks)
 
+    per_row_s, per_row_runs = _best_of(per_row)
+    grouped_s, grouped_runs = _best_of(grouped)
+
+    # --- bit-identity: unconditional, on every run --------------------
+    runs = [outs for _, outs in single_runs + coalesced_runs]
+    for outs in runs + per_row_runs + grouped_runs:
+        for i in range(N_ROWS):
+            assert np.array_equal(outs[i][0], expected[i])
+
+    single_stats = [b.stats() for b, _ in single_runs]
+    stats = [b.stats() for b, _ in coalesced_runs]
     speedup = single_s / coalesced_s
     engine_speedup = per_row_s / grouped_s
     cores = os.cpu_count() or 1
     echo(f"\n=== Serving throughput ({name}, {N_ROWS} single-row "
-         f"requests, {cores} cores) ===")
+         f"requests, {cores} cores, best of {REPEATS}) ===")
     echo(f"  sequential requests: {single_s:8.4f} s "
          f"({N_ROWS / single_s:10.0f} rows/s, "
-         f"{single_batcher.batches} engine passes)")
+         f"{single_stats[0]['batches']} engine passes)")
     echo(f"  coalesced burst:     {coalesced_s:8.4f} s "
          f"({N_ROWS / coalesced_s:10.0f} rows/s, "
-         f"{batcher.batches} engine passes)  {speedup:.1f}x")
+         f"{max(st['batches'] for st in stats)} engine passes)  "
+         f"{speedup:.1f}x")
     echo(f"  engine-level: per-row {per_row_s:.4f} s vs one grouped "
          f"pass {grouped_s:.4f} s  ({engine_speedup:.0f}x)")
-    echo(f"  largest coalesced batch: {batcher.max_coalesced} requests")
+    echo(f"  largest coalesced batch: "
+         f"{max(st['max_coalesced'] for st in stats)} requests")
 
     # Structural coalescing guarantee: a concurrent burst must land in
     # far fewer engine passes than requests (not a timing property).
-    assert batcher.batches < N_ROWS / 4, (
-        "microbatcher failed to coalesce: "
-        f"{batcher.batches} passes for {N_ROWS} requests"
-    )
-    assert single_batcher.batches == N_ROWS  # sequential = no coalescing
+    for st in stats:
+        assert st["batches"] < N_ROWS / 4, (
+            "microbatcher failed to coalesce: "
+            f"{st['batches']} passes for {N_ROWS} requests"
+        )
+    for st in single_stats:  # sequential = no coalescing
+        assert st["batches"] == N_ROWS
     if cores >= 2:
         assert speedup >= MIN_SPEEDUP, (
             f"coalesced speedup {speedup:.1f}x < {MIN_SPEEDUP}x "
@@ -164,13 +193,13 @@ def test_serve_cold_vs_warm_compile(store_dir):
     # Cold: fresh store, first load pays parse + levelized compile.
     cold_store = ModelStore(store_dir)
     start = time.perf_counter()
-    cold_out = cold_store.load("ex74").predict(probe_rows)
+    cold_out = cold_store.load("ex74").run(probe_rows)
     cold_s = time.perf_counter() - start
     assert cold_store.stats()["misses"] == 1
 
     # Warm: the LRU hands back the compiled plan.
     start = time.perf_counter()
-    warm_out = cold_store.load("ex74").predict(probe_rows)
+    warm_out = cold_store.load("ex74").run(probe_rows)
     warm_s = time.perf_counter() - start
     assert cold_store.stats()["hits"] == 1
 
@@ -381,7 +410,7 @@ def _load_main(argv=None):
         name = store.resolve(args.model)
         info = store.info(name)
         rows = _rows(64, info.n_inputs, seed=7)
-        expected = store.load(name).predict(rows)
+        expected = store.load(name).run(rows)
 
         app = ServeApp(
             ModelStore(store_root), tick_s=args.tick_ms / 1000.0,

@@ -3,7 +3,7 @@
 Every flow, contest score and benchmark funnels through AIG
 simulation; this bench races a cold compile and a warm packed run
 against the seed loop on a contest-scale circuit, and confirms that
-the engine and the batched dataset API are bit-exact against the seed
+the engine and the batched row-block API are bit-exact against the seed
 simulator (preserved as ``reference_simulate_packed_all``), both
 directly and through ``cec.check_equivalence`` on randomized AIGs.
 
@@ -20,9 +20,9 @@ from _report import echo
 from repro.aig.aig import AIG
 from repro.aig.cec import check_equivalence
 from repro.sim import (
-    compile_aig,
+    CompiledAIG,
     reference_simulate_packed_all,
-    simulate_datasets,
+    simulate_rows_grouped,
 )
 from repro.utils.bitops import pack_bits
 from repro.utils.rng import rng_for
@@ -71,13 +71,13 @@ def _best_of_interleaved(fns, repeats=10):
 def test_engine_speedup_vs_seed_loop():
     aig, _, packed = _bench_inputs()
 
-    compiled = compile_aig(aig)
+    compiled = CompiledAIG(aig)
     (seed_time, cold_time, warm_time), (seed_values, cold_values, warm_values) = (
         _best_of_interleaved(
             [
                 lambda: reference_simulate_packed_all(aig, packed),
                 # Cold: compile + evaluate, what a one-shot caller pays.
-                lambda: compile_aig(aig).run_packed_all(packed),
+                lambda: CompiledAIG(aig).run_packed_all(packed),
                 # Warm: the compiled engine reused across sample sets —
                 # the path AIG.simulate* callers get via the cache.
                 lambda: compiled.run_packed_all(packed),
@@ -104,17 +104,17 @@ def test_engine_speedup_vs_seed_loop():
 def test_cold_compile():
     """Program build + arena allocation + first run."""
     aig, _, packed = _bench_inputs()
-    out = compile_aig(aig).run_packed_all(packed)
+    out = CompiledAIG(aig).run_packed_all(packed)
     assert np.array_equal(out, reference_simulate_packed_all(aig, packed))
 
 
 def test_batched_datasets():
-    """The batched dataset API (one packing, one engine pass)."""
+    """Several datasets through one packing and one engine pass."""
     aig, X, _ = _bench_inputs()
     mats = [X[:1024], X[1024:2048], X[2048:]]
-    outs = simulate_datasets(aig, mats)
+    outs = simulate_rows_grouped(aig.compiled(), mats)
     for mat, out in zip(mats, outs, strict=True):
-        assert np.array_equal(out, compile_aig(aig).run(mat))
+        assert np.array_equal(out, CompiledAIG(aig).run(mat))
 
 
 def test_engine_bit_exact_via_cec():

@@ -350,14 +350,6 @@ class AIG(GateOps):
         """
         return self.compiled().run_packed_all(packed_inputs)
 
-    def simulate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
-        """Bit-parallel simulation of the registered outputs.
-
-        ``packed_inputs`` has shape ``(n_inputs, n_words)``; returns
-        packed output values, shape ``(n_outputs, n_words)``.
-        """
-        return self.compiled().run_packed(packed_inputs)
-
     def simulate(self, samples: np.ndarray) -> np.ndarray:
         """Evaluate on a ``(n_samples, n_inputs)`` 0/1 matrix.
 

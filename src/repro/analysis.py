@@ -246,7 +246,7 @@ def run_contest(
     ``shard="k/N"`` runs only the grid subset owned by shard ``k``
     (deterministic key-hash partition).  Run each shard into its own
     ``out_dir`` and merge with :func:`repro.runner.merge_stores` or
-    report with :func:`merge_contest_runs` — the result is
+    report with :func:`repro.runner.load_contest_runs` — the result is
     byte-identical to the unsharded run.
     """
     from repro.runner import (
@@ -290,15 +290,3 @@ def run_contest(
         verbose=verbose,
     )
 
-
-def merge_contest_runs(out_dirs: Sequence[str]) -> ContestRun:
-    """One :class:`ContestRun` from several run directories.
-
-    The in-memory counterpart of :func:`repro.runner.merge_stores`:
-    records from all directories (typically the stores of a sharded
-    run) are combined by task key — conflicting duplicates rejected —
-    and reconstructed in deterministic order.
-    """
-    from repro.runner import load_contest_runs
-
-    return load_contest_runs(out_dirs)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.aig.aig import AIG
-from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
+from repro.contest.problem import LearningProblem, Solution
 from repro.flows.common import (
     constant_solution,
     finalize_aig,
@@ -265,19 +265,14 @@ class FinalizeSpec:
     ``deep`` swaps ``compress_deep`` in for ``compress``.
     """
 
-    max_nodes: int = MAX_AND_NODES
     optimize: bool | Callable[[AIG], bool] = True
-    optimize_limit: int = 20000
     deep: bool = False
 
     def apply(self, aig: AIG, rng: np.random.Generator) -> AIG:
         optimize = self.optimize
         if callable(optimize):
             optimize = optimize(aig)
-        return finalize_aig(
-            aig, rng, max_nodes=self.max_nodes, optimize=optimize,
-            optimize_limit=self.optimize_limit, deep=self.deep,
-        )
+        return finalize_aig(aig, rng, optimize=optimize, deep=self.deep)
 
 
 def select_best_validation(ctx: FlowContext) -> Solution:

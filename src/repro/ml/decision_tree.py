@@ -231,31 +231,30 @@ class DecisionTree:
             constant = (
                 y0.min() == y0.max() or y1.min() == y1.max()
             )
-            complement = self._looks_complement(Xn, yn, feature, mask)
-            if constant or complement:
+            if constant or self._looks_complement(Xn, yn, feature):
                 chosen = feature
         return chosen
 
     @staticmethod
-    def _looks_complement(Xn, yn, feature, mask) -> bool:
+    def _looks_complement(Xn, yn, feature) -> bool:
         """True unless a counterexample to branch-complementarity exists.
 
         Two samples that agree on every feature except ``feature``
         must have opposite labels for the branches to be complements.
+        Rows are grouped by their other features, and each row is
+        checked against the *first* row of its group — the check the
+        row-at-a-time scan made, so duplicate rows count the same.
         """
-        other_cols = [c for c in range(Xn.shape[1]) if c != feature]
-        seen = {}
-        for row, label in zip(Xn, yn, strict=True):
-            key = row[other_cols].tobytes()
-            side = row[feature]
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = (int(side), int(label))
-            else:
-                prev_side, prev_label = prev
-                if prev_side != side and prev_label == label:
-                    return False
-        return True
+        keys = np.array(Xn, order="C")
+        side = keys[:, feature].copy()
+        keys[:, feature] = 0
+        # One opaque bytes value per row: np.unique sorts these by
+        # memcmp, far faster than its row-wise ``axis=0`` mode.
+        width = keys.shape[1] * keys.itemsize
+        rows = keys.view(np.dtype((np.void, width))).ravel()
+        _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+        lead = first[group]
+        return not np.any((side != side[lead]) & (yn == yn[lead]))
 
     # ------------------------------------------------------------------
     # C4.5 confidence-factor pruning

@@ -38,7 +38,6 @@ byte-identical to the unsharded run's.
 
 from repro.runner.runner import (
     contest_tasks,
-    load_contest_run,
     load_contest_runs,
     parse_shard,
     run_contest_tasks,
@@ -70,7 +69,6 @@ __all__ = [
     "contest_tasks",
     "dataset_fingerprint",
     "flow_name_for",
-    "load_contest_run",
     "load_contest_runs",
     "merge_stores",
     "parse_shard",

@@ -249,12 +249,6 @@ def run_contest_tasks(
     return ContestRun(scores_by_team)
 
 
-def load_contest_run(out_dir: PathLike):
-    """Rebuild a :class:`~repro.analysis.ContestRun` from a directory,
-    without executing any task."""
-    return load_contest_runs([out_dir])
-
-
 def load_contest_runs(out_dirs: Sequence[PathLike]):
     """Rebuild one :class:`~repro.analysis.ContestRun` from one or
     more run directories (e.g. the stores of a sharded run).

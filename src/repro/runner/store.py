@@ -31,8 +31,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from repro.contest.evaluate import Score
-from repro.runner.task import RECORD_SCHEMA, TaskSpec, score_from_record
+from repro.runner.task import RECORD_SCHEMA
 
 PathLike = str | Path
 
@@ -237,42 +236,6 @@ class RunStore:
             if path.exists():
                 return path.read_text(encoding="ascii")
         return None
-
-    # -- reconstruction ----------------------------------------------
-
-    def scores_by_team(
-        self, specs: list[TaskSpec] | None = None
-    ) -> dict[str, list[Score]]:
-        """Rebuild the ``ContestRun`` payload from stored records.
-
-        With ``specs`` the scores follow the given task order exactly
-        (missing tasks raise).  Without, all stored records are used,
-        ordered by (team, benchmark index, seed) for determinism.
-        """
-        records = self.load_records()
-        out: dict[str, list[Score]] = {}
-        if specs is not None:
-            missing = [s.key for s in specs if s.key not in records]
-            if missing:
-                raise KeyError(
-                    f"run directory {self.root} is missing "
-                    f"{len(missing)} task(s), e.g. {missing[0]!r}; "
-                    f"rerun the contest with --resume to fill them in"
-                )
-            for spec in specs:
-                out.setdefault(spec.team_name, []).append(
-                    score_from_record(records[spec.key])
-                )
-            return out
-        ordered = sorted(
-            records.values(),
-            key=lambda r: (str(r.get("team", r["flow"])),
-                           benchmark_sort_key(r["benchmark"]), r["seed"]),
-        )
-        for record in ordered:
-            team = str(record.get("team", record["flow"]))
-            out.setdefault(team, []).append(score_from_record(record))
-        return out
 
 
 def merge_stores(

@@ -46,7 +46,7 @@ from repro.serve.batching import (
     MicroBatcher,
     QueueSaturated,
 )
-from repro.serve.bundle import CircuitBundle, CompiledCircuit, ModelInfo
+from repro.serve.bundle import CircuitBundle, ModelInfo
 from repro.serve.http import ServeApp, ServerHandle, serve_forever
 from repro.serve.metrics import MetricsRegistry, ServeMetrics, parse_metrics_text
 from repro.serve.predict import predict_file, read_rows_file
@@ -54,7 +54,6 @@ from repro.serve.store import ModelStore
 
 __all__ = [
     "CircuitBundle",
-    "CompiledCircuit",
     "DeadlineExceeded",
     "ExecutionError",
     "MetricsRegistry",

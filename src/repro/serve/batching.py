@@ -104,8 +104,9 @@ class MicroBatcher:
         answered with :class:`DeadlineExceeded` (``None`` = no
         deadline).
     metrics:
-        Optional :class:`~repro.serve.metrics.ServeMetrics` to record
-        batch sizes, rejections and execution errors into.
+        The :class:`~repro.serve.metrics.ServeMetrics` that counts
+        batches, rows, rejections and execution errors; a fresh one
+        when not given.  :meth:`stats` reads its totals from there.
     """
 
     def __init__(
@@ -128,17 +129,12 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_queued_rows = max_queued_rows
         self.deadline_s = deadline_s
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else ServeMetrics()
         self._queues: dict[str, list[_Pending]] = {}
         self._queued_rows: dict[str, int] = {}
         self._timers: dict[str, asyncio.TimerHandle] = {}
         self.requests = 0
-        self.batches = 0
-        self.rows_served = 0
         self.max_coalesced = 0
-        self.rejected_saturated = 0
-        self.rejected_deadline = 0
-        self.execution_errors = 0
 
     # -- admission ---------------------------------------------------
 
@@ -167,9 +163,7 @@ class MicroBatcher:
         if self.max_queued_rows is not None and (
             self.pending_rows(name) + mat.shape[0] > self.max_queued_rows
         ):
-            self.rejected_saturated += 1
-            if self.metrics is not None:
-                self.metrics.rejected_total.inc(label_value="saturated")
+            self.metrics.rejected_total.inc(label_value="saturated")
             raise QueueSaturated(
                 f"model {name!r} is saturated "
                 f"({self.pending_rows(name)} rows pending, "
@@ -200,9 +194,7 @@ class MicroBatcher:
         entry.timer = None
         if entry.future.done():
             return
-        self.rejected_deadline += 1
-        if self.metrics is not None:
-            self.metrics.rejected_total.inc(label_value="deadline")
+        self.metrics.rejected_total.inc(label_value="deadline")
         self._queued_rows[name] = max(
             0, self._queued_rows.get(name, 0) - entry.mat.shape[0]
         )
@@ -226,25 +218,18 @@ class MicroBatcher:
             entry.settle_timer()
         if not live:
             return
+        # Blocks were validated at enqueue; they go to the engine as is.
         blocks = [e.mat for e in live]
-        total_rows = sum(b.shape[0] for b in blocks)
-        self._flush_inline(name, live, blocks, total_rows)
-
-    def _flush_inline(
-        self,
-        name: str,
-        live: list[_Pending],
-        blocks: list[np.ndarray],
-        total_rows: int,
-    ) -> None:
         try:
-            # Blocks were validated at enqueue; go straight to the
-            # engine instead of re-scanning them via predict_grouped.
-            outs = simulate_rows_grouped(self.store.load(name).compiled, blocks)
+            outs = simulate_rows_grouped(self.store.load(name), blocks)
         except Exception as exc:
             self._fail_batch(live, name, exc)
             return
-        self._record_batch(len(live), total_rows)
+        n_rows = sum(b.shape[0] for b in blocks)
+        self.metrics.batches_total.inc()
+        self.metrics.rows_served_total.inc(n_rows)
+        self.metrics.batch_rows.observe(n_rows)
+        self.max_coalesced = max(self.max_coalesced, len(live))
         for entry, out in zip(live, outs, strict=True):
             if not entry.future.done():
                 entry.future.set_result(out)
@@ -258,9 +243,7 @@ class MicroBatcher:
         wrap it as :class:`ExecutionError` so the HTTP layer reports
         500, not a misleading per-request 400.
         """
-        self.execution_errors += 1
-        if self.metrics is not None:
-            self.metrics.execution_errors_total.inc()
+        self.metrics.execution_errors_total.inc()
         wrapped = ExecutionError(
             f"engine pass for model {name!r} failed: "
             f"{type(exc).__name__}: {exc}"
@@ -270,29 +253,21 @@ class MicroBatcher:
             if not entry.future.done():
                 entry.future.set_exception(wrapped)
 
-    def _record_batch(self, n_requests: int, n_rows: int) -> None:
-        self.batches += 1
-        self.rows_served += n_rows
-        self.max_coalesced = max(self.max_coalesced, n_requests)
-        if self.metrics is not None:
-            self.metrics.batches_total.inc()
-            self.metrics.rows_served_total.inc(n_rows)
-            self.metrics.batch_rows.observe(n_rows)
-
     def flush_all(self) -> None:
         """Flush every pending queue now (shutdown hook)."""
         for name in list(self._queues):
             self._flush(name)
 
     def stats(self) -> dict[str, Any]:
+        m = self.metrics
         return {
             "requests": self.requests,
-            "batches": self.batches,
-            "rows_served": self.rows_served,
+            "batches": int(m.batches_total.total),
+            "rows_served": int(m.rows_served_total.total),
             "max_coalesced": self.max_coalesced,
-            "rejected_saturated": self.rejected_saturated,
-            "rejected_deadline": self.rejected_deadline,
-            "execution_errors": self.execution_errors,
+            "rejected_saturated": int(m.rejected_total.value("saturated")),
+            "rejected_deadline": int(m.rejected_total.value("deadline")),
+            "execution_errors": int(m.execution_errors_total.total),
             "tick_s": self.tick_s,
             "max_batch": self.max_batch,
             "max_queued_rows": self.max_queued_rows,

@@ -2,17 +2,18 @@
 
 A :class:`CircuitBundle` is the unit the serving layer loads — the
 AIGER text of a learned circuit together with the record the contest
-runner stored for it (accuracy, size, provenance).  Compiling the
-bundle yields a :class:`CompiledCircuit`: the circuit pushed through
-the levelized simulation engine exactly once, after which every
-predict call is a few whole-array numpy ops (see :mod:`repro.sim`).
+runner stored for it (accuracy, size, provenance), summarized as a
+:class:`ModelInfo`.  Compiling the bundle yields the circuit's
+:class:`~repro.sim.engine.CompiledAIG`, the same engine the contest
+scores with, built exactly once; after that every predict call is a
+few whole-array numpy ops (see :mod:`repro.sim`).  Rows from outside
+go through :func:`validate_rows` first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.aig.aig import AIG
 from repro.aig.aiger import loads_aag
-from repro.sim.batch import simulate_rows_grouped
+from repro.sim.engine import CompiledAIG
 
 PathLike = str | Path
 
@@ -88,54 +89,13 @@ class ModelInfo:
         return asdict(self)
 
 
-class CompiledCircuit:
-    """A circuit pre-compiled for serving.
-
-    Wraps the AIG's levelized compiled form
-    (:meth:`repro.aig.aig.AIG.compiled`) with shape validation and the
-    grouped-rows entry point the microbatcher uses.  Instances are
-    immutable once built and safe to reuse across requests.
-    """
-
-    def __init__(self, aig: AIG, info: ModelInfo):
-        self.aig = aig
-        self.info = info
-        self.compiled = aig.compiled()
-
-    @property
-    def n_inputs(self) -> int:
-        return self.aig.n_inputs
-
-    @property
-    def n_outputs(self) -> int:
-        return self.aig.num_outputs
-
-    def validate_rows(self, rows: np.ndarray) -> np.ndarray:
-        return validate_rows(rows, self.n_inputs, self.info.name)
-
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        """Evaluate ``(n_rows, n_inputs)`` 0/1 rows.
-
-        Returns ``(n_rows, n_outputs)`` uint8 — bit-identical to
-        ``AIG.simulate`` on the same rows (they share the engine).
-        """
-        return self.compiled.run(self.validate_rows(rows))
-
-    def predict_grouped(
-        self, row_blocks: Sequence[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Evaluate many row blocks in one engine pass (coalescing)."""
-        blocks = [self.validate_rows(b) for b in row_blocks]
-        return simulate_rows_grouped(self.compiled, blocks)
-
-
 class CircuitBundle:
     """AIGER text + metadata, compiled lazily and at most once."""
 
     def __init__(self, aag_text: str, metadata: dict[str, Any] | None = None):
         self.aag_text = aag_text
         self.metadata: dict[str, Any] = dict(metadata or {})
-        self._compiled: CompiledCircuit | None = None
+        self._compiled: CompiledAIG | None = None
         self._info: ModelInfo | None = None
         self._digest: str | None = None
 
@@ -216,27 +176,26 @@ class CircuitBundle:
         Run-store records carry accuracy/size/levels and the ``.aag``
         header carries the interface, so listing a large store stays
         O(1) per model.  Only a bare bundle with no structural
-        metadata pays one compile (for ``levels``) — and then only
+        metadata parses the circuit (for ``levels``) — and then only
         the small :class:`ModelInfo` is retained: compiled *plans*
         are owned exclusively by the model store's LRU, so listing a
         10k-circuit directory cannot pin 10k plans in memory.
         """
-        if self._compiled is not None:
-            return self._compiled.info
         if self._info is None:
             if "num_ands" in self.metadata and "levels" in self.metadata:
                 n_inputs, n_outputs, n_ands = self.header_counts()
                 self._info = self._build_info(n_inputs, n_outputs, n_ands, 0)
             else:
-                self._info = self.compile().info
-                self._compiled = None  # keep the info, release the plan
+                self._info = self.info_for(loads_aag(self.aag_text))
         return self._info
 
-    def compile(self) -> CompiledCircuit:
+    def compile(self) -> CompiledAIG:
         """Parse + levelize-compile the circuit (cached afterwards)."""
         if self._compiled is None:
             aig = loads_aag(self.aag_text)
-            self._compiled = CompiledCircuit(aig, self.info_for(aig))
+            if self._info is None:
+                self._info = self.info_for(aig)
+            self._compiled = aig.compiled()
         return self._compiled
 
     def drop_compiled(self) -> None:

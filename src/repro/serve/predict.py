@@ -6,9 +6,10 @@ bits are tolerated on input; ``#`` starts a comment).  Output files
 hold one line of ``n_outputs`` bits per input row, so a single-output
 contest circuit produces one character per line.
 
-This path shares ``ModelStore`` + ``CompiledCircuit`` with the HTTP
-server, so `repro predict` is the same computation as POSTing the
-rows to ``/predict/{model}`` — just without a server in the loop.
+This path shares ``ModelStore``, ``validate_rows`` and the compiled
+engine with the HTTP server, so `repro predict` is the same
+computation as POSTing the rows to ``/predict/{model}`` — just
+without a server in the loop.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.serve.bundle import validate_rows
 from repro.serve.store import ModelStore
 
 PathLike = str | Path
@@ -65,8 +67,8 @@ def predict_file(
 ) -> int:
     """Score a rows file against a stored model; returns row count."""
     store = ModelStore(store_dir, cache_size=cache_size)
-    circuit = store.load(model)
-    rows = read_rows_file(in_path)
-    outputs = circuit.predict(rows)
+    info = store.info(model)
+    rows = validate_rows(read_rows_file(in_path), info.n_inputs, info.name)
+    outputs = store.load(model).run(rows)
     Path(out_path).write_text(format_outputs(outputs), encoding="ascii")
     return int(outputs.shape[0])

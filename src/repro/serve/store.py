@@ -29,7 +29,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.runner.store import RECORDS_NAME, RunStore
-from repro.serve.bundle import CircuitBundle, CompiledCircuit, ModelInfo
+from repro.serve.bundle import CircuitBundle, ModelInfo
+from repro.sim.engine import CompiledAIG
 
 PathLike = str | Path
 
@@ -54,7 +55,7 @@ class ModelStore:
         self.root = Path(root)
         self.cache_size = cache_size
         self._bundles: dict[str, CircuitBundle] = {}
-        self._cache: OrderedDict[str, CompiledCircuit] = OrderedDict()
+        self._cache: OrderedDict[str, CompiledAIG] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -185,8 +186,12 @@ class ModelStore:
         """Models currently holding a compiled plan (LRU order)."""
         return list(self._cache)
 
-    def load(self, name: str) -> CompiledCircuit:
-        """The compiled circuit for ``name`` (LRU-cached)."""
+    def load(self, name: str) -> CompiledAIG:
+        """The compiled circuit for ``name`` (LRU-cached).
+
+        Rows from outside must pass :func:`~repro.serve.bundle.validate_rows`
+        (against :meth:`info`) before they reach ``run``.
+        """
         name = self.resolve(name)
         cached = self._cache.get(name)
         if cached is not None:

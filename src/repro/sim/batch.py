@@ -1,4 +1,4 @@
-"""Batched evaluation: one circuit x many datasets, many circuits x one.
+"""Batched evaluation: one circuit x many row blocks, many circuits x one.
 
 Both directions amortize the expensive part — bit-packing the sample
 matrix and setting up the simulation — across everything that shares
@@ -14,38 +14,13 @@ import numpy as np
 from repro.utils.bitops import pack_bits, unpack_bits
 
 
-def simulate_datasets(
-    aig, sample_matrices: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Simulate one circuit on several sample matrices in one pass.
-
-    The matrices (each ``(n_i, n_inputs)`` 0/1) are stacked, packed and
-    simulated as a single batch, then split back, so the engine runs
-    once instead of ``len(sample_matrices)`` times.  Returns one
-    ``(n_i, n_outputs)`` uint8 matrix per input matrix.
-    """
-    mats = [np.asarray(m, dtype=np.uint8) for m in sample_matrices]
-    if not mats:
-        return []
-    compiled = aig.compiled()
-    if len(mats) == 1:
-        return [compiled.run(mats[0])]
-    stacked = np.vstack(mats)
-    merged = compiled.run(stacked)
-    out: list[np.ndarray] = []
-    offset = 0
-    for m in mats:
-        out.append(merged[offset : offset + m.shape[0]])
-        offset += m.shape[0]
-    return out
-
-
 def simulate_rows_grouped(
     compiled, row_blocks: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """One compiled circuit, many small row blocks, one engine pass.
+    """One compiled circuit, many row blocks, one engine pass.
 
-    This is the microbatching primitive behind :mod:`repro.serve`: the
+    This is the microbatching primitive behind :mod:`repro.serve`, and
+    also how one circuit is scored on several datasets at once: the
     blocks (each ``(k_i, n_inputs)`` 0/1, or a single ``(n_inputs,)``
     row) are stacked, bit-packed *once* and pushed through
     :meth:`~repro.sim.engine.CompiledAIG.run` as a single batch, then

@@ -287,6 +287,25 @@ def permutation_importance(predict, X, y, n_repeats=5, rng=None):
     return importances
 
 
+def looks_complement(Xn, yn, feature) -> bool:
+    """Team 8's complement test, one row at a time: each row is keyed
+    by its other features and compared with the first row seen under
+    that key."""
+    other_cols = [c for c in range(Xn.shape[1]) if c != feature]
+    seen = {}
+    for row, label in zip(Xn, yn, strict=True):
+        key = row[other_cols].tobytes()
+        side = row[feature]
+        prev = seen.get(key)
+        if prev is None:
+            seen[key] = (int(side), int(label))
+        else:
+            prev_side, prev_label = prev
+            if prev_side != side and prev_label == label:
+                return False
+    return True
+
+
 class ReferenceTree(DecisionTree):
     """:class:`DecisionTree` growing over row-index arrays, copying
     ``X[idx]`` at every node and banning features by an int bitmask."""
@@ -380,7 +399,7 @@ class ReferenceTree(DecisionTree):
             if len(y0) == 0 or len(y1) == 0:
                 continue
             constant = y0.min() == y0.max() or y1.min() == y1.max()
-            if constant or self._looks_complement(Xn, yn, feature, mask):
+            if constant or looks_complement(Xn, yn, feature):
                 chosen = feature
         return chosen
 

@@ -181,7 +181,7 @@ class TestSimulation:
         aig = AIG(3)
         aig.set_output(CONST1)
         with pytest.raises(ValueError):
-            aig.simulate_packed(np.zeros((2, 1), dtype=np.uint64))
+            aig.simulate_packed_all(np.zeros((2, 1), dtype=np.uint64))
 
     def test_truth_table_input_limit(self):
         aig = AIG(21)

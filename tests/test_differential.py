@@ -458,6 +458,38 @@ def test_tree_nodes_match_row_copying_oracle(
     assert node_list(tree) == node_list(reference)
 
 
+@given(
+    seed=seeds,
+    n=st.integers(0, 120),
+    d=st.integers(1, 8),
+    copies=st.integers(1, 3),
+)
+@settings(max_examples=120, deadline=None)
+def test_looks_complement_matches_row_scan_oracle(seed, n, d, copies):
+    # Few columns and repeated rows make key groups with several rows,
+    # duplicates included, so the first-row-of-group rule is exercised.
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
+    X = np.concatenate([base] * copies)[rng.permutation(n * copies)]
+    y = rng.integers(0, 2, size=X.shape[0]).astype(np.uint8)
+    for feature in range(d):
+        assert DecisionTree._looks_complement(X, y, feature) == \
+            oracles.looks_complement(X, y, feature)
+
+
+def test_looks_complement_compares_with_first_row_of_group():
+    # Rows 0 and 2 share a key with row 1 between them: row 1 agrees
+    # with row 0 (same side), row 2 differs in side but not in label
+    # from row 0 — a counterexample only against the *first* row.
+    X = np.array([[0, 1], [0, 1], [1, 1]], dtype=np.uint8)
+    y = np.array([1, 1, 1], dtype=np.uint8)
+    assert oracles.looks_complement(X, y, 0) is False
+    assert DecisionTree._looks_complement(X, y, 0) is False
+    y = np.array([1, 0, 0], dtype=np.uint8)
+    assert oracles.looks_complement(X, y, 0) is True
+    assert DecisionTree._looks_complement(X, y, 0) is True
+
+
 @given(values=st.lists(
     st.tuples(st.integers(0, 500), st.integers(0, 500)), min_size=1,
     max_size=40,

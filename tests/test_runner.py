@@ -20,7 +20,6 @@ from repro.runner import (
     TaskSpec,
     canonical_line,
     contest_tasks,
-    load_contest_run,
     load_contest_runs,
     merge_stores,
     parse_shard,
@@ -191,7 +190,7 @@ class TestGoldenDeterminism:
 
     def test_store_reload_matches_in_memory(self, stores):
         root, _, serial, *_ = stores
-        loaded = load_contest_run(root / "serial")
+        loaded = load_contest_runs([root / "serial"])
         assert loaded.table3() == serial.table3()
         assert loaded.win_rates() == serial.win_rates()
 
@@ -264,7 +263,7 @@ class TestShardedDeterminism:
     def test_load_contest_runs_matches_unsharded_report(self, sharded):
         root, _, shard_dirs = sharded
         merged = load_contest_runs(shard_dirs)
-        unsharded = load_contest_run(root / "unsharded")
+        unsharded = load_contest_runs([root / "unsharded"])
         assert merged.table3() == unsharded.table3()
         assert merged.win_rates() == unsharded.win_rates()
 
@@ -412,10 +411,7 @@ class TestStore:
         specs = contest_tasks([74], ["team10"], 32, 32, 32)
         run_contest_tasks(specs[:0], out_dir=tmp_path)  # just manifest
         with pytest.raises(FileNotFoundError):
-            load_contest_run(tmp_path)
-        store = RunStore(tmp_path)
-        with pytest.raises(KeyError, match="missing"):
-            store.scores_by_team(specs)
+            load_contest_runs([tmp_path])
 
 
 class TestRunContestWrapper:

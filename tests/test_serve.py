@@ -29,6 +29,7 @@ from repro.serve import (
     ServerHandle,
     parse_metrics_text,
 )
+from repro.serve.bundle import validate_rows
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.predict import format_outputs, predict_file, read_rows_file
 from repro.sim.batch import simulate_rows_grouped
@@ -108,7 +109,7 @@ def test_model_store_serves_generated_spec(tmp_path):
     assert info.n_inputs == 8
     compiled = store.load(name)
     rows = _random_rows(16, 8)
-    assert compiled.predict(rows).shape == (16, 1)
+    assert compiled.run(rows).shape == (16, 1)
 
 
 def test_model_store_picks_best_record(tmp_path):
@@ -170,7 +171,7 @@ def test_model_store_bundle_directory(tmp_path, model_store, run_store_dir):
     assert ms.info("parity16").flow == "handmade"
     assert ms.info("bare").n_inputs == 3  # no sidecar needed
     rows = _random_rows(9, 16)
-    assert np.array_equal(ms.load("parity16").predict(rows), aig.simulate(rows))
+    assert np.array_equal(ms.load("parity16").run(rows), aig.simulate(rows))
 
 
 def test_model_store_lru(run_store_dir):
@@ -201,47 +202,42 @@ def test_compiled_circuit_bit_identical_to_simulate(
         circuit = model_store.load(name)
         aig = _stored_winner_aig(run_store_dir, model_store, name)
         rows = _random_rows(133, circuit.n_inputs, seed=7)
-        assert np.array_equal(circuit.predict(rows), aig.simulate(rows))
-        single = circuit.predict(rows[3])  # 1-d row convenience
+        assert np.array_equal(circuit.run(rows), aig.simulate(rows))
+        single = circuit.run(rows[3])  # 1-d row convenience
         assert np.array_equal(single, aig.simulate(rows[3 : 4]))
 
 
-def test_predict_validates_width(model_store):
-    circuit = model_store.load("ex74")
+def test_predict_validates_width():
     with pytest.raises(ValueError):
-        circuit.predict(np.zeros((4, 3), dtype=np.uint8))
+        validate_rows(np.zeros((4, 3), dtype=np.uint8), 16, "ex74")
 
 
-def test_predict_rejects_non_binary_values(model_store):
+def test_predict_rejects_non_binary_values():
     """A 2 in one request's row must never leak into a neighbour's
     packed bits — non-0/1 input is rejected, not silently packed."""
-    circuit = model_store.load("ex74")
     bad = np.zeros((1, 16), dtype=np.uint8)
     bad[0, 0] = 2
     with pytest.raises(ValueError):
-        circuit.predict(bad)
-    with pytest.raises(ValueError):
-        circuit.predict_grouped([bad])
+        validate_rows(bad, 16, "ex74")
     # Fractional values must be rejected, not truncated to 0.
     frac = np.zeros((1, 16))
     frac[0, 0] = 0.9
     with pytest.raises(ValueError):
-        circuit.predict(frac)
-    # ...but integral floats and negative ints fail cleanly too.
+        validate_rows(frac, 16, "ex74")
+    # ...but integral floats pass as the same bits, and negative ints
+    # fail cleanly too.
     assert np.array_equal(
-        circuit.predict(np.ones((1, 16))),
-        circuit.predict(np.ones((1, 16), dtype=np.uint8)),
+        validate_rows(np.ones((1, 16)), 16, "ex74"),
+        np.ones((1, 16), dtype=np.uint8),
     )
     with pytest.raises(ValueError):
-        circuit.predict([[-1] * 16])
+        validate_rows([[-1] * 16], 16, "ex74")
     # Out-of-range integers must not wrap into valid bits on the uint8
     # cast (256 -> 0, 257 -> 1), and strings are not numbers.
     for rows in ([[256] + [1] * 15], [[257] + [0] * 15],
                  [["1", "0"] * 8], np.full((1, 16), 256, dtype=np.int64)):
         with pytest.raises(ValueError, match="0/1"):
-            circuit.predict(rows)
-        with pytest.raises(ValueError, match="0/1"):
-            circuit.predict_grouped([rows])
+            validate_rows(rows, 16, "ex74")
 
 
 def test_model_store_info_does_not_compile(run_store_dir):
@@ -259,13 +255,13 @@ def test_simulate_rows_grouped_matches_per_block(model_store):
     blocks = [
         _random_rows(k, circuit.n_inputs, seed=k) for k in (1, 1, 5, 2)
     ]
-    grouped = simulate_rows_grouped(circuit.compiled, blocks)
+    grouped = simulate_rows_grouped(circuit, blocks)
     assert len(grouped) == len(blocks)
     for block, out in zip(blocks, grouped, strict=True):
-        assert np.array_equal(out, circuit.predict(block))
-    assert simulate_rows_grouped(circuit.compiled, []) == []
-    one = simulate_rows_grouped(circuit.compiled, [blocks[2][0]])  # 1-d
-    assert np.array_equal(one[0], circuit.predict(blocks[2][:1]))
+        assert np.array_equal(out, circuit.run(block))
+    assert simulate_rows_grouped(circuit, []) == []
+    one = simulate_rows_grouped(circuit, [blocks[2][0]])  # 1-d
+    assert np.array_equal(one[0], circuit.run(blocks[2][:1]))
 
 
 def test_loads_aag_round_trip(model_store, run_store_dir):
@@ -282,7 +278,7 @@ def test_loads_aag_round_trip(model_store, run_store_dir):
 def test_microbatcher_coalesces_concurrent_singles(model_store):
     circuit = model_store.load("ex74")
     rows = _random_rows(8, circuit.n_inputs, seed=3)
-    expected = circuit.predict(rows)
+    expected = circuit.run(rows)
 
     async def drive():
         batcher = MicroBatcher(model_store, tick_s=0.05)
@@ -295,15 +291,16 @@ def test_microbatcher_coalesces_concurrent_singles(model_store):
     for i, out in enumerate(outs):
         assert np.array_equal(out[0], expected[i])
     # All 8 requests arrived within one tick: exactly one engine pass.
-    assert batcher.batches == 1
-    assert batcher.max_coalesced == 8
-    assert batcher.rows_served == 8
+    stats = batcher.stats()
+    assert stats["batches"] == 1
+    assert stats["max_coalesced"] == 8
+    assert stats["rows_served"] == 8
 
 
 def test_microbatcher_max_batch_flushes_early(model_store):
     circuit = model_store.load("ex74")
     rows = _random_rows(8, circuit.n_inputs, seed=4)
-    expected = circuit.predict(rows)
+    expected = circuit.run(rows)
 
     async def drive():
         batcher = MicroBatcher(model_store, tick_s=5.0, max_batch=4)
@@ -317,8 +314,8 @@ def test_microbatcher_max_batch_flushes_early(model_store):
         assert np.array_equal(out[0], expected[i])
     # tick_s is far beyond the test budget, so only the max_batch
     # trigger can have flushed -- twice, at 4 rows each.
-    assert batcher.batches == 2
-    assert batcher.max_coalesced == 4
+    assert batcher.stats()["batches"] == 2
+    assert batcher.stats()["max_coalesced"] == 4
 
 
 def test_microbatcher_rejects_bad_rows_before_enqueue(model_store):
@@ -520,6 +517,17 @@ def test_predict_file_golden(tmp_path, run_store_dir, model_store):
     assert format_outputs(got) == out_path.read_text()
 
 
+def test_predict_file_rejects_wrong_width(tmp_path, run_store_dir):
+    """Rows read from a file are outside input: a well-formed file of
+    the wrong width is rejected before it reaches the engine."""
+    in_path = tmp_path / "rows.txt"
+    in_path.write_text("010\n110\n")
+    out_path = tmp_path / "preds.txt"
+    with pytest.raises(ValueError, match="16 bits"):
+        predict_file(run_store_dir, "ex74", in_path, out_path)
+    assert not out_path.exists()
+
+
 def test_predict_cli(tmp_path, run_store_dir):
     from repro.cli import main
 
@@ -631,7 +639,7 @@ def test_bundle_from_files_explicit_meta(tmp_path):
     meta_path.write_text(json.dumps({"benchmark_name": "mine", "seed": 3}))
     bundle = CircuitBundle.from_files(aag_path, meta_path)
     circuit = bundle.compile()
-    assert circuit.info.name == "mine" and circuit.info.seed == 3
+    assert bundle.info().name == "mine" and bundle.info().seed == 3
     assert bundle.compile() is circuit  # compiled exactly once
     bundle.drop_compiled()
     assert bundle.compile() is not circuit
@@ -669,8 +677,8 @@ def test_flush_failure_is_execution_error_for_all_callers(
     for result in results:
         assert isinstance(result, ExecutionError)
         assert "engine exploded" in str(result)
-    assert batcher.execution_errors == 1  # one batch, one fault
-    assert batcher.rows_served == 0
+    assert batcher.stats()["execution_errors"] == 1  # one batch, one fault
+    assert batcher.stats()["rows_served"] == 0
 
 
 def test_http_flush_failure_is_500_not_400(model_store, monkeypatch):
@@ -720,7 +728,7 @@ def test_microbatcher_saturation_rejects_at_admission(model_store):
         with pytest.raises(QueueSaturated) as excinfo:
             await batcher.predict("ex74", rows[:1])
         assert excinfo.value.retry_after_s > 0
-        assert batcher.rejected_saturated == 1
+        assert batcher.stats()["rejected_saturated"] == 1
         # The admission bound held: never more than max_queued_rows.
         assert batcher.pending_rows("ex74") == 8
         batcher.flush_all()
@@ -728,9 +736,9 @@ def test_microbatcher_saturation_rejects_at_admission(model_store):
         return batcher, out
 
     batcher, out = asyncio.run(drive())
-    expected = model_store.load("ex74").predict(rows)
+    expected = model_store.load("ex74").run(rows)
     assert np.array_equal(out, expected)
-    assert batcher.rows_served == 8
+    assert batcher.stats()["rows_served"] == 8
 
 
 def test_microbatcher_deadline_fires_before_flush(model_store):
@@ -740,8 +748,8 @@ def test_microbatcher_deadline_fires_before_flush(model_store):
         batcher = MicroBatcher(model_store, tick_s=5.0, deadline_s=0.02)
         with pytest.raises(DeadlineExceeded):
             await batcher.predict("ex74", np.zeros((1, 16), dtype=np.uint8))
-        assert batcher.batches == 0  # answered *before* any flush
-        assert batcher.rejected_deadline == 1
+        assert batcher.stats()["batches"] == 0  # answered before any flush
+        assert batcher.stats()["rejected_deadline"] == 1
         assert batcher.pending_rows("ex74") == 0  # budget released
         # The queue stays usable afterwards: flush skips settled
         # futures and a fresh request still gets served.
@@ -755,7 +763,7 @@ def test_microbatcher_deadline_fires_before_flush(model_store):
         return batcher, out
 
     batcher, out = asyncio.run(drive())
-    assert out.shape[0] == 1 and batcher.rows_served == 1
+    assert out.shape[0] == 1 and batcher.stats()["rows_served"] == 1
 
 
 def test_http_saturation_returns_503_with_retry_after(model_store):
@@ -793,7 +801,7 @@ def test_http_saturation_returns_503_with_retry_after(model_store):
             # saturation must shed new load, never strand queued work.
             status, body = first.result(timeout=30)
     assert status == 200
-    expected = model_store.load("ex74").predict(rows)
+    expected = model_store.load("ex74").run(rows)
     assert np.array_equal(
         np.asarray(body["outputs"], dtype=np.uint8), expected
     )
@@ -807,7 +815,7 @@ def test_http_deadline_returns_503_before_flush(model_store):
         )
     assert status == 503
     assert "deadline" in body["error"]
-    assert app.batcher.batches == 0  # the 503 preceded any flush
+    assert app.batcher.stats()["batches"] == 0  # the 503 preceded any flush
 
 
 def test_metrics_reconcile_with_requests_handled(model_store):
@@ -844,7 +852,8 @@ def test_metrics_reconcile_with_requests_handled(model_store):
     assert by_status['repro_serve_http_responses_total{status="400"}'] == 1
     # ...and the serving counters line up with the batcher's view.
     assert metrics["repro_serve_rows_served_total"] == 1
-    assert metrics["repro_serve_batches_total"] == app.batcher.batches
+    assert metrics["repro_serve_batches_total"] == \
+        app.batcher.stats()["batches"]
     assert metrics["repro_serve_predict_latency_seconds_count"] == 2
     assert metrics['repro_serve_http_requests_total{endpoint="/predict"}'] == 2
 
@@ -938,7 +947,7 @@ def test_refresh_evicts_stale_compiled_entry(tmp_path):
 
     ms = ModelStore(tmp_path)
     rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
-    assert np.array_equal(ms.load("ex00").predict(rows).ravel(), [0, 0, 0, 1])
+    assert np.array_equal(ms.load("ex00").run(rows).ravel(), [0, 0, 0, 1])
 
     # A better solution lands for the same benchmark...
     _append_record(run_store, "b000:flowB:s0", "ex00", 0.9, dumps_aag(or_gate))
@@ -946,7 +955,7 @@ def test_refresh_evicts_stale_compiled_entry(tmp_path):
     # ...and the stale AND plan is evicted, not served by name match.
     assert ms.stats()["stale_evictions"] == 1
     assert ms.cached_names() == []
-    assert np.array_equal(ms.load("ex00").predict(rows).ravel(), [0, 1, 1, 1])
+    assert np.array_equal(ms.load("ex00").run(rows).ravel(), [0, 1, 1, 1])
 
     # A refresh that changes nothing keeps the warm plan.
     ms.refresh()

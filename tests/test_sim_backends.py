@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from repro.sim import (
-    compile_aig,
+    CompiledAIG,
     output_predictions,
     simulate_circuits,
-    simulate_datasets,
     simulate_rows_grouped,
 )
 from repro.utils.bitops import pack_bits, unpack_bits
@@ -38,16 +37,19 @@ def reference_rows(aig, samples):
 
 class TestDifferential:
     @pytest.mark.parametrize("name", ARENA_STATES)
-    def test_simulate_datasets_matches_numpy(self, name):
+    def test_datasets_on_word_boundaries_match_numpy(self, name):
+        # One circuit scored on several datasets at once, with sizes on
+        # and off the 64-row word boundary.
         aig = build_random_aig(7, 120, 3)
         rng = np.random.default_rng(3)
         mats = [
             rng.integers(0, 2, size=(n, 7)).astype(np.uint8)
             for n in (1, 63, 64, 65, 200)
         ]
+        compiled = CompiledAIG(aig)
         if name == "fused":
-            simulate_datasets(aig, [1 - m for m in mats])
-        got = simulate_datasets(aig, mats)
+            simulate_rows_grouped(compiled, [1 - m for m in mats])
+        got = simulate_rows_grouped(compiled, mats)
         for m, g in zip(mats, got, strict=True):
             assert g.tobytes() == reference_rows(aig, m).tobytes()
 
@@ -78,7 +80,7 @@ class TestDifferential:
             for n in (1, 30, 64, 100)
         ]
         blocks.append(blocks[1][0])  # a single (n_inputs,) row
-        compiled = compile_aig(aig)
+        compiled = CompiledAIG(aig)
         if name == "fused":
             simulate_rows_grouped(compiled, [1 - b for b in blocks])
         got = simulate_rows_grouped(compiled, blocks)

@@ -8,7 +8,6 @@ boundary, plus adversarial chain shapes, and compare packed words with
 ``tobytes()`` equality.
 """
 
-import pickle
 import random
 
 import numpy as np
@@ -20,14 +19,12 @@ from repro.contest.evaluate import evaluate_solution, evaluate_solutions
 from repro.contest.problem import Solution
 from repro.sim import (
     CompiledAIG,
-    SimProgram,
-    compile_aig,
     output_predictions,
     reference_simulate_packed_all,
     simulate_circuits,
-    simulate_datasets,
+    simulate_rows_grouped,
 )
-from repro.sim.program import _levelize
+from repro.sim.engine import _levelize
 from repro.utils.bitops import pack_bits, unpack_bits
 from tests.oracles import checkpoint, rollback
 
@@ -66,7 +63,7 @@ def random_packed(n_inputs, n_words, seed):
 
 
 def reference_outputs(aig, packed):
-    """Output gather on top of the seed loop (the seed simulate_packed)."""
+    """Output gather on top of the seed loop (the seed output simulation)."""
     values = reference_simulate_packed_all(aig, packed)
     ones = np.uint64(0xFFFFFFFFFFFFFFFF)
     out = np.empty((aig.num_outputs, values.shape[1]), dtype=np.uint64)
@@ -106,7 +103,7 @@ class TestEngineBitExact:
         ref_all = reference_simulate_packed_all(aig, packed)
         assert np.array_equal(aig.simulate_packed_all(packed), ref_all)
         ref_out = reference_outputs(aig, packed)
-        assert np.array_equal(aig.simulate_packed(packed), ref_out)
+        assert np.array_equal(aig.compiled().run_packed(packed), ref_out)
         assert np.array_equal(
             aig.simulate(X), unpack_bits(ref_out, n_samples)
         )
@@ -140,9 +137,9 @@ class TestEngineBitExact:
         b = aig.add_and(aig.input_lit(2), aig.input_lit(3))
         c = aig.add_and(a, b ^ 1)
         aig.set_output(c)
-        compiled = compile_aig(aig)
+        compiled = CompiledAIG(aig)
         assert compiled.depth == 2
-        assert compiled.level_widths == [2, 1]
+        assert [hi - lo for lo, hi, *_ in compiled.level_ops] == [2, 1]
 
     def test_wrong_input_rows_raises(self):
         aig = build_random_aig(4, 10, 0)
@@ -164,7 +161,7 @@ class TestOracle:
         self, n_inputs, n_nodes, seed, n_words
     ):
         aig = build_random_aig(n_inputs, n_nodes, seed)
-        compiled = compile_aig(aig)
+        compiled = CompiledAIG(aig)
         packed = random_packed(n_inputs, n_words, seed)
         ref = reference_simulate_packed_all(aig, packed)
         assert compiled.run_packed_all(packed).tobytes() == ref.tobytes()
@@ -174,7 +171,7 @@ class TestOracle:
     @pytest.mark.parametrize("n_nodes", [5000])
     def test_chain_shape_byte_identical(self, n_nodes):
         aig = build_chain_aig(n_nodes)
-        compiled = compile_aig(aig)
+        compiled = CompiledAIG(aig)
         assert compiled.depth == n_nodes
         packed = random_packed(2, 3, seed=n_nodes)
         ref = reference_simulate_packed_all(aig, packed)
@@ -196,7 +193,7 @@ class TestOracle:
         # The engine reuses its arena: a result held across a later run
         # (or mutated by the caller) must not alias the internal buffers.
         aig = build_random_aig(6, 80, 13)
-        compiled = compile_aig(aig)
+        compiled = CompiledAIG(aig)
         packed = random_packed(6, 2, 13)
         first = compiled.run_packed_all(packed)
         snapshot = first.copy()
@@ -208,27 +205,12 @@ class TestOracle:
 
     def test_arena_resizes_across_word_counts(self):
         aig = build_random_aig(8, 100, 21)
-        compiled = compile_aig(aig)
+        compiled = CompiledAIG(aig)
         for n_words in (3, 1, 5, 3):
             packed = random_packed(8, n_words, n_words)
             ref = reference_simulate_packed_all(aig, packed)
             out = compiled.run_packed_all(packed)
             assert out.tobytes() == ref.tobytes(), n_words
-
-    def test_program_pickles(self):
-        aig = build_random_aig(6, 70, 8)
-        program = SimProgram(aig)
-        clone = pickle.loads(pickle.dumps(program))
-        packed = random_packed(6, 2, 8)
-        ref = reference_simulate_packed_all(aig, packed)
-        out = CompiledAIG(clone).run_packed_all(packed)
-        assert out.tobytes() == ref.tobytes()
-
-    def test_engine_shares_a_given_program(self):
-        aig = build_random_aig(5, 40, 4)
-        program = SimProgram(aig)
-        assert CompiledAIG(program).program is program  # no recompile
-        assert compile_aig(aig).program is not program
 
 
 class TestLevelizeCutover:
@@ -336,18 +318,18 @@ class TestCompileCache:
 
 
 class TestBatch:
-    def test_simulate_datasets_matches_individual(self):
+    def test_simulate_rows_grouped_matches_individual(self):
         aig = build_random_aig(6, 40, 7)
         rng = np.random.default_rng(7)
         mats = [
             rng.integers(0, 2, size=(n, 6)).astype(np.uint8)
             for n in (5, 64, 130)
         ]
-        batched = simulate_datasets(aig, mats)
+        batched = simulate_rows_grouped(aig.compiled(), mats)
         assert len(batched) == 3
         for m, out in zip(mats, batched, strict=True):
             assert np.array_equal(out, aig.simulate(m))
-        assert simulate_datasets(aig, []) == []
+        assert simulate_rows_grouped(aig.compiled(), []) == []
 
     def test_simulate_circuits_matches_individual(self):
         rng = np.random.default_rng(11)

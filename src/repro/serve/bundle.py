@@ -20,7 +20,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.aig.aig import AIG
 from repro.aig.aiger import loads_aag
 from repro.sim.engine import CompiledAIG
 
@@ -159,12 +158,6 @@ class CircuitBundle:
             key=meta.get("key"),
         )
 
-    def info_for(self, aig: AIG) -> ModelInfo:
-        """Build the :class:`ModelInfo` for this bundle's circuit."""
-        return self._build_info(
-            aig.n_inputs, aig.num_outputs, aig.count_used_ands(), aig.depth()
-        )
-
     def header_counts(self) -> "tuple[int, int, int]":
         """``(n_inputs, n_outputs, n_ands)`` straight off the header."""
         fields = self.aag_text.split("\n", 1)[0].split()
@@ -186,16 +179,17 @@ class CircuitBundle:
                 n_inputs, n_outputs, n_ands = self.header_counts()
                 self._info = self._build_info(n_inputs, n_outputs, n_ands, 0)
             else:
-                self._info = self.info_for(loads_aag(self.aag_text))
+                aig = loads_aag(self.aag_text)
+                self._info = self._build_info(
+                    aig.n_inputs, aig.num_outputs, aig.count_used_ands(),
+                    aig.depth(),
+                )
         return self._info
 
     def compile(self) -> CompiledAIG:
         """Parse + levelize-compile the circuit (cached afterwards)."""
         if self._compiled is None:
-            aig = loads_aag(self.aag_text)
-            if self._info is None:
-                self._info = self.info_for(aig)
-            self._compiled = aig.compiled()
+            self._compiled = loads_aag(self.aag_text).compiled()
         return self._compiled
 
     def drop_compiled(self) -> None:

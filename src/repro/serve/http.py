@@ -335,12 +335,12 @@ async def _read_request(
         # path closes the connection, so no stray bytes are reparsed.
         raise HttpError(400, "Transfer-Encoding is not supported; "
                              "send Content-Length")
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise HttpError(400, "malformed Content-Length") from None
-    if length < 0:
+    raw_length = headers.get("content-length", "0") or "0"
+    # RFC 9110: 1*DIGIT.  int() would also take "+5", "1_0" or "²",
+    # which a proxy in front may read differently.
+    if not (raw_length.isascii() and raw_length.isdigit()):
         raise HttpError(400, "malformed Content-Length")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise HttpError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""

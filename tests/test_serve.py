@@ -456,14 +456,18 @@ def test_http_rejects_non_binary_rows(served):
 def test_http_malformed_content_length_gets_400(served):
     import socket
 
-    with socket.create_connection((served.host, served.port), timeout=30) as s:
-        s.sendall(
-            b"POST /predict/ex74 HTTP/1.1\r\n"
-            b"Content-Length: abc\r\n\r\n"
-        )
-        response = s.recv(65536).decode("latin-1")
-    assert response.startswith("HTTP/1.1 400")
-    assert "Content-Length" in response
+    # Only plain ASCII digits: int() alone would take "+2" and "1_0".
+    for value in (b"abc", b"-1", b"+2", b"1_0"):
+        with socket.create_connection(
+            (served.host, served.port), timeout=30
+        ) as s:
+            s.sendall(
+                b"POST /predict/ex74 HTTP/1.1\r\n"
+                b"Content-Length: " + value + b"\r\n\r\n{}"
+            )
+            response = s.recv(65536).decode("latin-1")
+        assert response.startswith("HTTP/1.1 400"), value
+        assert "Content-Length" in response
 
 
 def test_http_keep_alive_reuses_connection(served):

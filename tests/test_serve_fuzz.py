@@ -139,4 +139,6 @@ def test_read_request_parses_or_raises_http_error(data):
     assert method == method.upper() and path
     assert all(k == k.strip().lower() for k in headers)
     assert "transfer-encoding" not in headers
-    assert len(body) == int(headers.get("content-length", "0") or "0")
+    length = headers.get("content-length", "0") or "0"
+    assert length.isascii() and length.isdigit()
+    assert len(body) == int(length)

@@ -336,8 +336,8 @@ async def _read_request(
         raise HttpError(400, "Transfer-Encoding is not supported; "
                              "send Content-Length")
     raw_length = headers.get("content-length", "0") or "0"
-    # RFC 9110: 1*DIGIT.  int() would also take "+5", "1_0" or "²",
-    # which a proxy in front may read differently.
+    # RFC 9110: 1*DIGIT.  int() would also take "+5" or "1_0", which
+    # a proxy in front may read differently.
     if not (raw_length.isascii() and raw_length.isdigit()):
         raise HttpError(400, "malformed Content-Length")
     length = int(raw_length)

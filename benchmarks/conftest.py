@@ -24,8 +24,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.analysis import run_contest
 from repro.contest.suite import default_small_indices
+from repro.runner import contest_tasks, run_contest_tasks
 
 import _report
 
@@ -94,11 +94,11 @@ def contest_run(scale):
     """
     from repro.flows import TEAM_FLOW_NAMES
 
-    return run_contest(
+    return run_contest_tasks(contest_tasks(
         scale["indices"],
         list(TEAM_FLOW_NAMES),
         n_train=scale["samples"],
         n_valid=scale["samples"],
         n_test=scale["samples"],
         effort=scale["effort"],
-    )
+    ))

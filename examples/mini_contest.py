@@ -10,8 +10,9 @@ Run:  python examples/mini_contest.py          (a few minutes)
 
 import sys
 
-from repro.analysis import format_table3, run_contest, win_rates
+from repro.analysis import format_table3, win_rates
 from repro.flows import TEAM_FLOW_NAMES
+from repro.runner import contest_tasks, run_contest_tasks
 
 FAST_FLOWS = ("team01", "team07", "team10")
 BENCHMARKS = [0, 21, 30, 74, 75, 80, 90]  # one per difficulty flavour
@@ -28,10 +29,9 @@ def main() -> None:
     ]
     print(f"running {len(flows)} flows over benchmarks "
           f"{['ex%02d' % b for b in BENCHMARKS]} ...\n")
-    run = run_contest(
-        BENCHMARKS, flows, n_train=400, n_valid=400, n_test=400,
-        effort="small", verbose=True,
-    )
+    specs = contest_tasks(BENCHMARKS, flows, n_train=400, n_valid=400,
+                          n_test=400, effort="small")
+    run = run_contest_tasks(specs, verbose=True)
     print("\n=== Table III (miniature) ===")
     print(format_table3(run.table3()))
 

@@ -81,14 +81,14 @@ def loads_aag(text: str) -> AIG:
 
 
 def _int(field: str, line: str) -> int:
-    """One non-negative integer field of AIGER line ``line``."""
-    try:
-        value = int(field)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """One non-negative integer field of AIGER line ``line``.
+
+    ASCII digits only: ``int()`` alone would also take ``+2``, ``1_0``
+    and non-ASCII digits, which are not AIGER.
+    """
+    if not (field.isascii() and field.isdigit()):
         raise ValueError(f"bad field {field!r} in AIGER line {line!r}")
-    return value
+    return int(field)
 
 
 def _rebuild(n_in, input_lits, output_lits, and_rows) -> AIG:

@@ -3,7 +3,9 @@
 Turns per-team :class:`~repro.contest.evaluate.Score` lists into the
 paper's tables and figures: Table III (team summary), Fig. 2 (accuracy
 vs size Pareto with the virtual best), Fig. 3 (per-benchmark maximum
-accuracy), Fig. 4 (win-rate / top-1% counts).
+accuracy), Fig. 4 (win-rate / top-1% counts).  A :class:`ContestRun`
+comes from the runner: :func:`repro.runner.run_contest_tasks` or,
+for a stored run, :func:`repro.runner.load_contest_runs`.
 """
 
 from __future__ import annotations
@@ -200,93 +202,4 @@ class ContestRun:
 
     def win_rates(self) -> dict[str, dict[str, int]]:
         return win_rates(self.scores_by_team)
-
-
-def run_contest(
-    benchmarks: Sequence[object],
-    flows: dict[str, object] | Sequence[str],
-    n_train: int = 1000,
-    n_valid: int = 1000,
-    n_test: int = 1000,
-    effort: str = "small",
-    master_seed: int = 0,
-    verbose: bool = False,
-    jobs: int = 1,
-    trials: int = 1,
-    out_dir: str | None = None,
-    resume: bool = True,
-    keep_solutions: bool = False,
-    shard: str | None = None,
-) -> ContestRun:
-    """Execute a set of flows over a benchmark subset and score them.
-
-    Thin wrapper over :mod:`repro.runner`: the (flow x benchmark x
-    trial) grid runs through the task layer — in-process for
-    ``jobs=1``, over a process pool otherwise — and the ``ContestRun``
-    is reconstructed from the task records.  With ``out_dir`` every
-    completed task is persisted and already-stored tasks are skipped
-    on re-invocation (``resume=True``), so interrupted or extended
-    runs never recompute finished work.
-
-    ``benchmarks`` entries may be suite indices (ints), registry
-    problem names / family spec strings (``"ex74"``,
-    ``"adder:width=48"``) or :class:`~repro.contest.registry.ProblemSpec`
-    objects; use ``DEFAULT_REGISTRY.select`` first to expand globs and
-    manifest files into specs.
-
-    ``flows`` is a sequence of registry names / spec strings
-    (``"team01"``, ``"portfolio"``, ``"team01:effort=full"`` — the
-    registry is the source of truth, see :mod:`repro.flows.registry`)
-    or a ``{display name: callable}`` dict (the historical interface).
-    Every run goes through the runner, which ships flows by name, so
-    the callables must be resolvable by name (registered flows or
-    module-level functions); a lambda or partial raises
-    ``ValueError``.
-
-    ``shard="k/N"`` runs only the grid subset owned by shard ``k``
-    (deterministic key-hash partition).  Run each shard into its own
-    ``out_dir`` and merge with :func:`repro.runner.merge_stores` or
-    report with :func:`repro.runner.load_contest_runs` — the result is
-    byte-identical to the unsharded run.
-    """
-    from repro.runner import (
-        contest_tasks,
-        flow_name_for,
-        parse_shard,
-        resolve_flow,
-        run_contest_tasks,
-        shard_tasks,
-    )
-
-    if isinstance(flows, dict):
-        flow_names = {
-            name: flow_name_for(name, flow) for name, flow in flows.items()
-        }
-    else:
-        # Fail fast on unknown flows / malformed specs instead of
-        # erroring task-by-task inside the workers.
-        for name in flows:
-            resolve_flow(name)
-        flow_names = {name: name for name in flows}
-    specs = contest_tasks(
-        benchmarks,
-        flow_names,
-        n_train=n_train,
-        n_valid=n_valid,
-        n_test=n_test,
-        effort=effort,
-        master_seed=master_seed,
-        trials=trials,
-    )
-    if shard is not None:
-        index, total = parse_shard(shard)
-        specs = shard_tasks(specs, index, total)
-    return run_contest_tasks(
-        specs,
-        jobs=jobs,
-        out_dir=out_dir,
-        resume=resume,
-        keep_solutions=keep_solutions,
-        verbose=verbose,
-    )
 

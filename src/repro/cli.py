@@ -46,7 +46,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
-from repro.analysis import format_table3, run_contest
+from repro.analysis import format_table3
 from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 
 
@@ -144,23 +144,27 @@ def _cmd_run(parser, args) -> None:
 
 
 def _cmd_contest(parser, args) -> None:
-    benchmarks = _selected_specs(parser, args.benchmarks)
-    for spec in args.flows:
-        _resolved_flow(parser, spec)
-    if args.shard is not None:
-        from repro.runner import parse_shard
+    from repro.runner import (
+        contest_tasks,
+        parse_shard,
+        run_contest_tasks,
+        shard_tasks,
+    )
 
-        try:
-            parse_shard(args.shard)
-        except ValueError as exc:
-            parser.error(str(exc))
-    run = run_contest(
-        benchmarks, list(args.flows), n_train=args.samples,
-        n_valid=args.samples, n_test=args.samples,
-        effort=args.effort, master_seed=args.seed, verbose=True,
-        jobs=args.jobs, trials=args.trials, out_dir=args.out_dir,
-        resume=args.resume, keep_solutions=args.keep_solutions,
-        shard=args.shard,
+    benchmarks = _selected_specs(parser, args.benchmarks)
+    try:
+        specs = contest_tasks(
+            benchmarks, args.flows, n_train=args.samples,
+            n_valid=args.samples, n_test=args.samples,
+            effort=args.effort, master_seed=args.seed, trials=args.trials,
+        )
+        if args.shard is not None:
+            specs = shard_tasks(specs, *parse_shard(args.shard))
+    except (KeyError, ValueError) as exc:
+        parser.error(str(exc))
+    run = run_contest_tasks(
+        specs, jobs=args.jobs, out_dir=args.out_dir, resume=args.resume,
+        keep_solutions=args.keep_solutions, verbose=True,
     )
     print()
     print(format_table3(run.table3()))

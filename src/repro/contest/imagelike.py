@@ -51,13 +51,6 @@ class ImageModel:
     def n_pixels(self) -> int:
         return self.side * self.side
 
-    def sample_class(
-        self, cls: int, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        base = self.prototypes[cls]
-        flips = rng.random((n, self.n_pixels)) < self.noise
-        return (base[None, :] ^ flips).astype(np.uint8)
-
 
 def _make_prototypes(
     side: int, smoothing: float, overlap: float, seed_key: str

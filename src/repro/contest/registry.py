@@ -250,6 +250,9 @@ class GeneratorFamily:
         params = tuple(sorted(resolved.items()))
         if name is None:
             name = canonical_spec_string(self.name, resolved)
+        n_inputs = int(self.n_inputs(resolved))
+        if n_inputs < 1:
+            raise ValueError(f"{name!r} has {n_inputs} inputs")
         if self.describe is not None:
             description = self.describe(resolved)
         else:
@@ -258,7 +261,7 @@ class GeneratorFamily:
             name=name,
             family=self.name,
             params=params,
-            n_inputs=int(self.n_inputs(resolved)),
+            n_inputs=n_inputs,
             category=category if category is not None else self.category,
             description=description,
             index=index,
@@ -274,19 +277,32 @@ def canonical_spec_string(family: str, params: Mapping[str, object]) -> str:
 
 
 def parse_spec_string(text: str) -> tuple[str, dict[str, str]]:
-    """``"adder:width=48,bit=47"`` -> ``("adder", {...})``."""
+    """``"name:key=value,key=value"`` -> ``("name", {key: value})``.
+
+    The one grammar of problem specs (``adder:width=48,bit=47``) and
+    flow specs (``team01:effort=full``).  Whitespace around the name,
+    keys and values is stripped; an empty name, a part without ``=``,
+    an empty key or a key given twice raises ``ValueError``, so a typo
+    fails loudly instead of one spelling silently winning.
+    """
     head, _, tail = text.partition(":")
+    name = head.strip()
+    if not name:
+        raise ValueError(f"empty name in spec {text!r}")
     overrides: dict[str, str] = {}
     if tail:
-        for item in tail.split(","):
-            key, eq, value = item.partition("=")
+        for part in tail.split(","):
+            key, eq, value = part.partition("=")
+            key = key.strip()
             if not eq or not key:
                 raise ValueError(
-                    f"malformed family spec {text!r}: expected "
-                    f"family:key=value[,key=value...]"
+                    f"malformed part {part!r} in spec {text!r} "
+                    f"(expected name:key=value[,key=value...])"
                 )
-            overrides[key.strip()] = value.strip()
-    return head.strip(), overrides
+            if key in overrides:
+                raise ValueError(f"duplicate key {key!r} in spec {text!r}")
+            overrides[key] = value.strip()
+    return name, overrides
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +402,12 @@ class ProblemRegistry:
         head = name.partition(":")[0]
         if head in self.families:
             _, overrides = parse_spec_string(name)
-            return self.families[head].spec(**overrides)
+            family = self.families[head]
+            # Resolved first, so ``index=``, ``name=`` or ``category=``
+            # is rejected as an unknown parameter instead of reaching
+            # spec()'s own keywords.
+            family.resolve_params(overrides)
+            return family.spec(**overrides)
         raise KeyError(self._unknown_message(name))
 
     def _unknown_message(self, name: str) -> str:
@@ -423,7 +444,8 @@ class ProblemRegistry:
         return list(out.values())
 
     def _select_one(
-        self, pattern: str | int | ProblemSpec
+        self, pattern: str | int | ProblemSpec,
+        manifests: frozenset[Path] = frozenset(),
     ) -> list[ProblemSpec]:
         if isinstance(pattern, ProblemSpec):
             return [pattern]
@@ -433,7 +455,7 @@ class ProblemRegistry:
         if not pattern:
             return []
         if pattern.startswith("@"):
-            return self._select_manifest(pattern[1:])
+            return self._select_manifest(pattern[1:], manifests)
         head = pattern.partition(":")[0]
         if head in self.families:
             # Parameters may contain commas; the whole token is one spec.
@@ -441,7 +463,7 @@ class ProblemRegistry:
         if "," in pattern:
             specs: list[ProblemSpec] = []
             for part in pattern.split(","):
-                specs.extend(self._select_one(part))
+                specs.extend(self._select_one(part, manifests))
             return specs
         if pattern.lstrip("-").isdigit():
             return [self.by_index(int(pattern))]
@@ -469,8 +491,17 @@ class ProblemRegistry:
             return matches
         raise KeyError(self._unknown_message(pattern))
 
-    def _select_manifest(self, path: str) -> list[ProblemSpec]:
-        """A suite manifest: one selector pattern per line."""
+    def _select_manifest(
+        self, path: str, manifests: frozenset[Path]
+    ) -> list[ProblemSpec]:
+        """A suite manifest: one selector pattern per line.
+
+        ``manifests`` are the files already being read, so a manifest
+        that includes itself, directly or through others, is an error.
+        """
+        where = Path(path).resolve()
+        if where in manifests:
+            raise ValueError(f"suite manifest {path!r} includes itself")
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -481,7 +512,7 @@ class ProblemRegistry:
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
             if line:
-                specs.extend(self._select_one(line))
+                specs.extend(self._select_one(line, manifests | {where}))
         return specs
 
     # -- materialization ---------------------------------------------

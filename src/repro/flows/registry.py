@@ -1,8 +1,9 @@
 """The flow registry: name → :class:`~repro.flows.api.Flow`.
 
-Every flow module registers its Flow at import time; the runner, CLI
-and analysis layers resolve flows exclusively from here.  Resolution
-accepts plain names (``"team01"``) and *spec strings* with overrides::
+Every flow module registers its Flow at import time; the runner and
+CLI resolve flows exclusively from here.  Resolution accepts plain
+names (``"team01"``) and *spec strings* with overrides, in the grammar
+problem specs use (:func:`repro.contest.registry.parse_spec_string`)::
 
     team01                      the flow, contract defaults
     team01:effort=full          effort pinned (wins over the caller's)
@@ -20,6 +21,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
+from repro.contest.registry import parse_spec_string
 from repro.flows.api import Flow, check_flow_contract
 from repro.utils.suggest import did_you_mean
 
@@ -29,37 +31,9 @@ __all__ = [
     "FlowSpec",
     "get_flow",
     "flow_names",
-    "parse_spec",
     "register",
     "resolve_spec",
 ]
-
-
-def parse_spec(spec: str) -> tuple[str, dict[str, str]]:
-    """Split ``"name:key=value,key=value"`` into name + raw overrides.
-
-    A plain name parses to ``(name, {})``.  Malformed override parts
-    (no ``=``) raise ValueError so typos fail loudly instead of being
-    mistaken for dotted import paths upstream.
-    """
-    name, _, rest = spec.partition(":")
-    if not name:
-        raise ValueError(f"empty flow name in spec {spec!r}")
-    overrides: dict[str, str] = {}
-    if rest:
-        for part in rest.split(","):
-            key, eq, value = part.partition("=")
-            if not eq or not key:
-                raise ValueError(
-                    f"malformed override {part!r} in flow spec {spec!r} "
-                    f"(expected key=value)"
-                )
-            if key in overrides:
-                raise ValueError(
-                    f"duplicate override {key!r} in flow spec {spec!r}"
-                )
-            overrides[key] = value
-    return name, overrides
 
 
 @dataclass(frozen=True)
@@ -163,7 +137,7 @@ class FlowRegistry:
         ``effort`` must name one of the flow's grids, anything else
         must be declared by the flow's ``spec_params``.
         """
-        name, raw = parse_spec(spec)
+        name, raw = parse_spec_string(spec)
         flow = self.get(name)
         if not raw:
             return flow

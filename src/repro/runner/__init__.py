@@ -12,12 +12,16 @@ The three layers:
     append-only ``records.jsonl`` (canonical JSON, exact float
     round-trip) and optional ``solutions/*.aag`` circuits.
 ``runner``
-    :func:`run_tasks` / :func:`run_contest_tasks` — fan the grid out
-    over a ``ProcessPoolExecutor``, skip already-stored tasks, append
-    results as they complete, and rebuild
-    :class:`~repro.analysis.ContestRun` from the store.
+    :func:`contest_tasks` builds the grid from benchmarks and flow
+    names; :func:`run_tasks` / :func:`run_contest_tasks` fan it out
+    over a ``ProcessPoolExecutor``, skip already-stored tasks and
+    append results as they complete.  One function,
+    :func:`contest_run_from_records`, turns records into the
+    :class:`~repro.analysis.ContestRun` behind Table III, whether they
+    were just computed or read back (:func:`load_contest_runs`).
 
-Typical use (what ``repro.cli contest --jobs N --out-dir D`` does)::
+This is the one path from a task grid to Table III.  Typical use
+(what ``repro.cli contest --jobs N --out-dir D`` does)::
 
     from repro.runner import contest_tasks, run_contest_tasks
 
@@ -32,11 +36,14 @@ trials — completed tasks are never recomputed.
 Sharded execution splits one grid across independent processes or CI
 jobs: ``shard_tasks(specs, k, N)`` deterministically owns a key-hashed
 subset, each shard runs into its own directory, and ``merge_stores``
-(or the in-memory ``load_contest_runs``) reassembles a store
-byte-identical to the unsharded run's.
+reassembles a store byte-identical to the unsharded run's
+(``load_contest_runs`` reports the shards without writing one).  Both
+merge records through ``merge_records``, which rejects a task stored
+twice with different bytes.
 """
 
 from repro.runner.runner import (
+    contest_run_from_records,
     contest_tasks,
     load_contest_runs,
     parse_shard,
@@ -49,12 +56,12 @@ from repro.runner.store import (
     RunStore,
     benchmark_sort_key,
     canonical_line,
+    merge_records,
     merge_stores,
 )
 from repro.runner.task import (
     TaskSpec,
     dataset_fingerprint,
-    flow_name_for,
     resolve_flow,
     run_task,
     score_from_record,
@@ -66,10 +73,11 @@ __all__ = [
     "RunStore",
     "benchmark_sort_key",
     "canonical_line",
+    "contest_run_from_records",
     "contest_tasks",
     "dataset_fingerprint",
-    "flow_name_for",
     "load_contest_runs",
+    "merge_records",
     "merge_stores",
     "parse_shard",
     "resolve_flow",

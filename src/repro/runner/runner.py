@@ -24,13 +24,25 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any
 
 from repro.contest.evaluate import Score
-from repro.runner.store import PathLike, RunStore, benchmark_sort_key
-from repro.runner.task import TaskResult, TaskSpec, run_task
+from repro.runner.store import (
+    RECORDS_NAME,
+    PathLike,
+    RunStore,
+    benchmark_sort_key,
+    merge_records,
+)
+from repro.runner.task import (
+    TaskResult,
+    TaskSpec,
+    resolve_flow,
+    run_task,
+    score_from_record,
+)
 
 
 def contest_tasks(
     benchmarks: Sequence[Any],
-    flow_names: Sequence[str] | dict[str, str],
+    flow_names: Sequence[str],
     n_train: int,
     n_valid: int,
     n_test: int,
@@ -48,20 +60,19 @@ def contest_tasks(
     hence resumability of old run directories) are unchanged; generated
     specs are keyed by canonical name.
 
-    ``flow_names`` is either a list of worker-resolvable names or a
-    ``{display name: resolvable name}`` mapping.  Trial ``t`` runs with
-    master seed ``master_seed + t``, so multi-seed sweeps stay
-    reproducible and each trial's records are independent store keys.
-    The grid iterates benchmark-outer (like the historical serial
-    loop), which lets the per-process problem cache serve every flow
-    of a benchmark from one sampling.
+    ``flow_names`` are registry names, spec strings or
+    ``module:qualname`` paths; each is resolved here, so an unknown
+    flow or malformed spec fails before any task runs.  Trial ``t``
+    runs with master seed ``master_seed + t``, so multi-seed sweeps
+    stay reproducible and each trial's records are independent store
+    keys.  The grid iterates benchmark-outer (like the historical
+    serial loop), which lets the per-process problem cache serve every
+    flow of a benchmark from one sampling.
     """
     from repro.contest.registry import ProblemSpec
 
-    if isinstance(flow_names, dict):
-        named = list(flow_names.items())
-    else:
-        named = [(name, name) for name in flow_names]
+    for flow in flow_names:
+        resolve_flow(flow)
     resolved: list[int | str] = []
     for entry in benchmarks:
         if isinstance(entry, ProblemSpec):
@@ -72,23 +83,20 @@ def contest_tasks(
             resolved.append(entry)
         else:
             resolved.append(int(entry))
-    specs: list[TaskSpec] = []
-    for bench in resolved:
-        for t in range(trials):
-            for team, flow in named:
-                specs.append(
-                    TaskSpec(
-                        benchmark=bench,
-                        flow=flow,
-                        seed=master_seed + t,
-                        n_train=n_train,
-                        n_valid=n_valid,
-                        n_test=n_test,
-                        effort=effort,
-                        team=team,
-                    )
-                )
-    return specs
+    return [
+        TaskSpec(
+            benchmark=bench,
+            flow=flow,
+            seed=master_seed + t,
+            n_train=n_train,
+            n_valid=n_valid,
+            n_test=n_test,
+            effort=effort,
+        )
+        for bench in resolved
+        for t in range(trials)
+        for flow in flow_names
+    ]
 
 
 def parse_shard(text: str) -> tuple[int, int]:
@@ -206,15 +214,14 @@ def run_contest_tasks(
     keep_solutions: bool = False,
     verbose: bool = False,
 ):
-    """Run a grid and reconstruct a :class:`~repro.analysis.ContestRun`.
+    """Run a grid and rebuild its :class:`~repro.analysis.ContestRun`.
 
-    The run directory (when given) becomes the source of truth: scores
-    are rebuilt from stored records, so a completed directory can be
-    re-reported later without executing anything (``repro.cli report``).
+    With ``out_dir`` the grid runs into that run directory, which can
+    be re-reported later without executing anything
+    (:func:`load_contest_runs`, ``repro report``): both rebuild the
+    run with :func:`contest_run_from_records`, so they print the same
+    Table III.
     """
-    from repro.analysis import ContestRun
-    from repro.runner.task import score_from_record
-
     specs = list(specs)
     store = None
     if out_dir is not None:
@@ -227,10 +234,9 @@ def run_contest_tasks(
                     "n_valid": first.n_valid,
                     "n_test": first.n_test,
                     "effort": first.effort,
-                    "benchmarks": sorted({s.benchmark for s in specs},
-                                         key=benchmark_sort_key),
-                    "flows": sorted({s.flow for s in specs}),
-                    "seeds": sorted({s.seed for s in specs}),
+                    "benchmarks": [s.benchmark for s in specs],
+                    "flows": [s.flow for s in specs],
+                    "seeds": [s.seed for s in specs],
                 }
             )
     records = run_tasks(
@@ -241,58 +247,44 @@ def run_contest_tasks(
         keep_solutions=keep_solutions,
         verbose=verbose,
     )
-    scores_by_team: dict[str, list[Score]] = {}
-    for spec in specs:
-        scores_by_team.setdefault(spec.team_name, []).append(
-            score_from_record(records[spec.key])
-        )
-    return ContestRun(scores_by_team)
+    return contest_run_from_records(records.values())
 
 
 def load_contest_runs(out_dirs: Sequence[PathLike]):
     """Rebuild one :class:`~repro.analysis.ContestRun` from one or
-    more run directories (e.g. the stores of a sharded run).
-
-    The directories are merged in memory — records indexed by task
-    key, conflicting duplicate keys rejected — exactly as
-    :func:`~repro.runner.store.merge_stores` would merge them on disk,
-    then reconstructed in the usual (team, benchmark, seed) order.
-    """
-    from repro.analysis import ContestRun
-    from repro.runner.store import canonical_line
-    from repro.runner.task import score_from_record
-
-    records: dict[str, dict[str, Any]] = {}
-    origins: dict[str, PathLike] = {}
-    found_any = False
-    for out_dir in out_dirs:
-        store = RunStore(out_dir)
-        loaded = store.load_records()
-        if loaded:
-            found_any = True
-        for key, record in loaded.items():
-            if key in records and \
-                    canonical_line(records[key]) != canonical_line(record):
-                raise ValueError(
-                    f"task {key!r} differs between {origins[key]} and "
-                    f"{store.root}; these directories are not shards of "
-                    f"one run"
-                )
-            records[key] = record
-            origins[key] = store.root
-    if not found_any:
+    more run directories (e.g. the stores of a sharded run), merged
+    in memory by :func:`~repro.runner.store.merge_records`."""
+    records = merge_records(RunStore(d) for d in out_dirs)
+    if not records:
         listed = ", ".join(str(d) for d in out_dirs)
         raise FileNotFoundError(
-            f"no records found under {listed} (expected "
-            f"{RunStore(out_dirs[0]).records_path.name})"
+            f"no records found under {listed} (expected {RECORDS_NAME})"
         )
+    return contest_run_from_records(records.values())
+
+
+def contest_run_from_records(records: Iterable[dict[str, Any]]):
+    """The :class:`~repro.analysis.ContestRun` of a set of task records.
+
+    Each record scores under its stored ``team`` (the flow name; older
+    stores may hold a display name there), and every team lists its
+    scores in (benchmark, seed) order, so the result depends only on
+    the set of records, not on the order tasks ran or were stored.
+    """
+    # Imported here: serving imports this package and never needs the
+    # analysis layer (and the flow registry behind it).
+    from repro.analysis import ContestRun
+
+    def team(record: dict[str, Any]) -> str:
+        return str(record.get("team", record["flow"]))
+
     ordered = sorted(
-        records.values(),
-        key=lambda r: (str(r.get("team", r["flow"])),
-                       benchmark_sort_key(r["benchmark"]), r["seed"]),
+        records,
+        key=lambda r: (team(r), benchmark_sort_key(r["benchmark"]),
+                       r["seed"]),
     )
     scores: dict[str, list[Score]] = {}
     for record in ordered:
-        team = str(record.get("team", record["flow"]))
-        scores.setdefault(team, []).append(score_from_record(record))
+        scores.setdefault(team(record), []).append(
+            score_from_record(record))
     return ContestRun(scores)

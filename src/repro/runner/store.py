@@ -64,6 +64,22 @@ def benchmark_sort_key(benchmark: object) -> tuple[bool, int, str]:
     return (True, 0, str(benchmark))
 
 
+def _union_grids(
+    manifest: dict[str, Any], other: dict[str, Any]
+) -> dict[str, Any]:
+    """``manifest`` with each grid key unioned with ``other``'s.
+
+    Benchmarks may mix suite indices and registry names, so every grid
+    key is ordered by :func:`benchmark_sort_key` (for the all-string
+    flows and all-int seeds that is the plain sort).
+    """
+    for key in _GRID_KEYS:
+        both = set(manifest.get(key, ())) | set(other.get(key, ()))
+        if both:
+            manifest[key] = sorted(both, key=benchmark_sort_key)
+    return manifest
+
+
 def _solution_filename(key: str) -> str:
     """Filesystem-safe, collision-free name for a task's circuit.
 
@@ -125,23 +141,21 @@ class RunStore:
         config = {"schema": RECORD_SCHEMA, **config}
         existing = self.read_manifest()
         if existing is None:
-            merged = config
+            existing = {}
         else:
             for key in _CONFIG_KEYS:
-                if key in config and existing.get(key) != config.get(key):
+                if key in config and existing.get(key) != config[key]:
                     raise ValueError(
                         f"run directory {self.root} was created with "
                         f"{key}={existing.get(key)!r}, cannot resume with "
-                        f"{key}={config.get(key)!r} (use a fresh --out-dir)"
+                        f"{key}={config[key]!r} (use a fresh --out-dir)"
                     )
-            merged = {**existing, **config}
-            for key in _GRID_KEYS:
-                both = set(existing.get(key, ())) | set(config.get(key, ()))
-                if both:
-                    merged[key] = sorted(both)
+        self._write_manifest(_union_grids({**existing, **config}, existing))
+
+    def _write_manifest(self, manifest: dict[str, Any]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         self.manifest_path.write_text(
-            json.dumps(merged, sort_keys=True, indent=2) + "\n",
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
 
@@ -238,6 +252,29 @@ class RunStore:
         return None
 
 
+def merge_records(stores: Iterable[RunStore]) -> dict[str, dict[str, Any]]:
+    """Every record of ``stores``, indexed by task key.
+
+    A key stored by two stores must carry byte-identical records (task
+    purity guarantees this for the shards of one grid); differing
+    duplicates raise rather than silently picking a winner.
+    """
+    records: dict[str, dict[str, Any]] = {}
+    origins: dict[str, Path] = {}
+    for store in stores:
+        for key, record in store.load_records().items():
+            if key in records and \
+                    canonical_line(records[key]) != canonical_line(record):
+                raise ValueError(
+                    f"task {key!r} differs between {origins[key]} and "
+                    f"{store.root}; these directories are not shards of "
+                    f"one run"
+                )
+            records[key] = record
+            origins[key] = store.root
+    return records
+
+
 def merge_stores(
     sources: Iterable[PathLike], dest: PathLike
 ) -> RunStore:
@@ -245,12 +282,10 @@ def merge_stores(
 
     The shards of one contest share a sampling configuration and hold
     disjoint task keys, so merging is mechanical: verify the manifests'
-    config keys agree, union their grid keys, and write every record —
-    sorted by task key, in canonical serialization — into ``dest``.
-    Kept solution circuits are copied alongside.  A key stored by two
-    sources must carry byte-identical records (task purity guarantees
-    this for shards of one grid); differing duplicates abort the merge
-    rather than silently picking a winner.
+    config keys agree, union their grid keys, and write every record
+    (see :func:`merge_records`) — sorted by task key, in canonical
+    serialization — into ``dest``.  Kept solution circuits are copied
+    alongside.
     """
     stores = [RunStore(src) for src in sources]
     if not stores:
@@ -272,42 +307,22 @@ def merge_stores(
                     f"an earlier source"
                 )
             merged_manifest[key] = manifest[key]
-        for key in _GRID_KEYS:
-            if key in manifest:
-                both = set(merged_manifest.get(key, ())) \
-                    | set(manifest[key])
-                merged_manifest[key] = sorted(
-                    both, key=benchmark_sort_key
-                ) if key == "benchmarks" else sorted(both)
-
-    records: dict[str, dict[str, Any]] = {}
-    origins: dict[str, Path] = {}
-    solutions: dict[str, str] = {}
-    for store in stores:
-        for key, record in store.load_records().items():
-            if key in records and \
-                    canonical_line(records[key]) != canonical_line(record):
-                raise ValueError(
-                    f"task {key!r} differs between {origins[key]} and "
-                    f"{store.root}; refusing to merge conflicting records"
-                )
-            records[key] = record
-            origins[key] = store.root
-            text = store.solution_text(key)
-            if text is not None:
-                solutions[key] = text
+        _union_grids(merged_manifest, manifest)
+    records = merge_records(stores)
 
     out = RunStore(dest)
-    out.root.mkdir(parents=True, exist_ok=True)
     if merged_manifest:
-        out.manifest_path.write_text(
-            json.dumps(merged_manifest, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        out._write_manifest(merged_manifest)
+    out.root.mkdir(parents=True, exist_ok=True)
     with out.records_path.open("w", encoding="utf-8") as fh:
         for key in sorted(records):
             fh.write(canonical_line(records[key]) + "\n")
-    for key, text in solutions.items():
-        out.solutions_dir.mkdir(parents=True, exist_ok=True)
-        out.solution_path(key).write_text(text, encoding="ascii")
+    kept = [store for store in stores if store.solutions_dir.is_dir()]
+    for key in records:
+        for store in reversed(kept):  # the last source wins, as records do
+            text = store.solution_text(key)
+            if text is not None:
+                out.solutions_dir.mkdir(parents=True, exist_ok=True)
+                out.solution_path(key).write_text(text, encoding="ascii")
+                break
     return out

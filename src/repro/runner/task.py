@@ -53,7 +53,6 @@ class TaskSpec:
     n_valid: int
     n_test: int
     effort: str = "small"
-    team: str | None = None  # display name; defaults to ``flow``
 
     @property
     def key(self) -> str:
@@ -61,10 +60,6 @@ class TaskSpec:
         if isinstance(self.benchmark, str):
             return f"{self.benchmark}:{self.flow}:s{self.seed}"
         return f"b{self.benchmark:03d}:{self.flow}:s{self.seed}"
-
-    @property
-    def team_name(self) -> str:
-        return self.team if self.team is not None else self.flow
 
 
 def resolve_flow(name: str) -> Callable:
@@ -82,9 +77,15 @@ def resolve_flow(name: str) -> Callable:
         return REGISTRY.resolve(name)
     if ":" in name and "=" not in name:
         module_name, _, qualname = name.partition(":")
-        obj: Any = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            obj = getattr(obj, part)
+        try:
+            obj: Any = importlib.import_module(module_name)
+            for part in qualname.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError, TypeError) as exc:
+            raise KeyError(
+                f"unknown flow {name!r}: cannot import it as a "
+                f"'module:qualname' path ({exc})"
+            ) from exc
         return obj
     from repro.utils.suggest import did_you_mean
 
@@ -92,38 +93,6 @@ def resolve_flow(name: str) -> Callable:
         f"unknown flow {name!r}: not a registered flow/spec "
         f"(registered: {REGISTRY.names()}) and not a "
         f"'module:qualname' path{did_you_mean(head, REGISTRY.names())}"
-    )
-
-
-def flow_name_for(name: str, flow: Callable) -> str:
-    """The worker-resolvable name of ``flow``, preferring ``name``.
-
-    ``run_contest`` accepts ``{display name: callable}`` dictionaries;
-    workers only ship names, so the callable must be re-resolvable.
-    Registered Flow objects resolve to their registry name, resolved
-    ``FlowSpec`` objects to their spec string, and module-level
-    callables to a ``module:qualname`` path.
-    """
-    from repro.flows.registry import REGISTRY, FlowSpec
-
-    if name in REGISTRY and REGISTRY.get(name) is flow:
-        return name
-    if isinstance(flow, FlowSpec):
-        return flow.spec
-    registered = getattr(flow, "name", None)
-    if registered in REGISTRY and REGISTRY.get(registered) is flow:
-        return registered
-    dotted = f"{getattr(flow, '__module__', '?')}:" \
-             f"{getattr(flow, '__qualname__', '?')}"
-    try:
-        if resolve_flow(dotted) is flow:
-            return dotted
-    except (ImportError, AttributeError, KeyError):
-        pass
-    raise ValueError(
-        f"flow {name!r} ({flow!r}) is not resolvable by name; contest "
-        f"runs need flows reachable via the registry or a module-level "
-        f"'module:qualname' path"
     )
 
 
@@ -269,7 +238,7 @@ def run_task(spec: TaskSpec, keep_solution: bool = False) -> TaskResult:
         "key": spec.key,
         "benchmark": spec.benchmark,
         "flow": spec.flow,
-        "team": spec.team_name,
+        "team": spec.flow,
         "seed": spec.seed,
         "n_train": spec.n_train,
         "n_valid": spec.n_valid,

@@ -89,12 +89,11 @@ class ModelInfo:
 
 
 class CircuitBundle:
-    """AIGER text + metadata, compiled lazily and at most once."""
+    """AIGER text + metadata; compiled on demand by the model store."""
 
     def __init__(self, aag_text: str, metadata: dict[str, Any] | None = None):
         self.aag_text = aag_text
         self.metadata: dict[str, Any] = dict(metadata or {})
-        self._compiled: CompiledAIG | None = None
         self._info: ModelInfo | None = None
         self._digest: str | None = None
 
@@ -187,11 +186,6 @@ class CircuitBundle:
         return self._info
 
     def compile(self) -> CompiledAIG:
-        """Parse + levelize-compile the circuit (cached afterwards)."""
-        if self._compiled is None:
-            self._compiled = loads_aag(self.aag_text).compiled()
-        return self._compiled
-
-    def drop_compiled(self) -> None:
-        """Release the compiled form (LRU eviction hook)."""
-        self._compiled = None
+        """Parse + levelize-compile the circuit.  Not cached here: the
+        model store's LRU is the one holder of compiled circuits."""
+        return loads_aag(self.aag_text).compiled()

@@ -202,11 +202,8 @@ class ModelStore:
         circuit = self._bundles[name].compile()
         self._cache[name] = circuit
         while len(self._cache) > self.cache_size:
-            evicted, _ = self._cache.popitem(last=False)
+            self._cache.popitem(last=False)
             self.evictions += 1
-            # Drop the bundle's memoized compile too, or the LRU
-            # would only ever bound the OrderedDict, not the memory.
-            self._bundles[evicted].drop_compiled()
         return circuit
 
     def stats(self) -> dict[str, object]:

@@ -81,9 +81,6 @@ class Cover:
                 kept.append(cube)
         return Cover(self.n_inputs, kept)
 
-    def to_strings(self) -> list[str]:
-        return [c.to_string(self.n_inputs) for c in self.cubes]
-
     def __repr__(self) -> str:
         return f"Cover(n_inputs={self.n_inputs}, cubes={len(self.cubes)})"
 

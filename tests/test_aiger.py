@@ -121,5 +121,9 @@ class TestMalformedAag:
     def test_undefined_fanin_literal(self):
         self._rejects("aag 3 2 0 1 1\n2\n4\n6\n6 2 8\n", "undefined fanin")
 
+    @pytest.mark.parametrize("field", ["+2", "1_0", "\u0662", "-2", "2.0"])
+    def test_non_decimal_field(self, field):
+        self._rejects(f"aag 1 1 0 1 0\n2\n{field}\n", "bad field")
+
     def test_undefined_output_literal(self):
         self._rejects("aag 3 2 0 1 1\n2\n4\n10\n6 2 4\n", "undefined output")

@@ -9,6 +9,14 @@ def _run(argv):
     main(argv)
 
 
+def _table3(out):
+    """The Table III block of a ``contest`` or ``report`` printout."""
+    lines = out.splitlines()
+    start = next(i for i, ln in enumerate(lines) if "test acc" in ln)
+    end = lines.index("", start)
+    return lines[start:end]
+
+
 class TestList:
     def test_lists_all_benchmarks(self, capsys):
         _run(["list"])
@@ -137,6 +145,27 @@ class TestContestAndReport:
                        if ln.strip().startswith("team10")][-1]
         assert contest_row in report_out
 
+    def test_report_prints_the_contest_table(self, capsys, tmp_path):
+        out_dir = str(tmp_path / "run")
+        _run(["contest", "--benchmarks", "74", "30", "50",
+              "--flows", "team10", "team02", "--samples", "32",
+              "--out-dir", out_dir])
+        contest_table = _table3(capsys.readouterr().out)
+        _run(["report", "--out-dir", out_dir])
+        assert _table3(capsys.readouterr().out) == contest_table
+        assert len(contest_table) == 3
+
+    def test_contest_extends_a_run_with_a_family_spec(self, capsys,
+                                                       tmp_path):
+        """A suite index, then a family spec, into one run directory."""
+        out_dir = str(tmp_path / "run")
+        for bench in ("74", "parity:inputs=12"):
+            _run(["contest", "--benchmarks", bench, "--flows", "team10",
+                  "--samples", "32", "--out-dir", out_dir])
+        capsys.readouterr()
+        _run(["report", "--out-dir", out_dir])
+        assert "1 teams, 2 stored scores" in capsys.readouterr().out
+
     def test_contest_resume_reports_skip(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         argv = ["contest", "--benchmarks", "74", "--flows", "team10",
@@ -163,6 +192,16 @@ class TestContestAndReport:
         with pytest.raises(SystemExit) as exc:
             _run(["contest", "--benchmarks", "0", "--flows", "teamXX"])
         assert exc.value.code == 2
+
+    def test_unimportable_flow_path_is_a_usage_error(self, capsys):
+        for argv in (["contest", "--benchmarks", "0", "--flows",
+                      "no_such_module:flow"],
+                     ["run", "--benchmark", "0", "--flow",
+                      "no_such_module:flow"]):
+            with pytest.raises(SystemExit) as exc:
+                _run(argv)
+            assert exc.value.code == 2
+            assert "unknown flow" in capsys.readouterr().err
 
     def test_contest_accepts_portfolio_flow(self, capsys):
         _run(["contest", "--benchmarks", "74", "--flows",

@@ -9,6 +9,7 @@ import pytest
 from repro.aig.aig import AIG, CONST0
 from repro.contest import DEFAULT_REGISTRY
 from repro.contest.problem import Solution
+from repro.contest.registry import parse_spec_string
 from repro.flows import (
     REGISTRY,
     TEAM_FLOW_NAMES,
@@ -23,7 +24,7 @@ from repro.flows.api import (
     Stage,
     check_flow_contract,
 )
-from repro.flows.registry import FlowSpec, parse_spec
+from repro.flows.registry import FlowSpec
 
 
 def unregistered_flow(problem, effort="small", master_seed=0):
@@ -147,10 +148,10 @@ class TestContract:
 
 class TestSpecStrings:
     def test_parse_plain_name(self):
-        assert parse_spec("team01") == ("team01", {})
+        assert parse_spec_string("team01") == ("team01", {})
 
     def test_parse_overrides(self):
-        name, overrides = parse_spec("portfolio:flows=a+b,effort=full")
+        name, overrides = parse_spec_string("portfolio:flows=a+b,effort=full")
         assert name == "portfolio"
         assert overrides == {"flows": "a+b", "effort": "full"}
 
@@ -158,7 +159,7 @@ class TestSpecStrings:
                                      "team01:effort=full,effort=small"])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
-            parse_spec(bad)
+            parse_spec_string(bad)
 
     def test_resolve_plain_name_returns_flow(self):
         assert resolve_spec("team01") is REGISTRY.get("team01")
@@ -236,13 +237,6 @@ class TestSpecStrings:
         assert resolve_flow(f"{__name__}:unregistered_flow") is (
             unregistered_flow
         )
-
-    def test_flow_name_for_round_trips_registry_objects(self):
-        from repro.runner import flow_name_for
-
-        assert flow_name_for("team01", REGISTRY.get("team01")) == "team01"
-        spec = resolve_spec("team01:effort=full")
-        assert flow_name_for("anything", spec) == "team01:effort=full"
 
 
 class TestArtifactCache:
@@ -441,12 +435,12 @@ class TestFlowObject:
 
     def test_custom_flow_end_to_end(self, scratch_flow, small_problem):
         """The README registration example, as a test: register, run
-        through the registry, run through run_contest."""
-        from repro.analysis import run_contest
+        through the registry, run through the contest runner."""
+        from repro.runner import contest_tasks, run_contest_tasks
 
         solution = resolve_spec("scratch-flow")(small_problem)
         assert isinstance(solution, Solution)
         assert solution.method == "scratch-flow:const0"
-        run = run_contest([74], ["scratch-flow"], n_train=32,
-                          n_valid=32, n_test=32)
+        run = run_contest_tasks(contest_tasks(
+            [74], ["scratch-flow"], n_train=32, n_valid=32, n_test=32))
         assert set(run.scores_by_team) == {"scratch-flow"}

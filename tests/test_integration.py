@@ -5,11 +5,12 @@ import pytest
 from repro.aig import read_aag, write_aag
 from repro.aig.cec import check_equivalence
 from repro.aig.opt.passes import compress
-from repro.analysis import run_contest, table3, win_rates
+from repro.analysis import table3, win_rates
 from repro.contest import DEFAULT_REGISTRY, evaluate_solution
 from repro.flows import get_flow
 from repro.ml.dataset import Dataset
 from repro.ml.decision_tree import DecisionTree
+from repro.runner import contest_tasks, run_contest_tasks
 from repro.synth.from_tree import tree_to_aig
 from repro.twolevel.pla import read_pla, write_pla
 
@@ -51,12 +52,10 @@ class TestOptimizationSoundness:
 class TestMiniContest:
     @pytest.fixture(scope="class")
     def contest(self):
-        flows = {
-            name: get_flow(name) for name in ("team01", "team07", "team10")
-        }
-        return run_contest(
-            [30, 74], flows, n_train=200, n_valid=200, n_test=200
-        )
+        return run_contest_tasks(contest_tasks(
+            [30, 74], ["team01", "team07", "team10"],
+            n_train=200, n_valid=200, n_test=200,
+        ))
 
     def test_scores_complete(self, contest):
         for team, scores in contest.scores_by_team.items():

@@ -245,6 +245,18 @@ class TestFamilies:
         with pytest.raises(ValueError, match="no parameter"):
             DEFAULT_REGISTRY.get("adder:width=4,depth=2")
 
+    def test_duplicate_parameter_rejected(self):
+        """One grammar with flow specs: a key given twice is an error,
+        not a silent last-one-wins."""
+        with pytest.raises(ValueError, match="duplicate key 'width'"):
+            DEFAULT_REGISTRY.get("adder:width=8,width=9")
+
+    def test_spec_keywords_are_not_parameters(self):
+        for text in ("adder:width=4,name=ex74", "adder:width=4,index=3",
+                     "adder:width=4,category=image"):
+            with pytest.raises(ValueError, match="no parameter"):
+                DEFAULT_REGISTRY.get(text)
+
     def test_bad_parameter_type_rejected(self):
         with pytest.raises(ValueError, match="not a valid int"):
             DEFAULT_REGISTRY.get("adder:width=four")

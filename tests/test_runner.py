@@ -19,6 +19,7 @@ from repro.runner import (
     RunStore,
     TaskSpec,
     canonical_line,
+    contest_run_from_records,
     contest_tasks,
     load_contest_runs,
     merge_stores,
@@ -31,7 +32,7 @@ from repro.runner import (
     shard_of,
     shard_tasks,
 )
-from repro.runner.task import _json_safe, flow_name_for, resolve_flow
+from repro.runner.task import _json_safe, resolve_flow
 
 # Small but non-degenerate grid: two benchmarks x two flows x two
 # seeds.  ex50 is an easy control cone, ex74 is 16-parity (hard for
@@ -129,18 +130,14 @@ class TestFlowResolution:
         for name in REGISTRY.names():
             flow = REGISTRY.get(name)
             assert resolve_flow(name) is flow
-            assert flow_name_for(name, flow) == name
 
     def test_dotted_path_resolves(self):
-        name = flow_name_for("mine", unregistered_flow)
-        assert name == f"{__name__}:unregistered_flow"
+        name = f"{__name__}:unregistered_flow"
         assert resolve_flow(name) is unregistered_flow
 
     def test_unknown_flow_rejected(self):
         with pytest.raises(KeyError):
             resolve_flow("team99")
-        with pytest.raises(ValueError):
-            flow_name_for("lam", lambda p, **kw: None)
 
 
 class TestTaskPurity:
@@ -347,6 +344,29 @@ class TestStore:
         assert manifest["benchmarks"] == [50, 74]
         assert manifest["flows"] == ["team02", "team10"]
 
+    def test_extension_mixes_indices_and_names(self, tmp_path):
+        """A suite index and a family spec in one store: the manifest
+        union orders them with ``benchmark_sort_key`` (a plain sort
+        raised TypeError on int < str)."""
+        run_contest_tasks(contest_tasks([74], ["team10"], 32, 32, 32),
+                          out_dir=tmp_path)
+        run_contest_tasks(contest_tasks(["parity:inputs=12"], ["team10"],
+                                        32, 32, 32),
+                          out_dir=tmp_path)
+        manifest = RunStore(tmp_path).read_manifest()
+        assert manifest["benchmarks"] == [74, "parity:inputs=12"]
+        assert len(load_contest_runs([tmp_path]).scores_by_team["team10"]) \
+            == 2
+
+    def test_contest_and_report_rebuild_the_same_run(self, tmp_path):
+        """Grid order (benchmarks 74 before 50, team10 before team02)
+        must not leak into the run: the contest and a later report
+        rebuild it the same way."""
+        specs = contest_tasks([74, 50], ["team10", "team02"], 32, 32, 32)
+        run = run_contest_tasks(specs, out_dir=tmp_path)
+        assert run == load_contest_runs([tmp_path])
+        assert list(run.scores_by_team) == ["team02", "team10"]
+
     def test_schema_mismatch_rejected_on_load(self, tmp_path):
         store = RunStore(tmp_path)
         store.append({"key": "k", "schema": 999})
@@ -414,30 +434,41 @@ class TestStore:
             load_contest_runs([tmp_path])
 
 
-class TestRunContestWrapper:
-    def test_flows_dict_and_list_agree(self):
-        from repro.analysis import run_contest
-
-        by_dict = run_contest([74], {"team10": get_flow("team10")},
-                              n_train=32, n_valid=32, n_test=32)
-        by_list = run_contest([74], ["team10"],
-                              n_train=32, n_valid=32, n_test=32)
-        assert by_dict.table3() == by_list.table3()
-
+class TestContestGrid:
     def test_trials_add_seeded_scores(self):
-        from repro.analysis import run_contest
+        run = run_contest_tasks(contest_tasks(
+            [74], ["team10"], n_train=32, n_valid=32, n_test=32, trials=3))
+        assert [s.seed for s in run.scores_by_team["team10"]] == [0, 1, 2]
 
-        run = run_contest([74], ["team10"], n_train=32, n_valid=32,
-                          n_test=32, trials=3)
-        assert len(run.scores_by_team["team10"]) == 3
+    @pytest.mark.parametrize("flow", ["team99", "lam", "team01:effort"])
+    def test_unknown_flow_rejected_before_any_task(self, flow):
+        """Flows travel by name, so a name that resolves to nothing
+        fails while the grid is built, not task by task."""
+        with pytest.raises((KeyError, ValueError)):
+            contest_tasks([74], ["team10", flow], 8, 8, 8)
 
-    def test_non_importable_callable_rejected_for_parallel_or_store(
-            self, tmp_path):
-        """Every run ships flows by name, in-process serial runs too."""
-        from repro.analysis import run_contest
+    def test_records_name_their_flow(self):
+        specs = contest_tasks([74], ["team10", "team10:effort=full"],
+                              8, 8, 8)
+        records = run_tasks(specs)
+        assert [records[s.key]["team"] for s in specs] == \
+            ["team10", "team10:effort=full"]
 
-        flows = {"lam": lambda p, **kw: None}
-        for kwargs in ({}, {"jobs": 2}, {"out_dir": tmp_path}):
-            with pytest.raises(ValueError, match="not resolvable by name"):
-                run_contest([74], flows, n_train=8, n_valid=8, n_test=8,
-                            **kwargs)
+    def test_reconstruction_ignores_record_order(self):
+        records = list(run_tasks(_grid_specs()).values())
+        forward = contest_run_from_records(records)
+        backward = contest_run_from_records(reversed(records))
+        assert forward == backward
+        assert list(forward.scores_by_team) == ["team02", "team10"]
+        assert [(s.benchmark, s.seed)
+                for s in forward.scores_by_team["team10"]] == \
+            [("ex50", 0), ("ex50", 1), ("ex74", 0), ("ex74", 1)]
+
+    def test_stored_display_names_still_report(self, tmp_path):
+        """Stores written when a grid could name a flow for display
+        keep reporting under the stored ``team``."""
+        specs = contest_tasks([74], ["team10"], 8, 8, 8)
+        record = dict(run_tasks(specs)[specs[0].key], team="Utah")
+        RunStore(tmp_path).append(record)
+        run = load_contest_runs([tmp_path])
+        assert list(run.scores_by_team) == ["Utah"]

@@ -20,7 +20,9 @@ solutions):
 
 2. *Compile once, serve forever.*  The first ``load`` of a model pays
    the levelized compile (cold); subsequent loads are an LRU hit
-   (warm).  The warm path must be faster; both are reported.
+   (warm).  The warm path must be faster; both are reported.  Each
+   side is the best of three sub-millisecond samples, a fresh store
+   for each cold one, so one scheduling hiccup does not decide it.
 
 3. *Saturation sheds, never strands.*  Past ``max_queued_rows`` the
    server answers 503 (with ``Retry-After``); every request still gets
@@ -190,20 +192,24 @@ def test_serve_coalescing_speedup_and_bit_identity(store_dir):
 def test_serve_cold_vs_warm_compile(store_dir):
     probe_rows = _rows(8, 16, seed=2)
 
-    # Cold: fresh store, first load pays parse + levelized compile.
-    cold_store = ModelStore(store_dir)
-    start = time.perf_counter()
-    cold_out = cold_store.load("ex74").run(probe_rows)
-    cold_s = time.perf_counter() - start
-    assert cold_store.stats()["misses"] == 1
+    # Cold: a fresh store per sample, so every first load pays parse +
+    # levelized compile; each side keeps its best of REPEATS samples.
+    # The stores are opened (a directory scan) before the clock starts.
+    stores = [ModelStore(store_dir) for _ in range(REPEATS)]
+    fresh = iter(stores)
+    cold_s, cold_outs = _best_of(
+        lambda: next(fresh).load("ex74").run(probe_rows)
+    )
+    assert [store.stats()["misses"] for store in stores] == [1] * REPEATS
 
     # Warm: the LRU hands back the compiled plan.
-    start = time.perf_counter()
-    warm_out = cold_store.load("ex74").run(probe_rows)
-    warm_s = time.perf_counter() - start
-    assert cold_store.stats()["hits"] == 1
+    warm = stores[-1]
+    warm_s, warm_outs = _best_of(lambda: warm.load("ex74").run(probe_rows))
+    assert warm.stats()["hits"] == REPEATS
 
-    assert np.array_equal(cold_out, warm_out)  # unconditional
+    # unconditional
+    assert all(np.array_equal(cold_outs[0], out)
+               for out in cold_outs + warm_outs)
     cores = os.cpu_count() or 1
     echo(f"\n=== Cold vs warm model load (ex74, {cores} cores) ===")
     echo(f"  cold (parse+compile+predict): {cold_s * 1e3:8.3f} ms")

@@ -332,12 +332,20 @@ def compress(aig: AIG, max_rounds: int = 3) -> AIG:
     Guaranteed not to increase the used-node count.
     """
     best = aig.extract_cone()
+    passes = (balance, rewrite, refactor, fraig_lite)
+    # The graph each pass last ran on.  Every pass is deterministic in
+    # its input, so a pass handed the graph it already ran on (nothing
+    # was adopted since) would return what was rejected then: skip it.
+    last_input: list[AIG | None] = [None] * len(passes)
     for _ in range(max_rounds):
         size_before = best.num_ands
         # No trailing rewrite (the seed script had one): the round
         # loop iterates to a fixpoint, so the next round's rewrite
         # subsumes it at half the enumeration cost.
-        for pass_fn in (balance, rewrite, refactor, fraig_lite):
+        for i, pass_fn in enumerate(passes):
+            if last_input[i] is best:
+                continue
+            last_input[i] = best
             cand = pass_fn(best)
             if cand.num_ands < best.num_ands or (
                 cand.num_ands == best.num_ands and cand.depth() < best.depth()

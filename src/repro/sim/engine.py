@@ -13,6 +13,8 @@ See :mod:`repro.sim` for the compile/evaluate lifecycle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.bitops import pack_bits, unpack_bits
@@ -52,11 +54,17 @@ def _levelize(
     vector rounds lose to the ``O(n)`` scalar sweep.  Rather than a
     hard-coded round cap (which used to kick depth-65 circuits off the
     fast path one round early), the cutover is derived from measured
-    progress: a round that settles ``s`` nodes while ``c`` still churn
-    predicts ``c / s`` more rounds, and once that forecast exceeds the
-    vector/scalar break-even (~64 rounds) the remaining work is done
-    scalar.  Balanced circuits settle whole levels per round and never
-    trip it; a chain settles one node per round and bails immediately.
+    progress.  Round ``r`` settles the ``s`` nodes of level ``r - 1``
+    while ``c`` still churn; with ``g`` the ratio of ``s`` to the
+    width of the level below, a forecast of the rounds left is the
+    ``r`` with ``s * (g + g**2 + ... + g**r) = c`` when levels widen
+    (``g > 1``), and ``c / s`` when they do not.  Once that forecast
+    exceeds the vector/scalar break-even (~64 rounds) the remaining
+    work is done scalar.  Balanced circuits settle whole levels per
+    round, and circuits whose levels widen geometrically (a learned
+    MLP's cone) are forecast to finish in a few rounds, so neither
+    trips it; a chain settles one node per round and bails
+    immediately.
 
     ``_stats``, when given a dict, records ``{"rounds", "fallback"}``
     for the cutover regression tests.
@@ -71,8 +79,9 @@ def _levelize(
     base = 1 + n_inputs
     # The first round moves every node off level 0, so it carries no
     # progress signal; the forecast starts once two rounds can be
-    # compared.
+    # compared.  Level 0 holds the constant and the inputs.
     prev_changed: int | None = None
+    prev_settled = base
     rounds = 0
     fallback = True
     while True:
@@ -86,8 +95,15 @@ def _levelize(
         rounds += 1
         if prev_changed is not None:
             settled = max(prev_changed - changed, 1)
-            if changed > 64 * settled:
+            if settled > prev_settled:
+                g = settled / prev_settled
+                rounds_left = math.log1p(
+                    changed * (g - 1) / (settled * g)) / math.log(g)
+                if rounds_left > 64:
+                    break
+            elif changed > 64 * settled:
                 break
+            prev_settled = settled
         prev_changed = changed
     if _stats is not None:
         _stats.update(rounds=rounds, fallback=fallback)

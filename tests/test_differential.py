@@ -20,7 +20,8 @@ from repro.aig.aig import AIG
 from repro.aig.aiger import loads_aag
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.build import compile_sop
-from repro.aig.isop import full_mask, isop, var_mask
+from repro.aig import isop as isop_module
+from repro.aig.isop import MEMO_VARS, full_mask, isop, var_mask
 from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import get_library
 from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
@@ -375,6 +376,80 @@ def test_isop_matches_oracle_on_random_tables(k, seed, interval):
     dc = rnd.getrandbits(1 << k) & fm if interval else 0
     lower, upper = f & ~dc, f | dc
     assert isop(lower, upper, k) == oracles.isop(lower, upper, k)
+
+
+def _window_interval(rnd: random.Random, t: int) -> tuple[int, int]:
+    """A random interval over ``t`` variables."""
+    fm = full_mask(t)
+    f = rnd.getrandbits(1 << t) & fm
+    dc = rnd.getrandbits(1 << t) & fm if rnd.random() < 0.5 else 0
+    return f & ~dc, f | dc
+
+
+def _widen(table: int, t: int, k: int) -> int:
+    """``table`` over ``t`` variables, as a table over ``k >= t``."""
+    return table * (full_mask(k) // full_mask(t))
+
+
+@given(seed=seeds, n_calls=st.integers(2, 12))
+@settings(max_examples=100, deadline=None)
+def test_isop_memo_shared_across_calls_matches_oracle(seed, n_calls):
+    # Interleaved intervals over k = 0-10 go through the one
+    # process-wide memo: full-width intervals, whose sub-problems fill
+    # it, and one window over at most MEMO_VARS variables reached from
+    # several k, so later calls hit entries that other calls and other
+    # widths made.  Then the memo is cleared and every interval is
+    # asked again.
+    rnd = random.Random(seed)
+    t = rnd.randint(0, MEMO_VARS)
+    w_lower, w_upper = _window_interval(rnd, t)
+    calls = []
+    for _ in range(n_calls):
+        k = rnd.randint(t, 10)
+        if rnd.random() < 0.5:
+            calls.append((_widen(w_lower, t, k), _widen(w_upper, t, k), k))
+        else:
+            calls.append((*_window_interval(rnd, k), k))
+    expected = [oracles.isop(lower, upper, k) for lower, upper, k in calls]
+    assert [isop(*call) for call in calls] == expected
+    isop_module._memo.clear()
+    assert [isop(*call) for call in reversed(calls)] == expected[::-1]
+
+
+def test_isop_memo_serves_a_window_for_every_k():
+    # x0 & !x1 over two variables, widened to every k: the entries the
+    # first call makes serve all the others.
+    isop_module._memo.clear()
+    sizes = set()
+    for k in range(2, 11):
+        table = _widen(0b0010, 2, k)
+        assert isop(table, table, k) == ([((0, 1), (1, 0))], table)
+        sizes.add(len(isop_module._memo))
+    assert len(sizes) == 1
+
+
+def test_isop_returns_a_fresh_cover_list():
+    table = 0b0110
+    first, _ = isop(table, table, 2)
+    first.append(((0, 1),))
+    assert isop(table, table, 2) == oracles.isop(table, table, 2)
+
+
+def test_isop_memo_never_exceeds_its_bound(monkeypatch):
+    cap = 16
+    monkeypatch.setattr(isop_module, "MEMO_CAP", cap)
+    isop_module._memo.clear()
+    rnd = random.Random(7)
+    cleared = 0
+    for _ in range(200):
+        k = rnd.randint(0, 10)
+        lower, upper = _window_interval(rnd, k)
+        before = len(isop_module._memo)
+        assert isop(lower, upper, k) == oracles.isop(lower, upper, k)
+        cleared += len(isop_module._memo) < before
+        assert len(isop_module._memo) <= cap
+    assert cleared  # the bound was reached and the memo cleared
+    isop_module._memo.clear()
 
 
 # ---------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.aig import aiger
 from repro.aig.aig import AIG
 from repro.aig.build import (multiplier, parity_chain, ripple_adder,
                              ripple_chain, symmetric_function)
+from repro.aig.opt import passes
 from repro.aig.opt.passes import (balance, compress, fraig_lite, refactor,
                                   rewrite)
 from tests.conftest import random_aig
@@ -95,6 +97,50 @@ class TestImprovement:
         out = fraig_lite(aig)
         assert out.truth_tables() == aig.truth_tables()
         assert out.num_ands < aig.count_used_ands()
+
+
+class TestCompressSkipsRepeatedPasses:
+    """A pass handed the graph it already ran on and was rejected on
+    (nothing was adopted since) is skipped: it is deterministic in its
+    input, so the rerun could only be rejected again."""
+
+    @staticmethod
+    def rerunning_compress(aig, max_rounds=3):
+        """``compress`` without the skip: every pass, every round."""
+        best = aig.extract_cone()
+        for _ in range(max_rounds):
+            size_before = best.num_ands
+            for pass_fn in (balance, rewrite, refactor, fraig_lite):
+                cand = pass_fn(best)
+                if cand.num_ands < best.num_ands or (
+                    cand.num_ands == best.num_ands
+                    and cand.depth() < best.depth()
+                ):
+                    best = cand
+            if best.num_ands >= size_before:
+                break
+        return best
+
+    def test_no_pass_reruns_on_its_input_and_output_is_identical(
+        self, monkeypatch
+    ):
+        calls = []
+        for name in ("balance", "rewrite", "refactor", "fraig_lite"):
+            def logged(graph, fn=getattr(passes, name), name=name):
+                calls.append((name, graph))
+                return fn(graph)
+            monkeypatch.setattr(passes, name, logged)
+        # Round 2 adopts nothing before refactor and fraig_lite, which
+        # round 1 ran on the same graph: 6 pass calls, not 8.
+        aig = random_aig(8, 120, seed=6, n_outputs=3)
+        out = passes.compress(aig)
+        assert [name for name, _ in calls] == [
+            "balance", "rewrite", "refactor", "fraig_lite",
+            "balance", "rewrite",
+        ]
+        assert len({(name, id(graph)) for name, graph in calls}) == len(calls)
+        want = self.rerunning_compress(aig)
+        assert aiger.dumps_aag(out) == aiger.dumps_aag(want)
 
 
 class TestChainRegression:

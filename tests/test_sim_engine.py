@@ -247,6 +247,35 @@ class TestLevelizeCutover:
             scalar.append(1 + max(scalar[f0 >> 1], scalar[f1 >> 1]))
         assert lv.tolist() == scalar
 
+    def test_widening_levels_stay_on_fast_path(self):
+        # A learned MLP's cone: level widths grow geometrically (about
+        # 1.8x per level from 24 over 16 inputs), so round 2 settles
+        # few nodes while thousands still churn.  A forecast that
+        # assumed the same few per round would bail; the widening
+        # forecast keeps every round vectorized.
+        rnd = random.Random(5)
+        aig = AIG(16)
+        levels = [list(aig.input_lits())]
+        for depth in range(1, 10):
+            row = []
+            below = [lit for lits in levels for lit in lits]
+            while len(row) < int(24 * 1.8 ** (depth - 1)):
+                # One fanin on the level below: a new node lands on
+                # level ``depth`` (strash hits and folds add none).
+                a = rnd.choice(levels[-1]) ^ rnd.randint(0, 1)
+                b = rnd.choice(below) ^ rnd.randint(0, 1)
+                num_ands = aig.num_ands
+                lit = aig.add_and(a, b)
+                if aig.num_ands > num_ands:
+                    row.append(lit)
+            levels.append(row)
+        aig.set_output(levels[-1][0])
+        lv, stats = _levelize_stats(aig)
+        assert stats["fallback"] is False
+        assert stats["rounds"] == 9
+        widths = np.bincount(lv[1 + aig.n_inputs:]).tolist()
+        assert widths == [0] + [len(row) for row in levels[1:]]
+
     def test_empty_program(self):
         aig = AIG(3)
         lv, stats = _levelize_stats(aig)

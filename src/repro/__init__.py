@@ -1,8 +1,8 @@
 """Reproduction of "Logic Synthesis Meets Machine Learning: Trading
 Exactness for Generalization" (IWLS 2020 contest, DATE 2021).
 
-Top-level convenience re-exports; see the subpackages for the full
-API:
+The package root exports nothing but ``__version__``, so importing
+one subpackage loads only what that subpackage needs:
 
 - :mod:`repro.aig` — And-Inverter Graphs, simulation, AIGER, optimization
 - :mod:`repro.twolevel` — cubes, covers, PLA files, espresso, QM
@@ -16,17 +16,6 @@ API:
 - :mod:`repro.analysis` — Table III / Fig. 2-4 regeneration
 """
 
-from repro.aig import AIG
-from repro.contest import LearningProblem, Solution, evaluate_solution
-from repro.ml.dataset import Dataset
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "AIG",
-    "Dataset",
-    "LearningProblem",
-    "Solution",
-    "evaluate_solution",
-    "__version__",
-]
+__all__ = ["__version__"]

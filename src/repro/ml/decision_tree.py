@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
@@ -414,10 +414,13 @@ def _pessimistic_errors(n: int, errors: int, cf: float) -> float:
 
     Uses the Clopper-Pearson upper bound on the binomial error rate at
     confidence level ``cf`` (J48's ``CF`` parameter), scaled by ``n``.
+    ``betaincinv`` returns the same beta quantile as
+    ``scipy.stats.beta.ppf``, bit for bit, without the cost of
+    importing ``scipy.stats``.
     """
     if n == 0:
         return 0.0
     if errors >= n:
         return float(n)
-    upper = stats.beta.ppf(1 - cf, errors + 1, n - errors)
+    upper = betaincinv(errors + 1, n - errors, 1 - cf)
     return float(n * upper)

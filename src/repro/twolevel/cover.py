@@ -35,9 +35,6 @@ class Cover:
         """Total literal count across cubes."""
         return sum(c.num_literals() for c in self.cubes)
 
-    def evaluate_minterm(self, minterm: int) -> int:
-        return int(any(c.contains_minterm(minterm) for c in self.cubes))
-
     def evaluate(self, samples: np.ndarray) -> np.ndarray:
         """Evaluate on a ``(n_samples, n_inputs)`` 0/1 matrix.
 
@@ -70,16 +67,6 @@ class Cover:
         containment check; it is what EXPAND/IRREDUNDANT need.
         """
         return any(c.contains_cube(cube) for c in self.cubes)
-
-    def remove_contained(self) -> "Cover":
-        """Drop cubes single-cube-contained in another cube."""
-        kept: list[Cube] = []
-        # Larger cubes first so containment checks see the big ones.
-        order = sorted(self.cubes, key=lambda c: c.num_literals())
-        for cube in order:
-            if not any(other.contains_cube(cube) for other in kept):
-                kept.append(cube)
-        return Cover(self.n_inputs, kept)
 
     def __repr__(self) -> str:
         return f"Cover(n_inputs={self.n_inputs}, cubes={len(self.cubes)})"

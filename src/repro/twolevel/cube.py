@@ -81,11 +81,6 @@ class Cube:
             return False
         return (self.value ^ other.value) & self.mask == 0
 
-    def intersects(self, other: "Cube") -> bool:
-        """True if the cubes share at least one minterm."""
-        common = self.mask & other.mask
-        return (self.value ^ other.value) & common == 0
-
     def literals(self) -> Iterator[tuple[int, int]]:
         """Yield ``(var, value)`` pairs of the bound positions."""
         mask = self.mask
@@ -102,11 +97,6 @@ class Cube:
         """Copy with input ``var`` freed (expanded)."""
         bit = 1 << var
         return Cube(self.mask & ~bit, self.value & ~bit)
-
-    def with_literal(self, var: int, value: int) -> "Cube":
-        """Copy with input ``var`` bound to ``value``."""
-        bit = 1 << var
-        return Cube(self.mask | bit, (self.value & ~bit) | (bit if value else 0))
 
     def to_string(self, n_inputs: int) -> str:
         """PLA-style string representation."""

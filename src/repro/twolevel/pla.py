@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
 
 PathLike = str | Path
@@ -53,13 +52,6 @@ class PLA:
             y[r] = 1 if out == "1" else 0
         return X, y
 
-    def onset_cover(self, output: int = 0) -> Cover:
-        """Cover of rows whose given output column is 1."""
-        return Cover(
-            self.n_inputs,
-            [cube for cube, out in self.rows if out[output] == "1"],
-        )
-
     @staticmethod
     def from_samples(X: np.ndarray, y: np.ndarray) -> "PLA":
         """Single-output PLA listing each sample as a care minterm."""
@@ -73,14 +65,6 @@ class PLA:
                     value |= 1 << i
             cube = Cube((1 << X.shape[1]) - 1, value)
             pla.add_row(cube, "1" if label else "0")
-        return pla
-
-    @staticmethod
-    def from_cover(cover: Cover) -> "PLA":
-        """Single-output PLA with one row per cube, all outputs 1."""
-        pla = PLA(n_inputs=cover.n_inputs, n_outputs=1)
-        for cube in cover:
-            pla.add_row(cube, "1")
         return pla
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+from scipy import stats
 
 from repro.aig import build
 from repro.aig import isop as isop_lib
@@ -220,6 +221,13 @@ def sop_over_leaves(sink, cover, leaves) -> int:
 
 
 # ---------------------------------------------------------------------
+# Cover evaluation: one minterm at a time
+# ---------------------------------------------------------------------
+def evaluate_minterm(cover, minterm: int) -> int:
+    return int(any(c.contains_minterm(minterm) for c in cover.cubes))
+
+
+# ---------------------------------------------------------------------
 # Decision-tree prediction: route sample groups node by node
 # ---------------------------------------------------------------------
 def tree_predict(tree, X: np.ndarray) -> np.ndarray:
@@ -251,6 +259,16 @@ def entropy(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     total = np.maximum(total, 1e-12)
     p = np.clip(pos / total, 1e-12, 1 - 1e-12)
     return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+
+
+def pessimistic_errors(n, errors, cf: float):
+    """C4.5's upper error bound through ``stats.beta.ppf``.
+
+    Vectorized over ``n`` and ``errors`` (``0 <= errors < n``); the
+    library's guards for ``n == 0`` and ``errors >= n`` are unchanged
+    and not repeated here.
+    """
+    return n * stats.beta.ppf(1 - cf, errors + 1, n - errors)
 
 
 def act(name: str, z: np.ndarray) -> np.ndarray:

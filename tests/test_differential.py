@@ -1,15 +1,16 @@
 """Differential tests: the array/sweep hot paths against their oracles.
 
 Cut enumeration, the refactor cone sweep, ISOP, candidate pricing,
-tree routing and the learner stages (tree growth, forest votes,
-permutation importance, neuron tables, CGP evaluation) each replaced
-a straightforward implementation with a faster one that must return
-exactly the same thing.  The
+tree routing, the C4.5 pruning bound and the learner stages (tree
+growth, forest votes, permutation importance, neuron tables, CGP
+evaluation) each replaced a straightforward implementation with a
+faster one that must return exactly the same thing.  The
 straightforward versions live in :mod:`tests.oracles`; every test
 here compares the two on seeded graphs, tables and trees.
 """
 
 import dataclasses
+import inspect
 import random
 
 import numpy as np
@@ -26,10 +27,12 @@ from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import get_library
 from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
 from repro.cgp import AIG_FUNCTIONS, XAIG_FUNCTIONS, CGPEvolver, CGPGenome
+from repro.flows import get_flow
 from repro.ml.decision_tree import DecisionTree, _pessimistic_errors, entropy
 from repro.ml.feature_select import permutation_importance
 from repro.ml.forest import RandomForest
 from repro.ml.mlp import _ACTIVATIONS
+from repro.ml.rules import PartRuleLearner
 from repro.synth.from_mlp import _neuron_table
 from repro.utils.bitops import pack_bits
 from tests import oracles
@@ -491,6 +494,48 @@ def test_pessimistic_errors_memo_is_bit_identical():
         direct = _pessimistic_errors.__wrapped__(n, errors, cf)
         assert _pessimistic_errors(n, errors, cf) == direct
         assert _pessimistic_errors(n, errors, cf) == direct  # cache hit
+
+
+def flow_confidence_factors() -> list[float]:
+    """Every CF the flows prune at: team02's sweep at each effort,
+    trees-deep's ``prune_cf`` and the learners' defaults."""
+    cfs = {cf for effort in get_flow("team02").efforts.values()
+           for cf in effort["confidence_factors"]}
+    cfs.update(effort["prune_cf"]
+               for effort in get_flow("trees-deep").efforts.values())
+    for learner in (DecisionTree.prune, PartRuleLearner):
+        cfs.add(inspect.signature(learner)
+                .parameters["confidence_factor"].default)
+    return sorted(cfs)
+
+
+def assert_bound_matches_oracle(n: np.ndarray, errors: np.ndarray, cf: float):
+    expected = oracles.pessimistic_errors(n, errors, cf)
+    got = [_pessimistic_errors.__wrapped__(a, b, cf)
+           for a, b in zip(n.tolist(), errors.tolist())]
+    mismatches = np.flatnonzero(np.array(got) != expected)
+    assert mismatches.size == 0, [
+        (int(n[i]), int(errors[i]), cf, got[i], expected[i])
+        for i in mismatches[:5]
+    ]
+
+
+@pytest.mark.parametrize("cf", flow_confidence_factors())
+def test_pessimistic_errors_match_beta_ppf_oracle_exhaustively(cf):
+    """Every ``errors < n`` for every node size ``n < 300``."""
+    n = np.repeat(np.arange(1, 300), np.arange(1, 300))
+    errors = np.concatenate([np.arange(k) for k in range(1, 300)])
+    assert_bound_matches_oracle(n, errors, cf)
+
+
+@pytest.mark.parametrize("cf", flow_confidence_factors())
+def test_pessimistic_errors_match_beta_ppf_oracle_up_to_full_scale(cf):
+    """Seeded node sizes up to the full-scale train+valid merge (the
+    registry's 6400 samples per split, twice)."""
+    rng = np.random.default_rng(2020)
+    n = rng.integers(1, 2 * 6400 + 1, size=20_000)
+    errors = (rng.random(n.size) * n).astype(np.int64)
+    assert_bound_matches_oracle(n, errors, cf)
 
 
 # ---------------------------------------------------------------------

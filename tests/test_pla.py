@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.twolevel.cover import Cover
 from repro.twolevel.cube import Cube
 from repro.twolevel.pla import PLA, read_pla, write_pla
 
@@ -54,23 +53,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             read_pla(path)
 
-    def test_onset_cover(self):
-        pla = PLA(3, 1)
-        pla.add_row(Cube.from_string("1--"), "1")
-        pla.add_row(Cube.from_string("-0-"), "0")
-        cover = pla.onset_cover()
-        assert len(cover) == 1
-
     def test_to_samples_rejects_cube_rows(self):
         pla = PLA(3, 1)
         pla.add_row(Cube.from_string("1--"), "1")
         with pytest.raises(ValueError):
             pla.to_samples()
-
-    def test_from_cover(self):
-        cover = Cover(3, [Cube.from_string("0-1")])
-        pla = PLA.from_cover(cover)
-        assert pla.rows[0][1] == "1"
 
     def test_output_mismatch_rejected(self):
         pla = PLA(2, 2)

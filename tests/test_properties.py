@@ -11,6 +11,7 @@ from repro.aig.opt.passes import balance, compress, fraig_lite, refactor, rewrit
 from repro.twolevel.cube import Cube
 from repro.twolevel.espresso import espresso
 from repro.utils.bitops import pack_bits, unpack_bits
+from tests.oracles import evaluate_minterm
 
 # ---------------------------------------------------------------------
 # Strategies
@@ -166,8 +167,8 @@ def test_espresso_validity(n, onset, offset):
     if not onset or not offset:
         return
     cover = espresso(sorted(onset), sorted(offset), n)
-    assert all(cover.evaluate_minterm(m) for m in onset)
-    assert not any(cover.evaluate_minterm(m) for m in offset)
+    assert all(evaluate_minterm(cover, m) for m in onset)
+    assert not any(evaluate_minterm(cover, m) for m in offset)
 
 
 # ---------------------------------------------------------------------
@@ -190,16 +191,6 @@ def test_cube_containment_consistent_with_minterms(params):
     cube = Cube(mask, value & mask)
     members = [m for m in range(1 << n) if cube.contains_minterm(m)]
     assert len(members) == 1 << (n - cube.num_literals())
-
-
-@given(cubes, cubes)
-@settings(max_examples=100, deadline=None)
-def test_cube_intersection_symmetric(p1, p2):
-    n1, m1, v1 = p1
-    n2, m2, v2 = p2
-    a = Cube(m1, v1 & m1)
-    b = Cube(m2, v2 & m2)
-    assert a.intersects(b) == b.intersects(a)
 
 
 @given(cubes)

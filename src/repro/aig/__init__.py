@@ -11,14 +11,11 @@ from repro.aig.aig import (
     AIG,
     CONST0,
     CONST1,
-    lit_is_compl,
     lit_make,
     lit_not,
-    lit_regular,
     lit_var,
 )
-from repro.aig.aiger import (dumps_aag, read_aag, read_aiger, write_aag,
-                             write_aiger)
+from repro.aig.aiger import dumps_aag, read_aag, write_aag
 from repro.aig.approx import approximate_to_size
 from repro.aig.cec import check_equivalence
 from repro.aig.opt.passes import (balance, compress, fraig_lite, refactor,
@@ -28,16 +25,12 @@ __all__ = [
     "AIG",
     "CONST0",
     "CONST1",
-    "lit_is_compl",
     "lit_make",
     "lit_not",
-    "lit_regular",
     "lit_var",
     "read_aag",
     "dumps_aag",
-    "read_aiger",
     "write_aag",
-    "write_aiger",
     "approximate_to_size",
     "balance",
     "check_equivalence",

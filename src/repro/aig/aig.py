@@ -38,11 +38,6 @@ def lit_var(lit: int) -> int:
     return lit >> 1
 
 
-def lit_is_compl(lit: int) -> bool:
-    """True if the literal is complemented."""
-    return bool(lit & 1)
-
-
 def lit_not(lit: int) -> int:
     """Complement of a literal."""
     return lit ^ 1
@@ -51,11 +46,6 @@ def lit_not(lit: int) -> int:
 def lit_make(var: int, compl: bool = False) -> int:
     """Literal for variable ``var``, optionally complemented."""
     return (var << 1) | int(compl)
-
-
-def lit_regular(lit: int) -> int:
-    """The positive-polarity literal of the same variable."""
-    return lit & ~1
 
 
 class GateOps:

@@ -1,14 +1,11 @@
-"""AIGER file format support (ASCII ``.aag`` and binary ``.aig``).
+"""ASCII AIGER (``.aag``) file support.
 
 Implements the combinational subset of AIGER 1.9 [Biere et al.], which
-is all the contest uses: no latches, no symbols required.  The binary
-format delta-encodes each AND gate as two unsigned LEB128-style
-varints, exactly as produced by ABC and the AIGER tools.
+is all the contest uses: no latches, no symbols required.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 from repro.aig.aig import AIG
@@ -125,75 +122,3 @@ def _rebuild(n_in, input_lits, output_lits, and_rows) -> AIG:
     for lit in output_lits:
         aig.set_output(lookup(lit, "output"))
     return aig
-
-
-def _encode_varint(value: int) -> bytes:
-    out = bytearray()
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
-def _decode_varint(stream: io.BufferedReader) -> int:
-    value = 0
-    shift = 0
-    while True:
-        byte = stream.read(1)
-        if not byte:
-            raise ValueError("truncated binary AIGER file")
-        b = byte[0]
-        value |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return value
-        shift += 7
-
-
-def write_aiger(aig: AIG, path: PathLike) -> None:
-    """Write a binary AIGER (.aig) file."""
-    maxvar = aig.num_vars - 1
-    header = f"aig {maxvar} {aig.n_inputs} 0 {aig.num_outputs} {aig.num_ands}\n"
-    buf = bytearray(header.encode("ascii"))
-    for lit in aig.outputs:
-        buf += f"{lit}\n".encode("ascii")
-    base = aig.n_inputs + 1
-    for j in range(aig.num_ands):
-        lhs = 2 * (base + j)
-        f0, f1 = aig.fanins(base + j)
-        rhs0, rhs1 = (f0, f1) if f0 >= f1 else (f1, f0)
-        buf += _encode_varint(lhs - rhs0)
-        buf += _encode_varint(rhs0 - rhs1)
-    Path(path).write_bytes(bytes(buf))
-
-
-def read_aiger(path: PathLike) -> AIG:
-    """Read a binary AIGER (.aig) file (combinational subset)."""
-    raw = Path(path).read_bytes()
-    stream = io.BytesIO(raw)
-    header = _read_line(stream).split()
-    if header[0] != "aig":
-        raise ValueError(f"not a binary AIGER file: header {header[0]!r}")
-    maxvar, n_in, n_latch, n_out, n_and = map(int, header[1:6])
-    if n_latch:
-        raise ValueError("latches are not supported")
-    output_lits = [int(_read_line(stream)) for _ in range(n_out)]
-    input_lits = [2 * (1 + i) for i in range(n_in)]
-    and_rows = []
-    for j in range(n_and):
-        lhs = 2 * (n_in + 1 + j)
-        delta0 = _decode_varint(stream)
-        delta1 = _decode_varint(stream)
-        rhs0 = lhs - delta0
-        rhs1 = rhs0 - delta1
-        and_rows.append((lhs, rhs0, rhs1))
-    return _rebuild(n_in, input_lits, output_lits, and_rows)
-
-
-def _read_line(stream: io.BytesIO) -> str:
-    chars = bytearray()
-    while True:
-        byte = stream.read(1)
-        if not byte or byte == b"\n":
-            return chars.decode("ascii")
-        chars += byte

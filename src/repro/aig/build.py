@@ -108,24 +108,6 @@ def parity_chain(n_inputs: int = 4, n_nodes: int = 5000) -> AIG:
     return aig
 
 
-def ripple_chain(word_width: int = 4, n_nodes: int = 5000) -> AIG:
-    """Standalone deep ripple-carry accumulator.
-
-    Repeatedly adds the same input word into a ``word_width``-bit
-    accumulator with :func:`ripple_adder` (carry-out dropped), giving
-    a carry chain thousands of levels deep over few inputs — the
-    other chain-regression shape.
-    """
-    aig = AIG(2 * word_width)
-    lits = aig.input_lits()
-    acc, word = lits[:word_width], lits[word_width:]
-    while aig.num_ands < n_nodes:
-        acc = ripple_adder(aig, acc, word)[:word_width]
-    for bit in acc:
-        aig.set_output(bit)
-    return aig
-
-
 def ones_counter(aig: AIG, lits: Sequence[int]) -> list[int]:
     """Population count of the literals as a little-endian word.
 

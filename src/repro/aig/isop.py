@@ -58,23 +58,6 @@ def support(table: int, k: int) -> list[int]:
     ]
 
 
-def cube_table(cube: Cube, k: int) -> int:
-    """Truth table of a cube over k variables."""
-    table = full_mask(k)
-    for var, value in cube:
-        m = var_mask(k, var)
-        table &= m if value else ~m & full_mask(k)
-    return table
-
-
-def cover_table(cover: list[Cube], k: int) -> int:
-    """Truth table of a cover (OR of cubes)."""
-    table = 0
-    for cube in cover:
-        table |= cube_table(cube, k)
-    return table
-
-
 @lru_cache(maxsize=32)
 def _split_masks(k: int) -> tuple[tuple[int, int, int], ...]:
     """Per variable ``i`` of ``k``: ``2**i`` and its 1- and 0-minterms."""

@@ -19,12 +19,10 @@ the winner, so it never mutates the graph to measure a gain.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.aig.aig import AIG, CONST0
 from repro.aig.isop import full_mask
-from repro.aig.opt.counting import replay
 from repro.aig.opt.npn import MAX_NPN_VARS, npn_canon
 
 
@@ -116,17 +114,6 @@ class NpnLibrary:
                 found = (self.recipe(ctable, k), perm, phase, out_neg)
             self._instances[key] = found
         return found
-
-    def instantiate(self, sink, table: int, leaves: Sequence[int]) -> int:
-        """Realize ``table`` over leaf literals through ``sink.add_and``.
-
-        Returns the output literal.
-        """
-        recipe, perm, phase, out_neg = self.lookup(table, len(leaves))
-        vals: list[int] = [CONST0] * (1 + len(leaves))
-        for i, leaf in enumerate(leaves):
-            vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
-        return replay(sink, recipe.nodes, recipe.out ^ out_neg, vals)
 
     def __len__(self) -> int:
         return len(self._recipes)

@@ -95,23 +95,3 @@ def npn_canon(table: int, k: int) -> tuple[int, tuple[int, ...], int, bool]:
         result = (int(transformed[t_best]), perm, phase, False)
     _canon_cache[key] = result
     return result
-
-
-def npn_apply(table: int, k: int, perm, phase: int, out_neg: bool) -> int:
-    """Apply an NPN transform to ``table`` (reference implementation).
-
-    Returns the table ``g`` with ``g(y) = f(x) ^ out_neg`` where
-    ``x_i = y[perm[i]] ^ phase_i``.  Used by tests to cross-check
-    :func:`npn_canon`; not on any hot path.
-    """
-    n = 1 << k
-    out = 0
-    for m in range(n):
-        src = 0
-        for i in range(k):
-            if ((m >> perm[i]) & 1) ^ ((phase >> i) & 1):
-                src |= 1 << i
-        bit = (table >> src) & 1
-        if bit ^ int(out_neg):
-            out |= 1 << m
-    return out

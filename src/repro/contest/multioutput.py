@@ -53,23 +53,6 @@ def adder_all_bits(k: int) -> tuple[int, int, Callable]:
     return 2 * k, k + 1, fn
 
 
-def multiplier_low_bits(k: int, n_bits: int) -> tuple[int, int, Callable]:
-    """The ``n_bits`` least significant product bits of a k-bit
-    multiplier."""
-
-    def fn(X: np.ndarray) -> np.ndarray:
-        a = rows_to_ints(X[:, :k])
-        b = rows_to_ints(X[:, k:])
-        out = np.zeros((X.shape[0], n_bits), dtype=np.uint8)
-        for r, (av, bv) in enumerate(zip(a, b, strict=True)):
-            p = av * bv
-            for j in range(n_bits):
-                out[r, j] = (p >> j) & 1
-        return out
-
-    return 2 * k, n_bits, fn
-
-
 def make_multioutput_problem(
     name: str,
     spec: tuple[int, int, Callable],

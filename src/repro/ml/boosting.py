@@ -162,24 +162,3 @@ class GradientBoostedTrees:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_margin(X) > 0).astype(np.uint8)
-
-    def leaf_bits(self, X: np.ndarray) -> np.ndarray:
-        """One quantized bit per tree (Team 7's leaf quantization).
-
-        A tree votes 1 when the leaf it routes the sample to has a
-        positive weight.  Shape ``(n_samples, n_trees)``.
-        """
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[None, :]
-        out = np.zeros((X.shape[0], len(self.trees)), dtype=np.uint8)
-        for t, tree in enumerate(self.trees):
-            out[:, t] = (tree.predict(X) > 0).astype(np.uint8)
-        return out
-
-    def predict_quantized(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote over quantized per-tree bits."""
-        bits = self.leaf_bits(X)
-        if bits.shape[1] == 0:
-            return np.full(X.shape[0], int(self.base_margin > 0), np.uint8)
-        return (bits.sum(axis=1) * 2 >= bits.shape[1]).astype(np.uint8)

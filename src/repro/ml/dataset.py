@@ -92,7 +92,3 @@ class Dataset:
     def from_pla(pla: PLA) -> "Dataset":
         X, y = pla.to_samples()
         return Dataset(X, y)
-
-    def select_columns(self, columns) -> "Dataset":
-        """Restrict to a feature subset (after feature selection)."""
-        return Dataset(self.X[:, columns], self.y)

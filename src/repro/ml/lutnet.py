@@ -114,6 +114,3 @@ class LUTNetwork:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[:, 0]
-
-    def num_luts(self) -> int:
-        return sum(t.shape[0] for t in self.tables)

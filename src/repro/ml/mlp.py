@@ -194,14 +194,6 @@ class MLP:
             for layer in self.layers
         )
 
-    def neuron_fanins(self, layer_idx: int) -> list[np.ndarray]:
-        """Indices of surviving input connections per neuron."""
-        layer = self.layers[layer_idx]
-        return [
-            np.nonzero(layer.mask[:, j])[0]
-            for j in range(layer.mask.shape[1])
-        ]
-
     def prune_to_fanin(
         self,
         max_fanin: int,

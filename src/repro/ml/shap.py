@@ -4,8 +4,8 @@ Team 7 ran SHAP tree explanations on an initial XGBoost model to spot
 arithmetic structure: adder/comparator operands show up as monotone
 "weight" patterns over the input bits (the paper's Figs. 26-27).  We
 provide a model-agnostic Monte-Carlo Shapley estimator (permutation
-sampling with background-sample imputation) plus an exact enumerative
-version used to validate it in tests.
+sampling with background-sample imputation); the tests validate it
+against an exact enumerative version.
 
 ``predict`` should return a real-valued margin (e.g.
 ``GradientBoostedTrees.decision_margin``); attributions then sum to
@@ -15,8 +15,6 @@ version used to validate it in tests.
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -56,48 +54,6 @@ def sampling_shapley(
     return values / n_permutations
 
 
-def exact_shapley(
-    predict: Predictor,
-    background: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Exact Shapley values by subset enumeration (small n only).
-
-    The value of a coalition S is the mean prediction with features in
-    S taken from ``x`` and the rest from each background row.
-    """
-    background = np.asarray(background)
-    x = np.asarray(x).ravel()
-    n = x.shape[0]
-    if n > 12:
-        raise ValueError("exact_shapley is exponential; use n <= 12")
-
-    def value(subset) -> float:
-        rows = np.array(background, copy=True)
-        for feat in subset:
-            rows[:, feat] = x[feat]
-        return float(np.mean(predict(rows)))
-
-    cache = {}
-
-    def cached_value(subset) -> float:
-        key = frozenset(subset)
-        if key not in cache:
-            cache[key] = value(subset)
-        return cache[key]
-
-    values = np.zeros(n)
-    features = list(range(n))
-    for feat in features:
-        others = [f for f in features if f != feat]
-        for size in range(n):
-            weight = 1.0 / (n * comb(n - 1, size))
-            for subset in combinations(others, size):
-                gain = cached_value(subset + (feat,)) - cached_value(subset)
-                values[feat] += weight * gain
-    return values
-
-
 def mean_abs_shapley(
     predict: Predictor,
     background: np.ndarray,
@@ -114,21 +70,4 @@ def mean_abs_shapley(
         total += np.abs(
             sampling_shapley(predict, background, row, n_permutations, rng)
         )
-    return total / samples.shape[0]
-
-
-def mean_shapley(
-    predict: Predictor,
-    background: np.ndarray,
-    samples: np.ndarray,
-    n_permutations: int = 16,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Signed mean Shapley per feature (Fig. 27's polarity pattern)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    samples = np.asarray(samples)
-    total = np.zeros(samples.shape[1])
-    for row in samples:
-        total += sampling_shapley(predict, background, row, n_permutations, rng)
     return total / samples.shape[0]

@@ -97,12 +97,6 @@ def _solution_filename(key: str) -> str:
     return safe + ".aag"
 
 
-def _legacy_solution_filename(key: str) -> str:
-    """Pre-digest naming (lossy); still honoured on the read side so
-    run directories written before the digest suffix keep serving."""
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", key) + ".aag"
-
-
 class RunStore:
     """Append-only JSONL store under one run directory."""
 
@@ -230,26 +224,13 @@ class RunStore:
         return self.solutions_dir / _solution_filename(key)
 
     def has_solution(self, key: str) -> bool:
-        """Whether a circuit was kept for this task (either naming)."""
-        return (
-            self.solution_path(key).exists()
-            or (self.solutions_dir / _legacy_solution_filename(key)).exists()
-        )
+        """Whether a circuit was kept for this task."""
+        return self.solution_path(key).exists()
 
     def solution_text(self, key: str) -> str | None:
-        """Stored ``.aag`` text for a task, or ``None`` if not kept.
-
-        Falls back to the legacy pre-digest filename so stores written
-        by earlier versions stay readable (their names were unique in
-        practice; the digest suffix only guards pathological keys).
-        """
-        for path in (
-            self.solution_path(key),
-            self.solutions_dir / _legacy_solution_filename(key),
-        ):
-            if path.exists():
-                return path.read_text(encoding="ascii")
-        return None
+        """Stored ``.aag`` text for a task, or ``None`` if not kept."""
+        path = self.solution_path(key)
+        return path.read_text(encoding="ascii") if path.exists() else None
 
 
 def merge_records(stores: Iterable[RunStore]) -> dict[str, dict[str, Any]]:

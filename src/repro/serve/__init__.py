@@ -48,7 +48,7 @@ from repro.serve.batching import (
 )
 from repro.serve.bundle import CircuitBundle, ModelInfo
 from repro.serve.http import ServeApp, ServerHandle, serve_forever
-from repro.serve.metrics import MetricsRegistry, ServeMetrics, parse_metrics_text
+from repro.serve.metrics import MetricsRegistry, ServeMetrics
 from repro.serve.predict import predict_file, read_rows_file
 from repro.serve.store import ModelStore
 
@@ -64,7 +64,6 @@ __all__ = [
     "ServeApp",
     "ServeMetrics",
     "ServerHandle",
-    "parse_metrics_text",
     "predict_file",
     "read_rows_file",
     "serve_forever",

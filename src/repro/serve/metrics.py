@@ -339,21 +339,3 @@ class ServeMetrics:
 
     def render(self) -> str:
         return self.registry.render()
-
-
-def parse_metrics_text(text: str) -> dict[str, float]:
-    """Parse an exposition blob into ``{name{labels}: value}``.
-
-    The inverse of :meth:`MetricsRegistry.render` for tests and the
-    bench harness — not a general Prometheus parser, but exact for
-    what this module emits.
-    """
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.rpartition(" ")
-        value = float("inf") if raw == "+Inf" else float(raw)
-        out[key] = value
-    return out

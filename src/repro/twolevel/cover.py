@@ -31,10 +31,6 @@ class Cover:
     def __iter__(self):
         return iter(self.cubes)
 
-    def num_literals(self) -> int:
-        """Total literal count across cubes."""
-        return sum(c.num_literals() for c in self.cubes)
-
     def evaluate(self, samples: np.ndarray) -> np.ndarray:
         """Evaluate on a ``(n_samples, n_inputs)`` 0/1 matrix.
 
@@ -59,14 +55,6 @@ class Cover:
             match = (samples[np.ix_(undecided, cols)] == vals).all(axis=1)
             out[undecided] = match
         return out.astype(np.uint8)
-
-    def contains_cube(self, cube: Cube) -> bool:
-        """True if some single cube of the cover contains ``cube``.
-
-        This is single-cube containment, not the (NP-hard) general
-        containment check; it is what EXPAND/IRREDUNDANT need.
-        """
-        return any(c.contains_cube(cube) for c in self.cubes)
 
     def __repr__(self) -> str:
         return f"Cover(n_inputs={self.n_inputs}, cubes={len(self.cubes)})"

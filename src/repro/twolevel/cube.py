@@ -69,17 +69,8 @@ class Cube:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def num_literals(self) -> int:
-        return bin(self.mask).count("1")
-
     def contains_minterm(self, minterm: int) -> bool:
         return (minterm & self.mask) == self.value
-
-    def contains_cube(self, other: "Cube") -> bool:
-        """True if every minterm of ``other`` is in ``self``."""
-        if self.mask & ~other.mask:
-            return False
-        return (self.value ^ other.value) & self.mask == 0
 
     def literals(self) -> Iterator[tuple[int, int]]:
         """Yield ``(var, value)`` pairs of the bound positions."""

@@ -37,7 +37,7 @@ class PLA:
         """Expand to ``(X, y)`` sample matrices.
 
         Requires every row to be a full minterm (the contest data is),
-        and a single output.
+        and a single output of ``0`` or ``1``.
         """
         if self.n_outputs != 1:
             raise ValueError("to_samples requires a single-output PLA")
@@ -47,9 +47,11 @@ class PLA:
         for r, (cube, out) in enumerate(self.rows):
             if cube.mask != full_mask:
                 raise ValueError("PLA row is not a complete minterm")
+            if out not in ("0", "1"):
+                raise ValueError(f"PLA row {r}: output {out!r} is not 0 or 1")
             for i in range(self.n_inputs):
                 X[r, i] = (cube.value >> i) & 1
-            y[r] = 1 if out == "1" else 0
+            y[r] = int(out)
         return X, y
 
     @staticmethod
@@ -91,17 +93,25 @@ def read_pla(path: PathLike) -> PLA:
     input_labels = None
     output_labels = None
     rows: list[tuple[Cube, str]] = []
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("."):
             fields = line.split()
             keyword = fields[0]
-            if keyword == ".i":
-                n_inputs = int(fields[1])
-            elif keyword == ".o":
-                n_outputs = int(fields[1])
+            if keyword in (".i", ".o"):
+                try:
+                    count = int(fields[1])
+                except (IndexError, ValueError):
+                    raise ValueError(
+                        f"line {lineno}: {keyword} needs an integer count: {line!r}"
+                    ) from None
+                if keyword == ".i":
+                    n_inputs = count
+                else:
+                    n_outputs = count
             elif keyword == ".ilb":
                 input_labels = fields[1:]
             elif keyword == ".ob":

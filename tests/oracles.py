@@ -2,14 +2,18 @@
 
 Each function or class here is the straightforward version of a hot
 path that the library now implements differently; tests assert the
-library returns exactly what these return.  The seed optimization
-passes at the end are also the baseline ``bench_opt_engine.py`` races
-the engine against.  Do not optimize this module.
+library returns exactly what these return.  The reference helpers
+section holds checks and fixtures that left the package because no
+entry point ran them.  The seed optimization passes at the end are
+also the baseline ``bench_opt_engine.py`` races the engine against.
+Do not optimize this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy import stats
@@ -19,13 +23,14 @@ from repro.aig import isop as isop_lib
 from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
 from repro.aig.cuts import enumerate_cuts_with_truths as library_cuts
 from repro.aig.isop import cofactor0, cofactor1, full_mask, var_mask
+from repro.aig.opt.counting import replay
 from repro.aig.opt.passes import _map_lit, balance
 from repro.aig.opt.traverse import cut_truth
 from repro.cgp.genome import _IMPL, CGPGenome
 from repro.ml.decision_tree import DecisionTree, TreeNode, gini
 from repro.ml.metrics import accuracy
 from repro.ml.mlp import _act
-from repro.utils.bitops import pack_bits, popcount64
+from repro.utils.bitops import pack_bits, popcount64, rows_to_ints
 
 Cut = tuple[int, ...]
 
@@ -524,6 +529,149 @@ def cgp_run(evolver, X, y, generations=2000, seed_genome=None):
         evolver.log.fitness.append(parent_fit)
         evolver.log.mutation_rate.append(rate)
     return parent, fitness(parent, packed_full, y_packed_full, n)
+
+
+# ---------------------------------------------------------------------
+# Reference helpers: checks and fixtures no entry point runs
+# ---------------------------------------------------------------------
+def npn_apply(table: int, k: int, perm, phase: int, out_neg: bool) -> int:
+    """Apply an NPN transform to ``table``.
+
+    Returns the table ``g`` with ``g(y) = f(x) ^ out_neg`` where
+    ``x_i = y[perm[i]] ^ phase_i``; cross-checks ``npn_canon``.
+    """
+    out = 0
+    for m in range(1 << k):
+        src = 0
+        for i in range(k):
+            if ((m >> perm[i]) & 1) ^ ((phase >> i) & 1):
+                src |= 1 << i
+        if ((table >> src) & 1) ^ int(out_neg):
+            out |= 1 << m
+    return out
+
+
+def instantiate(library, sink, table: int, leaves: Sequence[int]) -> int:
+    """Realize ``table`` over leaf literals from ``library``'s recipe
+    for its NPN class, through ``sink.add_and``; returns the output."""
+    recipe, perm, phase, out_neg = library.lookup(table, len(leaves))
+    vals: list[int] = [CONST0] * (1 + len(leaves))
+    for i, leaf in enumerate(leaves):
+        vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
+    return replay(sink, recipe.nodes, recipe.out ^ out_neg, vals)
+
+
+def cover_table(cover, k: int) -> int:
+    """Truth table over ``k`` variables of an ISOP cover (OR of cubes
+    of ``(var, value)`` pairs)."""
+    table = 0
+    for cube in cover:
+        term = full_mask(k)
+        for var, value in cube:
+            m = var_mask(k, var)
+            term &= m if value else ~m & full_mask(k)
+        table |= term
+    return table
+
+
+def num_literals(cube) -> int:
+    """Bound inputs of a two-level ``Cube``."""
+    return bin(cube.mask).count("1")
+
+
+def contains_cube(outer, inner) -> bool:
+    """True if every minterm of cube ``inner`` is in cube ``outer``."""
+    if outer.mask & ~inner.mask:
+        return False
+    return (outer.value ^ inner.value) & outer.mask == 0
+
+
+def predict_quantized(model, X: np.ndarray) -> np.ndarray:
+    """Team 7's leaf quantization of a boosted ensemble: each tree
+    votes 1 when its leaf weight is positive, and the majority wins."""
+    X = np.asarray(X, dtype=np.uint8)
+    if not model.trees:
+        return np.full(X.shape[0], int(model.base_margin > 0), np.uint8)
+    bits = np.stack([tree.predict(X) > 0 for tree in model.trees], axis=1)
+    return (bits.sum(axis=1) * 2 >= bits.shape[1]).astype(np.uint8)
+
+
+def exact_shapley(predict, background: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact Shapley values by subset enumeration (small n only).
+
+    The value of a coalition S is the mean prediction with features in
+    S taken from ``x`` and the rest from each background row.
+    """
+    background = np.asarray(background)
+    x = np.asarray(x).ravel()
+    n = x.shape[0]
+    if n > 12:
+        raise ValueError("exact_shapley is exponential; use n <= 12")
+    cache: dict[frozenset, float] = {}
+
+    def value(subset) -> float:
+        key = frozenset(subset)
+        if key not in cache:
+            rows = np.array(background, copy=True)
+            for feat in subset:
+                rows[:, feat] = x[feat]
+            cache[key] = float(np.mean(predict(rows)))
+        return cache[key]
+
+    values = np.zeros(n)
+    for feat in range(n):
+        others = [f for f in range(n) if f != feat]
+        for size in range(n):
+            weight = 1.0 / (n * comb(n - 1, size))
+            for subset in combinations(others, size):
+                values[feat] += weight * (value(subset + (feat,)) - value(subset))
+    return values
+
+
+def ripple_chain(word_width: int = 4, n_nodes: int = 5000) -> AIG:
+    """Deep ripple-carry accumulator: the same input word added into a
+    ``word_width``-bit accumulator until ``n_nodes`` ANDs, a carry
+    chain thousands of levels deep over few inputs."""
+    aig = AIG(2 * word_width)
+    lits = aig.input_lits()
+    acc, word = lits[:word_width], lits[word_width:]
+    while aig.num_ands < n_nodes:
+        acc = build.ripple_adder(aig, acc, word)[:word_width]
+    for bit in acc:
+        aig.set_output(bit)
+    return aig
+
+
+def multiplier_low_bits(k: int, n_bits: int):
+    """``(n_inputs, n_outputs, label_fn)`` of the ``n_bits`` least
+    significant product bits of a k-bit multiplier, in the spec shape
+    ``make_multioutput_problem`` takes."""
+
+    def fn(X: np.ndarray) -> np.ndarray:
+        a = rows_to_ints(X[:, :k])
+        b = rows_to_ints(X[:, k:])
+        out = np.zeros((X.shape[0], n_bits), dtype=np.uint8)
+        for r, (av, bv) in enumerate(zip(a, b, strict=True)):
+            p = av * bv
+            for j in range(n_bits):
+                out[r, j] = (p >> j) & 1
+        return out
+
+    return 2 * k, n_bits, fn
+
+
+def parse_metrics_text(text: str) -> dict[str, float]:
+    """Parse a ``/metrics`` exposition blob into ``{name{labels}: value}``:
+    exact for what ``MetricsRegistry.render`` emits, not a general
+    Prometheus parser."""
+    out: dict[str, float] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, raw = line.rpartition(" ")
+        out[key] = float("inf") if raw == "+Inf" else float(raw)
+    return out
 
 
 # ---------------------------------------------------------------------

@@ -3,19 +3,12 @@
 import pytest
 
 from repro.aig.aig import AIG, lit_not
-from repro.aig.aiger import (
-    loads_aag,
-    read_aag,
-    read_aiger,
-    write_aag,
-    write_aiger,
-)
+from repro.aig.aiger import loads_aag, read_aag, write_aag
 from tests.conftest import random_aig
 
 
 @pytest.mark.parametrize("writer,reader", [
     (write_aag, read_aag),
-    (write_aiger, read_aiger),
 ])
 class TestRoundTrip:
     def test_random_graphs(self, writer, reader, tmp_path):
@@ -54,14 +47,6 @@ class TestFormatDetails:
         header = path.read_text().splitlines()[0]
         assert header == "aag 3 2 0 1 1"
 
-    def test_binary_smaller_than_ascii(self, tmp_path):
-        aig = random_aig(8, 300, seed=3)
-        a = tmp_path / "x.aag"
-        b = tmp_path / "x.aig"
-        write_aag(aig, a)
-        write_aiger(aig, b)
-        assert b.stat().st_size < a.stat().st_size
-
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.aag"
         path.write_text("xyz 1 1 0 1 0\n")
@@ -73,14 +58,6 @@ class TestFormatDetails:
         path.write_text("aag 2 1 1 1 0\n2\n4 2\n2\n")
         with pytest.raises(ValueError):
             read_aag(path)
-
-    def test_cross_format_equivalence(self, tmp_path):
-        aig = random_aig(5, 60, seed=11, n_outputs=2)
-        a = tmp_path / "x.aag"
-        b = tmp_path / "x.aig"
-        write_aag(aig, a)
-        write_aiger(aig, b)
-        assert read_aag(a).truth_tables() == read_aiger(b).truth_tables()
 
 
 class TestMalformedAag:

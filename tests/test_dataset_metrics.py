@@ -51,11 +51,6 @@ class TestDataset:
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.y, data.y)
 
-    def test_select_columns(self, rng):
-        data = self._make(rng)
-        sub = data.select_columns([0, 2])
-        assert sub.n_inputs == 2
-        assert np.array_equal(sub.X[:, 1], data.X[:, 2])
 
 
 class TestMetrics:

@@ -342,14 +342,14 @@ def test_recipe_programs_price_like_instantiate(shape, n_nodes, seed, k):
     lib = get_library()
     leaves = leaf_literals(aig, k, rnd)
     table = rnd.getrandbits(1 << k)
-    lib.instantiate(aig, rnd.getrandbits(1 << k), leaves)  # shared logic
+    oracles.instantiate(lib, aig, rnd.getrandbits(1 << k), leaves)  # shared logic
     recipe, perm, phase, out_neg = lib.lookup(table, k)
     vals = [0] * (1 + k)
     for i, leaf in enumerate(leaves):
         vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
     check_program(
         aig, recipe.nodes, recipe.out ^ out_neg, vals,
-        lambda sink: lib.instantiate(sink, table, leaves),
+        lambda sink: oracles.instantiate(lib, sink, table, leaves),
     )
 
 

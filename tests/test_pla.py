@@ -53,6 +53,21 @@ class TestParsing:
         with pytest.raises(ValueError):
             read_pla(path)
 
+    @pytest.mark.parametrize("directive", [".i", ".o", ".i x", ".o 1.5"])
+    def test_directive_without_integer_count(self, tmp_path, directive):
+        path = tmp_path / "bad.pla"
+        path.write_text(f"{directive}\n11 1\n.e\n", encoding="ascii")
+        with pytest.raises(ValueError, match=r"line \d+: \.[io] needs an integer count"):
+            read_pla(path)
+
+    @pytest.mark.parametrize("label", ["-", "x", "2"])
+    def test_to_samples_rejects_non_binary_output(self, tmp_path, label):
+        path = tmp_path / "bad.pla"
+        path.write_text(f".i 3\n.o 1\n111 {label}\n101 1\n.e\n", encoding="ascii")
+        pla = read_pla(path)
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            pla.to_samples()
+
     def test_to_samples_rejects_cube_rows(self):
         pla = PLA(3, 1)
         pla.add_row(Cube.from_string("1--"), "1")

@@ -27,12 +27,12 @@ from repro.serve import (
     QueueSaturated,
     ServeApp,
     ServerHandle,
-    parse_metrics_text,
 )
 from repro.serve.bundle import validate_rows
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.predict import format_outputs, predict_file, read_rows_file
 from repro.sim.batch import simulate_rows_grouped
+from tests.oracles import parse_metrics_text
 
 BENCHMARKS = [30, 74]
 FLOWS = ["team01", "team10"]
@@ -608,32 +608,6 @@ def test_solution_text_round_trip(tmp_path):
     )
     assert store.solution_text("b001:f:s0") == aag
     assert store.solution_text("b001:missing:s0") is None
-
-
-def test_solution_text_reads_legacy_pre_digest_files(tmp_path):
-    """Stores written before the digest suffix must keep serving."""
-    store = RunStore(tmp_path)
-    aig = AIG(2)
-    aig.set_output(aig.add_and(2, 4))
-    aag = dumps_aag(aig)
-    store.append(
-        {
-            "schema": 1,
-            "key": "b002:team01:s0",
-            "benchmark_name": "ex02",
-            "num_ands": 1,
-            "levels": 1,
-            "test_accuracy": 1.0,
-            "legal": True,
-        }
-    )
-    legacy = store.solutions_dir / "b002_team01_s0.aag"  # old naming
-    legacy.parent.mkdir(parents=True, exist_ok=True)
-    legacy.write_text(aag, encoding="ascii")
-    assert store.solution_path("b002:team01:s0") != legacy
-    assert store.solution_text("b002:team01:s0") == aag
-    ms = ModelStore(tmp_path)  # and the serving layer sees it too
-    assert ms.names() == ["ex02"]
 
 
 def test_bundle_from_files_explicit_meta(tmp_path):

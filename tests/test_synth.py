@@ -20,6 +20,7 @@ from repro.synth import (
     rules_to_aig,
     tree_to_aig,
 )
+from tests.oracles import predict_quantized
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ class TestEnsembleBridges:
         model = GradientBoostedTrees(n_estimators=19, max_depth=3).fit(X, y)
         aig = boosted_to_aig(model, exact_majority=True)
         assert np.array_equal(
-            aig.simulate(Xt)[:, 0], model.predict_quantized(Xt)
+            aig.simulate(Xt)[:, 0], predict_quantized(model, Xt)
         )
 
     def test_boosted_maj5_close_to_quantized(self, data):
@@ -85,7 +86,7 @@ class TestEnsembleBridges:
         model = GradientBoostedTrees(n_estimators=25, max_depth=3).fit(X, y)
         aig = boosted_to_aig(model, exact_majority=False)
         agree = (
-            aig.simulate(Xt)[:, 0] == model.predict_quantized(Xt)
+            aig.simulate(Xt)[:, 0] == predict_quantized(model, Xt)
         ).mean()
         assert agree > 0.9
 

@@ -60,6 +60,7 @@ from repro.serve import (
     ServeApp,
     ServerHandle,
 )
+from repro.serve.batching import DEFAULT_TICK_S
 from repro.serve.bundle import validate_rows
 from repro.sim.batch import simulate_rows_grouped
 
@@ -410,7 +411,8 @@ def _load_main(argv=None):
                              "1..64 and report the knee)")
     parser.add_argument("--max-queued-rows", type=int, default=None)
     parser.add_argument("--deadline-ms", type=float, default=None)
-    parser.add_argument("--tick-ms", type=float, default=2.0)
+    parser.add_argument("--tick-ms", type=float,
+                        default=DEFAULT_TICK_S * 1000.0)
     args = parser.parse_args(argv)
     if not args.load:
         parser.error("this entry point only implements --load")

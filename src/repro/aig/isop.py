@@ -37,27 +37,6 @@ def var_mask(k: int, i: int) -> int:
     return m
 
 
-def cofactor0(table: int, k: int, i: int) -> int:
-    """Cofactor with variable ``i`` = 0, expanded back over k vars."""
-    s = 1 << i
-    half = table & ~var_mask(k, i)
-    return half | (half << s)
-
-
-def cofactor1(table: int, k: int, i: int) -> int:
-    """Cofactor with variable ``i`` = 1, expanded back over k vars."""
-    s = 1 << i
-    half = table & var_mask(k, i)
-    return half | (half >> s)
-
-
-def support(table: int, k: int) -> list[int]:
-    """Variables the function actually depends on."""
-    return [
-        i for i in range(k) if cofactor0(table, k, i) != cofactor1(table, k, i)
-    ]
-
-
 @lru_cache(maxsize=32)
 def _split_masks(k: int) -> tuple[tuple[int, int, int], ...]:
     """Per variable ``i`` of ``k``: ``2**i`` and its 1- and 0-minterms."""

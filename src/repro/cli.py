@@ -48,6 +48,7 @@ from collections.abc import Sequence
 
 from repro.analysis import format_table3
 from repro.contest import DEFAULT_REGISTRY, evaluate_solution
+from repro.serve.batching import DEFAULT_TICK_S
 
 
 def _selected_specs(parser, patterns) -> list[object]:
@@ -364,8 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "or any directory of .aag files")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8080)
-    serve_p.add_argument("--tick-ms", type=float, default=2.0,
-                         help="microbatch window in milliseconds")
+    serve_p.add_argument("--tick-ms", type=float,
+                         default=DEFAULT_TICK_S * 1000.0,
+                         help="extra microbatch wait in milliseconds; 0 "
+                              "(the default) means flush on the next "
+                              "event-loop turn, a larger value trades "
+                              "latency for batch size")
     serve_p.add_argument("--max-batch", type=int, default=4096,
                          help="flush a model's queue at this many rows")
     serve_p.add_argument("--cache-size", type=int, default=32,

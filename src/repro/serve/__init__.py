@@ -13,8 +13,9 @@ Load (:mod:`repro.serve.bundle` / :mod:`repro.serve.store`)
 
 Batch (:mod:`repro.serve.batching`)
     :class:`MicroBatcher` coalesces concurrent predict requests per
-    model: a ~2 ms tick gathers a burst of single-row requests into
-    one numpy-packed engine pass
+    model: each queue flushes on the next event-loop turn, so a burst
+    of single-row requests that arrived while the loop was busy
+    becomes one numpy-packed engine pass
     (:func:`repro.sim.batch.simulate_rows_grouped`), amortizing
     packing and per-level dispatch across every row in flight.
     Results are bit-identical to per-request evaluation.

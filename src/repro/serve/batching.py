@@ -3,11 +3,17 @@
 Single-row HTTP requests are the worst case for a vectorized engine —
 every request would pay packing, per-level dispatch and Python
 overhead for one row of work.  The :class:`MicroBatcher` closes that
-gap: requests enqueue into a per-model queue and a short *tick* timer
-(default 2 ms) is armed on the first arrival; when it fires — or as
-soon as ``max_batch`` rows are waiting — the whole queue is flushed
-as **one** grouped engine pass, and each awaiting caller receives
-exactly its own slice of the result.
+gap: requests enqueue into a per-model queue and a *tick* timer is
+armed on the first arrival; when it fires — or as soon as
+``max_batch`` rows are waiting — the whole queue is flushed as **one**
+grouped engine pass, and each awaiting caller receives exactly its own
+slice of the result.
+
+The default tick, :data:`DEFAULT_TICK_S`, is 0: the flush runs on the
+next event-loop turn and takes every request that arrived while the
+loop was busy, with no fixed wait.  A positive tick is an extra wait
+that trades latency for batch size; on sparse traffic it coalesces
+nothing and every request pays all of it.
 
 The flush runs the engine synchronously on the event loop. At
 serving batch sizes one grouped pass takes well under a millisecond,
@@ -48,6 +54,9 @@ from repro.serve.bundle import validate_rows
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import ModelStore
 from repro.sim.batch import simulate_rows_grouped
+
+#: The default tick: flush a model's queue on the next event-loop turn.
+DEFAULT_TICK_S = 0.0
 
 
 class QueueSaturated(Exception):
@@ -90,9 +99,10 @@ class MicroBatcher:
     store:
         The :class:`~repro.serve.store.ModelStore` to serve from.
     tick_s:
-        How long the first request of a batch waits for company.
-        ``0`` still coalesces bursts: the flush callback runs on the
-        next loop iteration, after every already-scheduled enqueue.
+        How long the first request of a batch waits for company.  The
+        default ``0`` still coalesces bursts: the flush callback runs
+        on the next loop iteration, after every already-scheduled
+        enqueue.  A larger value trades latency for batch size.
     max_batch:
         Flush immediately once this many rows are queued for a model.
     max_queued_rows:
@@ -112,7 +122,7 @@ class MicroBatcher:
     def __init__(
         self,
         store: ModelStore,
-        tick_s: float = 0.002,
+        tick_s: float = DEFAULT_TICK_S,
         max_batch: int = 4096,
         max_queued_rows: int | None = None,
         deadline_s: float | None = None,

@@ -18,8 +18,9 @@ A deliberately small HTTP/1.1 server (no third-party dependencies —
     "outputs": [[...], ...]}``.  Outputs are bit-identical to
     ``AIG.simulate`` on the same rows — the handler only queues rows
     into the shared :class:`~repro.serve.batching.MicroBatcher`, which
-    coalesces concurrent requests into one engine pass per model per
-    tick, run inline on the event loop.
+    coalesces concurrent requests into one engine pass per model,
+    flushed on the next event-loop turn (or after ``tick_s``) and run
+    inline on the event loop.
 
 Error statuses are *classified*: a malformed request is that
 caller's 400; a saturated queue or an expired queue deadline is a 503
@@ -42,6 +43,7 @@ import time
 from typing import Any
 
 from repro.serve.batching import (
+    DEFAULT_TICK_S,
     DeadlineExceeded,
     ExecutionError,
     MicroBatcher,
@@ -90,7 +92,7 @@ class ServeApp:
     def __init__(
         self,
         store: ModelStore | str,
-        tick_s: float = 0.002,
+        tick_s: float = DEFAULT_TICK_S,
         max_batch: int = 4096,
         cache_size: int = 32,
         max_queued_rows: int | None = None,

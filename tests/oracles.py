@@ -22,7 +22,7 @@ from repro.aig import build
 from repro.aig import isop as isop_lib
 from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
 from repro.aig.cuts import enumerate_cuts_with_truths as library_cuts
-from repro.aig.isop import cofactor0, cofactor1, full_mask, var_mask
+from repro.aig.isop import full_mask, var_mask
 from repro.aig.opt.counting import replay
 from repro.aig.opt.passes import _map_lit, balance
 from repro.aig.opt.traverse import cut_truth
@@ -124,6 +124,27 @@ def enumerate_cuts_with_truths(
 # ---------------------------------------------------------------------
 # ISOP: the recursive Minato-Morreale procedure
 # ---------------------------------------------------------------------
+def cofactor0(table: int, k: int, i: int) -> int:
+    """Cofactor with variable ``i`` = 0, expanded back over k vars."""
+    s = 1 << i
+    half = table & ~var_mask(k, i)
+    return half | (half << s)
+
+
+def cofactor1(table: int, k: int, i: int) -> int:
+    """Cofactor with variable ``i`` = 1, expanded back over k vars."""
+    s = 1 << i
+    half = table & var_mask(k, i)
+    return half | (half >> s)
+
+
+def support(table: int, k: int) -> list[int]:
+    """Variables the function actually depends on."""
+    return [
+        i for i in range(k) if cofactor0(table, k, i) != cofactor1(table, k, i)
+    ]
+
+
 def isop(lower: int, upper: int, k: int):
     return _isop(lower, upper, k, k)
 

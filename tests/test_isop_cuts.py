@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from repro.aig.cuts import enumerate_cuts_with_truths
-from repro.aig.isop import (
-    cofactor0,
-    cofactor1,
-    full_mask,
-    isop,
-    support,
-    var_mask,
-)
+from repro.aig.isop import full_mask, isop, var_mask
 from repro.aig.opt.traverse import cut_truth, ffc_cones
 from tests.conftest import random_aig
-from tests.oracles import cover_table
+from tests.oracles import cofactor0, cofactor1, cover_table, support
 
 
 def _cuts(aig, k):

@@ -15,8 +15,10 @@ walk proves each one is imported).  A definition is reached when
 reached code spells its name: as a ``Name``, as an ``Attribute``, in an
 ``import`` outside a package ``__init__``, or as a word of a string
 constant (spec strings, ``getattr``).  Its body is then reached too,
-iterated to a fixpoint.  A package ``__init__``'s imports and
-``__all__`` are not uses: a re-export alone keeps nothing alive.
+iterated to a fixpoint.  A docstring, or any other string that stands
+alone as a statement, is prose and spells nothing.  A package
+``__init__``'s imports and ``__all__`` are not uses: a re-export alone
+keeps nothing alive.
 Dunders and ``visit_*`` methods (dispatched by ``ast.NodeVisitor``) are
 exempt, and ``PUBLIC_API`` lists the few definitions kept for outside
 callers, each with its reason.  Known limit: names are not resolved to
@@ -152,6 +154,9 @@ def _scan(nodes, qualname: str, uses: set[str], found: list[Definition],
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             continue
+        # A docstring (or any bare string statement) is prose, not a use.
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
         if isinstance(node, ast.Name):
             uses.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -236,6 +241,7 @@ def test_walk_finds_dead_definitions(tmp_path):
     (pkg / "cli.py").write_text(
         "from .core import Runner\n"
         "def main():\n"
+        "    \"\"\"Prose may name prose_only; that is not a call.\"\"\"\n"
         "    Runner().go()\n"
         "    return {'spec': 'by_string'}\n"
         "if __name__ == '__main__':\n"
@@ -261,6 +267,8 @@ def test_walk_finds_dead_definitions(tmp_path):
         "    pass\n"
         "def tested():\n"          # 18: only a test uses it
         "    pass\n"
+        "def prose_only():\n"      # 20: only a docstring names it
+        "    pass\n"
     )
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_core.py").write_text(
@@ -274,6 +282,7 @@ def test_walk_finds_dead_definitions(tmp_path):
         "src/demo/core.py:3 demo.core.dead_root",
         "src/demo/core.py:5 demo.core.dead_leaf",
         "src/demo/core.py:18 demo.core.tested",
+        "src/demo/core.py:20 demo.core.prose_only",
     ]
 
 def test_every_repro_definition_is_reachable():

@@ -28,6 +28,7 @@ from repro.serve import (
     ServeApp,
     ServerHandle,
 )
+from repro.serve.batching import DEFAULT_TICK_S
 from repro.serve.bundle import validate_rows
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.predict import format_outputs, predict_file, read_rows_file
@@ -283,7 +284,7 @@ def test_microbatcher_coalesces_concurrent_singles(model_store):
     expected = circuit.run(rows)
 
     async def drive():
-        batcher = MicroBatcher(model_store, tick_s=0.05)
+        batcher = MicroBatcher(model_store)
         outs = await asyncio.gather(
             *(batcher.predict("ex74", rows[i]) for i in range(len(rows)))
         )
@@ -292,11 +293,46 @@ def test_microbatcher_coalesces_concurrent_singles(model_store):
     batcher, outs = asyncio.run(drive())
     for i, out in enumerate(outs):
         assert np.array_equal(out[0], expected[i])
-    # All 8 requests arrived within one tick: exactly one engine pass.
+    # All 8 requests were queued in one loop turn, and the default tick
+    # flushes on the next one: exactly one engine pass.
     stats = batcher.stats()
     assert stats["batches"] == 1
     assert stats["max_coalesced"] == 8
     assert stats["rows_served"] == 8
+
+
+def test_default_tick_resolves_on_the_next_loop_turns(model_store):
+    row = _random_rows(1, 16, seed=5)
+    expected = model_store.load("ex74").run(row)
+
+    async def within_five_turns(batcher):
+        task = asyncio.ensure_future(batcher.predict("ex74", row))
+        for _ in range(5):
+            await asyncio.sleep(0)
+            if task.done():
+                return task.result()
+        task.cancel()
+        return None
+
+    async def drive():
+        # No wall-clock wait: the default flush is one loop turn away,
+        # while a tick far beyond the test budget parks the request.
+        return (await within_five_turns(MicroBatcher(model_store)),
+                await within_five_turns(MicroBatcher(model_store, tick_s=5.0)))
+
+    out, parked = asyncio.run(drive())
+    assert out is not None and np.array_equal(out, expected)
+    assert parked is None
+
+
+def test_tick_defaults_agree(model_store):
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(["serve", "--store", "x"])
+    assert DEFAULT_TICK_S == 0.0
+    assert MicroBatcher(model_store).tick_s == DEFAULT_TICK_S
+    assert ServeApp(model_store).batcher.tick_s == DEFAULT_TICK_S
+    assert args.tick_ms / 1000.0 == DEFAULT_TICK_S
 
 
 def test_microbatcher_max_batch_flushes_early(model_store):
@@ -339,7 +375,7 @@ def test_microbatcher_rejects_bad_rows_before_enqueue(model_store):
 
 @pytest.fixture()
 def served(model_store):
-    app = ServeApp(model_store, tick_s=0.002)
+    app = ServeApp(model_store)
     with ServerHandle(app) as handle:
         yield handle
 
@@ -666,7 +702,7 @@ def test_http_flush_failure_is_500_not_400(model_store, monkeypatch):
         raise RuntimeError("engine exploded")
 
     monkeypatch.setattr(batching_mod, "simulate_rows_grouped", boom)
-    app = ServeApp(model_store, tick_s=0.002)
+    app = ServeApp(model_store)
     with ServerHandle(app) as handle:
         status, body = _request(
             handle, "POST", "/predict/ex74",
@@ -678,7 +714,7 @@ def test_http_flush_failure_is_500_not_400(model_store, monkeypatch):
     # ...while a genuinely malformed request stays a 400: the bad rows
     # never reach the (broken) engine because validation happens at
     # enqueue time, not at flush time.
-    app2 = ServeApp(model_store, tick_s=0.002)
+    app2 = ServeApp(model_store)
     with ServerHandle(app2) as handle:
         status, body = _request(
             handle, "POST", "/predict/ex74",
@@ -797,7 +833,7 @@ def test_http_deadline_returns_503_before_flush(model_store):
 
 
 def test_metrics_reconcile_with_requests_handled(model_store):
-    app = ServeApp(model_store, tick_s=0.002)
+    app = ServeApp(model_store)
     with ServerHandle(app) as handle:
         for _ in range(3):
             assert _request(handle, "GET", "/healthz")[0] == 200

@@ -43,9 +43,9 @@ def lit_not(lit: int) -> int:
     return lit ^ 1
 
 
-def lit_make(var: int, compl: bool = False) -> int:
-    """Literal for variable ``var``, optionally complemented."""
-    return (var << 1) | int(compl)
+def lit_make(var: int) -> int:
+    """Positive literal for variable ``var``."""
+    return var << 1
 
 
 class GateOps:
@@ -347,7 +347,7 @@ class AIG(GateOps):
         """
         return self.compiled().run(samples)
 
-    def truth_tables(self, n_vars: int | None = None) -> list[int]:
+    def truth_tables(self) -> list[int]:
         """Exhaustive truth table of each output as a Python int.
 
         Bit ``m`` of the result is the output value on the input
@@ -355,12 +355,12 @@ class AIG(GateOps):
         the least significant digit).  Only sensible for small input
         counts (``n_inputs <= 20``).
         """
-        n = self.n_inputs if n_vars is None else n_vars
+        n = self.n_inputs
         if n > 20:
             raise ValueError("truth tables limited to 20 inputs")
         n_rows = 1 << n
-        grid = np.zeros((n_rows, self.n_inputs), dtype=np.uint8)
-        for i in range(min(n, self.n_inputs)):
+        grid = np.zeros((n_rows, n), dtype=np.uint8)
+        for i in range(n):
             period = 1 << (i + 1)
             pattern = np.zeros(period, dtype=np.uint8)
             pattern[1 << i :] = 1

@@ -162,19 +162,17 @@ def _fanouts(
 
 def approximate_to_size(
     aig: AIG,
-    max_ands: int = 5000,
-    n_patterns: int = 4096,
-    level_margin: int = 3,
+    max_ands: int,
     rng: np.random.Generator | None = None,
     patterns: np.ndarray | None = None,
 ) -> AIG:
     """Shrink the graph below ``max_ands`` by constant substitution.
 
-    Follows Team 1's recipe: simulate ``n_patterns`` random patterns,
-    rank AND nodes by how skewed their value distribution is, replace
-    the most skewed node(s) by their majority constant, garbage-collect
-    and repeat.  Nodes within ``level_margin`` levels of the deepest
-    output are excluded; if no candidate remains the margin is relaxed.
+    Follows Team 1's recipe: simulate 4096 random patterns, rank AND
+    nodes by how skewed their value distribution is, replace the most
+    skewed node(s) by their majority constant, garbage-collect and
+    repeat.  Nodes within 3 levels of the deepest output are excluded;
+    if no candidate remains the margin is relaxed.
 
     ``patterns`` (a 0/1 sample matrix) replaces the uniform random
     stimuli.  When the circuit will only ever see inputs from a
@@ -192,7 +190,7 @@ def approximate_to_size(
         fixed_packed = pack_bits(patterns)
         n_samples = patterns.shape[0]
         pad = n_samples % 64
-    n_words = (n_patterns + 63) // 64
+    n_words = 4096 // 64
     while aig.num_ands > max_ands:
         if patterns is not None:
             values = aig.simulate_packed_all(fixed_packed)
@@ -211,7 +209,7 @@ def approximate_to_size(
         levels = aig.levels()
         depth = int(levels.max(initial=0))
         base = aig.n_inputs + 1
-        margin = level_margin
+        margin = 3
         candidates = np.array([], dtype=np.int64)
         while candidates.size == 0 and margin >= 0:
             level_ok = levels[base:] <= depth - margin

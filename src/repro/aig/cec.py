@@ -16,10 +16,9 @@ from repro.utils.rng import rng_for
 
 
 def simulate_differs(
-    a: AIG, b: AIG, n_patterns: int = 4096,
-    rng: np.random.Generator | None = None,
+    a: AIG, b: AIG, rng: np.random.Generator | None = None,
 ) -> np.ndarray | None:
-    """Random-simulation counterexample search.
+    """Random-simulation counterexample search over 4096 patterns.
 
     Returns an input row where the graphs differ, or None if none was
     found (which is *not* a proof of equivalence).
@@ -28,7 +27,7 @@ def simulate_differs(
         raise ValueError("interface mismatch")
     if rng is None:
         rng = rng_for("cec")
-    X = rng.integers(0, 2, size=(n_patterns, a.n_inputs)).astype(np.uint8)
+    X = rng.integers(0, 2, size=(4096, a.n_inputs)).astype(np.uint8)
     # Pack the pattern matrix once and run both circuits against the
     # shared packed words (repro.sim batched evaluation).
     out_a, out_b = simulate_circuits([a, b], X)
@@ -67,8 +66,7 @@ def _output_bdd(aig: AIG, manager, output: int) -> int:
 
 
 def check_equivalence(
-    a: AIG, b: AIG, n_patterns: int = 4096,
-    rng: np.random.Generator | None = None,
+    a: AIG, b: AIG, rng: np.random.Generator | None = None,
 ) -> tuple[bool, np.ndarray | None]:
     """Prove or refute equivalence.
 
@@ -78,7 +76,7 @@ def check_equivalence(
     """
     from repro.bdd.bdd import BDD
 
-    cex = simulate_differs(a, b, n_patterns=n_patterns, rng=rng)
+    cex = simulate_differs(a, b, rng=rng)
     if cex is not None:
         return False, cex
     manager = BDD(a.n_inputs)

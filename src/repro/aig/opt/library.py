@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.aig.aig import AIG, CONST0
 from repro.aig.isop import full_mask
-from repro.aig.opt.npn import MAX_NPN_VARS, npn_canon
+from repro.aig.opt.npn import npn_canon
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class NpnLibrary:
     synthesized at most once no matter how many circuits are rewritten.
     """
 
-    def __init__(self, max_vars: int = MAX_NPN_VARS):
-        self.max_vars = max_vars
+    def __init__(self):
         self._recipes: dict[tuple[int, int], Recipe] = {}
         # (k, table) -> (recipe, perm, phase, out_neg): canonicalization
         # and recipe lookup collapsed into one dict hit, since lookup()

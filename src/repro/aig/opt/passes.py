@@ -46,7 +46,8 @@ from repro.aig.build import lut_choice
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask
 from repro.aig.opt.counting import price, replay
-from repro.aig.opt.library import NpnLibrary, get_library
+from repro.aig.opt.library import get_library
+from repro.aig.opt.npn import MAX_NPN_VARS
 from repro.aig.opt.traverse import bounded_cut, cone_truth, cut_truth, ffc_cones
 from repro.utils.rng import rng_for
 
@@ -140,22 +141,14 @@ def _gather_and_leaves(aig: AIG, var: int, fanout: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------
 # rewrite
 # ---------------------------------------------------------------------
-def rewrite(
-    aig: AIG,
-    k: int = 4,
-    max_cuts: int = 8,
-    library: NpnLibrary | None = None,
-) -> AIG:
+def rewrite(aig: AIG) -> AIG:
     """DAG-aware NPN-library cut rewriting (ABC ``rewrite`` analogue).
 
-    Cuts up to ``lib.max_vars`` leaves (4 by default) are priced
-    through the NPN library; wider cuts — the seed supported any
-    ``k`` — fall back to mutation-free ISOP pricing, so the public
-    ``k`` parameter keeps its old range.
+    Up to 8 cuts of up to 4 leaves per node, each priced through the
+    NPN library.
     """
-    lib = library if library is not None else get_library()
-    node_cuts = enumerate_cuts_with_truths(aig, k=k, max_cuts=max_cuts)
-    max_vars, lookup = lib.max_vars, lib.lookup
+    node_cuts = enumerate_cuts_with_truths(aig, k=MAX_NPN_VARS, max_cuts=8)
+    lookup = get_library().lookup
     new = AIG(aig.n_inputs)
     strash = new._strash
     mapping = [0] * aig.num_vars
@@ -182,18 +175,12 @@ def rewrite(
             # A candidate only wins with strictly fewer new nodes, so
             # price it with that budget and abandon it at the first
             # node that cannot be shared.
-            if n <= max_vars:
-                recipe, perm, phase, out_neg = lookup(table, n)
-                vals = [CONST0] * (1 + n)
-                for i, leaf in enumerate(cut):
-                    vals[1 + perm[i]] = mapping[leaf] ^ ((phase >> i) & 1)
-                program = (recipe.nodes, recipe.out ^ out_neg)
-                priced = price(*program, vals, strash, next_var, best_cost - 1)
-            else:
-                vals = [CONST0, *(mapping[leaf] for leaf in cut)]
-                priced = lut_choice(new, table, vals[1:], budget=best_cost - 1)
-                if priced is not None:
-                    program = priced[1]
+            recipe, perm, phase, out_neg = lookup(table, n)
+            vals = [CONST0] * (1 + n)
+            for i, leaf in enumerate(cut):
+                vals[1 + perm[i]] = mapping[leaf] ^ ((phase >> i) & 1)
+            program = (recipe.nodes, recipe.out ^ out_neg)
+            priced = price(*program, vals, strash, next_var, best_cost - 1)
             if priced is not None and priced[0] < best_cost:
                 best_cost = priced[0]
                 best = (program, vals)
@@ -326,8 +313,9 @@ def fraig_lite(
 # ---------------------------------------------------------------------
 # compress
 # ---------------------------------------------------------------------
-def compress(aig: AIG, max_rounds: int = 3) -> AIG:
-    """Iterated optimization script (``resyn2``/``compress2rs`` role).
+def compress(aig: AIG) -> AIG:
+    """Iterated optimization script (``resyn2``/``compress2rs`` role):
+    at most three rounds of the four passes.
 
     Guaranteed not to increase the used-node count.
     """
@@ -337,7 +325,7 @@ def compress(aig: AIG, max_rounds: int = 3) -> AIG:
     # its input, so a pass handed the graph it already ran on (nothing
     # was adopted since) would return what was rejected then: skip it.
     last_input: list[AIG | None] = [None] * len(passes)
-    for _ in range(max_rounds):
+    for _ in range(3):
         size_before = best.num_ands
         # No trailing rewrite (the seed script had one): the round
         # loop iterates to a fixpoint, so the next round's rewrite

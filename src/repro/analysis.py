@@ -42,19 +42,15 @@ def pareto_curve(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 
 def accuracy_size_tradeoff(
     scores_by_team: dict[str, list[Score]],
-    accuracy_grid: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
     """Fig. 2's virtual-best trade-off curve.
 
     A Lagrangian sweep: for each multiplier, pick per benchmark the
     legal solution (across all teams) maximizing ``accuracy - lam *
-    size`` and average; the swept averages reduce to a Pareto
-    frontier.  Without ``accuracy_grid`` the full frontier is
-    returned.  With it, the frontier is sampled at the given target
-    accuracies: one ``(size, target)`` point per target, where size is
-    the smallest average size reaching that accuracy (NaN when the
-    target is unreachable) — the form the paper's Fig. 2 annotations
-    quote ("~x ANDs buy y% accuracy").
+    size`` and average; the swept averages reduce to the returned
+    Pareto frontier.  :func:`size_needed_for_accuracy` reads it at a
+    target accuracy, the form the paper's Fig. 2 annotations quote
+    ("~x ANDs buy y% accuracy").
     """
     by_benchmark: dict[str, list[Score]] = {}
     for scores in scores_by_team.values():
@@ -75,14 +71,7 @@ def accuracy_size_tradeoff(
             total_size += best.num_ands
         n = len(by_benchmark)
         curve.append((total_size / n, total_acc / n))
-    # Reduce to the Pareto frontier.
-    frontier = pareto_curve(curve)
-    if accuracy_grid is None:
-        return frontier
-    return [
-        (size_needed_for_accuracy(frontier, target), float(target))
-        for target in accuracy_grid
-    ]
+    return pareto_curve(curve)
 
 
 def size_needed_for_accuracy(
@@ -106,15 +95,14 @@ def per_benchmark_best(
 
 
 def win_rates(
-    scores_by_team: dict[str, list[Score]], top_tolerance: float = 0.01
+    scores_by_team: dict[str, list[Score]],
 ) -> dict[str, dict[str, int]]:
     """Fig. 4: per team, #benchmarks where it is best / near the top.
 
-    ``top_tolerance`` is an **absolute** accuracy margin, not a
-    relative one: the default 0.01 counts a team as "top1pct" when its
-    test accuracy is within one accuracy *point* of the per-benchmark
-    best (e.g. best 0.90 admits >= 0.89), matching the paper's "within
-    1% of the best" reading.  Exact ties at the top all count as
+    The margin is an **absolute** 0.01: a team counts as "top1pct"
+    when its test accuracy is within one accuracy *point* of the
+    per-benchmark best (e.g. best 0.90 admits >= 0.89), matching the
+    paper's "within 1% of the best" reading.  Exact ties at the top all count as
     "best" — and every "best" team trivially also counts as "top1pct".
 
     Multi-trial runs contribute one comparison per (benchmark, trial),
@@ -145,7 +133,7 @@ def win_rates(
         for t in winners:
             out[t]["best"] += 1
         for t, e in entries.items():
-            if e.test_accuracy >= top - top_tolerance:
+            if e.test_accuracy >= top - 0.01:
                 out[t]["top1pct"] += 1
     return out
 

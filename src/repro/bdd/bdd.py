@@ -187,12 +187,11 @@ class BDD:
             stack.append(self.high(f))
         return len(seen)
 
-    def to_aig(self, node: int, aig=None):
+    def to_aig(self, node: int):
         """Compile to a MUX-tree AIG (one MUX per BDD node)."""
         from repro.aig.aig import AIG
 
-        if aig is None:
-            aig = AIG(self.n_vars)
+        aig = AIG(self.n_vars)
         memo: dict[int, int] = {FALSE: 0, TRUE: 1}
 
         def rec(f: int) -> int:

@@ -51,9 +51,11 @@ def minimize_dontcare(
     f: int,
     c: int,
     complemented: bool = False,
-    complement_bias: int = 100,
 ) -> int:
-    """Two-sided (and optionally complemented) sibling matching."""
+    """Two-sided (and optionally complemented) sibling matching.
+
+    A complemented match is taken only when it saves more than 100
+    nodes over the straight one."""
     cache: dict[tuple[int, int], int] = {}
 
     def rec(f: int, c: int) -> int:
@@ -94,7 +96,7 @@ def minimize_dontcare(
             comp = bdd.mk(var, g, bdd.not_(g))
         if straight is not None and comp is not None:
             if (
-                bdd.count_nodes(comp) + complement_bias
+                bdd.count_nodes(comp) + 100
                 < bdd.count_nodes(straight)
             ):
                 return comp

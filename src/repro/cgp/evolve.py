@@ -146,14 +146,13 @@ def evolve_from_aig(
     X: np.ndarray,
     y: np.ndarray,
     generations: int = 2000,
-    n_nodes: int | None = None,
     rng: np.random.Generator | None = None,
     **kwargs,
 ) -> tuple[CGPGenome, float]:
     """Bootstrapped evolution: seed the population from an AIG."""
     if rng is None:
         rng = np.random.default_rng(0)
-    seed = CGPGenome.from_aig(aig, n_nodes=n_nodes, rng=rng)
+    seed = CGPGenome.from_aig(aig, rng=rng)
     evolver = CGPEvolver(
         n_nodes=seed.n_nodes, rng=rng, **kwargs
     )

@@ -258,22 +258,18 @@ class CGPGenome:
     @staticmethod
     def from_aig(
         aig: AIG,
-        n_nodes: int | None = None,
         rng: np.random.Generator | None = None,
         function_set: Sequence[str] = AIG_FUNCTIONS,
     ) -> "CGPGenome":
         """Bootstrap a genome from an AIG (Team 9's initialization).
 
-        The AIG's used AND nodes occupy the genome prefix; remaining
-        node slots (``n_nodes`` defaults to twice the AIG size, per the
-        write-up) are randomized and non-functional.
+        The AIG's used AND nodes occupy the genome prefix; the remaining
+        node slots (twice the AIG size in all, per the write-up) are
+        randomized and non-functional.
         """
         compact = aig.extract_cone([aig.outputs[0]])
         needed = compact.num_ands + 2  # room for output NOT / constants
-        if n_nodes is None:
-            n_nodes = max(2 * compact.num_ands, needed, 8)
-        if n_nodes < needed:
-            raise ValueError(f"need at least {needed} genome nodes")
+        n_nodes = max(2 * compact.num_ands, needed, 8)
         if rng is None:
             rng = np.random.default_rng(0)
         g = CGPGenome.random(compact.n_inputs, n_nodes, rng, function_set)

@@ -48,7 +48,6 @@ from collections.abc import Sequence
 
 from repro.analysis import format_table3
 from repro.contest import DEFAULT_REGISTRY, evaluate_solution
-from repro.serve.batching import DEFAULT_TICK_S
 
 
 def _selected_specs(parser, patterns) -> list[object]:
@@ -365,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "or any directory of .aag files")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8080)
-    serve_p.add_argument("--tick-ms", type=float,
-                         default=DEFAULT_TICK_S * 1000.0,
+    # repro.serve.batching.DEFAULT_TICK_S, spelled here so that every
+    # other command starts without loading the serving package.
+    serve_p.add_argument("--tick-ms", type=float, default=0.0,
                          help="extra microbatch wait in milliseconds; 0 "
                               "(the default) means flush on the next "
                               "event-loop turn, a larger value trades "
@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "unbounded)")
     serve_p.add_argument("--deadline-ms", type=float, default=None,
                          help="fail requests still queued after this "
-                              "long with 503 (default: no deadline)")
+                              "long with 503; needs a positive --tick-ms "
+                              "(default: no deadline)")
 
     predict_p = sub.add_parser(
         "predict", help="offline batch scoring: rows file in, "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
+from repro.contest.problem import LearningProblem, Solution
 from repro.ml.metrics import accuracy
 from repro.sim.batch import output_predictions
 
@@ -59,7 +59,6 @@ def _check_interface(problem: LearningProblem, solution: Solution) -> None:
 def evaluate_solutions(
     problem: LearningProblem,
     solutions: Sequence[Solution],
-    max_nodes: int = MAX_AND_NODES,
 ) -> list[Score]:
     """Score many solutions on one benchmark in a single batched pass.
 
@@ -93,7 +92,7 @@ def evaluate_solutions(
                 ),
                 num_ands=aig.count_used_ands(),
                 levels=aig.depth(),
-                legal=solution.is_legal(max_nodes),
+                legal=solution.is_legal(),
             )
         )
     return scores
@@ -102,10 +101,9 @@ def evaluate_solutions(
 def evaluate_solution(
     problem: LearningProblem,
     solution: Solution,
-    max_nodes: int = MAX_AND_NODES,
 ) -> Score:
     """Score a solution on all three sample sets (one simulation pass)."""
-    return evaluate_solutions(problem, [solution], max_nodes)[0]
+    return evaluate_solutions(problem, [solution])[0]
 
 
 def summarize(scores: Iterable[Score]) -> dict[str, float]:

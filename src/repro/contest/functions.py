@@ -168,18 +168,18 @@ def t481_like() -> LabelFn:
     return brand_label_fn(fn, 16, "t481_like")
 
 
-def cordic_sign(angle_bits: int = 12, value_bits: int = 11,
-                output: str = "sin_ge") -> LabelFn:
+def cordic_sign(output: str = "sin_ge") -> LabelFn:
     """CORDIC benchmark substitute (MCNC ``cordic``, ex70/ex71).
 
-    Inputs are an ``angle_bits``-bit phase word and a ``value_bits``-bit
-    threshold.  A fixed-iteration integer CORDIC rotation computes
-    sin/cos of the phase; the output compares it to the threshold:
+    Inputs are a 12-bit phase word and an 11-bit threshold.  A
+    fixed-iteration integer CORDIC rotation computes sin/cos of the
+    phase; the output compares it to the threshold:
     ``sin_ge`` -> sin(theta) >= v, ``cos_ge`` -> cos(theta) >= v
     (both in signed fixed point).
     """
     if output not in ("sin_ge", "cos_ge"):
         raise ValueError("output must be 'sin_ge' or 'cos_ge'")
+    angle_bits, value_bits = 12, 11
     iterations = 14
     scale = 1 << 14
     # Pre-computed arctan table in turn units scaled by 2**angle_bits.

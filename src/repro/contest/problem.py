@@ -51,5 +51,5 @@ class Solution:
     def num_ands(self) -> int:
         return self.aig.count_used_ands()
 
-    def is_legal(self, max_nodes: int = MAX_AND_NODES) -> bool:
-        return self.num_ands <= max_nodes
+    def is_legal(self) -> bool:
+        return self.num_ands <= MAX_AND_NODES

@@ -55,19 +55,17 @@ def random_cone_function(
     n_inputs: int,
     flavour: str = "control",
     seed: int = 0,
-    balance_range=(0.35, 0.65),
     density: int = 3,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """A balanced random logic-cone labelling function.
 
-    Resamples (new derived seeds) until the cone output is balanced on
-    a 2048-sample probe, then freezes the cone.  ``density`` scales the
-    node budget (``max(24, density * n_inputs)``) — the registry's
-    swept-entropy knob: denser cones mix inputs more and are harder to
-    learn.  The paper's cones use the default density 3, whose RNG
+    Resamples (new derived seeds) until the cone output's onset
+    fraction on a 2048-sample probe is in [0.35, 0.65], then freezes
+    the cone.  ``density`` scales the node budget (``max(24, density *
+    n_inputs)``) — the registry's swept-entropy knob: denser cones mix
+    inputs more and are harder to learn.  The paper's cones use the default density 3, whose RNG
     stream is unchanged; other densities derive their own stream.
     """
-    lo, hi = balance_range
     if density < 1:
         raise ValueError("density must be >= 1")
     n_nodes = max(24, density * n_inputs)
@@ -80,7 +78,7 @@ def random_cone_function(
         aig = _random_cone(n_inputs, n_nodes, flavour, rng)
         probe = rng.integers(0, 2, size=(2048, n_inputs)).astype(np.uint8)
         frac = float(aig.simulate(probe)[:, 0].mean())
-        if lo <= frac <= hi:
+        if 0.35 <= frac <= 0.65:
             break
     else:
         raise RuntimeError(

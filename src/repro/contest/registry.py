@@ -69,13 +69,11 @@ class MaterialCache:
     serving ten benchmarks).  LRU eviction bounds the heavy state —
     balanced random cones, prototype image models — that the
     pre-registry suite tuple pinned for process lifetime in every
-    worker.
+    worker, to 32 entries.
     """
 
-    def __init__(self, maxsize: int = 32):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+    def __init__(self):
+        self.maxsize = 32
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self.hits = 0
         self.builds = 0
@@ -351,10 +349,10 @@ def unique_uniform_rows(
 class ProblemRegistry:
     """Named problems + generator families + the material cache."""
 
-    def __init__(self, cache_size: int = 32):
+    def __init__(self):
         self.families: dict[str, GeneratorFamily] = {}
         self._named: OrderedDict[str, ProblemSpec] = OrderedDict()
-        self.cache = MaterialCache(cache_size)
+        self.cache = MaterialCache()
 
     # -- registration ------------------------------------------------
 

@@ -25,7 +25,6 @@ DEFAULT_WORKER_ZONES: dict[str, frozenset[str]] = {
         "run_task",
         "make_task_problem",
         "_cached_problem",
-        "dataset_fingerprint",
     }),
 }
 
@@ -57,7 +56,7 @@ def _worker_name_matches(name: str) -> bool:
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Scoping knobs; tests build narrowed instances."""
+    """The scoping tables above, as one object the rules consult."""
 
     worker_zones: dict[str, frozenset[str]] = field(
         default_factory=lambda: dict(DEFAULT_WORKER_ZONES)

@@ -44,19 +44,14 @@ def iter_python_files(paths: Iterable[str]) -> list[Path]:
     return sorted(found)
 
 
-def lint_source(
-    source: str,
-    path: str,
-    config: LintConfig | None = None,
-) -> list[Violation]:
-    """Lint one source string (the unit tests' entry point)."""
-    config = config if config is not None else LintConfig()
+def lint_source(source: str, path: str) -> list[Violation]:
+    """Lint one source string as if it lived at ``path``."""
     tree = ast.parse(source, filename=path)
     module = ParsedModule(
         path=path,
         source_lines=source.splitlines(),
         tree=tree,
-        config=config,
+        config=LintConfig(),
     )
     suppressed = suppressions_for(module.source_lines)
     violations = [
@@ -68,10 +63,7 @@ def lint_source(
     return sorted(set(violations))
 
 
-def lint_paths(
-    paths: Sequence[str],
-    config: LintConfig | None = None,
-) -> tuple[list[Violation], int]:
+def lint_paths(paths: Sequence[str]) -> tuple[list[Violation], int]:
     """Lint every ``.py`` file under ``paths``.
 
     Returns ``(violations, files_checked)``.  Syntax errors abort with
@@ -82,7 +74,7 @@ def lint_paths(
     violations: list[Violation] = []
     for file_path in files:
         source = file_path.read_text(encoding="utf-8")
-        violations.extend(lint_source(source, str(file_path), config))
+        violations.extend(lint_source(source, str(file_path)))
     return sorted(violations), len(files)
 
 

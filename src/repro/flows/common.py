@@ -28,6 +28,10 @@ from repro.ml.metrics import accuracy
 from repro.sim.batch import output_predictions
 from repro.utils.rng import rng_for
 
+#: Graphs larger than this are only balanced: the full optimization
+#: scripts cost too much on them.
+OPTIMIZE_LIMIT = 20000
+
 
 def flow_rng(flow: str, problem: LearningProblem, master_seed: int,
              *extra) -> np.random.Generator:
@@ -51,28 +55,26 @@ def constant_solution(problem: LearningProblem, method: str) -> Solution:
 def finalize_aig(
     aig: AIG,
     rng: np.random.Generator,
-    max_nodes: int = MAX_AND_NODES,
     optimize: bool = True,
-    optimize_limit: int = 20000,
     deep: bool = False,
 ) -> AIG:
     """Post-process a candidate circuit the way the teams used ABC.
 
-    Garbage-collects, optimizes (skipping the expensive passes on very
-    large graphs), and applies Team 1-style approximation if the result
-    still exceeds the node cap.  ``deep`` optimizes with
-    ``compress_deep`` instead of ``compress``.
+    Garbage-collects, optimizes (only balancing graphs over
+    :data:`OPTIMIZE_LIMIT`), and applies Team 1-style approximation if
+    the result still exceeds the contest's node cap.  ``deep``
+    optimizes with ``compress_deep`` instead of ``compress``.
     """
     opt = compress_deep if deep else compress
     aig = aig.extract_cone()
     if optimize:
-        if aig.num_ands <= optimize_limit:
+        if aig.num_ands <= OPTIMIZE_LIMIT:
             aig = opt(aig)
         else:
             aig = balance(aig)
-    if aig.num_ands > max_nodes:
-        aig = approximate_to_size(aig, max_ands=max_nodes, rng=rng)
-        if aig.num_ands <= optimize_limit:
+    if aig.num_ands > MAX_AND_NODES:
+        aig = approximate_to_size(aig, max_ands=MAX_AND_NODES, rng=rng)
+        if aig.num_ands <= OPTIMIZE_LIMIT:
             aig = opt(aig)
     return aig
 
@@ -80,7 +82,6 @@ def finalize_aig(
 def pick_best(
     candidates: Iterable[tuple[str, AIG]],
     data: Dataset,
-    max_nodes: int = MAX_AND_NODES,
 ) -> tuple[str, AIG, float] | None:
     """Best legal candidate by accuracy on ``data`` (ties: smaller).
 
@@ -111,7 +112,7 @@ def pick_best(
 
     for (name, aig), pred in zip(candidates, preds, strict=True):
         entry = (name, aig, accuracy(data.y, pred))
-        if sizes[id(aig)] <= max_nodes:
+        if sizes[id(aig)] <= MAX_AND_NODES:
             if better(entry, best):
                 best = entry
         elif better(entry, fallback):

@@ -75,7 +75,7 @@ class FlowRegistry:
 
     # -- registration ------------------------------------------------
 
-    def register(self, flow: Flow, *, replace: bool = False) -> Flow:
+    def register(self, flow: Flow) -> Flow:
         if not isinstance(flow, Flow):
             raise TypeError(
                 f"only Flow instances can be registered, got {flow!r}; "
@@ -87,10 +87,9 @@ class FlowRegistry:
             raise ValueError(
                 f"flow name {flow.name!r} collides with spec syntax"
             )
-        if flow.name in self._flows and not replace:
+        if flow.name in self._flows:
             raise ValueError(
-                f"flow {flow.name!r} is already registered "
-                f"(pass replace=True to override)"
+                f"flow {flow.name!r} is already registered (remove it first)"
             )
         check_flow_contract(flow.run, flow.name)
         self._flows[flow.name] = flow
@@ -172,9 +171,9 @@ class FlowRegistry:
 REGISTRY = FlowRegistry()
 
 
-def register(flow: Flow, *, replace: bool = False) -> Flow:
+def register(flow: Flow) -> Flow:
     """Register into the global registry (module-level convenience)."""
-    return REGISTRY.register(flow, replace=replace)
+    return REGISTRY.register(flow)
 
 
 def get_flow(name: str) -> Flow:

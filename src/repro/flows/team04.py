@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.aig.aig import AIG
 from repro.aig.build import mux_tree_from_table
-from repro.contest.problem import MAX_AND_NODES, Solution
+from repro.contest.problem import Solution
 from repro.flows.api import Candidate, Flow, FlowContext, Stage
 from repro.flows.common import constant_solution, finalize_aig, pick_best
 from repro.flows.registry import register
@@ -104,7 +104,7 @@ def _afn_search_stage(ctx: FlowContext) -> list[Candidate]:
                 epochs=params["epochs"],
             )
             aig = _subspace_aig(problem, group, model)
-            aig = finalize_aig(aig, rng, max_nodes=MAX_AND_NODES)
+            aig = finalize_aig(aig, rng)
             candidates.append(Candidate(f"afn[k={len(group)},g={gi}]", aig))
         best = pick_best(
             [(c.name, c.aig) for c in candidates], problem.valid

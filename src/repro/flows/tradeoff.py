@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.aig.aig import AIG
 from repro.aig.approx import approximate_to_size
-from repro.contest.problem import LearningProblem, Solution
+from repro.contest.problem import MAX_AND_NODES, LearningProblem, Solution
 from repro.flows.common import aig_accuracy, flow_rng
 from repro.ml.decision_tree import DecisionTree
 from repro.ml.forest import RandomForest
@@ -42,7 +42,7 @@ def run_tradeoff(
 ) -> list[TradeoffPoint]:
     """Return the validation-accuracy/size Pareto set (size ascending).
 
-    Every returned circuit respects the 5000-node cap; successive
+    Every returned circuit respects the contest node cap; successive
     entries strictly increase in both size and validation accuracy.
     """
     rng = flow_rng("tradeoff", problem, master_seed)
@@ -72,7 +72,7 @@ def run_tradeoff(
     scored = [
         (aig, aig_accuracy(aig, problem.valid))
         for aig in candidates
-        if aig.num_ands <= 5000
+        if aig.num_ands <= MAX_AND_NODES
     ]
     scored.sort(key=lambda entry: (entry[0].num_ands, -entry[1]))
     frontier: list[TradeoffPoint] = []

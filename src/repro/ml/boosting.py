@@ -6,9 +6,10 @@ bit so the ensemble becomes a majority vote realizable with MAJ-5
 gates.  This module implements the Chen & Guestrin formulation for
 binary logistic loss on binary features: per-split gain
 
-    gain = 1/2 * [GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)] - gamma
+    gain = 1/2 * [GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)]
 
-with leaf weight ``-G/(H+lam)``.
+with leaf weight ``-G/(H+lam)``, ``lam`` = :data:`REG_LAMBDA`, and a
+0.5 base score (margin 0).
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: L2 regularization of the leaf weights (``lam`` above).
+REG_LAMBDA = 1.0
+#: Smallest hessian sum a split may leave on either side.
+MIN_CHILD_WEIGHT = 1e-3
+#: Shrinkage applied to each tree's output.
+LEARNING_RATE = 0.3
 
 
 @dataclass
@@ -30,12 +38,8 @@ class _RegNode:
 class _RegressionTree:
     """Depth-limited tree fit to (gradient, hessian) statistics."""
 
-    def __init__(self, max_depth: int, reg_lambda: float, gamma: float,
-                 min_child_weight: float):
+    def __init__(self, max_depth: int):
         self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.min_child_weight = min_child_weight
         self.nodes: list[_RegNode] = []
 
     def fit(self, X, grad, hess):
@@ -47,7 +51,7 @@ class _RegressionTree:
         node_id = len(self.nodes)
         g = float(grad[idx].sum())
         h = float(hess[idx].sum())
-        node = _RegNode(weight=-g / (h + self.reg_lambda))
+        node = _RegNode(weight=-g / (h + REG_LAMBDA))
         self.nodes.append(node)
         if depth >= self.max_depth or idx.size < 2:
             return node_id
@@ -70,17 +74,14 @@ class _RegressionTree:
         h_right = hn @ Xn
         g_left = g - g_right
         h_left = h - h_right
-        lam = self.reg_lambda
+        lam = REG_LAMBDA
         parent = g * g / (h + lam)
         gains = 0.5 * (
             g_left**2 / (h_left + lam)
             + g_right**2 / (h_right + lam)
             - parent
-        ) - self.gamma
-        bad = (
-            (h_left < self.min_child_weight)
-            | (h_right < self.min_child_weight)
         )
+        bad = (h_left < MIN_CHILD_WEIGHT) | (h_right < MIN_CHILD_WEIGHT)
         gains = np.where(bad, -np.inf, gains)
         best = int(np.argmax(gains))
         if not np.isfinite(gains[best]):
@@ -111,21 +112,10 @@ class GradientBoostedTrees:
         self,
         n_estimators: int = 125,
         max_depth: int = 5,
-        learning_rate: float = 0.3,
-        reg_lambda: float = 1.0,
-        gamma: float = 0.0,
-        min_child_weight: float = 1e-3,
-        base_score: float = 0.5,
     ):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.learning_rate = learning_rate
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.min_child_weight = min_child_weight
-        self.base_score = base_score
         self.trees: list[_RegressionTree] = []
-        self.base_margin = float(np.log(base_score / (1 - base_score)))
         self.n_inputs: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoostedTrees":
@@ -133,31 +123,28 @@ class GradientBoostedTrees:
         y = np.asarray(y, dtype=np.float64).ravel()
         self.n_inputs = X.shape[1]
         self.trees = []
-        margin = np.full(X.shape[0], self.base_margin)
+        margin = np.zeros(X.shape[0])
         for _ in range(self.n_estimators):
             p = 1.0 / (1.0 + np.exp(-margin))
             grad = p - y
             hess = p * (1.0 - p)
-            tree = _RegressionTree(
-                self.max_depth, self.reg_lambda, self.gamma,
-                self.min_child_weight,
-            )
+            tree = _RegressionTree(self.max_depth)
             tree.fit(X, grad, hess)
             step = tree.predict(X)
             if not np.any(step):
                 break
-            margin = margin + self.learning_rate * step
+            margin = margin + LEARNING_RATE * step
             self.trees.append(tree)
         return self
 
     def decision_margin(self, X: np.ndarray) -> np.ndarray:
-        """Raw log-odds margin (sum of leaf values + base)."""
+        """Raw log-odds margin (sum of leaf values)."""
         X = np.asarray(X, dtype=np.uint8)
         if X.ndim == 1:
             X = X[None, :]
-        margin = np.full(X.shape[0], self.base_margin)
+        margin = np.zeros(X.shape[0])
         for tree in self.trees:
-            margin += self.learning_rate * tree.predict(X)
+            margin += LEARNING_RATE * tree.predict(X)
         return margin
 
     def predict(self, X: np.ndarray) -> np.ndarray:

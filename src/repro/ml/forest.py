@@ -21,20 +21,14 @@ class RandomForest:
         self,
         n_trees: int = 17,
         max_depth: int | None = 8,
-        min_samples_leaf: int = 1,
         feature_fraction: float | None = None,
-        bootstrap: bool = True,
-        criterion: str = "entropy",
         rng: np.random.Generator | None = None,
     ):
         if n_trees % 2 == 0:
             raise ValueError("use an odd tree count so the vote cannot tie")
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.feature_fraction = feature_fraction
-        self.bootstrap = bootstrap
-        self.criterion = criterion
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.trees: list[DecisionTree] = []
         self.feature_subsets: list[np.ndarray] = []
@@ -53,19 +47,12 @@ class RandomForest:
         else:
             k = max(1, int(round(self.feature_fraction * n_features)))
         for _ in range(self.n_trees):
-            if self.bootstrap:
-                idx = self.rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
+            idx = self.rng.integers(0, n, size=n)
             cols = np.sort(
                 self.rng.choice(n_features, size=min(k, n_features),
                                 replace=False)
             )
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                criterion=self.criterion,
-            )
+            tree = DecisionTree(max_depth=self.max_depth)
             tree.fit(X[np.ix_(idx, cols)], y[idx])
             self.trees.append(tree)
             self.feature_subsets.append(cols)

@@ -76,22 +76,22 @@ class CompositeFeature:
         return out.astype(np.uint8)
 
 
+#: Cap on the composite features one model extracts.
+MAX_FEATURES = 64
+
+
 class FringeDT:
-    """Decision tree with iterated fringe feature extraction."""
+    """Decision tree with iterated fringe feature extraction: at most
+    :data:`MAX_FEATURES` composite features, each tree pruned at C4.5's
+    0.25 confidence factor."""
 
     def __init__(
         self,
         max_iterations: int = 10,
-        max_features: int = 64,
         max_depth: int | None = None,
-        min_samples_leaf: int = 1,
-        confidence_factor: float | None = 0.25,
     ):
         self.max_iterations = max_iterations
-        self.max_features = max_features
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.confidence_factor = confidence_factor
         self.features: list[CompositeFeature] = []
         self.tree: DecisionTree | None = None
         self.n_raw_inputs: int | None = None
@@ -118,20 +118,16 @@ class FringeDT:
         seen: set[CompositeFeature] = set()
         for _ in range(self.max_iterations):
             Xa = self.featurize(X)
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-            )
+            tree = DecisionTree(max_depth=self.max_depth)
             tree.fit(Xa, y)
-            if self.confidence_factor is not None:
-                tree.prune(self.confidence_factor)
+            tree.prune(0.25)
             self.tree = tree
             new = [
                 f
                 for f in self._fringe_candidates(tree)
                 if f not in seen
             ]
-            if not new or len(self.features) + len(new) > self.max_features:
+            if not new or len(self.features) + len(new) > MAX_FEATURES:
                 break
             for f in new:
                 seen.add(f)

@@ -27,18 +27,14 @@ class LUTNetwork:
         luts_per_layer: int = 128,
         lut_size: int = 4,
         scheme: str = "random",
-        unseen_default: str = "zero",
         rng: np.random.Generator | None = None,
     ):
         if scheme not in ("random", "unique"):
             raise ValueError(f"unknown wiring scheme {scheme!r}")
-        if unseen_default not in ("zero", "random"):
-            raise ValueError(f"unknown unseen_default {unseen_default!r}")
         self.n_layers = n_layers
         self.luts_per_layer = luts_per_layer
         self.lut_size = lut_size
         self.scheme = scheme
-        self.unseen_default = unseen_default
         self.rng = rng if rng is not None else np.random.default_rng(0)
         # connections[l] has shape (width_l, k): indices into the
         # previous layer's outputs.  tables[l] has shape
@@ -84,15 +80,8 @@ class LUTNetwork:
                     patterns[:, j], weights=y, minlength=n_patterns
                 )
                 tot = np.bincount(patterns[:, j], minlength=n_patterns)
-                bit = (2 * pos > tot).astype(np.uint8)
-                unseen = tot == 0
-                if self.unseen_default == "random":
-                    bit[unseen] = self.rng.integers(
-                        0, 2, size=int(unseen.sum())
-                    )
-                else:
-                    bit[unseen] = 0
-                tables[j] = bit
+                # A pattern no sample presents (tot == 0) stores 0.
+                tables[j] = 2 * pos > tot
             self.connections.append(conns)
             self.tables.append(tables)
             prev = np.take_along_axis(

@@ -81,7 +81,8 @@ class _Dense:
         self._adam_state = [np.zeros_like(self.W), np.zeros_like(self.W),
                             np.zeros_like(self.b), np.zeros_like(self.b)]
 
-    def adam_step(self, dW, db, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    def adam_step(self, dW, db, lr, t):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         mW, vW, mb, vb = self._adam_state
         mW[:] = beta1 * mW + (1 - beta1) * dW
         vW[:] = beta2 * vW + (1 - beta2) * dW * dW
@@ -135,10 +136,10 @@ class MLP:
         X: np.ndarray,
         y: np.ndarray,
         epochs: int = 30,
-        batch_size: int = 64,
-        lr: float = 1e-3,
         reset: bool = True,
     ) -> "MLP":
+        """Adam on cross-entropy, minibatches of 64, learning rate 1e-3."""
+        batch_size, lr = 64, 1e-3
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         if reset or not self.layers:
@@ -201,7 +202,6 @@ class MLP:
         y: np.ndarray,
         rounds: int = 3,
         retrain_epochs: int = 10,
-        lr: float = 1e-3,
     ) -> "MLP":
         """Iterative magnitude pruning until every fanin <= max_fanin.
 
@@ -232,14 +232,14 @@ class MLP:
                     changed = True
                 layer.W *= layer.mask
             if changed:
-                self.fit(X, y, epochs=retrain_epochs, lr=lr, reset=False)
+                self.fit(X, y, epochs=retrain_epochs, reset=False)
         return self
 
 
 class LogInteractionNet(MLP):
     """AFN-style approximator: logarithmic interaction layer + MLP.
 
-    Binary inputs are squashed to ``(eps, 1-eps)``; the first layer
+    Binary inputs are squashed to ``(0.05, 0.95)``; the first layer
     computes ``exp(W @ ln(x'))`` — each unit is an adaptive-order
     multiplicative cross-feature — and a small MLP combines the
     crossed features (Team 4's recommendation-model substitute).
@@ -249,25 +249,24 @@ class LogInteractionNet(MLP):
         self,
         n_cross: int = 32,
         hidden_sizes: Sequence[int] = (64, 32),
-        eps: float = 0.05,
         rng: np.random.Generator | None = None,
     ):
         super().__init__(hidden_sizes=hidden_sizes, activation="relu", rng=rng)
         self.n_cross = n_cross
-        self.eps = eps
         self.W_log: np.ndarray | None = None
 
     def _transform(self, X: np.ndarray) -> np.ndarray:
         x = np.asarray(X, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
-        squashed = self.eps + (1.0 - 2.0 * self.eps) * x
+        eps = 0.05
+        squashed = eps + (1.0 - 2.0 * eps) * x
         logs = np.log(squashed)
         crossed = np.exp(np.clip(logs @ self.W_log, -30.0, 10.0))
         return crossed
 
-    def fit(self, X, y, epochs: int = 30, batch_size: int = 64,
-            lr: float = 1e-3, reset: bool = True) -> "LogInteractionNet":
+    def fit(self, X, y, epochs: int = 30,
+            reset: bool = True) -> "LogInteractionNet":
         X = np.asarray(X, dtype=np.float64)
         if reset or self.W_log is None:
             # Sparse random +/- exponents pick interaction candidates;
@@ -276,8 +275,7 @@ class LogInteractionNet(MLP):
                 0.0, 1.0, size=(X.shape[1], self.n_cross)
             ) * (self.rng.random((X.shape[1], self.n_cross)) < 0.3)
         crossed = self._transform(X)
-        super().fit(crossed, y, epochs=epochs, batch_size=batch_size,
-                    lr=lr, reset=reset)
+        super().fit(crossed, y, epochs=epochs, reset=reset)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -56,39 +56,36 @@ class RuleList:
         return len(self.rules)
 
 
+#: Cap on the rules one learner extracts.
+MAX_RULES = 200
+
+
 class PartRuleLearner:
     """Separate-and-conquer rule induction from partial C4.5 trees.
 
     Parameters mirror the J48 knobs Team 2 swept: ``confidence_factor``
     controls pruning of each partial tree, ``min_samples_leaf`` is
-    WEKA's ``-M``.
+    WEKA's ``-M``.  At most :data:`MAX_RULES` rules are extracted.
     """
 
     def __init__(
         self,
         confidence_factor: float = 0.25,
         min_samples_leaf: int = 2,
-        max_rules: int = 200,
-        max_depth: int | None = None,
     ):
         self.confidence_factor = confidence_factor
         self.min_samples_leaf = min_samples_leaf
-        self.max_rules = max_rules
-        self.max_depth = max_depth
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> RuleList:
         X = np.asarray(X, dtype=np.uint8)
         y = np.asarray(y, dtype=np.uint8).ravel()
         remaining = np.arange(X.shape[0])
         rules: list[Rule] = []
-        while remaining.size > 0 and len(rules) < self.max_rules:
+        while remaining.size > 0 and len(rules) < MAX_RULES:
             ys = y[remaining]
             if ys.min() == ys.max():
                 break  # remainder is pure: becomes the default label
-            tree = DecisionTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-            )
+            tree = DecisionTree(min_samples_leaf=self.min_samples_leaf)
             tree.fit(X[remaining], y[remaining])
             tree.prune(self.confidence_factor)
             rule = self._best_leaf_rule(tree)

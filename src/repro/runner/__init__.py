@@ -61,7 +61,6 @@ from repro.runner.store import (
 )
 from repro.runner.task import (
     TaskSpec,
-    dataset_fingerprint,
     resolve_flow,
     run_task,
     score_from_record,
@@ -75,7 +74,6 @@ __all__ = [
     "canonical_line",
     "contest_run_from_records",
     "contest_tasks",
-    "dataset_fingerprint",
     "load_contest_runs",
     "merge_records",
     "merge_stores",

@@ -20,7 +20,6 @@ that are not registered).
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -130,30 +129,6 @@ def make_task_problem(spec: TaskSpec) -> LearningProblem:
     return _cached_problem(
         spec.benchmark, spec.n_train, spec.n_valid, spec.n_test, spec.seed
     )
-
-
-def dataset_fingerprint(
-    benchmark: int | str,
-    n_train: int,
-    n_valid: int,
-    n_test: int,
-    master_seed: int = 0,
-) -> str:
-    """SHA-256 over a problem's sampled bytes (split-order sensitive).
-
-    Identical fingerprints across processes prove the parallel runner's
-    workers see exactly the data a serial run would have seen.
-    """
-    spec = TaskSpec(
-        benchmark=benchmark, flow="-", seed=master_seed,
-        n_train=n_train, n_valid=n_valid, n_test=n_test,
-    )
-    problem = make_task_problem(spec)
-    digest = hashlib.sha256()
-    for ds in (problem.train, problem.valid, problem.test):
-        digest.update(np.ascontiguousarray(ds.X).tobytes())
-        digest.update(np.ascontiguousarray(ds.y).tobytes())
-    return digest.hexdigest()
 
 
 def _json_safe(value):

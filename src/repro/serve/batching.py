@@ -112,7 +112,9 @@ class MicroBatcher:
     deadline_s:
         Maximum time a request may wait in the queue before being
         answered with :class:`DeadlineExceeded` (``None`` = no
-        deadline).
+        deadline).  Needs a positive ``tick_s``: at tick 0 the flush
+        timer is armed first and always fires first, so a deadline
+        could never expire.
     metrics:
         The :class:`~repro.serve.metrics.ServeMetrics` that counts
         batches, rows, rejections and execution errors; a fresh one
@@ -134,6 +136,11 @@ class MicroBatcher:
             raise ValueError("max_queued_rows must be >= 1 (or None)")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be > 0 (or None)")
+        if deadline_s is not None and tick_s <= 0:
+            raise ValueError(
+                "a queue deadline needs a positive tick: at tick 0 every "
+                "request is flushed before its deadline can expire"
+            )
         self.store = store
         self.tick_s = tick_s
         self.max_batch = max_batch

@@ -114,23 +114,18 @@ class CircuitBundle:
         return self._digest
 
     @classmethod
-    def from_files(
-        cls, aag_path: PathLike, meta_path: PathLike | None = None
-    ) -> "CircuitBundle":
-        """Load from an ``.aag`` file plus an optional JSON sidecar.
+    def from_files(cls, aag_path: PathLike) -> "CircuitBundle":
+        """Load from an ``.aag`` file plus its optional JSON sidecar.
 
-        With no explicit ``meta_path``, a sibling ``<stem>.json`` is
-        used when present; a bare ``.aag`` file serves fine without
-        one (the name defaults to the file stem).
+        A sibling ``<stem>.json`` is read when present; a bare ``.aag``
+        file serves fine without one (the name defaults to the file
+        stem).
         """
         aag_path = Path(aag_path)
         metadata: dict[str, Any] = {}
-        if meta_path is None:
-            sidecar = aag_path.with_suffix(".json")
-            if sidecar.exists():
-                meta_path = sidecar
-        if meta_path is not None:
-            metadata = json.loads(Path(meta_path).read_text(encoding="utf-8"))
+        sidecar = aag_path.with_suffix(".json")
+        if sidecar.exists():
+            metadata = json.loads(sidecar.read_text(encoding="utf-8"))
         metadata.setdefault("benchmark_name", aag_path.stem)
         return cls(aag_path.read_text(encoding="ascii"), metadata)
 

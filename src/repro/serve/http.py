@@ -405,7 +405,8 @@ async def serve_forever(app: ServeApp, host: str, port: int) -> None:
 
 
 class ServerHandle:
-    """A server running on a background thread (tests, benches, demo).
+    """A server on ``127.0.0.1`` and a background thread (tests,
+    benches, demo).
 
     Use as a context manager::
 
@@ -414,9 +415,9 @@ class ServerHandle:
             ...
     """
 
-    def __init__(self, app: ServeApp, host: str = "127.0.0.1"):
+    def __init__(self, app: ServeApp):
         self.app = app
-        self.host = host
+        self.host = "127.0.0.1"
         self.port = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

@@ -211,10 +211,11 @@ Instrument = Counter | Gauge | Histogram
 
 
 class MetricsRegistry:
-    """Named instruments + the text exposition ``/metrics`` serves."""
+    """Named instruments + the text exposition ``/metrics`` serves;
+    every name is prefixed ``repro_serve_``."""
 
-    def __init__(self, prefix: str = "repro_serve"):
-        self.prefix = prefix
+    def __init__(self):
+        self.prefix = "repro_serve"
         self._instruments: "Dict[str, Instrument]" = {}
 
     def _register(self, instrument: Instrument) -> None:
@@ -283,8 +284,8 @@ class ServeMetrics:
     because they close over components built after the metrics.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
-        reg = registry if registry is not None else MetricsRegistry()
+    def __init__(self):
+        reg = MetricsRegistry()
         self.registry = reg
         self.requests_total = reg.counter(
             "http_requests_total",

@@ -34,13 +34,10 @@ def _reg_tree_lit(aig: AIG, tree: _RegressionTree, inputs: list[int]) -> int:
     return rec(0)
 
 
-def boosted_to_aig(
-    model: GradientBoostedTrees, exact_majority: bool = False
-) -> AIG:
-    """Compile the quantized ensemble vote.
-
-    ``exact_majority=True`` uses an exact ones-counter vote instead of
-    the approximate MAJ-5 tree.
+def boosted_to_aig(model: GradientBoostedTrees) -> AIG:
+    """Compile the quantized ensemble vote: an approximate MAJ-5 tree
+    over at most 125 trees (Team 7's ensemble size), an exact
+    ones-counter vote over more.
     """
     if model.n_inputs is None:
         raise RuntimeError("model is not fitted")
@@ -48,14 +45,14 @@ def boosted_to_aig(
     inputs = aig.input_lits()
     bits = [_reg_tree_lit(aig, tree, inputs) for tree in model.trees]
     if not bits:
-        aig.set_output(CONST1 if model.base_margin > 0 else CONST0)
+        aig.set_output(CONST0)  # the 0.5 base score: margin 0
         return aig
     if len(bits) == 1:
         aig.set_output(bits[0])
         return aig
     if len(bits) % 2 == 0:
         bits.append(bits[-1])  # break ties toward the last tree
-    if exact_majority or len(bits) > 125:
+    if len(bits) > 125:
         out = majority_n(aig, bits)
     else:
         out = maj5_tree(aig, bits)

@@ -30,23 +30,11 @@ def _tree_lit(
     return lit
 
 
-def tree_to_aig(
-    tree: DecisionTree,
-    aig: AIG | None = None,
-    feature_lits: list[int] | None = None,
-) -> AIG:
-    """Compile a fitted tree.
-
-    With no arguments a fresh AIG over the tree's raw inputs is
-    created; passing ``aig`` + ``feature_lits`` grafts the tree onto an
-    existing graph (used by the forest and fringe bridges).
-    """
-    standalone = aig is None
-    if standalone:
-        aig = AIG(tree.n_inputs)
-        feature_lits = aig.input_lits()
-    lit = _tree_lit(aig, tree, 0, feature_lits, {})
-    aig.set_output(lit)
+def tree_to_aig(tree: DecisionTree) -> AIG:
+    """Compile a fitted tree into a fresh AIG over its raw inputs
+    (:func:`tree_output_lit` grafts one onto an existing graph)."""
+    aig = AIG(tree.n_inputs)
+    aig.set_output(tree_output_lit(tree, aig, aig.input_lits()))
     return aig
 
 

@@ -37,6 +37,7 @@ from repro.aig.build import (
     ripple_adder,
     symmetric_function,
 )
+from repro.contest.problem import MAX_AND_NODES
 from repro.utils.bitops import rows_to_ints
 
 
@@ -141,16 +142,15 @@ def match_comparator(X: np.ndarray, y: np.ndarray) -> Match | None:
     return None
 
 
-def match_multiplier_bit(
-    X: np.ndarray, y: np.ndarray, max_width: int = 16
-) -> Match | None:
-    """Multiplier output bits; circuit only built for small widths."""
+def match_multiplier_bit(X: np.ndarray, y: np.ndarray) -> Match | None:
+    """Multiplier output bits; circuit only built for words of up to
+    16 bits."""
     words = _words(X)
     if words is None:
         return None
     a, b = words
     k = X.shape[1] // 2
-    if k > max_width:
+    if k > 16:
         return None
     products = [av * bv for av, bv in zip(a, b, strict=True)]
     for bit in range(2 * k - 1, -1, -1):
@@ -200,17 +200,15 @@ _MATCHERS: list[Callable[[np.ndarray, np.ndarray], Match | None]] = [
 ]
 
 
-def match_standard_function(
-    X: np.ndarray, y: np.ndarray, max_nodes: int = 5000
-) -> Match | None:
+def match_standard_function(X: np.ndarray, y: np.ndarray) -> Match | None:
     """Try every matcher; return the first exact match whose circuit
-    fits the node budget."""
+    fits the contest's node cap."""
     X = np.asarray(X, dtype=np.uint8)
     y = np.asarray(y, dtype=np.uint8).ravel()
     if X.shape[0] == 0:
         return None
     for matcher in _MATCHERS:
         found = matcher(X, y)
-        if found is not None and found.aig.num_ands <= max_nodes:
+        if found is not None and found.aig.num_ands <= MAX_AND_NODES:
             return found
     return None

@@ -217,14 +217,15 @@ def espresso(
     onset: MintermsOrMatrix,
     offset: MintermsOrMatrix,
     n_inputs: int,
-    max_rounds: int = 3,
     first_irredundant: bool = False,
 ) -> Cover:
     """Minimize an incompletely specified single-output function.
 
     ``onset`` / ``offset`` are minterm lists (Python ints) or 0/1
     sample matrices; everything not listed is a don't care.  Returns a
-    cover containing every ON-minterm and no OFF-minterm.
+    cover containing every ON-minterm and no OFF-minterm.  After the
+    first irredundant cover, up to three reduce-expand-irredundant
+    rounds run, keeping the best cover seen.
     """
     on = _as_matrix(onset, n_inputs)
     off = _as_matrix(offset, n_inputs)
@@ -249,7 +250,7 @@ def espresso(
     if first_irredundant:
         return _to_cover(cubes_mask, cubes_val, n_inputs)
     best = (cubes_mask, cubes_val)
-    for _ in range(max_rounds):
+    for _ in range(3):
         cov = _coverage(cubes_mask, cubes_val, on)
         cubes_mask, cubes_val = _reduce_all(cubes_mask, cubes_val, cov, on)
         cubes_mask, cubes_val = _expand_all(cubes_mask, cubes_val, off)
@@ -272,16 +273,11 @@ def espresso_from_samples(
     X: np.ndarray,
     y: np.ndarray,
     first_irredundant: bool = False,
-    max_rounds: int = 3,
 ) -> Cover:
     """Espresso over labelled samples (majority-resolves duplicates)."""
     from repro.twolevel.cover import cover_from_samples
 
     onset, offset, n_inputs = cover_from_samples(X, y)
     return espresso(
-        onset,
-        offset,
-        n_inputs,
-        max_rounds=max_rounds,
-        first_irredundant=first_irredundant,
+        onset, offset, n_inputs, first_irredundant=first_irredundant
     )

@@ -70,15 +70,14 @@ class PLA:
         return pla
 
 
-def write_pla(pla: PLA, path: PathLike, file_type: str = "fr") -> None:
-    """Write a PLA file in the espresso dialect."""
+def write_pla(pla: PLA, path: PathLike) -> None:
+    """Write a PLA file in the espresso dialect (``.type fr``)."""
     lines = [f".i {pla.n_inputs}", f".o {pla.n_outputs}"]
     if pla.input_labels:
         lines.append(".ilb " + " ".join(pla.input_labels))
     if pla.output_labels:
         lines.append(".ob " + " ".join(pla.output_labels))
-    if file_type:
-        lines.append(f".type {file_type}")
+    lines.append(".type fr")
     lines.append(f".p {len(pla.rows)}")
     for cube, outputs in pla.rows:
         lines.append(f"{cube.to_string(pla.n_inputs)} {outputs}")

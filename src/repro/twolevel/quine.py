@@ -71,12 +71,10 @@ def _greedy_cover(
 def _min_cover(
     universe: frozenset[int],
     sets: list[frozenset[int]],
-    max_steps: int = 200_000,
 ) -> list[int]:
     """Minimum set cover by branch and bound.
 
-    The search is exact unless the ``max_steps`` node budget is
-    exhausted, in which case the best cover found so far (at worst the
+    The search is exact unless its 200,000-node budget is exhausted, in which case the best cover found so far (at worst the
     greedy one) is returned — keeping worst-case runtime bounded on
     adversarial instances while staying optimal on typical ones.
     """
@@ -84,7 +82,7 @@ def _min_cover(
     steps = [0]
 
     def search(remaining: frozenset[int], chosen: list[int]) -> None:
-        if steps[0] > max_steps:
+        if steps[0] > 200_000:
             return
         steps[0] += 1
         if len(chosen) + 1 >= len(best[0]) and remaining:

@@ -15,23 +15,14 @@ from collections.abc import Iterable
 __all__ = ["did_you_mean", "near_matches"]
 
 
-def near_matches(
-    name: str,
-    pool: Iterable[str],
-    n: int = 5,
-    cutoff: float = 0.5,
-) -> list[str]:
-    """The closest candidates to ``name``, best first (may be empty)."""
-    return difflib.get_close_matches(name, list(pool), n=n, cutoff=cutoff)
+def near_matches(name: str, pool: Iterable[str]) -> list[str]:
+    """The up to 5 candidates closest to ``name`` with a similarity of
+    at least 0.5, best first (may be empty)."""
+    return difflib.get_close_matches(name, list(pool), n=5, cutoff=0.5)
 
 
-def did_you_mean(
-    name: str,
-    pool: Iterable[str],
-    n: int = 5,
-    cutoff: float = 0.5,
-) -> str:
+def did_you_mean(name: str, pool: Iterable[str]) -> str:
     """A ``"; did you mean rewrite, refactor?"`` suffix, or ``""``
     when nothing in ``pool`` is close enough to suggest."""
-    near = near_matches(name, pool, n=n, cutoff=cutoff)
+    near = near_matches(name, pool)
     return f"; did you mean {', '.join(near)}?" if near else ""

@@ -11,12 +11,12 @@ Do not optimize this module.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy import stats
 
 from repro.aig import build
 from repro.aig import isop as isop_lib
@@ -30,6 +30,7 @@ from repro.cgp.genome import _IMPL, CGPGenome
 from repro.ml.decision_tree import DecisionTree, TreeNode, gini
 from repro.ml.metrics import accuracy
 from repro.ml.mlp import _act
+from repro.runner.task import TaskSpec, make_task_problem
 from repro.utils.bitops import pack_bits, popcount64, rows_to_ints
 
 Cut = tuple[int, ...]
@@ -294,6 +295,8 @@ def pessimistic_errors(n, errors, cf: float):
     library's guards for ``n == 0`` and ``errors >= n`` are unchanged
     and not repeated here.
     """
+    from scipy import stats  # 0.5 s to import: only this oracle needs it
+
     return n * stats.beta.ppf(1 - cf, errors + 1, n - errors)
 
 
@@ -612,7 +615,7 @@ def predict_quantized(model, X: np.ndarray) -> np.ndarray:
     votes 1 when its leaf weight is positive, and the majority wins."""
     X = np.asarray(X, dtype=np.uint8)
     if not model.trees:
-        return np.full(X.shape[0], int(model.base_margin > 0), np.uint8)
+        return np.zeros(X.shape[0], np.uint8)  # margin 0 predicts 0
     bits = np.stack([tree.predict(X) > 0 for tree in model.trees], axis=1)
     return (bits.sum(axis=1) * 2 >= bits.shape[1]).astype(np.uint8)
 
@@ -885,3 +888,30 @@ def reference_compress(aig: AIG, max_rounds: int = 3) -> AIG:
         if best.num_ands >= size_before:
             break
     return best
+
+
+# ---------------------------------------------------------------------
+# Sampled-data fingerprints
+# ---------------------------------------------------------------------
+def dataset_fingerprint(
+    benchmark: int | str,
+    n_train: int,
+    n_valid: int,
+    n_test: int,
+    master_seed: int = 0,
+) -> str:
+    """SHA-256 over a problem's sampled bytes (split-order sensitive).
+
+    Identical fingerprints across processes prove the parallel runner's
+    workers see exactly the data a serial run would have seen.
+    """
+    spec = TaskSpec(
+        benchmark=benchmark, flow="-", seed=master_seed,
+        n_train=n_train, n_valid=n_valid, n_test=n_test,
+    )
+    problem = make_task_problem(spec)
+    digest = hashlib.sha256()
+    for ds in (problem.train, problem.valid, problem.test):
+        digest.update(np.ascontiguousarray(ds.X).tobytes())
+        digest.update(np.ascontiguousarray(ds.y).tobytes())
+    return digest.hexdigest()

@@ -11,8 +11,8 @@ from tests.oracles import checkpoint, rollback
 class TestLiterals:
     def test_lit_roundtrip(self):
         assert lit_var(lit_make(7)) == 7
-        assert lit_var(lit_make(7, True)) == 7
-        assert lit_make(7, True) == lit_make(7) | 1
+        assert lit_var(lit_not(lit_make(7))) == 7
+        assert lit_make(7) & 1 == 0
 
     def test_lit_not_involution(self):
         assert lit_not(lit_not(6)) == 6

@@ -109,9 +109,6 @@ class TestVirtualBestAndWins:
         assert wins["top"]["top1pct"] == 1
         assert wins["edge"]["top1pct"] == 1
         assert wins["below"]["top1pct"] == 0
-        # A wider absolute margin admits the third team too.
-        wide = win_rates(runs, top_tolerance=0.02)
-        assert wide["below"]["top1pct"] == 1
 
     def test_win_rates_multi_trial_counts_every_trial(self):
         # Two seed-aligned trials on one benchmark: team a wins the
@@ -195,11 +192,9 @@ class TestPareto:
     def test_accuracy_grid_honored(self, runs):
         import math
 
-        points = accuracy_size_tradeoff(runs, accuracy_grid=(0.5, 0.99))
-        assert [acc for _, acc in points] == [0.5, 0.99]
-        reachable, unreachable = points[0][0], points[1][0]
-        assert not math.isnan(reachable)
-        assert math.isnan(unreachable)
+        frontier = accuracy_size_tradeoff(runs)
+        assert not math.isnan(size_needed_for_accuracy(frontier, 0.5))
+        assert math.isnan(size_needed_for_accuracy(frontier, 0.99))
 
 
 class TestPerCategory:

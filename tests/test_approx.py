@@ -55,7 +55,7 @@ class TestApproximate:
     def test_reaches_target_size(self):
         aig = _multiplier_aig()
         target = 60
-        small = approximate_to_size(aig, max_ands=target, n_patterns=1024)
+        small = approximate_to_size(aig, max_ands=target)
         assert small.num_ands <= target
 
     def test_noop_when_already_small(self):
@@ -65,14 +65,14 @@ class TestApproximate:
 
     def test_interface_preserved(self):
         aig = _multiplier_aig()
-        small = approximate_to_size(aig, max_ands=100, n_patterns=512)
+        small = approximate_to_size(aig, max_ands=100)
         assert small.n_inputs == aig.n_inputs
         assert small.num_outputs == aig.num_outputs
 
     def test_agreement_degrades_gracefully(self, rng):
         """The approximation should stay well above chance agreement."""
         aig = _multiplier_aig()
-        small = approximate_to_size(aig, max_ands=150, n_patterns=2048)
+        small = approximate_to_size(aig, max_ands=150)
         X = rng.integers(0, 2, size=(2000, aig.n_inputs)).astype(np.uint8)
         agree = (aig.simulate(X) == small.simulate(X)).mean()
         assert agree > 0.6
@@ -118,12 +118,11 @@ def _skewed_patterns(n_inputs, seed):
 
 GOLDEN_CASES = {
     "multiplier-random": lambda: approximate_to_size(
-        _multiplier_aig(8), max_ands=150, n_patterns=1024,
-        rng=np.random.default_rng(7),
+        _multiplier_aig(8), max_ands=150, rng=np.random.default_rng(7),
     ),
     "random-aig-random": lambda: approximate_to_size(
         random_aig(12, 700, seed=5, n_outputs=8), max_ands=40,
-        n_patterns=512, rng=np.random.default_rng(11),
+        rng=np.random.default_rng(11),
     ),
     "multiplier-patterns": lambda: approximate_to_size(
         _multiplier_aig(8), max_ands=150, patterns=_skewed_patterns(16, 3),
@@ -133,21 +132,19 @@ GOLDEN_CASES = {
         patterns=_skewed_patterns(12, 4),
     ),
     "collapse-guard-recovers": lambda: approximate_to_size(
-        _wide_and_or_parity(16, 3), max_ands=2, n_patterns=512,
-        rng=np.random.default_rng(3),
+        _wide_and_or_parity(16, 3), max_ands=2, rng=np.random.default_rng(3),
     ),
     "collapse-guard-gives-up": lambda: approximate_to_size(
-        _wide_and_or_parity(16, 0), max_ands=4, n_patterns=512,
-        rng=np.random.default_rng(3),
+        _wide_and_or_parity(16, 0), max_ands=4, rng=np.random.default_rng(3),
     ),
 }
 
 
 APPROX_GOLDEN = {
     "multiplier-random": (
-        150, "e8d89e0e71a0e477a2fb71994ea63a9186e7d43cdfe44a2dcd18806e5bf4a55b"),
+        150, "dcc0f7422883a0834f5674c00c94341daff677a28f41869c115dcdc063dfe037"),
     "random-aig-random": (
-        37, "9cda6bca39a01c168b4c012ba291ef3fdb41635d0d04ae1bd2bcd321dbdad77e"),
+        39, "1c59fbeda69a8329b89a5aa2276e516a5af6fddc83328e8d461b691f2e8aca18"),
     "multiplier-patterns": (
         148, "9fa06eee3939f797458b3d47e01d2130fddae69bea6f1eaad2ea912810863ce6"),
     "random-aig-patterns": (

@@ -28,6 +28,7 @@ from repro.contest.imagelike import (
     group_comparison_sampler,
     mnist_like_model,
 )
+from repro.contest.problem import MAX_AND_NODES
 from repro.contest.randomlogic import random_cone_function
 
 
@@ -247,17 +248,15 @@ class TestProblemsAndScoring:
         # that was never cone-extracted) must score by what it ships,
         # not be mis-ranked or wrongly rejected as over-cap.
         aig = AIG(small_problem.n_inputs)
-        for i in range(1, small_problem.n_inputs):
-            aig.add_and(aig.input_lit(0), aig.input_lit(i))  # all dead
+        x = aig.input_lit(0)
+        for i in range(MAX_AND_NODES + 1):  # a dead chain over the cap
+            x = aig.add_and(x, aig.input_lit(1 + i % (aig.n_inputs - 1)))
         aig.set_output(CONST1)
-        raw = aig.num_ands
-        assert raw == small_problem.n_inputs - 1
+        assert aig.num_ands > MAX_AND_NODES
         solution = Solution(aig=aig, method="dirty-const")
         assert solution.num_ands == 0
-        assert solution.is_legal(max_nodes=raw - 1)  # raw count would fail
-        score = evaluate_solution(
-            small_problem, solution, max_nodes=raw - 1
-        )
+        assert solution.is_legal()  # raw count would fail
+        score = evaluate_solution(small_problem, solution)
         assert score.num_ands == 0
         assert score.legal
 

@@ -90,16 +90,15 @@ class TestEvaluationGuards:
     def test_illegal_solution_flagged(self, small_problem):
         aig = AIG(small_problem.n_inputs)
         acc = CONST1
-        # Burn nodes well past the cap with a long useless chain.
+        # Burn nodes past the 5000-AND cap with a long useless chain.
         x = aig.add_and(aig.input_lit(0), aig.input_lit(1))
-        for _ in range(30):
+        for _ in range(2600):
             x = aig.add_and(x, aig.input_lit(0) ^ 1)
             x = aig.add_or(x, aig.input_lit(1))
         aig.set_output(x)
         del acc
         score = evaluate_solution(
             small_problem, Solution(aig=aig, method="bloat"),
-            max_nodes=3,
         )
         assert not score.legal
 

@@ -73,7 +73,8 @@ class TestRegistry:
 
     def test_replace_allows_override(self, scratch_flow):
         replacement = _trivial_flow("scratch-flow")
-        REGISTRY.register(replacement, replace=True)
+        REGISTRY.remove("scratch-flow")
+        REGISTRY.register(replacement)
         assert REGISTRY.get("scratch-flow") is replacement
 
     def test_non_flow_rejected(self):
@@ -209,11 +210,11 @@ class TestSpecStrings:
             aig.set_output(CONST0)
             return [Candidate("c", aig)]
 
+        REGISTRY.remove("scratch-flow")
         REGISTRY.register(
             Flow("scratch-flow", team="t",
                  efforts={"small": {}, "full": {}},
                  stages=(Stage("s", recording_stage),), finalize=None),
-            replace=True,
         )
         resolve_spec("scratch-flow:effort=full")(
             small_problem, effort="small"

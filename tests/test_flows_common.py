@@ -5,6 +5,7 @@ import pytest
 
 from repro.aig.aig import AIG, CONST0, CONST1
 from repro.aig.build import multiplier
+from repro.flows import common
 from repro.flows.common import (
     aig_accuracy,
     constant_solution,
@@ -25,6 +26,18 @@ def _passthrough_aig(n_inputs, column):
     aig = AIG(n_inputs)
     aig.set_output(aig.input_lit(column))
     return aig
+
+
+@pytest.fixture
+def cap(monkeypatch):
+    """Set the contest node cap the flow plumbing enforces."""
+    return lambda n: monkeypatch.setattr(common, "MAX_AND_NODES", n)
+
+
+@pytest.fixture
+def limit(monkeypatch):
+    """Set the size above which finalize only balances."""
+    return lambda n: monkeypatch.setattr(common, "OPTIMIZE_LIMIT", n)
 
 
 @pytest.fixture
@@ -69,32 +82,30 @@ class TestPickBest:
         # instead of the dirty one being demoted by its dead nodes.
         assert best[0] == "dirty"
 
-    def test_dirty_graph_not_rejected_as_over_cap(self, data):
+    def test_dirty_graph_not_rejected_as_over_cap(self, data, cap):
         # Satellite regression: the cap check is on used nodes, so a
-        # perfect candidate carrying dead logic beyond max_nodes is
+        # perfect candidate carrying dead logic beyond the cap is
         # still legal and must beat a worse clean candidate.
         dirty = AIG(4)
         for col in (0, 2, 3):
             dirty.add_and(dirty.input_lit(col), dirty.input_lit(1) ^ 1)
         dirty.set_output(dirty.input_lit(1))
+        cap(2)  # below the raw count (3), above the used count (0)
         best = pick_best(
-            [("const", _const_aig(4, 0)), ("dirty", dirty)],
-            data,
-            max_nodes=2,  # below the raw count (3), above the used count (0)
+            [("const", _const_aig(4, 0)), ("dirty", dirty)], data
         )
         assert best[0] == "dirty"
         assert best[2] == 1.0
 
-    def test_oversize_used_only_as_fallback(self, data):
+    def test_oversize_used_only_as_fallback(self, data, cap):
         oversize = _passthrough_aig(4, 1)
+        cap(-1)  # everything is oversize
         best = pick_best(
-            [("huge", oversize), ("const", _const_aig(4, 0))],
-            data,
-            max_nodes=-1,  # everything is oversize
+            [("huge", oversize), ("const", _const_aig(4, 0))], data
         )
         assert best[0] == "huge"  # fallback keeps the best anyway
 
-    def test_oversize_ties_break_by_size(self, data):
+    def test_oversize_ties_break_by_size(self, data, cap):
         # Regression: the fallback branch must apply the same
         # "ties broken by smaller circuit" rule as the legal branch
         # (on used nodes, so the extra logic must be reachable).
@@ -102,11 +113,12 @@ class TestPickBest:
         big = AIG(4)
         i0, i1 = big.input_lit(0), big.input_lit(1)
         big.set_output(big.add_or(big.add_and(i1, i0), big.add_and(i1, i0 ^ 1)))
+        cap(-1)
         for order in (
             [("big", big), ("small", small)],
             [("small", small), ("big", big)],
         ):
-            best = pick_best(order, data, max_nodes=-1)
+            best = pick_best(order, data)
             assert best[0] == "small"
 
     def test_empty_candidates(self, data):
@@ -123,18 +135,20 @@ def _redundant_aig():
 
 
 class TestFinalizeOptimizeLimit:
-    """Satellite: the optimize_limit boundary, the over-cap
+    """Satellite: the OPTIMIZE_LIMIT boundary, the over-cap
     approximation path re-entering compress, and optimize=False."""
 
-    def test_at_limit_runs_compress(self, rng):
-        # num_ands == optimize_limit is inside the compress branch.
-        out = finalize_aig(_redundant_aig(), rng, optimize_limit=3)
+    def test_at_limit_runs_compress(self, rng, limit):
+        # num_ands == OPTIMIZE_LIMIT is inside the compress branch.
+        limit(3)
+        out = finalize_aig(_redundant_aig(), rng)
         assert out.num_ands == 0
         assert out.truth_tables() == _redundant_aig().truth_tables()
 
-    def test_above_limit_balance_only(self, rng):
+    def test_above_limit_balance_only(self, rng, limit):
         # One over the limit: balance cannot remove the redundancy.
-        out = finalize_aig(_redundant_aig(), rng, optimize_limit=2)
+        limit(2)
+        out = finalize_aig(_redundant_aig(), rng)
         assert out.num_ands == 3
         assert out.truth_tables() == _redundant_aig().truth_tables()
 
@@ -150,18 +164,16 @@ class TestFinalizeOptimizeLimit:
             aig.set_output(bit)
         return aig.extract_cone()
 
-    def test_over_cap_reenters_compress(self):
+    def test_over_cap_reenters_compress(self, cap):
         """The post-approximation result re-enters compress when it
-        fits under optimize_limit; the pipeline is exactly
+        fits under OPTIMIZE_LIMIT; the pipeline is exactly
         compress -> approximate -> compress."""
         from repro.aig.approx import approximate_to_size
         from repro.aig.opt.passes import compress
 
         max_nodes = 60
-        got = finalize_aig(
-            self._multiplier_aig(), np.random.default_rng(7),
-            max_nodes=max_nodes, optimize_limit=10**9,
-        )
+        cap(max_nodes)
+        got = finalize_aig(self._multiplier_aig(), np.random.default_rng(7))
         manual = compress(self._multiplier_aig())
         assert manual.num_ands > max_nodes  # the approx path is taken
         manual = approximate_to_size(
@@ -170,24 +182,23 @@ class TestFinalizeOptimizeLimit:
         manual = compress(manual)
         assert got.num_ands == manual.num_ands <= max_nodes
 
-    def test_over_cap_without_compress_reentry_still_capped(self):
-        # optimize_limit below the approximated size: the re-entry is
+    def test_over_cap_without_compress_reentry_still_capped(self, cap, limit):
+        # OPTIMIZE_LIMIT below the approximated size: the re-entry is
         # skipped but the cap still holds.
-        got = finalize_aig(
-            self._multiplier_aig(), np.random.default_rng(7),
-            max_nodes=60, optimize_limit=-1,
-        )
+        cap(60)
+        limit(-1)
+        got = finalize_aig(self._multiplier_aig(), np.random.default_rng(7))
         assert got.num_ands <= 60
 
 
 class TestFinalize:
-    def test_respects_cap_via_approximation(self, rng):
+    def test_respects_cap_via_approximation(self, rng, cap):
         aig = AIG(12)
         lits = aig.input_lits()
         for bit in multiplier(aig, lits[:6], lits[6:]):
             aig.set_output(bit)
-        out = finalize_aig(aig.extract_cone(), rng, max_nodes=60,
-                          optimize=False)
+        cap(60)
+        out = finalize_aig(aig.extract_cone(), rng, optimize=False)
         assert out.num_ands <= 60
 
     def test_keeps_small_circuits_functional(self, rng):
@@ -200,11 +211,10 @@ class TestPortfolioFallback:
     def test_empty_flow_list_returns_constant(self, small_problem):
         # Regression: used to raise "cannot unpack non-sequence
         # NoneType" because pick_best returns None for no candidates.
-        from repro.contest.problem import MAX_AND_NODES
         from repro.flows import get_flow
 
         solution = get_flow("portfolio").run(small_problem, flows=[])
-        assert solution.is_legal(MAX_AND_NODES)
+        assert solution.is_legal()
         assert solution.aig.num_ands == 0
         assert solution.method.endswith("+const")
         assert solution.metadata["selected_flow"] is None

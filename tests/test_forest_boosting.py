@@ -94,14 +94,3 @@ class TestBoosting:
         )
         assert accuracy(y[1500:], model.predict(X[1500:])) > 0.95
 
-    def test_regularization_shrinks_trees(self, rng):
-        X, y, _, _ = _problem(rng)
-        loose = GradientBoostedTrees(
-            n_estimators=5, max_depth=6, gamma=0.0
-        ).fit(X, y)
-        tight = GradientBoostedTrees(
-            n_estimators=5, max_depth=6, gamma=5.0
-        ).fit(X, y)
-        loose_nodes = sum(len(t.nodes) for t in loose.trees)
-        tight_nodes = sum(len(t.nodes) for t in tight.trees)
-        assert tight_nodes <= loose_nodes

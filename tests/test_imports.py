@@ -44,3 +44,11 @@ def test_aig_loads_no_scipy_and_no_learner():
     assert "repro.aig" in loaded
     assert [m for m in loaded
             if m.split(".")[0] == "scipy" or m.startswith("repro.ml")] == []
+
+
+def test_cli_does_not_load_the_serving_package():
+    # Only ``repro serve`` needs it; every other command starts faster
+    # without it.
+    loaded = modules_after_import("repro.cli")
+    assert [m for m in ("repro.serve", "repro.runner", "asyncio")
+            if m in loaded] == []

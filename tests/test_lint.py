@@ -16,7 +16,6 @@ import pytest
 
 from repro.devtools.lint import (
     ALL_RULES,
-    LintConfig,
     lint_paths,
     lint_source,
     main,
@@ -25,11 +24,9 @@ from repro.devtools.lint import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
-#: rule id -> (fixture file, config override or None)
-NO_PATH_SKIPS = LintConfig(rule_path_skips={})
-#: REP501 is confined to src/repro by default; its fixture lints
-#: under a config with the confinement removed.
-NO_PATH_ONLY = LintConfig(rule_path_only={})
+#: A library path: every rule applies there.
+IN_LIBRARY = "src/repro/fixture.py"
+#: rule id -> (fixture file, path to lint it as, or None for its own)
 FIRING_FIXTURES = {
     "REP101": ("rep101_rng_global.py", None),
     "REP102": ("rep102_rng_unseeded.py", None),
@@ -40,10 +37,10 @@ FIRING_FIXTURES = {
     "REP303": ("rep303_global_mutation.py", None),
     "REP401": ("rep401_mutable_default.py", None),
     "REP402": ("rep402_bare_except.py", None),
-    # REP403 skips tests/ by default (pytest asserts are fine); the
-    # fixture lints under a config with the path skip removed.
-    "REP403": ("rep403_runtime_assert.py", NO_PATH_SKIPS),
-    "REP501": ("rep501_module_docstring.py", NO_PATH_ONLY),
+    # REP403 skips tests/ (pytest asserts are fine) and REP501 is
+    # confined to src/repro, so these fixtures lint as library code.
+    "REP403": ("rep403_runtime_assert.py", IN_LIBRARY),
+    "REP501": ("rep501_module_docstring.py", IN_LIBRARY),
 }
 
 
@@ -61,12 +58,13 @@ class TestRuleRegistry:
 class TestRulesFire:
     @pytest.mark.parametrize("rule_id", sorted(FIRING_FIXTURES))
     def test_fixture_fires_exactly_its_rule(self, rule_id):
-        filename, config = FIRING_FIXTURES[rule_id]
+        filename, lint_as = FIRING_FIXTURES[rule_id]
         path = FIXTURES / filename
-        violations = lint_source(path.read_text(), str(path), config)
+        lint_as = lint_as or str(path)
+        violations = lint_source(path.read_text(), lint_as)
         assert len(violations) == 1, violations
         assert violations[0].rule_id == rule_id
-        assert violations[0].path == str(path)
+        assert violations[0].path == lint_as
         assert violations[0].line > 0
 
     def test_clean_fixture_is_clean(self):

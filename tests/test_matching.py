@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.synth import matching
 from repro.synth.matching import (
     match_adder_bit,
     match_comparator,
@@ -118,7 +119,7 @@ class TestMultiplier:
         y = np.array(
             [((x * z) >> (k - 1)) & 1 for x, z in zip(a, b, strict=True)], np.uint8
         )
-        assert match_multiplier_bit(X, y, max_width=16) is None
+        assert match_multiplier_bit(X, y) is None
 
 
 class TestDispatcher:
@@ -139,8 +140,9 @@ class TestDispatcher:
         y = np.zeros(0, dtype=np.uint8)
         assert match_standard_function(X, y) is None
 
-    def test_node_cap_respected(self, rng):
+    def test_node_cap_respected(self, rng, monkeypatch):
+        monkeypatch.setattr(matching, "MAX_AND_NODES", 3)
         k = 12
         X, a, b = _words(rng, k)
         y = np.array([((x + z) >> k) & 1 for x, z in zip(a, b, strict=True)], np.uint8)
-        assert match_standard_function(X, y, max_nodes=3) is None
+        assert match_standard_function(X, y) is None

@@ -300,13 +300,3 @@ class TestRewritePipeline:
         assert out.truth_tables() == aig.truth_tables()
         assert out.num_ands < aig.count_used_ands()
 
-    def test_rewrite_supports_wide_cuts(self):
-        # Cuts beyond the NPN library width (k > 4) fall back to
-        # mutation-free ISOP pricing — the seed's public k range.
-        from repro.aig.opt.passes import rewrite
-
-        for seed in range(4):
-            aig = random_aig(6, 40, seed=seed, n_outputs=2)
-            out = rewrite(aig, k=5)
-            assert out.truth_tables() == aig.truth_tables()
-            assert out.num_ands <= aig.count_used_ands()

@@ -82,7 +82,7 @@ class TestImprovement:
         lits = aig.input_lits()
         for bit in multiplier(aig, lits[:4], lits[4:]):
             aig.set_output(bit)
-        out = compress(aig, max_rounds=1)
+        out = compress(aig)
         assert out.truth_tables() == aig.truth_tables()
 
     def test_fraig_merges_structurally_distinct_equivalents(self):
@@ -160,7 +160,7 @@ class TestChainRegression:
     def test_compress_ripple_chain_no_recursion_error(self):
         aig = ripple_chain(word_width=4, n_nodes=5000)
         assert aig.num_ands >= 5000
-        out = compress(aig, max_rounds=1)
+        out = compress(aig)
         assert out.truth_tables() == aig.truth_tables()
         assert out.num_ands <= aig.count_used_ands()
 

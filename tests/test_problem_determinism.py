@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.contest import DEFAULT_REGISTRY
-from repro.runner import dataset_fingerprint
+from tests.oracles import dataset_fingerprint
 
 
 def _row_ints(X):

@@ -1,5 +1,6 @@
 """Every module, function, method and class under ``src/repro`` is
-reached from an entry point.
+reached from an entry point, and every defaulted parameter of a
+reached definition is set by some caller.
 
 The entry points are the ``repro`` CLI, every module that runs under
 ``python -m`` (a ``__main__`` module or one with a
@@ -25,11 +26,16 @@ callers, each with its reason.  Known limit: names are not resolved to
 their definitions, so a dead method that shares its name with a live
 one is not flagged.
 
-Tests do not count: a module or function that only its own tests
-use is dead code.
+The parameter walk matches calls to definitions by spelling too (see
+``test_every_repro_parameter_is_set``).  Its exemptions are seeds and
+RNGs, ``main``'s ``argv`` and the ``KNOBS`` allowlist.
+
+Tests do not count: a module, function or parameter that only its own
+tests use is dead code.
 """
 
 import ast
+import functools
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -48,6 +54,12 @@ PUBLIC_API = {
     "repro.twolevel.pla.read_pla": READS_CONTEST_FILES,
     "repro.ml.dataset.Dataset.from_pla": READS_CONTEST_FILES,
 }
+
+
+@functools.cache
+def parse(path: Path) -> ast.Module:
+    """The syntax tree of ``path``, parsed once per test session."""
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def package_modules(src: Path, package: str) -> dict[str, Path]:
@@ -98,16 +110,13 @@ def runs_as_main(tree: ast.Module) -> bool:
 def unreachable(root: Path, package: str, entry: str) -> list[str]:
     """Modules of ``root/src/package`` that no entry point reaches."""
     modules = package_modules(root / "src", package)
-    trees = {
-        name: ast.parse(path.read_text(encoding="utf-8"))
-        for name, path in modules.items()
-    }
+    trees = {name: parse(path) for name, path in modules.items()}
     todo = [entry]
     todo += [name for name, tree in trees.items()
              if name.endswith(".__main__") or runs_as_main(tree)]
     for folder in CONSUMERS:
         for path in sorted((root / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+            tree = parse(path)
             todo += imported_names(tree, "", False)
     seen: set[str] = set()
     while todo:
@@ -166,21 +175,21 @@ def _scan(nodes, qualname: str, uses: set[str], found: list[Definition],
         _scan(ast.iter_child_nodes(node), qualname, uses, found, where, in_init)
 
 
-def unreached_definitions(root: Path, package: str,
-                          public_api: dict[str, str]) -> list[str]:
-    """``path:line qualname`` of every definition in ``root/src/package``
-    that no root reaches (see the module docstring)."""
+def walk_definitions(root: Path, package: str, public_api: dict[str, str]
+                     ) -> tuple[list[Definition], set[str]]:
+    """Every definition in ``root/src/package`` and the set of names the
+    walk reaches from the roots (see the module docstring)."""
     roots: set[str] = set()
     for folder in CONSUMERS:
         for path in sorted((root / folder).rglob("*.py")):
             consumer: list[Definition] = []
-            tree = ast.parse(path.read_text(encoding="utf-8"))
+            tree = parse(path)
             _scan(tree.body, "", roots, consumer, "", False)
             for definition in consumer:
                 roots |= definition.uses
     found: list[Definition] = []
     for module, path in package_modules(root / "src", package).items():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = parse(path)
         _scan(tree.body, module, roots, found, str(path.relative_to(root)),
               path.name == "__init__.py")
     by_name: dict[str, list[Definition]] = {}
@@ -195,6 +204,14 @@ def unreached_definitions(root: Path, package: str,
             reached.add(name)
             for definition in by_name.get(name, ()):
                 todo += definition.uses
+    return found, reached
+
+
+def unreached_definitions(root: Path, package: str,
+                          public_api: dict[str, str]) -> list[str]:
+    """``path:line qualname`` of every definition in ``root/src/package``
+    that no root reaches (see the module docstring)."""
+    found, reached = walk_definitions(root, package, public_api)
     return [
         d.where for d in found
         if d.name not in reached
@@ -301,3 +318,263 @@ def test_public_api_is_short_and_needed():
     # reaches anyway, is stale.
     unlisted = unreached_definitions(ROOT, "repro", {})
     assert set(PUBLIC_API) <= {where.split()[-1] for where in unlisted}
+
+
+SOURCES = ("src", *CONSUMERS)
+SEEDS = {"seed", "master_seed", "rng"}
+KNOBS = {
+    "repro.sim.engine._levelize(_stats)": (
+        "observation seam: the cutover regression tests read the Jacobi "
+        "round count and whether the scalar fallback ran, which the "
+        "returned levels do not show"
+    ),
+}
+
+
+class Parameter(NamedTuple):
+    where: str  # "path:line qualname(param)"
+    qualname: str
+    function: str
+    owner: str | None  # the class whose ``__init__`` this is
+    name: str
+    position: int | None  # index among a call's arguments; None: keyword-only
+
+
+class Call(NamedTuple):
+    positional: int  # arguments before the first ``*args``
+    star: bool  # ``*args`` may set every later position
+    keywords: set[str | None]  # ``None``: ``**kwargs`` may set any name
+
+
+def _spelling(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _call(args: list[ast.expr], keywords: list[ast.keyword]) -> Call:
+    star = next((i for i, a in enumerate(args) if isinstance(a, ast.Starred)),
+                None)
+    return Call(len(args) if star is None else star, star is not None,
+                {k.arg for k in keywords})
+
+
+def _forwards(keyword: ast.keyword) -> bool:
+    """``p=p``: a parameter passed on under its own name."""
+    return isinstance(keyword.value, ast.Name) and keyword.value.id == keyword.arg
+
+
+def _calls(node: ast.AST, calls: dict[str, list[Call]],
+           bases: list[str], within: str | None) -> None:
+    """Add each call under ``node`` to ``calls`` under the name it
+    spells.  ``partial(f, ...)`` calls ``f``; ``super().__init__(...)``
+    calls the enclosing class's ``bases``, as ``Base(...)`` would.
+    Inside the function named ``within``, a call spelled the same
+    (recursion, or ``super().f``) that passes ``p=p`` on does not set
+    ``p``: the parameter only sets itself."""
+    if isinstance(node, ast.ClassDef):
+        bases = [b for b in map(_spelling, node.bases) if b]
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        within = node.name
+    elif isinstance(node, ast.Call):
+        names, args = [_spelling(node.func)], node.args
+        if names == ["partial"] and args:
+            names, args = [_spelling(args[0])], args[1:]
+        elif (names == ["__init__"] and isinstance(node.func.value, ast.Call)
+              and _spelling(node.func.value.func) == "super"):
+            names = bases
+        for name in filter(None, names):
+            keywords = [k for k in node.keywords
+                        if not (name == within and _forwards(k))]
+            calls.setdefault(name, []).append(_call(args, keywords))
+    for child in ast.iter_child_nodes(node):
+        _calls(child, calls, bases, within)
+
+
+def _parameters(nodes, qualname: str, owner: str | None, where: str,
+                found: list[Parameter], bases: dict[str, set[str]]) -> None:
+    """Add each defaulted parameter defined in ``nodes`` to ``found`` and
+    each class's base names to ``bases``."""
+    for node in nodes:
+        if isinstance(node, ast.ClassDef):
+            bases.setdefault(node.name, set()).update(
+                b for b in map(_spelling, node.bases) if b)
+            _parameters(node.body, f"{qualname}.{node.name}", node.name,
+                        where, found, bases)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{qualname}.{node.name}"
+            # A method's call sites omit ``self``.
+            static = any(_spelling(d) == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if owner and not static else 0
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted = [(arg, i - skip)
+                         for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(arg, None) for arg, default
+                          in zip(a.kwonlyargs, a.kw_defaults) if default]
+            for arg, position in defaulted:
+                found.append(Parameter(
+                    f"{where}:{node.lineno} {name}({arg.arg})", name,
+                    node.name, owner if node.name == "__init__" else None,
+                    arg.arg, position))
+            _parameters(node.body, name, None, where, found, bases)
+        else:
+            _parameters(ast.iter_child_nodes(node), qualname, owner, where,
+                        found, bases)
+
+
+def unset_parameters(root: Path, package: str, public_api: dict[str, str],
+                     knobs: dict[str, str]) -> list[str]:
+    """``path:line qualname(param)`` of every defaulted parameter of a
+    reached definition in ``root/src/package`` that no call in ``src/``,
+    ``benchmarks/``, ``examples/`` or ``perfbench/`` may set (see
+    ``test_every_repro_parameter_is_set``)."""
+    calls: dict[str, list[Call]] = {}
+    for folder in SOURCES:
+        for path in sorted((root / folder).rglob("*.py")):
+            _calls(parse(path), calls, [], None)
+    found: list[Parameter] = []
+    bases: dict[str, set[str]] = {}
+    for module, path in package_modules(root / "src", package).items():
+        tree = parse(path)
+        _parameters(tree.body, module, None, str(path.relative_to(root)),
+                    found, bases)
+    subclasses: dict[str, set[str]] = {}
+    for cls, names in bases.items():
+        for base in names:
+            subclasses.setdefault(base, set()).add(cls)
+    definitions, reached = walk_definitions(root, package, public_api)
+    live = {d.qualname for d in definitions
+            if d.name in reached or EXEMPT.fullmatch(d.name)
+            or d.qualname in public_api}
+
+    def callers(p: Parameter) -> set[str]:
+        """Names whose calls reach ``p``: a class's constructor is
+        called through the class or any subclass, and ``__call__``
+        through an instance, which any name may hold."""
+        if p.function == "__call__":
+            return set(calls)
+        names, todo = {p.function}, [p.owner] if p.owner else []
+        while todo:
+            cls = todo.pop()
+            if cls not in names:
+                names.add(cls)
+                todo += subclasses.get(cls, ())
+        return names
+
+    def sets(call: Call, p: Parameter) -> bool:
+        if p.name in call.keywords or None in call.keywords:
+            return True
+        return p.position is not None and (
+            p.position < call.positional or call.star)
+
+    return [
+        p.where for p in found
+        if p.qualname in live
+        and p.name not in SEEDS
+        and not (p.function == "main" and p.name == "argv")
+        and f"{p.qualname}({p.name})" not in knobs
+        and not any(sets(call, p) for name in callers(p)
+                    for call in calls.get(name, ()))
+    ]
+
+
+def test_every_repro_parameter_is_set():
+    """A defaulted parameter that nothing outside the tests sets is a
+    knob no entry point turns: its default belongs in the body as a
+    constant, with any branch that only another value selects deleted.
+    Calls are matched to definitions by spelling, as in the definition
+    walk: by keyword, by position (a method's calls omit ``self``),
+    through ``functools.partial``, through a class or a subclass for
+    ``__init__``, and through ``*args``/``**kwargs``, which may set any
+    parameter they could reach.  Seeds, RNGs and ``main``'s ``argv``
+    are exempt, and ``KNOBS`` lists the few seams kept on purpose, each
+    with its reason."""
+    unset = unset_parameters(ROOT, "repro", PUBLIC_API, KNOBS)
+    assert not unset, (
+        "parameters nothing outside the tests sets:\n" + "\n".join(unset)
+        + "\nmake each default a constant in the body and delete the "
+        "branches only another value selects"
+    )
+
+
+def test_walk_finds_dead_parameters(tmp_path):
+    pkg = tmp_path / "src" / "demo"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "from functools import partial\n"
+        "from .core import (Child, Grandchild, Plain, by_keyword,\n"
+        "                   by_position, forwarded, seam, seeded, tested,\n"
+        "                   via_partial)\n"
+        "def wrapper(**kwargs):\n"
+        "    return forwarded(**kwargs)\n"
+        "def main(argv=None):\n"
+        "    by_keyword(1, flag=True)\n"
+        "    by_position(1, 2)\n"
+        "    partial(via_partial, k=3)(0)\n"
+        "    Child(5)\n"
+        "    seeded(1)\n"
+        "    tested(1)\n"
+        "    seam(1)\n"
+        "    Plain().method(1)\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n"
+    )
+    (pkg / "core.py").write_text(
+        "def by_keyword(a, flag=False):\n"
+        "    pass\n"
+        "def by_position(a, b=0):\n"
+        "    pass\n"
+        "def via_partial(a, k=1):\n"
+        "    pass\n"
+        "class Base:\n"
+        "    def __init__(self, size=1, depth=2):\n"
+        "        pass\n"
+        "class Child(Base):\n"               # Child(5) sets size
+        "    pass\n"
+        "class Grandchild(Child):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(depth=3)\n"
+        "def forwarded(x=0):\n"
+        "    pass\n"
+        "def seeded(a, seed=0, rng=None):\n"
+        "    pass\n"
+        "def tested(a, knob=1):\n"           # 19: only a test sets knob
+        "    pass\n"
+        "def seam(a, _stats=None):\n"        # allowlisted
+        "    pass\n"
+        "class Plain:\n"
+        "    def method(self, a, opt=3):\n"  # 24: a call omits self
+        "        pass\n"
+        "class Fancy(Plain):\n"
+        "    def method(self, a, opt=3):\n"  # 27: only passes opt on
+        "        return super().method(a, opt=opt)\n"
+        "def dead(a, b=1):\n"                # unreached: not a knob
+        "    pass\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_core.py").write_text(
+        "from demo.core import tested\ntested(1, knob=2)\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "ex.py").write_text("import demo.cli\n")
+    unset = unset_parameters(tmp_path, "demo", {},
+                             {"demo.core.seam(_stats)": "why"})
+    assert unset == [
+        "src/demo/core.py:19 demo.core.tested(knob)",
+        "src/demo/core.py:24 demo.core.Plain.method(opt)",
+        "src/demo/core.py:27 demo.core.Fancy.method(opt)",
+    ]
+
+
+def test_knobs_are_short_and_needed():
+    assert len(KNOBS) <= 3 and all(KNOBS.values())
+    # An entry that names no parameter, or one some caller sets
+    # anyway, is stale.
+    unlisted = unset_parameters(ROOT, "repro", PUBLIC_API, {})
+    assert set(KNOBS) <= {where.split()[-1] for where in unlisted}

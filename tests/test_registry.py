@@ -32,7 +32,7 @@ from repro.contest.registry import (
     canonical_spec_string,
     parse_spec_string,
 )
-from repro.runner import dataset_fingerprint
+from tests.oracles import dataset_fingerprint
 
 GOLDEN = Path(__file__).parent / "golden" / "problem_fingerprints.json"
 
@@ -132,25 +132,26 @@ class TestMaterialCache:
     """Satellite 1: explicit, clearable, size-bounded registry cache."""
 
     def test_bounded_with_lru_eviction(self):
-        cache = MaterialCache(maxsize=3)
-        for i in range(5):
+        cache = MaterialCache()
+        n = cache.maxsize + 2
+        for i in range(n):
             cache.get(("k", i), lambda i=i: i * 10)
-        assert len(cache) == 3
+        assert len(cache) == cache.maxsize
         stats = cache.stats()
-        assert stats["builds"] == 5 and stats["evictions"] == 2
+        assert stats["builds"] == n and stats["evictions"] == 2
         # Oldest entries went first; the newest survive.
-        assert ("k", 4) in cache.keys() and ("k", 0) not in cache.keys()
+        assert ("k", n - 1) in cache.keys() and ("k", 0) not in cache.keys()
 
     def test_hit_refreshes_recency(self):
-        cache = MaterialCache(maxsize=2)
-        cache.get(("a",), lambda: 1)
-        cache.get(("b",), lambda: 2)
-        cache.get(("a",), lambda: 1)  # refresh a
-        cache.get(("c",), lambda: 3)  # evicts b, not a
-        assert ("a",) in cache.keys() and ("b",) not in cache.keys()
+        cache = MaterialCache()
+        for i in range(cache.maxsize):
+            cache.get((i,), lambda: 1)
+        cache.get((0,), lambda: 1)  # refresh 0
+        cache.get(("new",), lambda: 3)  # evicts 1, not 0
+        assert (0,) in cache.keys() and (1,) not in cache.keys()
 
     def test_clear(self):
-        cache = MaterialCache(maxsize=4)
+        cache = MaterialCache()
         cache.get(("x",), lambda: object())
         cache.clear()
         assert len(cache) == 0

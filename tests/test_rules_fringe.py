@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ml.fringe import CompositeFeature, FringeDT
+from repro.ml import rules as rules_module
+from repro.ml.fringe import MAX_FEATURES, CompositeFeature, FringeDT
 from repro.ml.metrics import accuracy
 from repro.ml.rules import PartRuleLearner, Rule, RuleList
 
@@ -41,10 +42,11 @@ class TestRules:
         assert len(rules) == 0
         assert rules.predict(X).tolist() == [1] * 50
 
-    def test_max_rules_cap(self, rng):
+    def test_max_rules_cap(self, rng, monkeypatch):
+        monkeypatch.setattr(rules_module, "MAX_RULES", 5)
         X = rng.integers(0, 2, size=(500, 12)).astype(np.uint8)
         y = rng.integers(0, 2, size=500).astype(np.uint8)  # pure noise
-        rules = PartRuleLearner(max_rules=5).fit(X, y)
+        rules = PartRuleLearner().fit(X, y)
         assert len(rules) <= 5
 
 
@@ -97,8 +99,8 @@ class TestFringeDT:
     def test_feature_cap(self, rng):
         X = rng.integers(0, 2, size=(500, 10)).astype(np.uint8)
         y = rng.integers(0, 2, size=500).astype(np.uint8)
-        model = FringeDT(max_features=8).fit(X, y)
-        assert len(model.features) <= 8
+        model = FringeDT().fit(X, y)
+        assert len(model.features) <= MAX_FEATURES
 
     def test_predict_after_iteration_cap(self, rng):
         # Stopping at max_iterations right after adding fringe features

@@ -598,6 +598,17 @@ def test_serve_cli_parser():
     assert args.port == 9000 and args.tick_ms == 1.0
 
 
+def test_deadline_needs_a_positive_tick(model_store):
+    # At tick 0 the flush timer always fires before a deadline timer,
+    # so a deadline would silently never reject anything.
+    with pytest.raises(ValueError, match="positive tick"):
+        MicroBatcher(model_store, deadline_s=0.001)
+    with pytest.raises(ValueError, match="positive tick"):
+        ServeApp(model_store, deadline_ms=1.0)
+    assert MicroBatcher(model_store, tick_s=0.002,
+                        deadline_s=0.001).deadline_s == 0.001
+
+
 def test_serve_cli_parser_pool_flags():
     from repro.cli import build_parser
 
@@ -651,9 +662,9 @@ def test_bundle_from_files_explicit_meta(tmp_path):
     aig.set_output(aig.add_and(2, 4))
     aag_path = tmp_path / "c.aag"
     aag_path.write_text(dumps_aag(aig), encoding="ascii")
-    meta_path = tmp_path / "other_name.json"
+    meta_path = tmp_path / "c.json"
     meta_path.write_text(json.dumps({"benchmark_name": "mine", "seed": 3}))
-    bundle = CircuitBundle.from_files(aag_path, meta_path)
+    bundle = CircuitBundle.from_files(aag_path)
     assert bundle.info().name == "mine" and bundle.info().seed == 3
     rows = _random_rows(4, 2)
     assert np.array_equal(bundle.compile().run(rows), aig.simulate(rows))
@@ -873,7 +884,7 @@ def test_metrics_reconcile_with_requests_handled(model_store):
 
 
 def test_metrics_instruments_unit():
-    reg = MetricsRegistry(prefix="t")
+    reg = MetricsRegistry()
     counter = reg.counter("hits", "Hits.", label="kind")
     counter.inc(2, label_value="a")
     counter.inc(label_value="b")
@@ -891,11 +902,11 @@ def test_metrics_instruments_unit():
     assert hist.quantile(0.99) == 1.0  # +Inf collapses to last bound
     text = reg.render()
     parsed = parse_metrics_text(text)
-    assert parsed['t_hits{kind="a"}'] == 2
-    assert parsed['t_depth{q="x"}'] == 2
-    assert parsed['t_lat_bucket{le="1.0"}'] == 3  # cumulative
-    assert parsed['t_lat_bucket{le="+Inf"}'] == 4
-    assert parsed["t_lat_count"] == 4
+    assert parsed['repro_serve_hits{kind="a"}'] == 2
+    assert parsed['repro_serve_depth{q="x"}'] == 2
+    assert parsed['repro_serve_lat_bucket{le="1.0"}'] == 3  # cumulative
+    assert parsed['repro_serve_lat_bucket{le="+Inf"}'] == 4
+    assert parsed["repro_serve_lat_count"] == 4
     assert gauge.samples() == [({"q": "x"}, 2)]
 
 

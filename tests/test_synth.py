@@ -75,8 +75,10 @@ class TestEnsembleBridges:
 
     def test_boosted_to_aig_matches_quantized(self, data):
         X, y, Xt = data
-        model = GradientBoostedTrees(n_estimators=19, max_depth=3).fit(X, y)
-        aig = boosted_to_aig(model, exact_majority=True)
+        # Over 125 trees the vote is the exact ones-counter.
+        model = GradientBoostedTrees(n_estimators=127, max_depth=3).fit(X, y)
+        assert len(model.trees) == 127
+        aig = boosted_to_aig(model)
         assert np.array_equal(
             aig.simulate(Xt)[:, 0], predict_quantized(model, Xt)
         )
@@ -84,7 +86,7 @@ class TestEnsembleBridges:
     def test_boosted_maj5_close_to_quantized(self, data):
         X, y, Xt = data
         model = GradientBoostedTrees(n_estimators=25, max_depth=3).fit(X, y)
-        aig = boosted_to_aig(model, exact_majority=False)
+        aig = boosted_to_aig(model)
         agree = (
             aig.simulate(Xt)[:, 0] == predict_quantized(model, Xt)
         ).mean()

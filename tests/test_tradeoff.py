@@ -1,14 +1,14 @@
 """Edge cases for the accuracy-size tradeoff layers.
 
 Covers ``repro.flows.tradeoff.run_tradeoff`` (the per-benchmark
-Pareto-set flow) and the ``accuracy_grid`` sampling path of
-``repro.analysis.accuracy_size_tradeoff`` beyond what
-``tests/test_analysis.py`` pins.
+Pareto-set flow) and reading ``repro.analysis.accuracy_size_tradeoff``'s
+frontier at target accuracies beyond what ``tests/test_analysis.py``
+pins.
 """
 
 import math
 
-from repro.analysis import Score, accuracy_size_tradeoff
+from repro.analysis import Score, accuracy_size_tradeoff, size_needed_for_accuracy
 from repro.flows.tradeoff import run_tradeoff
 
 
@@ -35,38 +35,23 @@ class TestAccuracyGrid:
             ]
         }
 
-    def test_empty_grid_returns_no_points(self):
-        assert accuracy_size_tradeoff(self._runs(), accuracy_grid=()) == []
+    def _sizes(self, targets):
+        frontier = accuracy_size_tradeoff(self._runs())
+        return [size_needed_for_accuracy(frontier, t) for t in targets]
 
     def test_grid_on_empty_scores_is_empty(self):
-        assert accuracy_size_tradeoff({}, accuracy_grid=(0.5, 0.9)) == []
-        assert accuracy_size_tradeoff({"t": []}, accuracy_grid=(0.5,)) == []
-
-    def test_duplicate_targets_yield_duplicate_points(self):
-        points = accuracy_size_tradeoff(
-            self._runs(), accuracy_grid=(0.5, 0.5)
-        )
-        assert len(points) == 2
-        assert points[0] == points[1]
-
-    def test_grid_order_is_preserved_not_sorted(self):
-        points = accuracy_size_tradeoff(
-            self._runs(), accuracy_grid=(0.9, 0.5)
-        )
-        assert [acc for _, acc in points] == [0.9, 0.5]
+        for runs in ({}, {"t": []}):
+            frontier = accuracy_size_tradeoff(runs)
+            assert frontier == []
+            assert math.isnan(size_needed_for_accuracy(frontier, 0.5))
 
     def test_sizes_monotone_in_target(self):
-        points = accuracy_size_tradeoff(
-            self._runs(), accuracy_grid=(0.5, 0.7, 0.9)
-        )
-        sizes = [size for size, _ in points if not math.isnan(size)]
+        sizes = self._sizes((0.5, 0.7, 0.9))
+        sizes = [size for size in sizes if not math.isnan(size)]
         assert sizes == sorted(sizes)
 
     def test_target_above_best_is_nan_below_worst_is_min(self):
-        points = accuracy_size_tradeoff(
-            self._runs(), accuracy_grid=(0.0, 1.0)
-        )
-        easiest, impossible = points[0][0], points[1][0]
+        easiest, impossible = self._sizes((0.0, 1.0))
         assert not math.isnan(easiest)
         assert math.isnan(impossible)
 

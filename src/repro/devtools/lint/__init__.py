@@ -15,14 +15,12 @@ Suppress a single finding with a trailing
 
 from __future__ import annotations
 
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.engine import lint_paths, lint_source, main
 from repro.devtools.lint.rules import ALL_RULES, RULES_BY_ID
 from repro.devtools.lint.violations import Violation
 
 __all__ = [
     "ALL_RULES",
-    "LintConfig",
     "RULES_BY_ID",
     "Violation",
     "lint_paths",

@@ -14,8 +14,6 @@ the places where this codebase's determinism contracts actually live:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 #: Functions that execute inside pool workers, keyed by a module path
 #: suffix.  Purity rules (REP301/302/303) only fire inside these — or
 #: inside any function named ``_worker*`` / ``*_worker`` anywhere,
@@ -54,47 +52,36 @@ def _worker_name_matches(name: str) -> bool:
     return name.startswith("_worker") or name.endswith("_worker")
 
 
-@dataclass(frozen=True)
-class LintConfig:
-    """The scoping tables above, as one object the rules consult."""
-
-    worker_zones: dict[str, frozenset[str]] = field(
-        default_factory=lambda: dict(DEFAULT_WORKER_ZONES)
-    )
-    rng_exempt: tuple[str, ...] = DEFAULT_RNG_EXEMPT
-    rule_path_skips: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_RULE_PATH_SKIPS)
-    )
-    rule_path_only: dict[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_RULE_PATH_ONLY)
-    )
-
-    def is_worker_function(self, path: str, func_name: str) -> bool:
-        """Is ``func_name`` in ``path`` a worker-zone function?"""
-        if _worker_name_matches(func_name):
+def is_worker_function(path: str, func_name: str) -> bool:
+    """Is ``func_name`` in ``path`` a worker-zone function?"""
+    if _worker_name_matches(func_name):
+        return True
+    normalized = path.replace("\\", "/")
+    for suffix, names in DEFAULT_WORKER_ZONES.items():
+        if normalized.endswith(suffix) and func_name in names:
             return True
-        normalized = path.replace("\\", "/")
-        for suffix, names in self.worker_zones.items():
-            if normalized.endswith(suffix) and func_name in names:
-                return True
-        return False
+    return False
 
-    def is_rng_exempt(self, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return any(normalized.endswith(s) for s in self.rng_exempt)
 
-    def rule_skips_path(self, rule_id: str, path: str) -> bool:
-        normalized = path.replace("\\", "/")
-        return any(
-            fragment in normalized
-            for fragment in self.rule_path_skips.get(rule_id, ())
-        )
+def is_rng_exempt(path: str) -> bool:
+    normalized = path.replace("\\", "/")
+    return any(normalized.endswith(s) for s in DEFAULT_RNG_EXEMPT)
 
-    def rule_applies_to_path(self, rule_id: str, path: str) -> bool:
-        """False when the rule is confined elsewhere (see
-        ``rule_path_only``); rules without an entry apply everywhere."""
-        only = self.rule_path_only.get(rule_id)
-        if only is None:
-            return True
-        normalized = path.replace("\\", "/")
-        return any(fragment in normalized for fragment in only)
+
+def rule_skips_path(rule_id: str, path: str) -> bool:
+    normalized = path.replace("\\", "/")
+    return any(
+        fragment in normalized
+        for fragment in DEFAULT_RULE_PATH_SKIPS.get(rule_id, ())
+    )
+
+
+def rule_applies_to_path(rule_id: str, path: str) -> bool:
+    """False when the rule is confined elsewhere (see
+    :data:`DEFAULT_RULE_PATH_ONLY`); rules without an entry apply
+    everywhere."""
+    only = DEFAULT_RULE_PATH_ONLY.get(rule_id)
+    if only is None:
+        return True
+    normalized = path.replace("\\", "/")
+    return any(fragment in normalized for fragment in only)

@@ -18,7 +18,6 @@ import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.devtools.lint.config import LintConfig
 from repro.devtools.lint.rules import ALL_CHECKERS, ALL_RULES
 from repro.devtools.lint.rules.base import ParsedModule
 from repro.devtools.lint.suppress import is_suppressed, suppressions_for
@@ -51,7 +50,6 @@ def lint_source(source: str, path: str) -> list[Violation]:
         path=path,
         source_lines=source.splitlines(),
         tree=tree,
-        config=LintConfig(),
     )
     suppressed = suppressions_for(module.source_lines)
     violations = [

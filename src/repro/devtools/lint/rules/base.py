@@ -1,7 +1,7 @@
 """Shared rule infrastructure: parsed modules and name resolution.
 
-Every rule works on a :class:`ParsedModule` — source, AST, import
-table and config — and yields :class:`Violation` objects.  The import
+Every rule works on a :class:`ParsedModule` — source, AST and import
+table — and yields :class:`Violation` objects.  The import
 table is what keeps the rules honest: ``np.random.default_rng`` is
 only an RNG call because ``np`` was imported as ``numpy``, and a local
 variable that happens to be called ``random`` never matches.
@@ -13,7 +13,7 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.devtools.lint.config import LintConfig
+from repro.devtools.lint.config import is_worker_function
 from repro.devtools.lint.violations import Violation
 
 
@@ -66,7 +66,6 @@ class ParsedModule:
     path: str
     source_lines: list[str]
     tree: ast.Module
-    config: LintConfig
     imports: dict[str, str] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -94,7 +93,7 @@ class ParsedModule:
         """Every function in this module that is a worker zone."""
         for node in ast.walk(self.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if self.config.is_worker_function(self.path, node.name):
+                if is_worker_function(self.path, node.name):
                     yield node
 
 

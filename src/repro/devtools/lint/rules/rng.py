@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from repro.devtools.lint.config import is_rng_exempt
 from repro.devtools.lint.rules.base import (
     ParsedModule,
     Rule,
@@ -49,7 +50,7 @@ _SEEDED_CONSTRUCTORS = frozenset({
 
 
 def check_rng(module: ParsedModule) -> Iterator[Violation]:
-    exempt = module.config.is_rng_exempt(module.path)
+    exempt = is_rng_exempt(module.path)
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue

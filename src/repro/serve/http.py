@@ -15,12 +15,15 @@ A deliberately small HTTP/1.1 server (no third-party dependencies —
 ``POST /predict/{model}``
     Body ``{"rows": [[0,1,...], ...]}`` (or ``{"row": [0,1,...]}``
     for a single sample); responds ``{"model": ..., "rows": n,
-    "outputs": [[...], ...]}``.  Outputs are bit-identical to
-    ``AIG.simulate`` on the same rows — the handler only queues rows
-    into the shared :class:`~repro.serve.batching.MicroBatcher`, which
-    coalesces concurrent requests into one engine pass per model,
-    flushed on the next event-loop turn (or after ``tick_s``) and run
-    inline on the event loop.
+    "outputs": [[...], ...]}``.  A body of plain ``0``/``1`` rows is
+    decoded straight from its bytes (:func:`_rows_from_body`); any
+    other body goes through ``json.loads``.  Outputs are
+    bit-identical to ``AIG.simulate`` on the same rows — the handler
+    only queues rows into the shared
+    :class:`~repro.serve.batching.MicroBatcher`, which coalesces
+    concurrent requests into one engine pass per model, flushed on the
+    next event-loop turn (or after ``tick_s``) and run inline on the
+    event loop.
 
 Error statuses are *classified*: a malformed request is that
 caller's 400; a saturated queue or an expired queue deadline is a 503
@@ -41,6 +44,8 @@ import json
 import threading
 import time
 from typing import Any
+
+import numpy as np
 
 from repro.serve.batching import (
     DEFAULT_TICK_S,
@@ -234,6 +239,9 @@ class ServeApp:
             if method != "POST":
                 raise HttpError(405, "use POST /predict/{model}")
             model = path[len("/predict/") :]
+            matrix = _rows_from_body(body_bytes)
+            if matrix is not None:
+                return 200, await self.predict(model, {"rows": matrix})
             try:
                 body = json.loads(body_bytes.decode("utf-8")) if body_bytes else {}
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -347,6 +355,50 @@ async def _read_request(
         raise HttpError(413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""
     return method.upper(), path, headers, body
+
+
+_JSON_WHITESPACE = b" \t\n\r"
+_ROWS_HEAD = b'{"rows":[['
+_ROWS_TAIL = b"]]}"
+_ROW_END = b"],["
+_ONE_TO_ZERO = bytes.maketrans(b"1", b"0")
+
+
+def _rows_from_body(body: bytes) -> np.ndarray | None:
+    """Decode a ``{"rows": [[0,1,...], ...]}`` body without ``json``.
+
+    Returns the ``(n, w)`` uint8 matrix when the body's JSON parse is
+    an object whose only key is ``"rows"``, spelled without escapes,
+    holding ``n >= 1`` rows of one width ``w >= 1`` whose elements are
+    each the single digit ``0`` or ``1``; JSON whitespace may sit
+    between any two tokens.  Returns ``None`` for every other body,
+    which then takes the ``json.loads`` path and its error messages.
+
+    Every token of such a body is one byte except the key, so deleting
+    the four whitespace bytes keeps the parse unless it joins two
+    digits (``0 1``) or splits the key (``"ro ws"``).  The first fails
+    the row template below, which wants a comma between digits; the
+    second fails the check that the body's first quote opens
+    ``"rows"``.  What is left must then match the template byte for
+    byte, so nothing unchecked reaches the matrix.
+    """
+    packed = body.translate(None, _JSON_WHITESPACE)
+    if not (packed.startswith(_ROWS_HEAD) and packed.endswith(_ROWS_TAIL)):
+        return None
+    key = body.find(b'"')
+    if body[key : key + 6] != b'"rows"':
+        return None
+    # n blocks of "d,d,...,d],[" (2w + 2 bytes each) when well formed.
+    rows = packed[len(_ROWS_HEAD) : -len(_ROWS_TAIL)] + _ROW_END
+    width = rows.index(b"]") // 2 + 1
+    block = b"0," * (width - 1) + b"0" + _ROW_END
+    n = len(rows) // len(block)
+    if rows.translate(_ONE_TO_ZERO) != block * n:
+        return None
+    # The block length is even, so the even offsets hold each row's
+    # digits followed by the comma of "],[".
+    digits = np.frombuffer(rows[::2], dtype=np.uint8).reshape(n, width + 1)
+    return digits[:, :width] - ord("0")
 
 
 def _endpoint_label(path: str) -> str:

@@ -46,10 +46,13 @@ def read_rows_file(path: PathLike) -> np.ndarray:
                 f"{path}:{lineno}: row has {len(bits)} bits, "
                 f"earlier rows have {width}"
             )
-        rows.append([int(b) for b in bits])
+        rows.append(bits)
     if not rows:
         raise ValueError(f"{path} holds no input rows")
-    return np.asarray(rows, dtype=np.uint8)
+    # Every line was checked to hold only 0 and 1, so each character's
+    # code minus ord("0") is its bit.
+    flat = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return flat.reshape(len(rows), len(rows[0])) - ord("0")
 
 
 def format_outputs(outputs: np.ndarray) -> str:

@@ -380,14 +380,19 @@ def served(model_store):
         yield handle
 
 
-def _request(handle, method, path, body=None):
+def _request_bytes(handle, method, path, body=None):
     conn = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
     try:
         conn.request(method, path, body=body)
         response = conn.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
     finally:
         conn.close()
+
+
+def _request(handle, method, path, body=None):
+    status, data = _request_bytes(handle, method, path, body)
+    return status, json.loads(data)
 
 
 def test_http_predict_golden(served, model_store, run_store_dir):
@@ -403,6 +408,31 @@ def test_http_predict_golden(served, model_store, run_store_dir):
         assert body["model"] == name and body["rows"] == 57
         got = np.asarray(body["outputs"], dtype=np.uint8)
         assert np.array_equal(got, aig.simulate(rows))
+
+
+def test_http_row_body_layouts_answer_byte_identically(
+    served, model_store, run_store_dir
+):
+    """Plain 0/1 bodies are decoded from their bytes whatever their
+    whitespace; booleans and floats take the JSON path.  Every form
+    of the same rows gets the same response bytes."""
+    aig = _stored_winner_aig(run_store_dir, model_store, "ex74")
+    rows = _random_rows(256, 16, seed=13)
+    expected = aig.simulate(rows)
+    bodies = [
+        json.dumps({"rows": rows.tolist()}, sort_keys=True),
+        json.dumps({"rows": rows.tolist()}, sort_keys=True, separators=(",", ":")),
+        json.dumps({"rows": rows.tolist()}, sort_keys=True, indent=2),
+        json.dumps({"rows": rows.astype(bool).tolist()}, sort_keys=True),
+        json.dumps({"rows": rows.astype(float).tolist()}, sort_keys=True),
+    ]
+    assert "true" in bodies[3] and "1.0" in bodies[4]
+    answers = [_request_bytes(served, "POST", "/predict/ex74", b) for b in bodies]
+    assert [status for status, _ in answers] == [200] * len(bodies)
+    assert len({data for _, data in answers}) == 1
+    body = json.loads(answers[0][1])
+    assert body["model"] == "ex74" and body["rows"] == 256
+    assert np.array_equal(np.asarray(body["outputs"], dtype=np.uint8), expected)
 
 
 def test_http_single_row_and_index_route(served, model_store, run_store_dir):
@@ -529,6 +559,7 @@ def test_read_rows_file_formats(tmp_path):
     path = tmp_path / "rows.txt"
     path.write_text("# comment\n0101\n1 1 0 0\n0,0,1,1\n\n")
     rows = read_rows_file(path)
+    assert rows.dtype == np.uint8
     assert rows.tolist() == [[0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
     path.write_text("01\n011\n")
     with pytest.raises(ValueError):

@@ -1,21 +1,25 @@
 """Fuzz tests for the serving layer's outside input.
 
-Two functions see bytes and values a client controls: the HTTP request
-parser and the row validator.  For any input each must either answer
-with a well-formed result or fail with the error the server turns into
-a response; any other exception would escape the connection handler.
-Hypothesis drives both with bounded example counts, and ``@example``
-pins the awkward cases by hand.
+Three functions see bytes and values a client controls: the HTTP
+request parser, the row validator and the byte-level ``/predict`` body
+decoder.  For any input the first two must either answer with a
+well-formed result or fail with the error the server turns into a
+response; any other exception would escape the connection handler.
+The decoder is checked against ``json.loads``: it may decline any
+body, but a matrix it returns must be exactly what the JSON parse
+holds.  Hypothesis drives all three with bounded example counts, and
+``@example`` pins the awkward cases by hand.
 """
 
 import asyncio
+import json
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.serve.bundle import validate_rows
-from repro.serve.http import MAX_BODY_BYTES, HttpError, _read_request
+from repro.serve.http import MAX_BODY_BYTES, HttpError, _read_request, _rows_from_body
 
 N_INPUTS = 4
 
@@ -142,3 +146,135 @@ def test_read_request_parses_or_raises_http_error(data):
     length = headers.get("content-length", "0") or "0"
     assert length.isascii() and length.isdigit()
     assert len(body) == int(length)
+
+
+# ---------------------------------------------------------------------------
+# The byte-level /predict body decoder against json.loads
+# ---------------------------------------------------------------------------
+
+
+def decoded_like_json(body: bytes) -> np.ndarray | None:
+    """The decoder's answer, checked against the JSON parse.
+
+    ``None`` is always allowed.  A matrix is allowed only when the body
+    parses as an object whose one key is ``"rows"`` holding a non-empty
+    2-D list of the integers 0 and 1, and must equal that list.
+    """
+    got = _rows_from_body(body)
+    if got is None:
+        return None
+    pairs = json.loads(body.decode("utf-8"), object_pairs_hook=list)
+    assert [key for key, _ in pairs] == ["rows"]
+    want = np.asarray(pairs[0][1])
+    assert want.dtype.kind == "i" and want.ndim == 2 and want.size
+    assert np.isin(want, (0, 1)).all()
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert (got == want).all()
+    return got
+
+
+matrices = hnp.arrays(
+    dtype=np.uint8,
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 8)),
+    elements=st.integers(0, 1),
+)
+whitespace = st.text(alphabet=" \t\n\r", min_size=1, max_size=3)
+
+
+@st.composite
+def serialized(draw, key_intact=True):
+    """``(body, matrix)``: a 0/1 matrix through ``json.dumps`` with a
+    drawn layout, plus JSON whitespace inserted at drawn offsets
+    (never inside the key when ``key_intact``)."""
+    rows = draw(matrices)
+    text = json.dumps(
+        {"rows": rows.tolist()},
+        sort_keys=True,
+        indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+        separators=draw(st.sampled_from(
+            [None, (",", ":"), (", ", ": "), (" , ", " : "), (",\n", ":\t")]
+        )),
+    )
+    key = text.index('"rows"')
+    offsets = draw(st.lists(st.integers(0, len(text)), max_size=4))
+    for at in sorted(offsets, reverse=True):
+        if key_intact and key < at < key + len('"rows"'):
+            continue
+        text = text[:at] + draw(whitespace) + text[at:]
+    return text.encode("ascii"), rows
+
+
+MUTATION_BYTES = b'012 \t\n\r\x0b\x0c,[]{}":-.eEtrue\xef\xbb\xbf\x00'
+ELEMENTS = [b"2", b"01", b"true", b"1.0", b"-0", b"0 1", b"[]", b"[0]", b'"1"']
+
+
+@st.composite
+def mutated(draw):
+    """A serialized body with up to three edits: a byte replaced,
+    inserted or deleted, or one element swapped for another token."""
+    body, _ = draw(serialized(key_intact=False))
+    body = bytearray(body)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "element"]))
+        digits = [i for i, byte in enumerate(body) if byte in b"01"]
+        if edit == "element" and digits:
+            at = draw(st.sampled_from(digits))
+            body[at : at + 1] = draw(st.sampled_from(ELEMENTS))
+            continue
+        at = draw(st.integers(0, len(body)))
+        byte = draw(st.sampled_from(MUTATION_BYTES))
+        if edit == "insert" or at == len(body):
+            body.insert(at, byte)
+        elif edit == "replace":
+            body[at] = byte
+        else:
+            del body[at]
+    return bytes(body)
+
+
+PLAIN = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+
+
+def _dumped(framing=b"", **layout):
+    body = json.dumps({"rows": PLAIN.tolist()}, sort_keys=True, **layout).encode()
+    return framing + body + framing, PLAIN
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=serialized())
+@example(case=_dumped())
+@example(case=_dumped(separators=(",", ":")))
+@example(case=_dumped(indent=2))
+@example(case=_dumped(b" \r\n\t", indent="\t"))
+def test_decoder_reads_every_whitespace_layout(case):
+    body, rows = case
+    got = decoded_like_json(body)
+    assert got is not None and np.array_equal(got, rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=st.one_of(mutated(), st.binary(max_size=40)))
+@example(body=b'{"rows": [[0, 1]]}')
+@example(body=b'{"rows": [[2, 0]]}')
+@example(body=b'{"rows": [[01, 0]]}')
+@example(body=b'{"rows": [[true, 0]]}')
+@example(body=b'{"rows": [[1.0, 0]]}')
+@example(body=b'{"rows": [[-0, 0]]}')
+@example(body=b'{"rows": [[0, 1], [1]]}')  # ragged
+@example(body=b'{"rows": [[0], [1, 0]]}')
+@example(body=b'{"rows": [[]]}')
+@example(body=b'{"rows": []}')
+@example(body=b'{"rows": [0, 1]}')  # 1-D
+@example(body=b'{"rows": [[0]], "rows": [[1]]}')
+@example(body=b'{"rows": [[0]], "x": 1}')
+@example(body=b'{"x": 1, "rows": [[0]]}')
+@example(body=b'{"row": [[0]]}')
+@example(body=b'{"ro ws": [[0]]}')
+@example(body=b'{"\\u0072ows": [[0]]}')
+@example(body=b'\xef\xbb\xbf{"rows": [[0]]}')  # UTF-8 BOM
+@example(body=b'{"rows": [[0]]}x')
+@example(body=b'{"rows": [[0]]}\x0c')  # form feed is not JSON whitespace
+@example(body=b'{"rows": [[0 1]]}')
+@example(body=b'{"rows": [[0, 1 0]]}')
+def test_decoder_returns_none_or_the_json_parse(body):
+    decoded_like_json(body)

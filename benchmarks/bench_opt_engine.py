@@ -14,9 +14,13 @@ circuits and asserts the engine contract:
 - the optimized output is never larger than the reference output
   (NPN library + fraig-lite can only find *more* sharing);
 - ``compress`` completes on a 5000-node chain-shaped graph, where the
-  seed's recursive cone walks blew the Python recursion limit.
+  seed's recursive cone walks blew the Python recursion limit;
+- ``rewrite`` and ``refactor`` return byte for byte what their pricing
+  oracles in :mod:`tests.oracles` return (the versions that priced
+  every cut through ``counting.price`` and every single-node cone).
 """
 
+import functools
 import os
 import time
 
@@ -24,14 +28,18 @@ import numpy as np
 
 from _report import echo
 from repro.aig.aig import AIG
+from repro.aig.aiger import dumps_aag
 from repro.aig.build import parity_chain, symmetric_function
+from repro.aig.opt import passes
 from repro.aig.opt.passes import compress
 from repro.ml.decision_tree import DecisionTree
 from repro.synth.from_sop import cover_to_aig
 from repro.utils.rng import rng_for
+from tests import oracles
 from tests.oracles import reference_compress
 
 
+@functools.cache
 def _victims():
     """Contest-scale learned circuits (the finalize_aig diet)."""
     rng = rng_for("bench-opt-engine")
@@ -103,3 +111,18 @@ def test_opt_engine_chain_safety():
     echo("\n=== compress on a 5000-node parity chain ===")
     echo(f"  {aig.num_ands} nodes, depth {aig.depth()} -> "
          f"{out.num_ands} nodes (no RecursionError)")
+
+
+def test_rewrite_and_refactor_match_their_pricing_oracles():
+    echo("\n=== rewrite / refactor vs their pricing oracles ===")
+    for name, aig in _victims():
+        for pass_name in ("rewrite", "refactor"):
+            start = time.perf_counter()
+            ref = getattr(oracles, pass_name)(aig)
+            ref_s = time.perf_counter() - start
+            start = time.perf_counter()
+            new = getattr(passes, pass_name)(aig)
+            new_s = time.perf_counter() - start
+            echo(f"  {name:8s} {pass_name:8s} oracle {ref_s:6.3f}s"
+                 f" | engine {new_s:6.3f}s -> {new.num_ands:5d} ANDs")
+            assert dumps_aag(new) == dumps_aag(ref), (name, pass_name)

@@ -41,7 +41,12 @@ def post_row(host, port, model, row):
 
 
 def main() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="repro-serve-demo-"))
+    with tempfile.TemporaryDirectory(prefix="repro-serve-demo-") as tmp:
+        demo(Path(tmp))
+
+
+def demo(tmp: Path) -> None:
+    """The walkthrough, with its store and files under ``tmp``."""
     store_dir = tmp / "run"
     print(f"1) contest into {store_dir} (--keep-solutions) ...")
     specs = contest_tasks(BENCHMARKS, FLOWS, SAMPLES, SAMPLES, SAMPLES)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 
-from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
+from repro.aig.aig import AIG, CONST0, CONST1, lit_not
 from repro.aig.isop import isop
 from repro.aig.opt.counting import Program, price, replay
 
@@ -201,26 +201,31 @@ def compile_sop(cover, k: int) -> Program:
     """
     nodes: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
-
-    def conj(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        lit = index.get(key)
-        if lit is None:
-            nodes.append(key)
-            lit = index[key] = 2 * (k + len(nodes))
-        return lit
-
-    def disj(a: int, b: int) -> int:
-        return conj(a ^ 1, b ^ 1) ^ 1
-
-    terms = [
-        GateOps._reduce_balanced(
-            [2 + 2 * var + (value ^ 1) for var, value in cube], conj, CONST1
-        )
-        for cube in cover
-    ]
-    out = GateOps._reduce_balanced(terms, disj, CONST0)
-    return tuple(nodes), out
+    # First each cube's literals, then the complemented cube terms:
+    # the OR is the complement of their AND, reduced the same way.
+    groups = [[2 + 2 * var + (value ^ 1) for var, value in cube] for cube in cover]
+    for _ in range(2):
+        terms = []
+        for lits in groups:
+            if not lits:
+                terms.append(CONST1)
+                continue
+            while len(lits) > 1:
+                paired = []
+                for i in range(0, len(lits) - 1, 2):
+                    a, b = lits[i], lits[i + 1]
+                    key = (a, b) if a < b else (b, a)
+                    lit = index.get(key)
+                    if lit is None:
+                        nodes.append(key)
+                        lit = index[key] = 2 * (k + len(nodes))
+                    paired.append(lit)
+                if len(lits) % 2:
+                    paired.append(lits[-1])
+                lits = paired
+            terms.append(lits[0])
+        groups = [[term ^ 1 for term in terms]]
+    return tuple(nodes), terms[0] ^ 1
 
 
 @lru_cache(maxsize=1 << 12)

@@ -2,9 +2,10 @@
 
 Used by the rewriting pass: every AND node gets a set of cuts (leaf
 sets of bounded size) and the truth table of the node in terms of each
-cut's leaves.  Enumeration is level-batched array code: the AND nodes
-of one logic level depend only on lower levels, so a level's nodes
-merge their fanin cut lists together in numpy.
+cut's leaves, returned as the flat arrays of :class:`Cuts`, with no
+Python object per cut.  Enumeration is level-batched array code: the
+AND nodes of one logic level depend only on lower levels, so a level's
+nodes merge their fanin cut lists together in numpy.
 
 Encoding.  A node keeps at most ``max_cuts`` cuts, each a row of ``k``
 int32 leaves sorted ascending and padded with :data:`_PAD`, a 64-bit
@@ -38,14 +39,11 @@ Cone evaluation over arbitrary leaf sets is
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.aig.aig import AIG
-
-Cut = tuple[int, ...]  # sorted variable indices
-
-TRIVIAL_TABLE = 0b10  # the identity function over one leaf
 
 _PAD = np.iinfo(np.int32).max  # leaf padding; sorts after every leaf
 
@@ -236,55 +234,40 @@ class _CutArrays:
             self.bits.reshape(-1, 1 << k)[dst[part]] = t[0] & t[1] & full[part]
             lo = hi
 
-    def pairs(self) -> dict[int, list[tuple[Cut, int]]]:
-        """``{var: [(cut, table), ...]}`` in kept order."""
-        valid = np.arange(self.max_cuts)[None, :] < self.counts[:, None]
-        leaves = self.leaves[valid]
-        packed = np.packbits(self.bits[valid], axis=1, bitorder="little")
-        words = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
-        words[:, : packed.shape[1]] = packed
-        words = words.view("<u8")
-        tables = words[:, 0]
-        for w in range(1, words.shape[1]):
-            tables = tables.astype(object) | (
-                words[:, w].astype(object) << (64 * w)
-            )
-        # Equal tables share one int object, as equal keys of a cache
-        # would.
-        distinct, which = np.unique(tables, return_inverse=True)
-        tables = np.array(distinct.tolist(), dtype=object)[which]
-        # Tuples are built a size at a time, straight from the columns.
-        sizes = np.add.reduce(leaves != _PAD, axis=1)
-        flat = np.empty(len(leaves), dtype=object)
-        for size in range(self.k + 1):
-            rows = np.flatnonzero(sizes == size)
-            columns = leaves[rows, :size].T.tolist()
-            cuts = zip(*columns, strict=True) if size else [()] * rows.size
-            flat[rows] = np.fromiter(
-                zip(cuts, tables[rows].tolist(), strict=True), dtype=object,
-                count=rows.size,
-            )
-        flat = flat.tolist()
-        ends = np.cumsum(self.counts).tolist()
-        begins = [0, *ends[:-1]]
-        return {
-            var: flat[begin:end]
-            for var, (begin, end) in enumerate(zip(begins, ends, strict=True))
-        }
+
+class Cuts(NamedTuple):
+    """Every variable's kept cuts as flat arrays, in kept order.
+
+    Variable ``v``'s cuts are rows ``start[v]:start[v + 1]``.  Row
+    ``c`` holds ``sizes[c]`` leaves, ascending, in ``leaves[c]``,
+    padded with 0: the constant variable is never a leaf.  Its table,
+    the root's function of those leaves with leaf ``i`` as bit ``i``
+    of the minterm, is ``tables[c]`` packed by :func:`numpy.packbits`
+    in little bit order, so for ``k = 4`` the row, read as one
+    little-endian ``uint16``, is the table.
+    """
+
+    start: np.ndarray  # (num_vars + 1,) int64
+    leaves: np.ndarray  # (cuts, k) int32
+    sizes: np.ndarray  # (cuts,) int64
+    tables: np.ndarray  # (cuts, ceil(2**k / 8)) uint8
 
 
-def enumerate_cuts_with_truths(
-    aig: AIG, k: int = 4, max_cuts: int = 8
-) -> dict[int, list[tuple[Cut, int]]]:
+def enumerate_cuts_with_truths(aig: AIG, k: int = 4, max_cuts: int = 8) -> Cuts:
     """Per-variable k-feasible cuts, each with its root's truth table.
 
-    Returns a dict mapping each variable index to its kept cuts
-    (including the trivial cut) as ``(cut, table)`` pairs: a cut is a
-    sorted tuple of leaf variable indices (the constant variable never
-    appears as a leaf), and its table is the function of the root in
-    terms of the leaves, assembled bottom-up from the fanin cut
-    tables.  The table of the trivial cut ``(var,)`` is the identity
-    ``0b10``.
+    Every variable keeps at most ``max_cuts`` cuts, the trivial cut
+    ``(v,)`` with the identity table ``0b10`` among them; the constant
+    has the one empty cut with table 0.  Tables are assembled
+    bottom-up from the fanin cut tables.
     """
-    return _CutArrays(aig, k, max_cuts).pairs()
-
+    arrays = _CutArrays(aig, k, max_cuts)
+    valid = np.arange(max_cuts) < arrays.counts[:, None]
+    leaves = arrays.leaves[valid]
+    leaves[leaves == _PAD] = 0
+    return Cuts(
+        start=np.concatenate(([0], np.cumsum(arrays.counts))),
+        leaves=leaves,
+        sizes=np.count_nonzero(leaves, axis=1),
+        tables=np.packbits(arrays.bits, axis=2, bitorder="little")[valid],
+    )

@@ -43,7 +43,8 @@ def price(
     ``n_new`` exceed it, so a losing candidate stops at its first
     unshared node.
     """
-    # Mirror of AIG.add_and; keep the two in lockstep.
+    # Mirror of AIG.add_and, as is the strash walk in passes.rewrite;
+    # keep the three in lockstep.
     vals = list(vals)
     local: dict[tuple[int, int], int] = {}
     n_new = 0

@@ -11,18 +11,20 @@ polarities and a Shannon MUX tree compete; the smallest strashed cone
 wins) and stored as a :class:`Recipe`: a flat list of AND nodes over
 local literals — the AND-program shape of
 :mod:`repro.aig.opt.counting`.  :meth:`NpnLibrary.lookup` maps a cut
-function to its recipe and the NPN transform that wires the cut's
-leaves to the recipe's inputs; the rewriting pass prices every
-candidate with :func:`~repro.aig.opt.counting.price` and builds only
-the winner, so it never mutates the graph to measure a gain.
+function to its recipe with the NPN transform that wires the cut's
+leaves to the recipe's inputs folded in: one AND program over the
+cut's leaves, built once per function.  The rewriting pass checks each
+candidate program against the graph's strash table without building
+it, so it never mutates the graph to measure a gain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.aig.aig import AIG, CONST0
+from repro.aig.aig import AIG, CONST0, CONST1
 from repro.aig.isop import full_mask
+from repro.aig.opt.counting import Program
 from repro.aig.opt.npn import npn_canon
 
 
@@ -63,10 +65,10 @@ class NpnLibrary:
 
     def __init__(self):
         self._recipes: dict[tuple[int, int], Recipe] = {}
-        # (k, table) -> (recipe, perm, phase, out_neg): canonicalization
-        # and recipe lookup collapsed into one dict hit, since lookup()
-        # runs hundreds of thousands of times per pass.
-        self._instances: dict[tuple[int, int], tuple] = {}
+        # (k, table) -> folded program: canonicalization, recipe lookup
+        # and the leaf transform collapsed into one dict hit.
+        self._instances: dict[tuple[int, int], Program] = {}
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     def recipe(self, ctable: int, k: int) -> Recipe:
@@ -93,13 +95,13 @@ class NpnLibrary:
         return _encode(best)
 
     # ------------------------------------------------------------------
-    def lookup(self, table: int, k: int) -> tuple[Recipe, tuple[int, ...], int, bool]:
-        """``(recipe, perm, phase, out_neg)`` realizing a ``k``-input table.
+    def lookup(self, table: int, k: int) -> Program:
+        """The AND program realizing a ``k``-input table over its leaves.
 
-        Canonical input ``perm[i]`` is driven by leaf ``i``,
-        complemented when bit ``i`` of ``phase`` is set, and the
-        recipe's output is complemented when ``out_neg`` is set.  The
-        constant tables map to an empty recipe.
+        The class recipe with its NPN transform folded in: the program
+        (see :mod:`repro.aig.opt.counting`) runs over
+        ``[CONST0, *leaves]`` in the order the table numbers them.
+        The constant tables map to an empty program.
         """
         key = (k, table)
         found = self._instances.get(key)
@@ -107,10 +109,27 @@ class NpnLibrary:
             fm = full_mask(k)
             table &= fm
             if table == 0 or table == fm:
-                found = (Recipe(k, (), CONST0, 0), tuple(range(k)), 0, table == fm)
+                found = ((), CONST1 if table == fm else CONST0)
             else:
                 ctable, perm, phase, out_neg = npn_canon(table, k)
-                found = (self.recipe(ctable, k), perm, phase, out_neg)
+                recipe = self.recipe(ctable, k)
+                # Canonical input perm[i] is leaf i, complemented when
+                # bit i of phase is set.
+                leaf = [CONST0] * (1 + k)
+                for i in range(k):
+                    leaf[1 + perm[i]] = 2 * (1 + i) ^ ((phase >> i) & 1)
+
+                def fold(lit: int) -> int:
+                    var = lit >> 1
+                    return leaf[var] ^ (lit & 1) if var <= k else lit
+
+                # Programs share their fanin pairs: thousands of them
+                # stay cached.
+                nodes = tuple(
+                    self._pairs.setdefault(pair, pair)
+                    for pair in ((fold(f0), fold(f1)) for f0, f1 in recipe.nodes)
+                )
+                found = (nodes, fold(recipe.out) ^ out_neg)
             self._instances[key] = found
         return found
 

@@ -8,15 +8,15 @@ hashed graph, functionally equivalent to their input by construction:
     Huffman-style pairing, minimizing depth (ABC's ``balance``).
 ``rewrite``
     DAG-aware 4-cut rewriting (ABC ``rewrite``): every node's cut
-    functions are computed bottom-up during enumeration, reduced to
-    their NPN class, and the class's best-known structure is *priced*
-    against the output graph with mutation-free strash-aware counting.
-    Only the winning candidate is built, with no per-candidate ISOP:
-    nodes are only appended, so a built loser would stay.
+    functions are computed bottom-up during enumeration and mapped to
+    their NPN class's best-known structure, folded into one program
+    over the cut's leaves.  A node takes the first cut whose program
+    the output graph already holds, checked against its strash table
+    without building anything: a candidate that adds no node.
 ``refactor``
     Cone-level resynthesis of maximum fanout-free cones up to 10
     leaves, accepted when the new cone (priced, not built) is no larger
-    than the old MFFC.
+    than the old MFFC.  Single-node cones are built directly.
 ``fraig_lite``
     Simulation-guided equivalence-class detection (ABC ``fraig``
     role): random bit-parallel simulation through the levelized engine
@@ -45,7 +45,7 @@ from repro.aig.aig import AIG, CONST0, CONST1
 from repro.aig.build import lut_choice
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask
-from repro.aig.opt.counting import price, replay
+from repro.aig.opt.counting import replay
 from repro.aig.opt.library import get_library
 from repro.aig.opt.npn import MAX_NPN_VARS
 from repro.aig.opt.traverse import bounded_cut, cone_truth, cut_truth, ffc_cones
@@ -144,11 +144,24 @@ def _gather_and_leaves(aig: AIG, var: int, fanout: np.ndarray) -> list[int]:
 def rewrite(aig: AIG) -> AIG:
     """DAG-aware NPN-library cut rewriting (ABC ``rewrite`` analogue).
 
-    Up to 8 cuts of up to 4 leaves per node, each priced through the
-    NPN library.
+    Up to 8 cuts of up to 4 leaves per node.  A node is rebuilt from
+    the library program of its first cut, in kept order, that is
+    already in the output graph: one that adds no node.  Otherwise
+    it is built directly.
     """
-    node_cuts = enumerate_cuts_with_truths(aig, k=MAX_NPN_VARS, max_cuts=8)
+    cuts = enumerate_cuts_with_truths(aig, k=MAX_NPN_VARS, max_cuts=8)
+    # Single-leaf and empty cuts are never candidates; each distinct
+    # (size, table) of the others is looked up once.
+    cand = np.flatnonzero(cuts.sizes >= 2)
+    sizes = cuts.sizes[cand]
+    keys = sizes << 16 | cuts.tables.view("<u2")[cand, 0]
+    distinct, which = np.unique(keys, return_inverse=True)
     lookup = get_library().lookup
+    programs = [lookup(key & 0xFFFF, key >> 16) for key in distinct.tolist()]
+    # Flat int lists, indexed by candidate: no object per candidate.
+    which, sizes = which.tolist(), sizes.tolist()
+    leaves = cuts.leaves[cand].ravel().tolist()
+    bounds = np.searchsorted(cand, cuts.start).tolist()
     new = AIG(aig.n_inputs)
     strash = new._strash
     mapping = [0] * aig.num_vars
@@ -161,36 +174,37 @@ def rewrite(aig: AIG) -> AIG:
         ma, mb = _map_lit(mapping, f0), _map_lit(mapping, f1)
         a, b = (ma, mb) if ma < mb else (mb, ma)
         if a < 2 or a == b or a ^ b == 1 or (a, b) in strash:
-            # Constant fold or strash hit: nothing can beat zero cost,
-            # and add_and appends nothing.
+            # Constant fold or strash hit: add_and appends nothing.
             mapping[var] = new.add_and(ma, mb)
             continue
-        best_cost = 1  # the direct build
-        best = None
-        next_var = new.num_vars
-        for cut, table in node_cuts[var]:
-            n = len(cut)
-            if n < 2:
-                continue
-            # A candidate only wins with strictly fewer new nodes, so
-            # price it with that budget and abandon it at the first
-            # node that cannot be shared.
-            recipe, perm, phase, out_neg = lookup(table, n)
-            vals = [CONST0] * (1 + n)
-            for i, leaf in enumerate(cut):
-                vals[1 + perm[i]] = mapping[leaf] ^ ((phase >> i) & 1)
-            program = (recipe.nodes, recipe.out ^ out_neg)
-            priced = price(*program, vals, strash, next_var, best_cost - 1)
-            if priced is not None and priced[0] < best_cost:
-                best_cost = priced[0]
-                best = (program, vals)
-                if best_cost == 0:
-                    break  # nothing beats a free candidate
-        if best is None:
-            mapping[var] = new.add_and(ma, mb)
+        for c in range(bounds[var], bounds[var + 1]):
+            # The program over [CONST0, *leaves], mirroring add_and
+            # (and counting.price with budget 0) up to the first node
+            # the graph does not hold.
+            nodes, out = programs[which[c]]
+            row = MAX_NPN_VARS * c
+            vals = [CONST0, *map(mapping.__getitem__, leaves[row:row + sizes[c]])]
+            for n0, n1 in nodes:
+                x = vals[n0 >> 1] ^ (n0 & 1)
+                y = vals[n1 >> 1] ^ (n1 & 1)
+                if x > y:
+                    x, y = y, x
+                if x < 2:
+                    lit = y if x else x
+                elif x == y:
+                    lit = x
+                elif x ^ y == 1:
+                    lit = CONST0
+                else:
+                    lit = strash.get((x, y))
+                    if lit is None:
+                        break
+                vals.append(lit)
+            else:
+                mapping[var] = vals[out >> 1] ^ (out & 1)
+                break
         else:
-            program, vals = best
-            mapping[var] = replay(new, *program, vals)
+            mapping[var] = new.add_and(ma, mb)
     for lit in aig.outputs:
         new.set_output(_map_lit(mapping, lit))
     return new.extract_cone()
@@ -213,7 +227,10 @@ def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
         var = base + j
         f0, f1 = aig.fanins(var)
         cone = cones[j]
-        if cone is not None and len(cone) >= 2:
+        # A single-node cone is already its own positive SOP (the
+        # negative polarity can only tie with it), so it is built
+        # directly.
+        if cone is not None and len(cone) >= 2 and mffc[j] >= 2:
             leaves = sorted(cone)
             nodes, start, end = members[j]
             table = cone_truth(aig, leaves, nodes[start:end])

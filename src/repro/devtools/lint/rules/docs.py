@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.lint.config import rule_applies_to_path, rule_skips_path
+from repro.devtools.lint.config import rule_applies_to_path
 from repro.devtools.lint.rules.base import (
     ParsedModule,
     Rule,
@@ -39,8 +39,6 @@ def check_module_docstring(
     Empty files (an ``__init__.py`` that only marks a package) are
     exempt — there is nothing to document.
     """
-    if rule_skips_path(MODULE_DOCSTRING.rule_id, module.path):
-        return
     if not rule_applies_to_path(MODULE_DOCSTRING.rule_id, module.path):
         return
     if not module.tree.body:

@@ -21,11 +21,14 @@ import numpy as np
 from repro.aig import build
 from repro.aig import isop as isop_lib
 from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
+from repro.aig.build import lut_choice
 from repro.aig.cuts import enumerate_cuts_with_truths as library_cuts
 from repro.aig.isop import full_mask, var_mask
-from repro.aig.opt.counting import replay
+from repro.aig.opt.counting import Program, price, replay
+from repro.aig.opt.library import Recipe, get_library
+from repro.aig.opt.npn import MAX_NPN_VARS, npn_canon
 from repro.aig.opt.passes import _map_lit, balance
-from repro.aig.opt.traverse import cut_truth
+from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
 from repro.cgp.genome import _IMPL, CGPGenome
 from repro.ml.decision_tree import DecisionTree, TreeNode, gini
 from repro.ml.metrics import accuracy
@@ -578,7 +581,7 @@ def npn_apply(table: int, k: int, perm, phase: int, out_neg: bool) -> int:
 def instantiate(library, sink, table: int, leaves: Sequence[int]) -> int:
     """Realize ``table`` over leaf literals from ``library``'s recipe
     for its NPN class, through ``sink.add_and``; returns the output."""
-    recipe, perm, phase, out_neg = library.lookup(table, len(leaves))
+    recipe, perm, phase, out_neg = lookup(library, table, len(leaves))
     vals: list[int] = [CONST0] * (1 + len(leaves))
     for i, leaf in enumerate(leaves):
         vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
@@ -799,7 +802,7 @@ def seed_lut(aig: AIG, table: int, leaves) -> int:
 
 def reference_rewrite(aig: AIG, k: int = 4, max_cuts: int = 8) -> AIG:
     """Seed cut rewriting: build, measure, roll back every candidate."""
-    node_cuts = library_cuts(aig, k=k, max_cuts=max_cuts)
+    node_cuts = pairs(library_cuts(aig, k=k, max_cuts=max_cuts))
     new = AIG(aig.n_inputs)
     mapping = np.zeros(aig.num_vars, dtype=np.int64)
     for i in range(aig.n_inputs):
@@ -888,6 +891,149 @@ def reference_compress(aig: AIG, max_rounds: int = 3) -> AIG:
         if best.num_ands >= size_before:
             break
     return best
+
+
+# ---------------------------------------------------------------------
+# The engine passes before they read the cut arrays
+# ---------------------------------------------------------------------
+# ``rewrite`` priced every cut through ``counting.price`` with the
+# library's un-folded recipe and NPN transform, over ``(cut, table)``
+# tuples; ``refactor`` priced single-node cones too; ``compile_sop``
+# reduced through ``GateOps._reduce_balanced``.
+def pairs(cuts) -> dict[int, list[tuple[Cut, int]]]:
+    """``{var: [(cut, table), ...]}`` in kept order, from the arrays
+    ``repro.aig.cuts.enumerate_cuts_with_truths`` returns."""
+    out = {}
+    for var in range(len(cuts.start) - 1):
+        out[var] = [
+            (tuple(cuts.leaves[c, : cuts.sizes[c]].tolist()),
+             int.from_bytes(cuts.tables[c].tobytes(), "little"))
+            for c in range(cuts.start[var], cuts.start[var + 1])
+        ]
+    return out
+
+
+def lookup(library, table: int, k: int) -> tuple[Recipe, tuple[int, ...], int, bool]:
+    """``(recipe, perm, phase, out_neg)`` realizing a ``k``-input table.
+
+    Canonical input ``perm[i]`` is driven by leaf ``i``, complemented
+    when bit ``i`` of ``phase`` is set, and the recipe's output is
+    complemented when ``out_neg`` is set.  The constant tables map to
+    an empty recipe.
+    """
+    fm = full_mask(k)
+    table &= fm
+    if table == 0 or table == fm:
+        return Recipe(k, (), CONST0, 0), tuple(range(k)), 0, table == fm
+    ctable, perm, phase, out_neg = npn_canon(table, k)
+    return library.recipe(ctable, k), perm, phase, out_neg
+
+
+def rewrite(aig: AIG) -> AIG:
+    """Cut rewriting that prices each cut with ``counting.price``."""
+    node_cuts = pairs(library_cuts(aig, k=MAX_NPN_VARS, max_cuts=8))
+    library = get_library()
+    new = AIG(aig.n_inputs)
+    strash = new._strash
+    mapping = [0] * aig.num_vars
+    for i in range(aig.n_inputs):
+        mapping[1 + i] = new.input_lit(i)
+    base = aig.n_inputs + 1
+    for j in range(aig.num_ands):
+        var = base + j
+        f0, f1 = aig.fanins(var)
+        ma, mb = _map_lit(mapping, f0), _map_lit(mapping, f1)
+        a, b = (ma, mb) if ma < mb else (mb, ma)
+        if a < 2 or a == b or a ^ b == 1 or (a, b) in strash:
+            mapping[var] = new.add_and(ma, mb)
+            continue
+        best_cost = 1  # the direct build
+        best = None
+        next_var = new.num_vars
+        for cut, table in node_cuts[var]:
+            n = len(cut)
+            if n < 2:
+                continue
+            recipe, perm, phase, out_neg = lookup(library, table, n)
+            vals = [CONST0] * (1 + n)
+            for i, leaf in enumerate(cut):
+                vals[1 + perm[i]] = mapping[leaf] ^ ((phase >> i) & 1)
+            program = (recipe.nodes, recipe.out ^ out_neg)
+            priced = price(*program, vals, strash, next_var, best_cost - 1)
+            if priced is not None and priced[0] < best_cost:
+                best_cost = priced[0]
+                best = (program, vals)
+                if best_cost == 0:
+                    break
+        if best is None:
+            mapping[var] = new.add_and(ma, mb)
+        else:
+            program, vals = best
+            mapping[var] = replay(new, *program, vals)
+    for lit in aig.outputs:
+        new.set_output(_map_lit(mapping, lit))
+    return new.extract_cone()
+
+
+def refactor(aig: AIG, max_leaves: int = 10) -> AIG:
+    """MFFC cone resynthesis that prices every cone of 2+ leaves."""
+    cones, mffc, members = ffc_cones(
+        aig, aig.fanout_counts().tolist(), max_leaves
+    )
+    new = AIG(aig.n_inputs)
+    mapping = [0] * aig.num_vars
+    for i in range(aig.n_inputs):
+        mapping[1 + i] = new.input_lit(i)
+    base = aig.n_inputs + 1
+    for j in range(aig.num_ands):
+        var = base + j
+        f0, f1 = aig.fanins(var)
+        cone = cones[j]
+        if cone is not None and len(cone) >= 2:
+            leaves = sorted(cone)
+            nodes, start, end = members[j]
+            table = cone_truth(aig, leaves, nodes[start:end])
+            if table == 0 or table == full_mask(len(leaves)):
+                mapping[var] = CONST0 if table == 0 else CONST1
+                continue
+            mapped = [mapping[leaf] for leaf in leaves]
+            choice = lut_choice(new, table, mapped, budget=mffc[j])
+            if choice is not None:
+                mapping[var] = replay(new, *choice[1], [CONST0, *mapped])
+                continue
+        mapping[var] = new.add_and(
+            _map_lit(mapping, f0), _map_lit(mapping, f1)
+        )
+    for lit in aig.outputs:
+        new.set_output(_map_lit(mapping, lit))
+    return new.extract_cone()
+
+
+def compile_sop(cover, k: int) -> Program:
+    """Compile an OR of cube-ANDs over ``k`` leaves into an AND
+    program through ``GateOps._reduce_balanced`` and two closures."""
+    nodes: list[tuple[int, int]] = []
+    index: dict[tuple[int, int], int] = {}
+
+    def conj(a: int, b: int) -> int:
+        key = (a, b) if a < b else (b, a)
+        lit = index.get(key)
+        if lit is None:
+            nodes.append(key)
+            lit = index[key] = 2 * (k + len(nodes))
+        return lit
+
+    def disj(a: int, b: int) -> int:
+        return conj(a ^ 1, b ^ 1) ^ 1
+
+    terms = [
+        GateOps._reduce_balanced(
+            [2 + 2 * var + (value ^ 1) for var, value in cube], conj, CONST1
+        )
+        for cube in cover
+    ]
+    out = GateOps._reduce_balanced(terms, disj, CONST0)
+    return tuple(nodes), out
 
 
 # ---------------------------------------------------------------------

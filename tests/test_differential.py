@@ -1,6 +1,7 @@
 """Differential tests: the array/sweep hot paths against their oracles.
 
 Cut enumeration, the refactor cone sweep, ISOP, candidate pricing,
+SOP compilation, the rewrite and refactor passes,
 tree routing, the C4.5 pruning bound and the learner stages (tree
 growth, forest votes, permutation importance, neuron tables, CGP
 evaluation) each replaced a straightforward implementation with a
@@ -18,13 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aig.aig import AIG
-from repro.aig.aiger import loads_aag
+from repro.aig.aiger import dumps_aag, loads_aag
 from repro.aig.cuts import enumerate_cuts_with_truths
-from repro.aig.build import compile_sop
+from repro.aig.build import compile_sop, parity_chain
 from repro.aig import isop as isop_module
 from repro.aig.isop import MEMO_VARS, full_mask, isop, var_mask
 from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import get_library
+from repro.aig.opt.passes import balance, refactor, rewrite
 from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
 from repro.cgp import AIG_FUNCTIONS, XAIG_FUNCTIONS, CGPEvolver, CGPGenome
 from repro.flows import get_flow
@@ -103,6 +105,15 @@ def aag_graph(n_inputs: int, n_nodes: int, seed: int) -> AIG:
     return loads_aag("\n".join([header, *lines]) + "\n")
 
 
+def any_graph(source: str, n_inputs: int, n_nodes: int, seed: int) -> AIG:
+    """One of the seeded graph shapes above, by name."""
+    if source == "raw":
+        return raw_graph(n_inputs, n_nodes, seed)
+    if source == "aag":
+        return aag_graph(n_inputs, n_nodes, seed)
+    return strashed_graph(source, n_inputs, n_nodes, seed)
+
+
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -122,7 +133,7 @@ def test_cuts_match_oracle_on_strashed_graphs(
     shape, n_inputs, n_nodes, seed, k, max_cuts
 ):
     aig = strashed_graph(shape, n_inputs, n_nodes, seed)
-    assert enumerate_cuts_with_truths(aig, k, max_cuts) == (
+    assert oracles.pairs(enumerate_cuts_with_truths(aig, k, max_cuts)) == (
         oracles.enumerate_cuts_with_truths(aig, k, max_cuts)
     )
 
@@ -140,7 +151,7 @@ def test_cuts_match_oracle_with_constant_and_duplicate_fanins(
     source, n_inputs, n_nodes, seed, k, max_cuts
 ):
     aig = source(n_inputs, n_nodes, seed)
-    assert enumerate_cuts_with_truths(aig, k, max_cuts) == (
+    assert oracles.pairs(enumerate_cuts_with_truths(aig, k, max_cuts)) == (
         oracles.enumerate_cuts_with_truths(aig, k, max_cuts)
     )
 
@@ -150,7 +161,7 @@ def test_cuts_match_oracle_with_multiword_tables(k):
     # Tables over more than 6 leaves span several 64-bit words.
     for seed in range(3):
         aig = strashed_graph("reconvergent", 10, 40, seed)
-        assert enumerate_cuts_with_truths(aig, k, 6) == (
+        assert oracles.pairs(enumerate_cuts_with_truths(aig, k, 6)) == (
             oracles.enumerate_cuts_with_truths(aig, k, 6)
         )
 
@@ -177,12 +188,7 @@ def test_cuts_reject_nonpositive_sizes():
 def test_cone_sweep_matches_per_node_walks(
     source, n_inputs, n_nodes, seed, max_leaves
 ):
-    if source == "raw":
-        aig = raw_graph(n_inputs, n_nodes, seed)
-    elif source == "aag":
-        aig = aag_graph(n_inputs, n_nodes, seed)
-    else:
-        aig = strashed_graph(source, n_inputs, n_nodes, seed)
+    aig = any_graph(source, n_inputs, n_nodes, seed)
     fanout = aig.fanout_counts()
     cones, sizes, _ = ffc_cones(aig, fanout.tolist(), max_leaves)
     base = aig.n_inputs + 1
@@ -217,12 +223,7 @@ def test_cone_sweep_propagates_too_wide_fanins():
 )
 @settings(max_examples=300, deadline=None)
 def test_member_cone_truth_matches_cut_truth(source, n_inputs, n_nodes, seed):
-    if source == "raw":
-        aig = raw_graph(n_inputs, n_nodes, seed)
-    elif source == "aag":
-        aig = aag_graph(n_inputs, n_nodes, seed)
-    else:
-        aig = strashed_graph(source, n_inputs, n_nodes, seed)
+    aig = any_graph(source, n_inputs, n_nodes, seed)
     fanout = aig.fanout_counts().tolist()
     base = aig.n_inputs + 1
     for max_leaves in (4, 10, 14):
@@ -343,14 +344,62 @@ def test_recipe_programs_price_like_instantiate(shape, n_nodes, seed, k):
     leaves = leaf_literals(aig, k, rnd)
     table = rnd.getrandbits(1 << k)
     oracles.instantiate(lib, aig, rnd.getrandbits(1 << k), leaves)  # shared logic
-    recipe, perm, phase, out_neg = lib.lookup(table, k)
-    vals = [0] * (1 + k)
-    for i, leaf in enumerate(leaves):
-        vals[1 + perm[i]] = leaf ^ ((phase >> i) & 1)
+    nodes, out = lib.lookup(table, k)
     check_program(
-        aig, recipe.nodes, recipe.out ^ out_neg, vals,
+        aig, nodes, out, [0, *leaves],
         lambda sink: oracles.instantiate(lib, sink, table, leaves),
     )
+
+
+@given(
+    k=st.integers(0, 8),
+    seed=seeds,
+    shape=st.sampled_from(["isop", "complement", "random"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_compile_sop_matches_reduce_balanced_oracle(k, seed, shape):
+    rnd = random.Random(seed)
+    table = rnd.getrandbits(1 << k)
+    if shape == "random":
+        # Empty cubes, repeated and contradictory literals included.
+        width = max(k, 1)
+        cover = [
+            [(rnd.randrange(width), rnd.randint(0, 1))
+             for _ in range(rnd.randint(0, 4))]
+            for _ in range(rnd.randint(0, 6))
+        ]
+        assert compile_sop(cover, width) == oracles.compile_sop(cover, width)
+        return
+    if shape == "complement":
+        table = ~table & full_mask(k)
+    cover, _ = isop(table, table, k)
+    assert compile_sop(cover, k) == oracles.compile_sop(cover, k)
+
+
+@given(
+    source=st.sampled_from(["random", "chain", "reconvergent", "raw", "aag"]),
+    n_inputs=st.integers(1, 8),
+    n_nodes=st.integers(0, 80),
+    seed=seeds,
+)
+@settings(max_examples=80, deadline=None)
+def test_rewrite_and_refactor_match_pricing_oracles_byte_for_byte(
+    source, n_inputs, n_nodes, seed
+):
+    aig = any_graph(source, n_inputs, n_nodes, seed)
+    for graph in (aig, balance(aig)):
+        assert dumps_aag(rewrite(graph)) == dumps_aag(oracles.rewrite(graph))
+        for max_leaves in (4, 10, 14):
+            assert dumps_aag(refactor(graph, max_leaves)) == dumps_aag(
+                oracles.refactor(graph, max_leaves)
+            )
+
+
+@pytest.mark.parametrize("n_inputs", [2, 4, 6])
+def test_rewrite_and_refactor_match_pricing_oracles_on_parity_chains(n_inputs):
+    aig = parity_chain(n_inputs=n_inputs, n_nodes=400)
+    assert dumps_aag(rewrite(aig)) == dumps_aag(oracles.rewrite(aig))
+    assert dumps_aag(refactor(aig)) == dumps_aag(oracles.refactor(aig))
 
 
 # ---------------------------------------------------------------------

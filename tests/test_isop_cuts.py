@@ -9,14 +9,14 @@ from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.isop import full_mask, isop, var_mask
 from repro.aig.opt.traverse import cut_truth, ffc_cones
 from tests.conftest import random_aig
-from tests.oracles import cofactor0, cofactor1, cover_table, support
+from tests.oracles import cofactor0, cofactor1, cover_table, pairs, support
 
 
 def _cuts(aig, k):
     """``{var: [cut, ...]}`` without the tables."""
     return {
         var: [cut for cut, _ in entries]
-        for var, entries in enumerate_cuts_with_truths(aig, k=k).items()
+        for var, entries in pairs(enumerate_cuts_with_truths(aig, k=k)).items()
     }
 
 

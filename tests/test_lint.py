@@ -71,6 +71,17 @@ class TestRulesFire:
         path = FIXTURES / "clean.py"
         assert lint_source(path.read_text(), str(path)) == []
 
+    @pytest.mark.parametrize("lint_as,fires", [
+        ("src/repro/aig/example.py", True),
+        ("tests/test_example.py", False),
+    ])
+    def test_module_docstring_rule_is_confined_to_the_library(
+        self, lint_as, fires
+    ):
+        source = (FIXTURES / "rep501_module_docstring.py").read_text()
+        rules = [v.rule_id for v in lint_source(source, lint_as)]
+        assert rules == (["REP501"] if fires else [])
+
 
 class TestSuppression:
     def test_suppressed_fixture_round_trip(self):

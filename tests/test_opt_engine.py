@@ -17,6 +17,7 @@ from tests.oracles import (
     VirtualBuilder,
     instantiate,
     npn_apply,
+    pairs,
     reference_compress,
     reference_refactor,
     reference_rewrite,
@@ -184,7 +185,7 @@ class TestCutTruths:
     def test_enumeration_truths_match_cone_evaluation(self):
         for seed in range(8):
             aig = random_aig(5, 30, seed=seed)
-            with_truths = enumerate_cuts_with_truths(aig, k=4)
+            with_truths = pairs(enumerate_cuts_with_truths(aig, k=4))
             for var in range(1 + aig.n_inputs, aig.num_vars):
                 for cut, table in with_truths[var]:
                     if cut == (var,):
@@ -201,7 +202,7 @@ class TestCutTruths:
         for i in range(500):
             acc = aig.add_and(acc, (x, y)[i % 2] ^ ((i // 5) & 1))
         aig.set_output(acc)
-        truths = enumerate_cuts_with_truths(aig, k=4)
+        truths = pairs(enumerate_cuts_with_truths(aig, k=4))
         root = acc >> 1
         for cut, table in truths[root]:
             if cut != (root,):

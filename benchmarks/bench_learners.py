@@ -2,15 +2,19 @@
 
 The learner stages are the largest layer of a contest task.  Their
 hot functions were rewritten without changing one bit of output: tree
-growth counts splits as popcounts over bit-packed columns, forest
-votes route every tree on the full sample matrix, permutation
-importance predicts all shuffled copies of a column in one call,
-neuron tables evaluate each pattern with one dot product and CGP walks
-each child's active set once.  This bench runs every one of them and
-its straightforward predecessor (kept in :mod:`tests.oracles`) on the
-inputs a ``contest-grid`` task feeds them -- its 10 problems at 400
-rows, with the small-effort flow parameters -- asserts the outputs are
-identical and prints the per-function times.
+growth scores a whole level of nodes at once on popcounts over
+bit-packed columns, forest votes route every tree on the full sample
+matrix, permutation importance predicts all shuffled copies of a
+column in one call, neuron tables evaluate each pattern with one dot
+product, MLP training skips its mask multiplies while no weight is
+pruned, CGP walks each child's active set once and reuses the parent's
+fitness for children whose mutations miss the phenotype, and espresso's
+EXPAND keeps its OFF-row counts bit-sliced over Python ints.  This
+bench runs every one of them and its straightforward predecessor (kept
+in :mod:`tests.oracles`) on the inputs a ``contest-grid`` task feeds
+them -- its 10 problems at 400 rows, with the small-effort flow
+parameters -- asserts the outputs are identical and prints the
+per-function times.
 
 ``REPRO_SCALE=tiny`` (the default) uses the first three problems and
 shorter CGP runs; ``small`` and ``full`` use all ten.
@@ -32,6 +36,15 @@ from repro.ml.feature_select import permutation_importance
 from repro.ml.forest import RandomForest
 from repro.ml.mlp import MLP
 from repro.synth.from_mlp import _neuron_table
+from repro.twolevel.cover import cover_from_samples
+from repro.twolevel.espresso import (
+    _as_matrix,
+    _coverage,
+    _drop_contained,
+    _expand_all,
+    _irredundant_idx,
+    _reduce_all,
+)
 from tests import oracles
 
 #: The ``contest-grid`` workload's benchmarks and sample sizes.
@@ -80,6 +93,14 @@ def trees(clock, X, y):
             X, y,
         )
         assert nodes(new) == nodes(ref), kwargs
+        # The depth-first grower this level-wise one replaced.
+        ref, new = clock.race(
+            name + ", depth-first",
+            oracles.PackedTree(**kwargs).fit,
+            DecisionTree(**kwargs).fit,
+            X, y,
+        )
+        assert nodes(new) == nodes(ref), kwargs
 
 
 def forest_and_importance(clock, problem, seed):
@@ -106,12 +127,27 @@ def forest_and_importance(clock, problem, seed):
     assert new.tobytes() == ref.tobytes()
 
 
-def neuron_tables(clock, problem, seed):
-    """Team 3's sigmoid MLP pruned to fanin 8, every neuron tabled."""
+def weights(mlp):
+    return [(layer.W.tobytes(), layer.b.tobytes(), layer.mask.tobytes())
+            for layer in mlp.layers]
+
+
+def mlp_and_neuron_tables(clock, problem, seed):
+    """Team 3's sigmoid MLP trained, pruned to fanin 8 and retrained,
+    then every neuron tabled."""
     X, y = problem.train.X.astype(float), problem.train.y
-    mlp = MLP(hidden_sizes=(24,), activation="sigmoid",
-              rng=np.random.default_rng(seed)).fit(X, y, epochs=15)
-    mlp.prune_to_fanin(8, X, y, rounds=2, retrain_epochs=3)
+    ref, mlp = (cls(hidden_sizes=(24,), activation="sigmoid",
+                    rng=np.random.default_rng(seed))
+                for cls in (oracles.ReferenceMLP, MLP))
+    clock.race("MLP.fit", lambda: ref.fit(X, y, epochs=15),
+               lambda: mlp.fit(X, y, epochs=15))
+    assert weights(mlp) == weights(ref)
+    clock.race(
+        "MLP.prune_to_fanin",
+        lambda: ref.prune_to_fanin(8, X, y, rounds=2, retrain_epochs=3),
+        lambda: mlp.prune_to_fanin(8, X, y, rounds=2, retrain_epochs=3),
+    )
+    assert weights(mlp) == weights(ref)
     for layer in mlp.layers:
         masked = layer.W * layer.mask
         for j in range(masked.shape[1]):
@@ -121,6 +157,25 @@ def neuron_tables(clock, problem, seed):
                 float(layer.b[j]), layer.activation,
             )
             assert new == ref
+
+
+def expand(clock, problem):
+    """Team 1's espresso on the training samples: the first EXPAND of
+    the ON-minterms, then the EXPAND after one REDUCE."""
+    onset, offset, n_inputs = cover_from_samples(problem.train.X,
+                                                 problem.train.y)
+    on = np.unique(_as_matrix(onset, n_inputs), axis=0)
+    off = np.unique(_as_matrix(offset, n_inputs), axis=0)
+    ref, new = clock.race("espresso._expand_all", oracles.expand_all,
+                          _expand_all, np.ones_like(on), on.copy(), off,
+                          on=on)
+    assert all(np.array_equal(a, b) for a, b in zip(new, ref, strict=True))
+    cubes = _drop_contained(*new)
+    cubes = [part[_irredundant_idx(_coverage(*cubes, on))] for part in cubes]
+    cubes = _reduce_all(*cubes, _coverage(*cubes, on), on)
+    ref, new = clock.race("espresso._expand_all", oracles.expand_all,
+                          _expand_all, *cubes, off)
+    assert all(np.array_equal(a, b) for a, b in zip(new, ref, strict=True))
 
 
 def cgp(clock, problem, seed):
@@ -148,7 +203,8 @@ def test_learners_match_oracles_and_report_times():
         )
         trees(clock, problem.train.X, problem.train.y)
         forest_and_importance(clock, problem, seed)
-        neuron_tables(clock, problem, seed)
+        mlp_and_neuron_tables(clock, problem, seed)
+        expand(clock, problem)
         cgp(clock, problem, seed)
 
     echo("\n=== Learner stages: oracle vs library (identical outputs) ===")
@@ -156,7 +212,7 @@ def test_learners_match_oracles_and_report_times():
     for name, (ref_s, new_s) in clock.seconds.items():
         ref_total += ref_s
         new_total += new_s
-        echo(f"  {name:24s} oracle {ref_s:7.3f}s | library {new_s:7.3f}s"
+        echo(f"  {name:34s} oracle {ref_s:7.3f}s | library {new_s:7.3f}s"
              f" | {ref_s / new_s:5.2f}x")
-    echo(f"  {'total':24s} oracle {ref_total:7.3f}s | library "
+    echo(f"  {'total':34s} oracle {ref_total:7.3f}s | library "
          f"{new_total:7.3f}s | {ref_total / new_total:5.2f}x")

@@ -16,7 +16,6 @@ import heapq
 import numpy as np
 
 from repro.aig.aig import AIG, CONST0, CONST1
-from repro.utils.bitops import popcount64
 from repro.utils.rng import rng_for
 
 
@@ -188,24 +187,17 @@ def approximate_to_size(
 
         patterns = np.asarray(patterns, dtype=np.uint8)
         fixed_packed = pack_bits(patterns)
-        n_samples = patterns.shape[0]
-        pad = n_samples % 64
     n_words = 4096 // 64
     while aig.num_ands > max_ands:
         if patterns is not None:
-            values = aig.simulate_packed_all(fixed_packed)
-            if pad:
-                values[:, -1] &= np.uint64((1 << pad) - 1)
-            ones = popcount64(values).sum(axis=1).astype(np.int64)
-            total = n_samples
+            packed, total = fixed_packed, patterns.shape[0]
         else:
             packed = rng.integers(
                 0, np.iinfo(np.uint64).max, size=(aig.n_inputs, n_words),
                 dtype=np.uint64, endpoint=True,
             )
-            values = aig.simulate_packed_all(packed)
-            ones = popcount64(values).sum(axis=1).astype(np.int64)
             total = n_words * 64
+        ones = aig.compiled().count_ones(packed, total)
         levels = aig.levels()
         depth = int(levels.max(initial=0))
         base = aig.n_inputs + 1
@@ -223,9 +215,8 @@ def approximate_to_size(
         # per-node skew ranking honest while staying fast).
         excess = aig.num_ands - max_ands
         batch = max(1, min(excess, candidates.size, excess // 500 + 1))
-        order = np.argsort(-skew, kind="stable")[:batch]
         overrides = {}
-        for idx in order:
+        for idx in _most_skewed(skew, batch).tolist():
             var = int(candidates[idx])
             majority_one = ones[var] * 2 >= total
             overrides[var] = CONST1 if majority_one else CONST0
@@ -251,3 +242,16 @@ def approximate_to_size(
             break
         aig = smaller
     return aig
+
+
+def _most_skewed(skew: np.ndarray, batch: int) -> np.ndarray:
+    """``np.argsort(-skew, kind="stable")[:batch]`` without sorting
+    everything: the ``batch`` largest values in descending order, ties
+    in index order."""
+    if batch >= skew.size:
+        return np.argsort(-skew, kind="stable")
+    cut = np.partition(skew, skew.size - batch)[skew.size - batch]
+    above = np.flatnonzero(skew > cut)
+    above = above[np.argsort(-skew[above], kind="stable")]
+    ties = np.flatnonzero(skew == cut)[: batch - above.size]
+    return np.concatenate([above, ties])

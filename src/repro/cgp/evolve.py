@@ -86,7 +86,7 @@ class CGPEvolver:
         packed, y_packed, n_eval = packed_full, y_packed_full, n
         parent_fit = self._fitness(
             parent.evaluate_packed(packed), y_packed, n_eval)
-        parent_size = parent.phenotype_size()
+        parent_active = parent.active_nodes()
         for gen in range(generations):
             if self.batch_size is not None and self.batch_size < n:
                 if batch is None or gen % self.batch_generations == 0:
@@ -99,34 +99,47 @@ class CGPEvolver:
                     parent_fit = self._fitness(
                         parent.evaluate_packed(packed), y_packed, n_eval
                     )
+            # The parent's genes that its phenotype reads: those of its
+            # active nodes, and the output gene.
+            live = np.zeros(parent.n_nodes + 1, dtype=bool)
+            live[parent_active] = True
+            live[-1] = True
             improved = False
             best_child = None
             best_fit = -1.0
-            best_size = 0
+            best_active: list[int] = []
             for _ in range(self.lam):
-                child = parent.mutate(rate, self.rng)
-                # One active-set walk serves the fitness and the size.
-                active = child.active_nodes()
-                fit = self._fitness(child._evaluate_active(packed, active),
-                                    y_packed, n_eval)
+                child, redrawn = parent.mutate(rate, self.rng)
+                if (redrawn & live).any():
+                    # One active-set walk serves the fitness and the size.
+                    active = child.active_nodes()
+                    fit = self._fitness(
+                        child._evaluate_active(packed, active),
+                        y_packed, n_eval)
+                else:
+                    # No gene the parent's phenotype reads changed, so
+                    # the child has that phenotype, and its fitness and
+                    # active set (Goldman & Punch's neutral offspring).
+                    active, fit = parent_active, parent_fit
                 if fit > best_fit or (
                     fit == best_fit
                     and best_child is not None
-                    and len(active) > best_size
+                    and len(active) > len(best_active)
                 ):
                     best_fit = fit
                     best_child = child
-                    best_size = len(active)
+                    best_active = active
             if best_fit > parent_fit:
                 improved = True
             # Neutral drift: accept >=, preferring larger phenotypes on
             # exact ties with the parent.
             if best_fit > parent_fit or (
-                best_fit == parent_fit and best_size >= parent_size
+                best_fit == parent_fit
+                and len(best_active) >= len(parent_active)
             ):
                 parent = best_child
                 parent_fit = best_fit
-                parent_size = best_size
+                parent_active = best_active
             # 1/5th success rule; the floor keeps at least ~one gene
             # mutating per offspring so the search never freezes.
             min_rate = 1.0 / (3 * parent.n_nodes + 1)

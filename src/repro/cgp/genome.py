@@ -146,9 +146,6 @@ class CGPGenome:
             stack.append(in1[node] - n_inputs)
         return sorted(active)
 
-    def phenotype_size(self) -> int:
-        return len(self.active_nodes())
-
     def evaluate_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Bit-parallel evaluation; returns packed output row."""
         return self._evaluate_active(packed_inputs, self.active_nodes())
@@ -183,39 +180,51 @@ class CGPGenome:
         return unpack_bits(out[None, :], X.shape[0])[:, 0]
 
     # ------------------------------------------------------------------
-    def mutate(self, rate: float, rng: np.random.Generator) -> "CGPGenome":
+    def mutate(
+        self, rate: float, rng: np.random.Generator
+    ) -> tuple["CGPGenome", np.ndarray]:
         """Point mutation: every gene flips with probability ``rate``.
 
         At least one gene always flips (standard CGP practice — a
         zero-change offspring wastes an evaluation), except at rate 0,
         which is an explicit identity for tests.
+
+        Returns the child and the genes it redrew: one flag per node
+        (any of its three genes), then one for the output gene.  A
+        redrawn gene may keep its value, so the flags cover every
+        change and may flag more.
         """
         child = self.copy()
         n = self.n_nodes
-        flip_f = rng.random(n) < rate
-        child.funcs[flip_f] = rng.integers(
-            0, len(self.function_set), size=int(flip_f.sum())
-        )
-        limits = self.n_inputs + np.arange(n)
-        flip_0 = rng.random(n) < rate
-        child.in0[flip_0] = rng.integers(0, limits[flip_0])
-        flip_1 = rng.random(n) < rate
-        child.in1[flip_1] = rng.integers(0, limits[flip_1])
+        n_funcs = len(self.function_set)
+        redrawn = np.zeros(n + 1, dtype=bool)
+        # Genes are redrawn in index order; a draw of no values takes
+        # nothing from the generator, so an empty one is skipped.
+        flip = np.flatnonzero(rng.random(n) < rate)
+        if flip.size:
+            child.funcs[flip] = rng.integers(0, n_funcs, size=flip.size)
+            redrawn[flip] = True
+        for genes in (child.in0, child.in1):
+            flip = np.flatnonzero(rng.random(n) < rate)
+            if flip.size:
+                # Node i may read data indices below n_inputs + i.
+                genes[flip] = rng.integers(0, self.n_inputs + flip)
+                redrawn[flip] = True
+        nothing_flipped = not redrawn.any()
         if rng.random() < rate:
             child.output = int(rng.integers(0, self.n_inputs + n))
-        nothing_flipped = (
-            not flip_f.any() and not flip_0.any() and not flip_1.any()
-        )
+            redrawn[n] = True
         if rate > 0 and nothing_flipped:
             node = int(rng.integers(0, n))
             which = rng.integers(0, 3)
             if which == 0:
-                child.funcs[node] = rng.integers(0, len(self.function_set))
+                child.funcs[node] = rng.integers(0, n_funcs)
             elif which == 1:
-                child.in0[node] = rng.integers(0, limits[node])
+                child.in0[node] = rng.integers(0, self.n_inputs + node)
             else:
-                child.in1[node] = rng.integers(0, limits[node])
-        return child
+                child.in1[node] = rng.integers(0, self.n_inputs + node)
+            redrawn[node] = True
+        return child, redrawn
 
     # ------------------------------------------------------------------
     def to_aig(self) -> AIG:

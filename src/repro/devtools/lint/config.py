@@ -8,8 +8,8 @@ the places where this codebase's determinism contracts actually live:
   :mod:`repro.runner.task`),
 - which files are allowed to touch global RNG machinery (only
   :mod:`repro.utils.rng`, the seed-derivation chokepoint),
-- which path prefixes individual rules skip (benchmarks assert their
-  perf floors by design, so REP403 does not apply there).
+- which paths each rule skips or is confined to (benchmarks assert
+  their perf floors by design, so REP403 does not apply there).
 """
 
 from __future__ import annotations
@@ -32,19 +32,15 @@ DEFAULT_RNG_EXEMPT: tuple[str, ...] = (
     "repro/utils/rng.py",
 )
 
-#: Per-rule path-suffix/prefix fragments the rule skips entirely.
-#: Benchmarks assert measured floors (that is their job) and drive
-#: wall clocks for timing, so the runtime-assert rule stays out.
-DEFAULT_RULE_PATH_SKIPS: dict[str, tuple[str, ...]] = {
-    "REP403": ("benchmarks/", "tests/"),
-}
-
-#: Per-rule path fragments a rule is *confined to*: a rule listed
-#: here fires only on paths containing one of its fragments (rules
-#: not listed apply everywhere).  The docstring rule documents the
-#: library, not benches or tests.
-DEFAULT_RULE_PATH_ONLY: dict[str, tuple[str, ...]] = {
-    "REP501": ("src/repro/",),
+#: Per-rule path scopes: ``("skip", fragments)`` keeps a rule off any
+#: path containing one of the fragments; ``("only", fragments)``
+#: confines it to such paths.  Rules without an entry apply everywhere.
+#: Benchmarks assert measured floors (that is their job) and tests are
+#: pytest asserts, so the runtime-assert rule stays out of both; the
+#: docstring rule documents the library, not benches or tests.
+DEFAULT_RULE_SCOPES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "REP403": ("skip", ("benchmarks/", "tests/")),
+    "REP501": ("only", ("src/repro/",)),
 }
 
 
@@ -68,20 +64,12 @@ def is_rng_exempt(path: str) -> bool:
     return any(normalized.endswith(s) for s in DEFAULT_RNG_EXEMPT)
 
 
-def rule_skips_path(rule_id: str, path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return any(
-        fragment in normalized
-        for fragment in DEFAULT_RULE_PATH_SKIPS.get(rule_id, ())
-    )
-
-
 def rule_applies_to_path(rule_id: str, path: str) -> bool:
-    """False when the rule is confined elsewhere (see
-    :data:`DEFAULT_RULE_PATH_ONLY`); rules without an entry apply
-    everywhere."""
-    only = DEFAULT_RULE_PATH_ONLY.get(rule_id)
-    if only is None:
+    """Does ``rule_id`` lint ``path``?  See :data:`DEFAULT_RULE_SCOPES`."""
+    scope = DEFAULT_RULE_SCOPES.get(rule_id)
+    if scope is None:
         return True
+    kind, fragments = scope
     normalized = path.replace("\\", "/")
-    return any(fragment in normalized for fragment in only)
+    hit = any(fragment in normalized for fragment in fragments)
+    return hit if kind == "only" else not hit

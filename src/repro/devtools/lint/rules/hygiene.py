@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.lint.config import rule_skips_path
+from repro.devtools.lint.config import rule_applies_to_path
 from repro.devtools.lint.rules.base import (
     ParsedModule,
     Rule,
@@ -89,7 +89,7 @@ def check_bare_except(module: ParsedModule) -> Iterator[Violation]:
 
 
 def check_runtime_assert(module: ParsedModule) -> Iterator[Violation]:
-    if rule_skips_path(RUNTIME_ASSERT.rule_id, module.path):
+    if not rule_applies_to_path(RUNTIME_ASSERT.rule_id, module.path):
         return
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Assert):

@@ -32,6 +32,9 @@ from repro.twolevel.cube import Cube
 from repro.utils.bitops import pack_bits, unpack_bits
 
 _EPS = 1e-12
+#: Words of one chunk of the level-wise split counts (per feature,
+#: frontier node and packed row word); bounds their scratch memory.
+_COUNT_WORDS = 1 << 16
 
 
 def entropy(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -105,111 +108,123 @@ class DecisionTree:
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
+        """Grow the tree one level at a time.
+
+        Node sample sets are bit masks over the rows, and split counts
+        are popcounts of column AND mask: no per-node copy.  Every
+        frontier node of a level is counted and scored together; the
+        nodes are then numbered in depth-first preorder, left child
+        first, as a recursive grower would number them.
+        """
         X = np.asarray(X, dtype=np.uint8)
         y = np.asarray(y, dtype=np.uint8).ravel()
         if X.shape[0] != y.shape[0]:
             raise ValueError("X/y length mismatch")
-        self.n_inputs = X.shape[1]
-        self.nodes = []
+        n_rows, d = X.shape
+        self.n_inputs = d
         self._routing = None
-        # Node sample sets are bit masks over the rows, and split
-        # counts are popcounts of column AND mask: no per-node copy.
         # ``cols[1]`` keeps only the positive rows of ``cols[0]``.
         cols = pack_bits(X).T  # (n_words, n_features)
         cols = np.stack([cols, cols & pack_bits(y[:, None]).T])
-        everyone = pack_bits(np.ones((X.shape[0], 1), dtype=np.uint8))[0]
-        self._grow(X, y, cols, everyone, X.shape[0], int(y.sum()),
-                   depth=0, banned=np.zeros(X.shape[1], dtype=bool))
+        # The frontier: row masks, row and positive counts, and the
+        # features already used on each node's path (re-splitting a
+        # binary feature is useless).
+        masks = pack_bits(np.ones((n_rows, 1), dtype=np.uint8))
+        n = np.array([n_rows], dtype=np.int64)
+        n_pos = np.array([int(y.sum())], dtype=np.int64)
+        banned = np.zeros((1, d), dtype=bool)
+        levels = []
+        depth = 0
+        while n.size:
+            feature = np.full(n.size, -1, dtype=np.int64)
+            if self.max_depth is None or depth < self.max_depth:
+                grow = np.flatnonzero(
+                    (n_pos != 0) & (n_pos != n)
+                    & (n >= max(2, 2 * self.min_samples_leaf))
+                )
+                if grow.size:
+                    feature[grow], n_right, pos_right = self._split_level(
+                        X, y, cols, masks[grow], n[grow], n_pos[grow],
+                        banned[grow],
+                    )
+            levels.append((n, n_pos, feature))
+            split = np.flatnonzero(feature >= 0)
+            if not split.size:
+                break
+            chosen = feature[split]
+            column = cols[0].T[chosen]
+            parent = masks[split]
+            # Children in split order, the left (feature 0) one first.
+            masks = np.stack([parent & ~column, parent & column], axis=1)
+            masks = masks.reshape(-1, masks.shape[-1])
+            n = np.stack([n[split] - n_right, n_right], axis=1).ravel()
+            n_pos = np.stack([n_pos[split] - pos_right, pos_right],
+                             axis=1).ravel()
+            banned = np.repeat(banned[split], 2, axis=0)
+            banned[np.arange(n.size), np.repeat(chosen, 2)] = True
+            depth += 1
+        self.nodes = _preorder(levels)
         return self
 
     def _impurity(self, pos, total):
         fn = entropy if self.criterion == "entropy" else gini
         return fn(pos, total)
 
-    def _grow(self, X, y, cols, mask, n, n_pos, depth, banned) -> int:
-        """Grow a subtree over the ``n`` rows set in ``mask``, ``n_pos``
-        of them positive; returns its node index.
+    def _split_level(self, X, y, cols, masks, n, n_pos, banned):
+        """The split feature of every node in one frontier (``-1``
+        keeps the node a leaf), and for each split made, in frontier
+        order, the rows and positive rows its right child gets.
 
-        ``cols`` holds the feature columns packed 64 rows to a word,
-        over all rows and over the positive rows; ``banned`` flags the
-        features already used on this path (re-splitting a binary
-        feature is useless).
+        The counts are bounded by chunking the frontier.  The parent
+        and both sides of every split go through one impurity call;
+        it is elementwise, so each value is the one a separate call
+        per node would give.
         """
-        node_id = len(self.nodes)
-        value = 1 if 2 * n_pos > n else 0
-        node = TreeNode(
-            value=value,
-            n_samples=n,
-            n_errors=min(n_pos, n - n_pos),
-        )
-        self.nodes.append(node)
-        if (
-            n_pos == 0
-            or n_pos == n
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or n < max(2, 2 * self.min_samples_leaf)
-        ):
-            return node_id
-        # Per feature: rows, and positive rows, with the feature at 1.
-        ones, pos_ones = np.bitwise_count(cols & mask[:, None]).sum(axis=1)
-        feature, gain = self._best_split(ones, pos_ones, n, n_pos, banned)
-        if feature is None:
-            return node_id
-        use_decomposition = (
-            self.decomposition_tau is not None
-            and gain < self.decomposition_tau
-        )
-        if use_decomposition:
-            idx = np.flatnonzero(unpack_bits(mask, X.shape[0])[:, 0])
-            alt = self._decomposition_split(X, y, idx, banned)
-            if alt is not None:
-                feature = alt
-        elif gain < self.min_gain:
-            return node_id
-        n_right, pos_right = int(ones[feature]), int(pos_ones[feature])
-        if (
-            n - n_right < self.min_samples_leaf
-            or n_right < self.min_samples_leaf
-        ):
-            return node_id
-        node.feature = feature
-        node.is_leaf = False
-        new_banned = banned.copy()
-        new_banned[feature] = True
-        column = cols[0, :, feature]
-        node.left = self._grow(X, y, cols, mask & ~column, n - n_right,
-                               n_pos - pos_right, depth + 1, new_banned)
-        node.right = self._grow(X, y, cols, mask & column, n_right,
-                                pos_right, depth + 1, new_banned)
-        return node_id
-
-    def _best_split(self, ones, pos_ones, n, n_pos,
-                    banned) -> tuple[int | None, float]:
-        """Highest-gain feature from the node's per-feature counts.
-
-        The parent and both sides of every split go through one
-        impurity call; it is elementwise, so each value is the one a
-        separate call would give.
-        """
-        ones = ones.astype(np.float64)
-        pos_ones = pos_ones.astype(np.float64)
-        n_pos = float(n_pos)
-        zeros = n - ones
-        pos_zeros = n_pos - pos_ones
+        n_nodes, d = banned.shape
+        chunk = max(1, _COUNT_WORDS // (masks.shape[1] * d))
+        ones = np.empty((n_nodes, d), dtype=np.int64)
+        pos_ones = np.empty((n_nodes, d), dtype=np.int64)
+        for lo in range(0, n_nodes, chunk):
+            part = masks[lo:lo + chunk, :, None]
+            ones[lo:lo + chunk], pos_ones[lo:lo + chunk] = np.bitwise_count(
+                cols[:, None] & part).sum(axis=2)
+        total = n.astype(np.float64)[:, None]
+        total_pos = n_pos.astype(np.float64)[:, None]
+        ones_f = ones.astype(np.float64)
+        pos_f = pos_ones.astype(np.float64)
+        zeros = total - ones_f
+        pos_zeros = total_pos - pos_f
         impurity = self._impurity(
-            np.concatenate([pos_ones, pos_zeros, [n_pos]]),
-            np.concatenate([ones, zeros, [float(n)]]),
+            np.concatenate([pos_f, pos_zeros, total_pos], axis=1),
+            np.concatenate([ones_f, zeros, total], axis=1),
         )
-        d = len(ones)
-        child = ones / n * impurity[:d] + zeros / n * impurity[d:-1]
-        gains = impurity[-1] - child
+        child = (ones_f / total * impurity[:, :d]
+                 + zeros / total * impurity[:, d:-1])
+        gains = impurity[:, -1:] - child
         # A split is useless if one side is empty or the feature was
         # already used on this path.
         gains[(ones == 0) | (zeros == 0) | banned] = -np.inf
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains[best]):
-            return None, 0.0
-        return best, float(gains[best])
+        rows = np.arange(n_nodes)
+        feature = np.argmax(gains, axis=1)
+        gain = gains[rows, feature]
+        found = np.isfinite(gain)
+        # Team 8's fallback replaces weak splits, and the gain floor
+        # does not apply to them.
+        weak = np.zeros(n_nodes, dtype=bool)
+        if self.decomposition_tau is not None:
+            weak = found & (gain < self.decomposition_tau)
+        accept = found & (weak | ~(gain < self.min_gain))
+        for i in np.flatnonzero(weak).tolist():
+            idx = np.flatnonzero(unpack_bits(masks[i], X.shape[0])[:, 0])
+            alt = self._decomposition_split(X, y, idx, banned[i])
+            if alt is not None:
+                feature[i] = alt
+        n_right = ones[rows, feature]
+        pos_right = pos_ones[rows, feature]
+        accept &= ((n - n_right >= self.min_samples_leaf)
+                   & (n_right >= self.min_samples_leaf))
+        feature[~accept] = -1
+        return feature, n_right[accept], pos_right[accept]
 
     def _decomposition_split(self, X, y, idx, banned) -> int | None:
         """Team 8's fallback: constant branch or complement branches.
@@ -385,6 +400,40 @@ class DecisionTree:
         rec(0, [])
         return Cover(self.n_inputs, cubes)
 
+
+def _preorder(levels) -> list[TreeNode]:
+    """Tree nodes from level-by-level frontiers, in depth-first preorder.
+
+    ``levels`` holds each frontier's row counts, positive counts and
+    split features (``-1`` for a leaf).  The children of a level's
+    k-th split node are the next level's nodes ``2k`` and ``2k + 1``.
+    """
+    # (rows, positive rows, feature, level-order index of the left child)
+    flat = []
+    for n, n_pos, feature in levels:
+        child = len(flat) + n.size
+        for count, pos, feat in zip(n.tolist(), n_pos.tolist(),
+                                    feature.tolist(), strict=True):
+            flat.append((count, pos, feat, child))
+            if feat >= 0:
+                child += 2
+    # A left child follows its parent; a right child is numbered when
+    # the walk reaches it, after the left subtree.
+    nodes: list[TreeNode] = []
+    stack: list[tuple[int, TreeNode | None]] = [(0, None)]
+    while stack:
+        i, parent = stack.pop()
+        if parent is not None:
+            parent.right = len(nodes)
+        count, pos, feat, child = flat[i]
+        node = TreeNode(feat, len(nodes) + 1 if feat >= 0 else -1, -1,
+                        1 if 2 * pos > count else 0, count,
+                        min(pos, count - pos), feat < 0)
+        nodes.append(node)
+        if feat >= 0:
+            stack.append((child + 1, node))
+            stack.append((child, None))
+    return nodes
 
 def route(X, routes: tuple, roots: np.ndarray) -> np.ndarray:
     """Leaf values reached by every row of ``X`` from every root node.

@@ -70,11 +70,18 @@ class _Dense:
         self.W = rng.normal(0.0, scale, size=(n_in, n_out))
         self.b = np.zeros(n_out)
         self.mask = np.ones_like(self.W)
+        # While the mask is all ones, ``W * mask`` is ``W`` bit for bit,
+        # so the multiplies are skipped until pruning clears a weight.
+        self.unmasked = True
         self.activation = activation
         self._adam_state = None
 
+    def masked(self) -> np.ndarray:
+        """The weights with the pruned connections zeroed."""
+        return self.W if self.unmasked else self.W * self.mask
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = x @ (self.W * self.mask) + self.b
+        z = x @ self.masked() + self.b
         return z, _act(self.activation, z)
 
     def init_adam(self):
@@ -94,7 +101,8 @@ class _Dense:
         vhb = vb / (1 - beta2**t)
         self.W -= lr * mhW / (np.sqrt(vhW) + eps)
         self.b -= lr * mhb / (np.sqrt(vhb) + eps)
-        self.W *= self.mask
+        if not self.unmasked:
+            self.W *= self.mask
 
 
 class MLP:
@@ -163,11 +171,14 @@ class MLP:
                         delta = delta * _act_grad(
                             layer.activation, zs[li], acts[li + 1]
                         )
-                    dW = acts[li].T @ delta * layer.mask
+                    dW = acts[li].T @ delta
+                    if not layer.unmasked:
+                        dW *= layer.mask
                     db = delta.sum(axis=0)
-                    new_delta = delta @ (layer.W * layer.mask).T
+                    # The input layer passes no gradient further back.
+                    back = delta @ layer.masked().T if li else None
                     layer.adam_step(dW, db, lr, t)
-                    delta = new_delta
+                    delta = back
         return self
 
     # ------------------------------------------------------------------
@@ -185,7 +196,7 @@ class MLP:
     def feature_importance(self) -> np.ndarray:
         """Mean |weight| per input over the first layer (Team 5)."""
         first = self.layers[0]
-        return np.abs(first.W * first.mask).sum(axis=1)
+        return np.abs(first.masked()).sum(axis=1)
 
     # ------------------------------------------------------------------
     def max_fanin(self) -> int:
@@ -229,6 +240,7 @@ class MLP:
                     new_mask = np.zeros(layer.W.shape[0])
                     new_mask[keep] = 1.0
                     layer.mask[:, j] = new_mask
+                    layer.unmasked = False
                     changed = True
                 layer.W *= layer.mask
             if changed:

@@ -252,6 +252,18 @@ class CompiledAIG:
         # out of the reused arena).
         return values.take(self.slot, axis=0)
 
+    def count_ones(self, packed_inputs: np.ndarray, n_samples: int) -> np.ndarray:
+        """Ones of every variable over the first ``n_samples`` packed
+        samples, in variable order: the popcounts of
+        :meth:`run_packed_all`, counted in the slot layout so that only
+        the counts are permuted back."""
+        values = self._run_slots(packed_inputs)
+        pad = n_samples % 64
+        if pad:  # the arena is scratch: every run rewrites each row
+            values[:, -1] &= np.uint64((1 << pad) - 1)
+        ones = np.bitwise_count(values).sum(axis=1, dtype=np.int64)
+        return ones.take(self.slot)
+
     def run_packed(self, packed_inputs: np.ndarray) -> np.ndarray:
         """Packed output values, shape ``(num_outputs, n_words)``."""
         values = self._run_slots(packed_inputs)

@@ -67,6 +67,11 @@ def _expand_all(
     minterm is already covered by an earlier expansion are skipped —
     the standard espresso coverage shortcut that keeps the pass close
     to linear in the number of primes rather than minterms.
+
+    Sets of OFF-rows are Python ints, bit ``r`` for row ``r``, and each
+    row's disagreement count is bit-sliced over them: ``planes[p]``
+    holds the rows whose count has bit ``p`` set.  Testing a literal
+    and dropping it are then a few int operations.
     """
     n_cubes, n_inputs = cubes_mask.shape
     out_mask = cubes_mask.copy()
@@ -74,6 +79,9 @@ def _expand_all(
     aligned = on is not None and on.shape[0] == n_cubes
     covered = np.zeros(n_cubes, dtype=bool) if aligned else None
     kept_rows: list[int] = []
+    # The OFF-rows with a 1 in each column, and every OFF-row.
+    ones = _row_sets(off.T)
+    everyone = (1 << off.shape[0]) - 1
     for ci in range(n_cubes):
         if aligned and covered[ci]:
             continue
@@ -93,14 +101,27 @@ def _expand_all(
         # disagreement, at that literal) first.
         blocking = diffs[diff_count == 1].sum(axis=0)
         order = np.argsort(blocking, kind="stable")
+        width = max(1, int(diff_count.max()).bit_length())
+        planes = _row_sets(
+            (diff_count >> np.arange(width)[:, None]) & 1
+        )
+        single = _count_one(planes)
         removed = np.zeros(len(bound), dtype=bool)
-        for j in order:
-            single = diff_count == 1
-            if diffs[single, j].any():
+        columns, values = bound.tolist(), val[bound].tolist()
+        for j in order.tolist():
+            column = ones[columns[j]]
+            disagree = everyone ^ column if values[j] else column
+            if disagree & single:
                 continue  # removal would admit an OFF-row
             removed[j] = True
-            diff_count = diff_count - diffs[:, j]
-            diffs[:, j] = False
+            # Subtract one from the count of every disagreeing row.
+            borrow = disagree
+            for p, plane in enumerate(planes):
+                planes[p] = plane ^ borrow
+                borrow &= ~plane
+                if not borrow:
+                    break
+            single = _count_one(planes)
         keep = bound[~removed]
         new_mask = np.zeros(n_inputs, dtype=np.uint8)
         new_mask[keep] = 1
@@ -116,6 +137,23 @@ def _expand_all(
         rows = np.array(kept_rows, dtype=np.int64)
         return out_mask[rows], out_val[rows]
     return out_mask, out_val
+
+
+def _row_sets(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as a Python int, column ``r`` at bit ``r``."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1,
+                         bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(packed.shape[0])]
+
+
+def _count_one(planes: list[int]) -> int:
+    """The rows whose bit-sliced count is exactly one."""
+    high = 0
+    for plane in planes[1:]:
+        high |= plane
+    return planes[0] & ~high
 
 
 def _coverage(

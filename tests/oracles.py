@@ -21,6 +21,7 @@ import numpy as np
 from repro.aig import build
 from repro.aig import isop as isop_lib
 from repro.aig.aig import AIG, CONST0, CONST1, GateOps, lit_not
+from repro.aig.approx import substitute_constants
 from repro.aig.build import lut_choice
 from repro.aig.cuts import enumerate_cuts_with_truths as library_cuts
 from repro.aig.isop import full_mask, var_mask
@@ -32,9 +33,10 @@ from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
 from repro.cgp.genome import _IMPL, CGPGenome
 from repro.ml.decision_tree import DecisionTree, TreeNode, gini
 from repro.ml.metrics import accuracy
-from repro.ml.mlp import _act
+from repro.ml.mlp import MLP, _act, _act_grad
 from repro.runner.task import TaskSpec, make_task_problem
-from repro.utils.bitops import pack_bits, popcount64, rows_to_ints
+from repro.utils.rng import rng_for
+from repro.utils.bitops import pack_bits, popcount64, rows_to_ints, unpack_bits
 
 Cut = tuple[int, ...]
 
@@ -454,6 +456,244 @@ class ReferenceTree(DecisionTree):
         return chosen
 
 
+class PackedTree(DecisionTree):
+    """:class:`DecisionTree` growing one node at a time, depth first:
+    popcount split counts per node, one ``_best_split`` call each."""
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
+        X = np.asarray(X, dtype=np.uint8)
+        y = np.asarray(y, dtype=np.uint8).ravel()
+        if X.shape[0] != y.shape[0]:
+            raise ValueError("X/y length mismatch")
+        self.n_inputs = X.shape[1]
+        self.nodes = []
+        self._routing = None
+        # Node sample sets are bit masks over the rows, and split
+        # counts are popcounts of column AND mask: no per-node copy.
+        # ``cols[1]`` keeps only the positive rows of ``cols[0]``.
+        cols = pack_bits(X).T  # (n_words, n_features)
+        cols = np.stack([cols, cols & pack_bits(y[:, None]).T])
+        everyone = pack_bits(np.ones((X.shape[0], 1), dtype=np.uint8))[0]
+        self._grow(X, y, cols, everyone, X.shape[0], int(y.sum()),
+                   depth=0, banned=np.zeros(X.shape[1], dtype=bool))
+        return self
+
+    def _grow(self, X, y, cols, mask, n, n_pos, depth, banned) -> int:
+        """Grow a subtree over the ``n`` rows set in ``mask``, ``n_pos``
+        of them positive; returns its node index.
+
+        ``cols`` holds the feature columns packed 64 rows to a word,
+        over all rows and over the positive rows; ``banned`` flags the
+        features already used on this path (re-splitting a binary
+        feature is useless).
+        """
+        node_id = len(self.nodes)
+        value = 1 if 2 * n_pos > n else 0
+        node = TreeNode(
+            value=value,
+            n_samples=n,
+            n_errors=min(n_pos, n - n_pos),
+        )
+        self.nodes.append(node)
+        if (
+            n_pos == 0
+            or n_pos == n
+            or (self.max_depth is not None and depth >= self.max_depth)
+            or n < max(2, 2 * self.min_samples_leaf)
+        ):
+            return node_id
+        # Per feature: rows, and positive rows, with the feature at 1.
+        ones, pos_ones = np.bitwise_count(cols & mask[:, None]).sum(axis=1)
+        feature, gain = self._best_split(ones, pos_ones, n, n_pos, banned)
+        if feature is None:
+            return node_id
+        use_decomposition = (
+            self.decomposition_tau is not None
+            and gain < self.decomposition_tau
+        )
+        if use_decomposition:
+            idx = np.flatnonzero(unpack_bits(mask, X.shape[0])[:, 0])
+            alt = self._decomposition_split(X, y, idx, banned)
+            if alt is not None:
+                feature = alt
+        elif gain < self.min_gain:
+            return node_id
+        n_right, pos_right = int(ones[feature]), int(pos_ones[feature])
+        if (
+            n - n_right < self.min_samples_leaf
+            or n_right < self.min_samples_leaf
+        ):
+            return node_id
+        node.feature = feature
+        node.is_leaf = False
+        new_banned = banned.copy()
+        new_banned[feature] = True
+        column = cols[0, :, feature]
+        node.left = self._grow(X, y, cols, mask & ~column, n - n_right,
+                               n_pos - pos_right, depth + 1, new_banned)
+        node.right = self._grow(X, y, cols, mask & column, n_right,
+                                pos_right, depth + 1, new_banned)
+        return node_id
+
+    def _best_split(self, ones, pos_ones, n, n_pos,
+                    banned) -> tuple[int | None, float]:
+        """Highest-gain feature from the node's per-feature counts.
+
+        The parent and both sides of every split go through one
+        impurity call; it is elementwise, so each value is the one a
+        separate call would give.
+        """
+        ones = ones.astype(np.float64)
+        pos_ones = pos_ones.astype(np.float64)
+        n_pos = float(n_pos)
+        zeros = n - ones
+        pos_zeros = n_pos - pos_ones
+        impurity = self._impurity(
+            np.concatenate([pos_ones, pos_zeros, [n_pos]]),
+            np.concatenate([ones, zeros, [float(n)]]),
+        )
+        d = len(ones)
+        child = ones / n * impurity[:d] + zeros / n * impurity[d:-1]
+        gains = impurity[-1] - child
+        # A split is useless if one side is empty or the feature was
+        # already used on this path.
+        gains[(ones == 0) | (zeros == 0) | banned] = -np.inf
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains[best]):
+            return None, 0.0
+        return best, float(gains[best])
+
+
+def expand_all(
+    cubes_mask: np.ndarray,
+    cubes_val: np.ndarray,
+    off: np.ndarray,
+    on: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Espresso's EXPAND with each cube's OFF-row disagreement counts
+    kept in a numpy vector, several numpy calls per literal test.
+
+    ``cubes_mask``/``cubes_val`` are (n_cubes, n_inputs) uint8 matrices;
+    returns the expanded pair.  Literals are tried cheapest-first
+    (fewest OFF-rows one disagreement away).
+
+    When ``on`` is given (and row-aligned with the cubes, as in the
+    first EXPAND where every cube is one ON-minterm), cubes whose
+    minterm is already covered by an earlier expansion are skipped —
+    the standard espresso coverage shortcut that keeps the pass close
+    to linear in the number of primes rather than minterms.
+    """
+    n_cubes, n_inputs = cubes_mask.shape
+    out_mask = cubes_mask.copy()
+    out_val = cubes_val.copy()
+    aligned = on is not None and on.shape[0] == n_cubes
+    covered = np.zeros(n_cubes, dtype=bool) if aligned else None
+    kept_rows: list[int] = []
+    for ci in range(n_cubes):
+        if aligned and covered[ci]:
+            continue
+        kept_rows.append(ci)
+        val = out_val[ci]
+        if off.shape[0] == 0:
+            out_mask[ci] = 0
+            out_val[ci] = 0
+            if aligned:
+                covered[:] = True
+            continue
+        # diffs[r, j]: OFF-row r disagrees with the cube at bound pos j.
+        bound = np.nonzero(out_mask[ci])[0]
+        diffs = off[:, bound] != val[bound]
+        diff_count = diffs.sum(axis=1)
+        # Literal order: fewest blocking rows (rows with exactly one
+        # disagreement, at that literal) first.
+        blocking = diffs[diff_count == 1].sum(axis=0)
+        order = np.argsort(blocking, kind="stable")
+        removed = np.zeros(len(bound), dtype=bool)
+        for j in order:
+            single = diff_count == 1
+            if diffs[single, j].any():
+                continue  # removal would admit an OFF-row
+            removed[j] = True
+            diff_count = diff_count - diffs[:, j]
+            diffs[:, j] = False
+        keep = bound[~removed]
+        new_mask = np.zeros(n_inputs, dtype=np.uint8)
+        new_mask[keep] = 1
+        out_mask[ci] = new_mask
+        out_val[ci] = val * new_mask
+        if aligned:
+            if keep.size:
+                hits = (on[:, keep] == out_val[ci][keep]).all(axis=1)
+            else:
+                hits = np.ones(n_cubes, dtype=bool)
+            covered |= hits
+    if aligned:
+        rows = np.array(kept_rows, dtype=np.int64)
+        return out_mask[rows], out_val[rows]
+    return out_mask, out_val
+
+
+def dense_forward(layer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    z = x @ (layer.W * layer.mask) + layer.b
+    return z, _act(layer.activation, z)
+
+
+def adam_step(layer, dW, db, lr, t) -> None:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    mW, vW, mb, vb = layer._adam_state
+    mW[:] = beta1 * mW + (1 - beta1) * dW
+    vW[:] = beta2 * vW + (1 - beta2) * dW * dW
+    mb[:] = beta1 * mb + (1 - beta1) * db
+    vb[:] = beta2 * vb + (1 - beta2) * db * db
+    mhW = mW / (1 - beta1**t)
+    vhW = vW / (1 - beta2**t)
+    mhb = mb / (1 - beta1**t)
+    vhb = vb / (1 - beta2**t)
+    layer.W -= lr * mhW / (np.sqrt(vhW) + eps)
+    layer.b -= lr * mhb / (np.sqrt(vhb) + eps)
+    layer.W *= layer.mask
+
+
+class ReferenceMLP(MLP):
+    """:class:`MLP` whose training multiplies by the connection masks
+    on every step, all-ones masks included."""
+
+    def fit(self, X, y, epochs=30, reset=True):
+        batch_size, lr = 64, 1e-3
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if reset or not self.layers:
+            self._build(X.shape[1])
+        for layer in self.layers:
+            layer.init_adam()
+        n = X.shape[0]
+        t = 0
+        for _ in range(epochs):
+            order = self.rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                xb, yb = X[idx], y[idx]
+                zs, acts = [], [xb]
+                for layer in self.layers:
+                    z, a = dense_forward(layer, acts[-1])
+                    zs.append(z)
+                    acts.append(a)
+                delta = (acts[-1].ravel() - yb)[:, None] / len(idx)
+                t += 1
+                for li in reversed(range(len(self.layers))):
+                    layer = self.layers[li]
+                    if li < len(self.layers) - 1:
+                        delta = delta * _act_grad(
+                            layer.activation, zs[li], acts[li + 1]
+                        )
+                    dW = acts[li].T @ delta * layer.mask
+                    db = delta.sum(axis=0)
+                    new_delta = delta @ (layer.W * layer.mask).T
+                    adam_step(layer, dW, db, lr, t)
+                    delta = new_delta
+        return self
+
+
 def forest_votes(forest, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.uint8)
     if X.ndim == 1:
@@ -491,6 +731,37 @@ def cgp_evaluate_packed(genome, packed_inputs: np.ndarray) -> np.ndarray:
     if out is None:
         out = np.zeros(n_words, dtype=np.uint64)
     return out
+
+
+def cgp_mutate(genome, rate: float, rng: np.random.Generator) -> CGPGenome:
+    """``CGPGenome.mutate`` drawing through boolean masks, empty
+    draws included, and reporting no genes."""
+    child = genome.copy()
+    n = genome.n_nodes
+    flip_f = rng.random(n) < rate
+    child.funcs[flip_f] = rng.integers(
+        0, len(genome.function_set), size=int(flip_f.sum())
+    )
+    limits = genome.n_inputs + np.arange(n)
+    flip_0 = rng.random(n) < rate
+    child.in0[flip_0] = rng.integers(0, limits[flip_0])
+    flip_1 = rng.random(n) < rate
+    child.in1[flip_1] = rng.integers(0, limits[flip_1])
+    if rng.random() < rate:
+        child.output = int(rng.integers(0, genome.n_inputs + n))
+    nothing_flipped = (
+        not flip_f.any() and not flip_0.any() and not flip_1.any()
+    )
+    if rate > 0 and nothing_flipped:
+        node = int(rng.integers(0, n))
+        which = rng.integers(0, 3)
+        if which == 0:
+            child.funcs[node] = rng.integers(0, len(genome.function_set))
+        elif which == 1:
+            child.in0[node] = rng.integers(0, limits[node])
+        else:
+            child.in1[node] = rng.integers(0, limits[node])
+    return child
 
 
 def cgp_run(evolver, X, y, generations=2000, seed_genome=None):
@@ -533,7 +804,7 @@ def cgp_run(evolver, X, y, generations=2000, seed_genome=None):
         best_child = None
         best_fit = -1.0
         for _ in range(evolver.lam):
-            child = parent.mutate(rate, evolver.rng)
+            child = cgp_mutate(parent, rate, evolver.rng)
             fit = fitness(child, packed, y_packed, n_eval)
             if fit > best_fit or (
                 fit == best_fit
@@ -1061,3 +1332,85 @@ def dataset_fingerprint(
         digest.update(np.ascontiguousarray(ds.X).tobytes())
         digest.update(np.ascontiguousarray(ds.y).tobytes())
     return digest.hexdigest()
+
+
+# ---------------------------------------------------------------------
+# Approximation: counting ones on the variable-order value matrix
+# ---------------------------------------------------------------------
+def approximate_to_size(
+    aig: AIG,
+    max_ands: int,
+    rng: np.random.Generator | None = None,
+    patterns: np.ndarray | None = None,
+) -> AIG:
+    """Team 1's size reducer popcounting the full value matrix in
+    variable order and ranking the candidates with a full stable sort."""
+    if rng is None:
+        rng = rng_for("approx")
+    aig = aig.extract_cone()
+    if patterns is not None:
+        patterns = np.asarray(patterns, dtype=np.uint8)
+        fixed_packed = pack_bits(patterns)
+        n_samples = patterns.shape[0]
+        pad = n_samples % 64
+    n_words = 4096 // 64
+    while aig.num_ands > max_ands:
+        if patterns is not None:
+            values = aig.simulate_packed_all(fixed_packed)
+            if pad:
+                values[:, -1] &= np.uint64((1 << pad) - 1)
+            ones = popcount64(values).sum(axis=1).astype(np.int64)
+            total = n_samples
+        else:
+            packed = rng.integers(
+                0, np.iinfo(np.uint64).max, size=(aig.n_inputs, n_words),
+                dtype=np.uint64, endpoint=True,
+            )
+            values = aig.simulate_packed_all(packed)
+            ones = popcount64(values).sum(axis=1).astype(np.int64)
+            total = n_words * 64
+        levels = aig.levels()
+        depth = int(levels.max(initial=0))
+        base = aig.n_inputs + 1
+        margin = 3
+        candidates = np.array([], dtype=np.int64)
+        while candidates.size == 0 and margin >= 0:
+            level_ok = levels[base:] <= depth - margin
+            candidates = np.nonzero(level_ok)[0] + base
+            margin -= 1
+        if candidates.size == 0:
+            break
+        skew = np.maximum(ones[candidates], total - ones[candidates])
+        # Replace a small batch per round, proportional to the excess
+        # (Team 1 replaced one node at a time; small batches keep the
+        # per-node skew ranking honest while staying fast).
+        excess = aig.num_ands - max_ands
+        batch = max(1, min(excess, candidates.size, excess // 500 + 1))
+        order = np.argsort(-skew, kind="stable")[:batch]
+        overrides = {}
+        for idx in order:
+            var = int(candidates[idx])
+            majority_one = ones[var] * 2 >= total
+            overrides[var] = CONST1 if majority_one else CONST0
+        smaller = substitute_constants(aig, overrides)
+        if smaller.num_ands == 0 and aig.num_ands > max(1, max_ands):
+            # Catastrophic collapse to a constant: retry one node at a
+            # time and keep the first substitution that preserves a
+            # non-trivial circuit ("to avoid the result being constant
+            # 0 or 1", as Team 1's guard intends).
+            smaller = None
+            for idx in np.argsort(-skew, kind="stable"):
+                var = int(candidates[idx])
+                majority_one = ones[var] * 2 >= total
+                attempt = substitute_constants(
+                    aig, {var: CONST1 if majority_one else CONST0}
+                )
+                if 0 < attempt.num_ands < aig.num_ands:
+                    smaller = attempt
+                    break
+            if smaller is None:
+                break
+        if smaller.num_ands >= aig.num_ands:
+            break
+        aig = smaller
+    return aig

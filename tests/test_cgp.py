@@ -44,21 +44,22 @@ class TestGenome:
 
     def test_mutation_rate_zero_is_identity(self, rng):
         g = CGPGenome.random(4, 15, rng)
-        child = g.mutate(0.0, rng)
+        child, redrawn = g.mutate(0.0, rng)
         assert np.array_equal(child.funcs, g.funcs)
         assert child.output == g.output
+        assert not redrawn.any()
 
     def test_mutation_preserves_feedforward(self, rng):
         g = CGPGenome.random(4, 20, rng)
         for _ in range(20):
-            g = g.mutate(0.3, rng)
+            g, _ = g.mutate(0.3, rng)
         limits = 4 + np.arange(20)
         assert (g.in0 < limits).all()
         assert (g.in1 < limits).all()
 
     def test_phenotype_size_bounded(self, rng):
         g = CGPGenome.random(4, 50, rng)
-        assert 0 <= g.phenotype_size() <= 50
+        assert 0 <= len(g.active_nodes()) <= 50
 
 
 class TestEvolution:

@@ -2,12 +2,13 @@
 
 Cut enumeration, the refactor cone sweep, ISOP, candidate pricing,
 SOP compilation, the rewrite and refactor passes,
-tree routing, the C4.5 pruning bound and the learner stages (tree
-growth, forest votes, permutation importance, neuron tables, CGP
-evaluation) each replaced a straightforward implementation with a
-faster one that must return exactly the same thing.  The
-straightforward versions live in :mod:`tests.oracles`; every test
-here compares the two on seeded graphs, tables and trees.
+tree routing, the C4.5 pruning bound, the learner stages (tree
+growth, level by level, forest votes, permutation importance, neuron
+tables, CGP mutation, evaluation and evolution, espresso's EXPAND, MLP
+training) and the approximation rounds each replaced a straightforward
+implementation with a faster one that must return exactly the same
+thing.  The straightforward versions live in :mod:`tests.oracles`;
+every test here compares the two on seeded graphs, tables and trees.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aig.aig import AIG
 from repro.aig.aiger import dumps_aag, loads_aag
+from repro.aig.approx import _most_skewed, approximate_to_size
 from repro.aig.cuts import enumerate_cuts_with_truths
 from repro.aig.build import compile_sop, parity_chain
 from repro.aig import isop as isop_module
@@ -33,11 +35,14 @@ from repro.flows import get_flow
 from repro.ml.decision_tree import DecisionTree, _pessimistic_errors, entropy
 from repro.ml.feature_select import permutation_importance
 from repro.ml.forest import RandomForest
-from repro.ml.mlp import _ACTIVATIONS
+from repro.ml.mlp import _ACTIVATIONS, MLP
 from repro.ml.rules import PartRuleLearner
 from repro.synth.from_mlp import _neuron_table
+from repro.synth.from_tree import tree_to_aig
+from repro.twolevel.espresso import _expand_all
 from repro.utils.bitops import pack_bits
 from tests import oracles
+from tests.conftest import random_aig
 
 SHAPES = ("random", "chain", "reconvergent")
 
@@ -779,3 +784,206 @@ def test_cgp_run_trajectory_matches_oracle(seed, batch_size):
             genome.output,
         ))
     assert runs[0] == runs[1]
+
+
+@given(
+    seed=seeds,
+    n=st.integers(0, 400),
+    d=st.integers(1, 40),
+    noise=st.sampled_from([0.0, 0.1, 0.4]),
+    criterion=st.sampled_from(["entropy", "gini"]),
+    max_depth=st.sampled_from([None, 8]),
+    min_samples_leaf=st.integers(1, 6),
+    tau=st.sampled_from([None, 0.05, 0.5]),
+)
+@settings(max_examples=120, deadline=None)
+def test_level_wise_tree_matches_depth_first_oracle(
+    seed, n, d, noise, criterion, max_depth, min_samples_leaf, tau
+):
+    X, y = labelled_rows(seed, n, d, noise)
+    kwargs = dict(criterion=criterion, max_depth=max_depth,
+                  min_samples_leaf=min_samples_leaf, decomposition_tau=tau)
+    tree = DecisionTree(**kwargs).fit(X, y)
+    assert node_list(tree) == node_list(oracles.PackedTree(**kwargs).fit(X, y))
+
+
+def test_level_wise_tree_chunks_a_wide_frontier_like_the_oracle():
+    # 3,000 rows over 120 features make a frontier whose count tensor
+    # spans several chunks.
+    X, y = labelled_rows(3, 3000, 120, 0.3)
+    tree = DecisionTree(max_depth=None).fit(X, y)
+    assert len(tree.nodes) > 500
+    assert node_list(tree) == node_list(oracles.PackedTree().fit(X, y))
+
+
+def cgp_trajectory(run, X, y, seed, seed_genome=None, **kwargs):
+    evolver = CGPEvolver(rng=np.random.default_rng(seed), **kwargs)
+    genome, fit = run(evolver, X, y, generations=150,
+                      seed_genome=seed_genome)
+    return (evolver.log.fitness, evolver.log.mutation_rate, fit,
+            genome.funcs.tolist(), genome.in0.tolist(), genome.in1.tolist(),
+            genome.output)
+
+
+@given(
+    seed=seeds,
+    n_nodes=st.integers(2, 60),
+    batch_size=st.sampled_from([None, 40]),
+    xaig=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_cgp_neutral_children_keep_the_evaluated_trajectory(
+    seed, n_nodes, batch_size, xaig
+):
+    X, y = labelled_rows(seed, 100, 5, 0.1)
+    kwargs = dict(n_nodes=n_nodes, batch_size=batch_size,
+                  batch_generations=30,
+                  function_set=XAIG_FUNCTIONS if xaig else AIG_FUNCTIONS)
+    assert cgp_trajectory(CGPEvolver.run, X, y, seed, **kwargs) == \
+        cgp_trajectory(oracles.cgp_run, X, y, seed, **kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_cgp_bootstrap_trajectory_matches_oracle(seed):
+    X, y = labelled_rows(seed, 150, 6, 0.05)
+    teacher = DecisionTree(max_depth=4).fit(X, y)
+    runs = []
+    for run in (CGPEvolver.run, oracles.cgp_run):
+        genome = CGPGenome.from_aig(tree_to_aig(teacher),
+                                    rng=np.random.default_rng(seed))
+        runs.append(cgp_trajectory(run, X, y, seed, seed_genome=genome,
+                                   n_nodes=genome.n_nodes))
+    assert runs[0] == runs[1]
+
+
+@given(seed=seeds, n_inputs=st.integers(1, 6), n_nodes=st.integers(1, 40),
+       rate=st.sampled_from([0.0, 0.001, 0.01, 0.2, 0.9]))
+@settings(max_examples=200, deadline=None)
+def test_cgp_mutate_matches_mask_oracle_and_flags_every_change(
+    seed, n_inputs, n_nodes, rate
+):
+    parent = CGPGenome.random(n_inputs, n_nodes, np.random.default_rng(seed))
+    rng, oracle_rng = (np.random.default_rng(seed + 1) for _ in range(2))
+    child, redrawn = parent.mutate(rate, rng)
+    want = oracles.cgp_mutate(parent, rate, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    for name in ("funcs", "in0", "in1"):
+        assert getattr(child, name).tolist() == getattr(want, name).tolist()
+    assert child.output == want.output
+    changed = ((child.funcs != parent.funcs) | (child.in0 != parent.in0)
+               | (child.in1 != parent.in1))
+    assert not (changed & ~redrawn[:-1]).any()
+    assert child.output == parent.output or redrawn[-1]
+    # Rate 0 is the identity; any other rate redraws a node gene.
+    assert redrawn[:-1].any() == (rate > 0)
+
+
+def expand_case(seed, n_inputs, n_on, n_off, shape):
+    """Disjoint ON and OFF rows; ``minterms`` cubes are the ON rows
+    (the first EXPAND), ``reduced`` cubes are random subcubes of them
+    with don't cares (the later EXPANDs)."""
+    rng = np.random.default_rng(seed)
+    rows = np.unique(rng.integers(0, 2, (n_on + n_off, n_inputs)), axis=0)
+    rows = rows[rng.permutation(len(rows))].astype(np.uint8)
+    on, off = rows[:n_on], rows[n_on:]
+    if shape == "minterms":
+        return np.ones_like(on), on.copy(), off, on
+    mask = (rng.random(on.shape) < 0.7).astype(np.uint8)
+    return mask, on * mask, off, None
+
+
+@given(
+    seed=seeds,
+    n_inputs=st.integers(1, 14),
+    n_on=st.integers(1, 60),
+    n_off=st.integers(0, 150),
+    shape=st.sampled_from(["minterms", "reduced"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_bit_sliced_expand_matches_numpy_oracle(
+    seed, n_inputs, n_on, n_off, shape
+):
+    args = expand_case(seed, n_inputs, n_on, n_off, shape)
+    got = _expand_all(*args)
+    want = oracles.expand_all(*args)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want,
+                                                          strict=True))
+
+
+@pytest.mark.parametrize("shape", ["minterms", "reduced"])
+def test_bit_sliced_expand_with_empty_off_set_matches_oracle(shape):
+    mask, val, off, on = expand_case(1, 6, 20, 0, shape)
+    assert off.shape == (0, 6)
+    got = _expand_all(mask, val, off, on)
+    want = oracles.expand_all(mask, val, off, on)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want,
+                                                          strict=True))
+
+
+def weights(mlp):
+    return [(layer.W.tobytes(), layer.b.tobytes(), layer.mask.tobytes())
+            for layer in mlp.layers]
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 150),
+    d=st.integers(1, 10),
+    activation=st.sampled_from(_ACTIVATIONS),
+    hidden=st.sampled_from([(), (6,), (8, 4)]),
+    fanin=st.integers(1, 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_full_mask_training_matches_masked_oracle(
+    seed, n, d, activation, hidden, fanin
+):
+    X, y = labelled_rows(seed, n, d, 0.1)
+    models = [cls(hidden, activation, rng=np.random.default_rng(seed))
+              for cls in (MLP, oracles.ReferenceMLP)]
+    for model in models:
+        model.fit(X, y, epochs=3)
+    assert weights(models[0]) == weights(models[1])
+    for model in models:
+        model.prune_to_fanin(fanin, X, y, rounds=2, retrain_epochs=2)
+    assert weights(models[0]) == weights(models[1])
+    assert np.array_equal(models[0].predict_proba(X),
+                          models[1].predict_proba(X))
+
+
+@given(
+    skew=st.lists(st.integers(0, 6), min_size=1, max_size=60),
+    batch=st.integers(1, 70),
+)
+@settings(max_examples=200, deadline=None)
+def test_most_skewed_matches_stable_argsort(skew, batch):
+    skew = np.array(skew, dtype=np.int64)
+    batch = min(batch, skew.size)
+    assert _most_skewed(skew, batch).tolist() == \
+        np.argsort(-skew, kind="stable")[:batch].tolist()
+
+
+@given(
+    seed=seeds,
+    n_inputs=st.integers(2, 10),
+    n_nodes=st.integers(5, 300),
+    n_outputs=st.integers(1, 4),
+    keep=st.sampled_from([0.05, 0.3, 0.8]),
+    stimuli=st.sampled_from(["random", "patterns"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_approximation_matches_variable_order_oracle(
+    seed, n_inputs, n_nodes, n_outputs, keep, stimuli
+):
+    aig = random_aig(n_inputs, n_nodes, seed=seed, n_outputs=n_outputs)
+    cap = int(aig.num_ands * keep)
+    patterns = None
+    if stimuli == "patterns":
+        gen = np.random.default_rng(seed)
+        patterns = (gen.random((int(gen.integers(1, 300)), n_inputs))
+                    < 0.3).astype(np.uint8)
+    results = []
+    for approximate in (approximate_to_size, oracles.approximate_to_size):
+        rng = np.random.default_rng(seed)
+        out = approximate(aig, cap, rng=rng, patterns=patterns)
+        results.append((dumps_aag(out), rng.bit_generator.state))
+    assert results[0] == results[1]

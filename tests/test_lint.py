@@ -82,6 +82,18 @@ class TestRulesFire:
         rules = [v.rule_id for v in lint_source(source, lint_as)]
         assert rules == (["REP501"] if fires else [])
 
+    @pytest.mark.parametrize("lint_as,fires", [
+        ("src/repro/aig/example.py", True),
+        ("tests/test_example.py", False),
+        ("benchmarks/bench_example.py", False),
+    ])
+    def test_runtime_assert_rule_skips_tests_and_benchmarks(
+        self, lint_as, fires
+    ):
+        source = (FIXTURES / "rep403_runtime_assert.py").read_text()
+        rules = [v.rule_id for v in lint_source(source, lint_as)]
+        assert rules == (["REP403"] if fires else [])
+
 
 class TestSuppression:
     def test_suppressed_fixture_round_trip(self):

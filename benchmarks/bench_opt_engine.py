@@ -41,7 +41,8 @@ from tests.oracles import reference_compress
 
 @functools.cache
 def _victims():
-    """Contest-scale learned circuits (the finalize_aig diet)."""
+    """Contest-scale learned circuits (the finalize_aig diet), and a
+    symmetric function built twice."""
     rng = rng_for("bench-opt-engine")
     out = []
     # Decision trees that partly memorize a hard symmetric target:
@@ -59,6 +60,13 @@ def _victims():
         symmetric_function(aig, aig.input_lits(), "0110100101101")
     )
     out.append(("sym-12", aig.extract_cone()))
+    # The same function again over the inputs in reverse order: its
+    # nodes duplicate the first copy's functions, which strashing
+    # cannot see and rewrite's marked-node path merges.
+    aig.set_output(
+        symmetric_function(aig, aig.input_lits()[::-1], "0110100101101")
+    )
+    out.append(("sym-12x2", aig.extract_cone()))
     return out
 
 

@@ -3,10 +3,11 @@
 
     python benchmarks/check_regression.py --base origin/main
 
-Checks ``--base`` out in a temporary ``git worktree``, then runs every
-workload listed in ``BENCHMARK.json`` (``python3 perfbench/run.py
---workload W``) in both trees for 10 pairs, alternating which side
-runs first so a slow stretch of the host hits both sides alike.  Each
+Checks ``--base`` out in a temporary ``git worktree``, byte-compiles
+both trees, then runs every workload listed in ``BENCHMARK.json``
+(``python3 perfbench/run.py --workload W``) in both trees for 10
+pairs, alternating which side runs first so a slow stretch of the
+host hits both sides alike.  Each
 run's last stdout line is its JSON result.  Timings are only compared
 between runs on the same machine in the same window, so no baseline
 file is kept.
@@ -113,9 +114,20 @@ def fmt(q: tuple[float, float, float]) -> str:
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def precompile(python: str, trees: list[Path]) -> None:
+    """Byte-compile each tree's ``src`` and ``perfbench`` with the
+    benchmark's interpreter.  Under ``PYTHONDONTWRITEBYTECODE=1`` a
+    tree without fresh bytecode compiles every module it imports on
+    every run, so its start-up metrics would measure compilation."""
+    for tree in trees:
+        subprocess.run([python, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=tree, check=True, capture_output=True)
+
+
 def gate(base_tree: Path) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     trees = {"base": base_tree, "head": ROOT}
+    precompile(spec["command"][0], list(trees.values()))
     failed = False
     print(f"{'workload':<16}{'metric':<20}{'base median [q1, q3]':<34}"
           f"{'head median [q1, q3]':<34}{'change':>9}  verdict")

@@ -1,9 +1,10 @@
 """K-feasible cut enumeration and cut-function computation.
 
-Used by the rewriting pass: every AND node gets a set of cuts (leaf
-sets of bounded size) and the truth table of the node in terms of each
-cut's leaves, returned as the flat arrays of :class:`Cuts`, with no
-Python object per cut.  Enumeration is level-batched array code: the
+Used by the rewriting pass: every AND node (or every one in the fanin
+cones of given roots) gets a set of cuts (leaf sets of bounded size)
+and the truth table of the node in terms of each cut's leaves,
+returned as the flat arrays of :class:`Cuts`, with no Python object
+per cut.  Enumeration is level-batched array code: the
 AND nodes of one logic level depend only on lower levels, so a level's
 nodes merge their fanin cut lists together in numpy.
 
@@ -91,7 +92,7 @@ def _before(width: int) -> np.ndarray:
 class _CutArrays:
     """Every node's kept cuts, in the encoding the module doc describes."""
 
-    def __init__(self, aig: AIG, k: int, max_cuts: int):
+    def __init__(self, aig: AIG, k: int, max_cuts: int, roots: np.ndarray | None):
         if k < 1 or max_cuts < 1:
             raise ValueError("k and max_cuts must be positive")
         self.k, self.max_cuts = k, max_cuts
@@ -115,13 +116,22 @@ class _CutArrays:
         self.leaves[inputs, 0] = self.unit[inputs]
         self.sigs[inputs, 0] = self.unit_sig[inputs]
         self.bits[inputs, 0, 1] = True
-        if aig.num_ands == 0:
-            return
         base = aig.n_inputs + 1
+        ands = np.arange(aig.num_ands)
+        if roots is not None:
+            # A node's cuts depend only on its fanin cone, so the
+            # roots' cones are enumerated as in the whole graph; every
+            # other AND node keeps no cut.
+            cone = aig.reachable_vars((2 * np.asarray(roots)).tolist())[base:]
+            self.counts[base:][~cone] = 0
+            ands = np.flatnonzero(cone)
+        if ands.size == 0:
+            return
         fanins = np.array([aig._fanin0, aig._fanin1], dtype=np.int64)
-        levels = _levels(aig)[base:]
+        levels = _levels(aig)[base:][ands]
         order = np.argsort(levels, kind="stable")
         bounds = np.flatnonzero(np.diff(levels[order])) + 1
+        order = ands[order]
         # A level's nodes are independent; batching them bounds the
         # (nodes x candidates^2) dominance temporaries.
         batches = [
@@ -238,9 +248,10 @@ class _CutArrays:
 class Cuts(NamedTuple):
     """Every variable's kept cuts as flat arrays, in kept order.
 
-    Variable ``v``'s cuts are rows ``start[v]:start[v + 1]``.  Row
-    ``c`` holds ``sizes[c]`` leaves, ascending, in ``leaves[c]``,
-    padded with 0: the constant variable is never a leaf.  Its table,
+    Variable ``v``'s cuts are rows ``start[v]:start[v + 1]`` (none for
+    an AND node outside the enumerated cones).  Row ``c`` holds
+    ``sizes[c]`` leaves, ascending, in ``leaves[c]``, padded with 0:
+    the constant variable is never a leaf.  Its table,
     the root's function of those leaves with leaf ``i`` as bit ``i``
     of the minterm, is ``tables[c]`` packed by :func:`numpy.packbits`
     in little bit order, so for ``k = 4`` the row, read as one
@@ -253,15 +264,20 @@ class Cuts(NamedTuple):
     tables: np.ndarray  # (cuts, ceil(2**k / 8)) uint8
 
 
-def enumerate_cuts_with_truths(aig: AIG, k: int = 4, max_cuts: int = 8) -> Cuts:
+def enumerate_cuts_with_truths(
+    aig: AIG, k: int = 4, max_cuts: int = 8, roots: np.ndarray | None = None
+) -> Cuts:
     """Per-variable k-feasible cuts, each with its root's truth table.
 
     Every variable keeps at most ``max_cuts`` cuts, the trivial cut
     ``(v,)`` with the identity table ``0b10`` among them; the constant
     has the one empty cut with table 0.  Tables are assembled
-    bottom-up from the fanin cut tables.
+    bottom-up from the fanin cut tables.  Given ``roots`` (variable
+    indices), only the AND nodes in their transitive fanin are
+    enumerated, each with exactly the cuts the whole graph gives it;
+    every other AND node has none.
     """
-    arrays = _CutArrays(aig, k, max_cuts)
+    arrays = _CutArrays(aig, k, max_cuts, roots)
     valid = np.arange(max_cuts) < arrays.counts[:, None]
     leaves = arrays.leaves[valid]
     leaves[leaves == _PAD] = 0

@@ -12,7 +12,10 @@ hashed graph, functionally equivalent to their input by construction:
     their NPN class's best-known structure, folded into one program
     over the cut's leaves.  A node takes the first cut whose program
     the output graph already holds, checked against its strash table
-    without building anything: a candidate that adds no node.
+    without building anything: a candidate that adds no node.  So
+    only a node equal to an earlier variable, or its complement, can
+    be rewritten; a simulation proof finds the others, whose cuts are
+    neither enumerated nor priced.
 ``refactor``
     Cone-level resynthesis of maximum fanout-free cones up to 10
     leaves, accepted when the new cone (priced, not built) is no larger
@@ -37,6 +40,7 @@ graphs of any depth are safe.
 from __future__ import annotations
 
 import heapq
+import operator
 from functools import partial
 
 import numpy as np
@@ -141,6 +145,10 @@ def _gather_and_leaves(aig: AIG, var: int, fanout: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------
 # rewrite
 # ---------------------------------------------------------------------
+#: Simulation words (64 patterns each) of rewrite's duplicate proof.
+SIG_WORDS = 16
+
+
 def rewrite(aig: AIG) -> AIG:
     """DAG-aware NPN-library cut rewriting (ABC ``rewrite`` analogue).
 
@@ -148,11 +156,34 @@ def rewrite(aig: AIG) -> AIG:
     the library program of its first cut, in kept order, that is
     already in the output graph: one that adds no node.  Otherwise
     it is built directly.
+
+    Only a node that equals an earlier variable, or its complement,
+    can take anything but a fresh ``add_and``: every ``add_and`` here
+    builds one old node's function, and an accepted cut adds no node,
+    so each literal of the output graph computes the constant, an
+    input or an earlier old node, and so does every strash hit or
+    constant fold.  The input is simulated once on :data:`SIG_WORDS`
+    words; a node whose complement-normalized row no earlier variable
+    shares provably differs from all of them and is built directly.
+    Cuts are enumerated for the fanin cones of the other (*marked*)
+    nodes only, and only theirs are priced.  With no marked node and
+    every fanin pair sorted, the rebuild is the input itself.  The
+    proof rests on the zero-cost acceptance rule: a rewrite that
+    credits the MFFC a replacement frees accepts candidates that add
+    nodes, and must narrow or drop this filter.
     """
-    cuts = enumerate_cuts_with_truths(aig, k=MAX_NPN_VARS, max_cuts=8)
-    # Single-leaf and empty cuts are never candidates; each distinct
-    # (size, table) of the others is looked up once.
-    cand = np.flatnonzero(cuts.sizes >= 2)
+    marked = _has_earlier_twin(aig)
+    roots = np.flatnonzero(marked)
+    if roots.size == 0 and all(map(operator.le, aig._fanin0, aig._fanin1)):
+        return aig.extract_cone()
+    cuts = enumerate_cuts_with_truths(
+        aig, k=MAX_NPN_VARS, max_cuts=8, roots=roots
+    )
+    # Single-leaf and empty cuts are never candidates, nor are the
+    # cuts of unmarked nodes; each distinct (size, table) of the others
+    # is looked up once.
+    owner = np.repeat(np.arange(aig.num_vars), np.diff(cuts.start))
+    cand = np.flatnonzero((cuts.sizes >= 2) & marked[owner])
     sizes = cuts.sizes[cand]
     keys = sizes << 16 | cuts.tables.view("<u2")[cand, 0]
     distinct, which = np.unique(keys, return_inverse=True)
@@ -168,13 +199,14 @@ def rewrite(aig: AIG) -> AIG:
     for i in range(aig.n_inputs):
         mapping[1 + i] = new.input_lit(i)
     base = aig.n_inputs + 1
+    marked = marked.tolist()
     for j in range(aig.num_ands):
         var = base + j
         f0, f1 = aig.fanins(var)
         ma, mb = _map_lit(mapping, f0), _map_lit(mapping, f1)
         a, b = (ma, mb) if ma < mb else (mb, ma)
-        if a < 2 or a == b or a ^ b == 1 or (a, b) in strash:
-            # Constant fold or strash hit: add_and appends nothing.
+        if not marked[var] or a < 2 or a == b or a ^ b == 1 or (a, b) in strash:
+            # Unmarked (a new function), constant fold or strash hit.
             mapping[var] = new.add_and(ma, mb)
             continue
         for c in range(bounds[var], bounds[var + 1]):
@@ -208,6 +240,29 @@ def rewrite(aig: AIG) -> AIG:
     for lit in aig.outputs:
         new.set_output(_map_lit(mapping, lit))
     return new.extract_cone()
+
+
+def _has_earlier_twin(aig: AIG) -> np.ndarray:
+    """Mask of the AND nodes whose simulated row, complement-normalized,
+    an earlier variable shares.
+
+    Different rows prove different functions, so an unmarked node
+    equals neither the constant, nor an input, nor an earlier node,
+    nor the complement of any of them.
+    """
+    packed = rng_for("rewrite", aig.num_vars, aig.num_ands).integers(
+        0, 1 << 64, size=(aig.n_inputs, SIG_WORDS), dtype=np.uint64
+    )
+    values = aig.simulate_packed_all(packed)
+    # Complement rows whose first bit is set, so a node and its
+    # negation share a row; the constant's row is all zeros.
+    values ^= np.uint64(0) - (values[:, :1] & np.uint64(1))
+    _, first, which = np.unique(
+        values, axis=0, return_index=True, return_inverse=True
+    )
+    marked = first[which.ravel()] < np.arange(aig.num_vars)
+    marked[: aig.n_inputs + 1] = False
+    return marked
 
 
 # ---------------------------------------------------------------------

@@ -33,6 +33,7 @@ class RandomForest:
         self.trees: list[DecisionTree] = []
         self.feature_subsets: list[np.ndarray] = []
         self.n_inputs: int | None = None
+        self._routing: tuple | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.uint8)
@@ -56,24 +57,13 @@ class RandomForest:
             tree.fit(X[np.ix_(idx, cols)], y[idx])
             self.trees.append(tree)
             self.feature_subsets.append(cols)
+        self._routing = self._concatenated_routes()
         return self
 
-    def votes(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree predictions, shape ``(n_samples, n_trees)``.
-
-        All trees route together on the full ``X``: their routing
-        arrays are concatenated, with each split feature mapped through
-        the tree's feature subset, so no per-tree column copy is made.
-        """
-        if not self.trees:
-            raise ValueError("forest is not fitted")
-        X = np.asarray(X, dtype=np.uint8)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} features, got {X.shape[1]}"
-            )
+    def _concatenated_routes(self) -> tuple:
+        """Every tree's routing arrays, concatenated, and each tree's
+        root: split features are mapped through the tree's feature
+        subset and children offset by the tree's root."""
         feature, left, right, value, depth = zip(
             *(tree._routes() for tree in self.trees), strict=True
         )
@@ -86,7 +76,24 @@ class RandomForest:
             np.concatenate(value),
             max(depth),
         )
-        return route(X, routes, roots)
+        return routes, roots
+
+    def votes(self, X: np.ndarray) -> np.ndarray:
+        """Per-tree predictions, shape ``(n_samples, n_trees)``.
+
+        All trees route together on the full ``X`` through the routing
+        arrays ``fit`` concatenated, so no per-tree column copy is made.
+        """
+        if self._routing is None:
+            raise ValueError("forest is not fitted")
+        X = np.asarray(X, dtype=np.uint8)
+        if X.ndim == 1:
+            X = X[None, :]
+        if X.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} features, got {X.shape[1]}"
+            )
+        return route(X, *self._routing)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         votes = self.votes(X)

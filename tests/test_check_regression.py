@@ -152,3 +152,34 @@ def test_worktree_is_removed_when_the_gate_fails(monkeypatch, capsys):
     assert exc.value.code == 2
     assert "cannot check out" in capsys.readouterr().err
     assert _git("worktree", "list", "--porcelain").stdout == before
+
+
+def test_both_trees_are_byte_compiled_before_the_first_run(monkeypatch, tmp_path):
+    events = []
+
+    def fake_run(command, cwd=None, **kwargs):
+        events.append(("compile", Path(cwd), command[1:]))
+
+    def fake_run_once(tree, command, workload):
+        events.append(("run", tree, workload))
+        return check_regression.parse_result(_line(grid_s=1.0))
+
+    monkeypatch.setattr(check_regression.subprocess, "run", fake_run)
+    monkeypatch.setattr(check_regression, "run_once", fake_run_once)
+    assert check_regression.gate(tmp_path) == 0
+    compile_args = ["-m", "compileall", "-q", "src", "perfbench"]
+    assert events[:2] == [("compile", tmp_path, compile_args),
+                          ("compile", ROOT, compile_args)]
+    assert all(kind == "run" for kind, *_ in events[2:])
+
+
+def test_precompile_writes_bytecode_even_when_writing_is_off(monkeypatch, tmp_path):
+    import sys
+
+    for package in ("src", "perfbench"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "mod.py").write_text("X = 1\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    check_regression.precompile(sys.executable, [tmp_path])
+    for package in ("src", "perfbench"):
+        assert list((tmp_path / package / "__pycache__").glob("mod.*.pyc"))

@@ -28,6 +28,7 @@ from repro.aig import isop as isop_module
 from repro.aig.isop import MEMO_VARS, full_mask, isop, var_mask
 from repro.aig.opt.counting import price, replay
 from repro.aig.opt.library import get_library
+from repro.aig.opt import passes
 from repro.aig.opt.passes import balance, refactor, rewrite
 from repro.aig.opt.traverse import cone_truth, cut_truth, ffc_cones
 from repro.cgp import AIG_FUNCTIONS, XAIG_FUNCTIONS, CGPEvolver, CGPGenome
@@ -405,6 +406,97 @@ def test_rewrite_and_refactor_match_pricing_oracles_on_parity_chains(n_inputs):
     aig = parity_chain(n_inputs=n_inputs, n_nodes=400)
     assert dumps_aag(rewrite(aig)) == dumps_aag(oracles.rewrite(aig))
     assert dumps_aag(refactor(aig)) == dumps_aag(oracles.refactor(aig))
+
+
+# ---------------------------------------------------------------------
+# Rewrite's duplicate proof: only a node that equals an earlier
+# variable (or its complement) is priced
+# ---------------------------------------------------------------------
+def _xor_two_ways() -> AIG:
+    """x ^ y as an OR of products and as an OR ANDed with a NAND: the
+    second root's AND node is the complement of the first's, and
+    strashing sees nothing shared."""
+    aig = AIG(3)
+    x, y, z = aig.input_lits()
+    sop = aig.add_xor(x, y)
+    pos = aig.add_and(aig.add_or(x, y), aig.add_and(x, y) ^ 1)
+    aig.set_output(aig.add_and(sop, z))
+    aig.set_output(aig.add_and(pos, z ^ 1))
+    return aig
+
+
+def _redundant_copies() -> AIG:
+    """A node equal to an input and one equal to the constant, each
+    through redundant logic, under further logic."""
+    aig = AIG(3)
+    x, y, z = aig.input_lits()
+    same = aig.add_or(aig.add_and(x, y), aig.add_and(x, y ^ 1))  # x
+    zero = aig.add_and(aig.add_and(x, z), aig.add_and(x ^ 1, y))  # 0
+    aig.set_output(aig.add_and(same ^ 1, z))
+    aig.set_output(aig.add_or(zero, aig.add_and(y, z)))
+    return aig
+
+
+@pytest.mark.parametrize("build", [_xor_two_ways, _redundant_copies])
+def test_rewrite_merges_duplicates_strashing_misses(build):
+    aig = build()
+    got = rewrite(aig)
+    assert got.num_ands < aig.num_ands  # the marked nodes were merged
+    assert dumps_aag(got) == dumps_aag(oracles.rewrite(aig))
+    assert dumps_aag(rewrite(balance(aig))) == dumps_aag(
+        oracles.rewrite(balance(aig))
+    )
+
+
+def _duplicate_free() -> AIG:
+    aig = AIG(3)
+    x, y, z = aig.input_lits()
+    aig.set_output(aig.add_and(aig.add_and(x, y ^ 1), z))
+    aig.set_output(aig.add_or(x, z))
+    return aig
+
+
+def test_rewrite_sorts_an_unsorted_fanin_pair():
+    aig = _duplicate_free()
+    aig._fanin0[1], aig._fanin1[1] = aig._fanin1[1], aig._fanin0[1]
+    assert aig._fanin0[1] > aig._fanin1[1]
+    got = dumps_aag(rewrite(aig))
+    assert got == dumps_aag(oracles.rewrite(aig))
+    assert got != dumps_aag(aig.extract_cone())
+
+
+def test_rewrite_of_a_duplicate_free_graph_enumerates_no_cut(monkeypatch):
+    aig = _duplicate_free()
+    expected = dumps_aag(oracles.rewrite(aig))
+
+    def no_cuts(*args, **kwargs):
+        raise AssertionError("cuts enumerated for a duplicate-free graph")
+
+    monkeypatch.setattr(passes, "enumerate_cuts_with_truths", no_cuts)
+    assert dumps_aag(rewrite(aig)) == expected == dumps_aag(aig.extract_cone())
+
+
+@given(
+    source=st.sampled_from(["random", "chain", "reconvergent", "raw", "aag"]),
+    n_inputs=st.integers(1, 8),
+    n_nodes=st.integers(0, 60),
+    seed=seeds,
+    picks=st.lists(st.integers(0, 10**6), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_cuts_of_roots_match_the_full_enumeration_in_their_cones(
+    source, n_inputs, n_nodes, seed, picks
+):
+    aig = any_graph(source, n_inputs, n_nodes, seed)
+    roots = np.array(sorted({p % aig.num_vars for p in picks}), dtype=np.int64)
+    full = oracles.pairs(enumerate_cuts_with_truths(aig, 4, 8))
+    some = oracles.pairs(enumerate_cuts_with_truths(aig, 4, 8, roots=roots))
+    cone = aig.reachable_vars((2 * roots).tolist())
+    for var in range(aig.num_vars):
+        if cone[var] or not aig.is_and_var(var):
+            assert some[var] == full[var], var
+        else:
+            assert some[var] == [], var
 
 
 # ---------------------------------------------------------------------

@@ -13,10 +13,11 @@ solutions):
    single-row request loop — asserted when the box has >= 2 cores
    (wall-clock asserts flake on starved single-core CI runners),
    reported always.  Each side is timed as the best of fifteen runs
-   in a block of its own: the 4 ms coalesced burst is still warming
-   up after three runs, and one slow phase of a shared box can pull
-   a best of three under the floor.  The sides do not alternate:
-   a sequential run between bursts keeps the burst from warming up.
+   in a block of its own, after one untimed run: the 4 ms coalesced
+   burst is still warming up after three runs, and one slow phase of
+   a shared box can pull a best of three under the floor.  The sides
+   do not alternate: a sequential run between bursts keeps the burst
+   from warming up.
    The raw engine-level gain (validate plus ``run`` per row vs one
    ``simulate_rows_grouped`` pass, no event loop in the way) is
    reported alongside.
@@ -29,7 +30,8 @@ solutions):
 
 3. *Saturation sheds, never strands.*  Past ``max_queued_rows`` the
    server answers 503 (with ``Retry-After``); every request still gets
-   *an* answer, and every 200 is bit-exact.
+   *an* answer, and every 200 is bit-exact.  Requests larger than the
+   cap are mixed into the load, so shedding does not hang on timing.
 
 Bit-identity of every serving path against direct ``AIG.simulate`` is
 asserted unconditionally — speed claims never excuse a wrong bit.
@@ -60,7 +62,6 @@ from repro.serve import (
     ServeApp,
     ServerHandle,
 )
-from repro.serve.batching import DEFAULT_TICK_S
 from repro.serve.bundle import validate_rows
 from repro.sim.batch import simulate_rows_grouped
 
@@ -113,24 +114,26 @@ def test_serve_coalescing_speedup_and_bit_identity(store_dir):
 
     # --- single-row request loop: sequential awaits ------------------
     async def drive_singles():
-        batcher = MicroBatcher(store, tick_s=0.0, max_batch=N_ROWS)
+        batcher = MicroBatcher(store, max_batch=N_ROWS)
         outs = []
         for i in range(N_ROWS):
             outs.append(await batcher.predict(name, rows[i]))
         return batcher, outs
 
+    asyncio.run(drive_singles())  # untimed warm-up
     single_s, single_runs = _best_of(
         lambda: asyncio.run(drive_singles()), COALESCE_REPEATS
     )
 
     # --- coalesced: the same requests arriving concurrently ----------
     async def drive_coalesced():
-        batcher = MicroBatcher(store, tick_s=0.001, max_batch=N_ROWS)
+        batcher = MicroBatcher(store, max_batch=N_ROWS)
         outs = await asyncio.gather(
             *(batcher.predict(name, rows[i]) for i in range(N_ROWS))
         )
         return batcher, outs
 
+    asyncio.run(drive_coalesced())  # untimed warm-up
     coalesced_s, coalesced_runs = _best_of(
         lambda: asyncio.run(drive_coalesced()), COALESCE_REPEATS
     )
@@ -234,10 +237,8 @@ def test_serve_cold_vs_warm_compile(store_dir):
 # ---------------------------------------------------------------------------
 
 
-def _predict_request_bytes(name, row):
-    body = json.dumps(
-        {"row": [int(b) for b in row]}, sort_keys=True
-    ).encode("utf-8")
+def _predict_request_bytes(name, payload):
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (
         f"POST /predict/{name} HTTP/1.1\r\n"
         f"Host: bench\r\n"
@@ -246,6 +247,15 @@ def _predict_request_bytes(name, row):
         f"\r\n"
     ).encode("latin-1")
     return head + body
+
+
+def _single_row_requests(name, rows, expected):
+    """One single-row request per row, and the outputs each must get."""
+    payloads = [
+        _predict_request_bytes(name, {"row": [int(b) for b in row]})
+        for row in rows
+    ]
+    return payloads, [expected[i : i + 1] for i in range(len(rows))]
 
 
 async def _read_http_response(reader):
@@ -265,11 +275,10 @@ async def _read_http_response(reader):
     return status, headers, body
 
 
-async def _drive_load(host, port, name, rows, n_requests, concurrency):
+async def _drive_load(host, port, payloads, n_requests, concurrency):
     """``concurrency`` keep-alive connections pulling ``n_requests``
-    single-row predicts off a shared work list; request *i* always
-    carries row ``i % len(rows)``, so every answer is checkable."""
-    payloads = [_predict_request_bytes(name, row) for row in rows]
+    predicts off a shared work list; request *i* always carries
+    ``payloads[i % len(payloads)]``, so every answer is checkable."""
     results = [None] * n_requests
     work = iter(range(n_requests))
 
@@ -296,9 +305,10 @@ async def _drive_load(host, port, name, rows, n_requests, concurrency):
     return results
 
 
-def _summarize_load(results, rows, expected):
+def _summarize_load(results, expected):
     """Verify + condense one load run.  Asserts, unconditionally:
-    no request stranded, every 200 bit-exact, every 503 retryable."""
+    no request stranded, every 200 bit-exact (request *i* must get
+    ``expected[i % len(expected)]``), every 503 retryable."""
     statuses = collections.Counter()
     latencies = []
     for i, result in enumerate(results):
@@ -308,7 +318,7 @@ def _summarize_load(results, rows, expected):
         latencies.append(latency)
         if status == 200:
             got = np.asarray(body["outputs"], dtype=np.uint8)
-            assert np.array_equal(got[0], expected[i % len(rows)]), (
+            assert np.array_equal(got, expected[i % len(expected)]), (
                 f"request {i}: served bits differ from AIG.simulate"
             )
         elif status == 503:
@@ -330,14 +340,14 @@ def _summarize_load(results, rows, expected):
     }
 
 
-def _run_load(handle, name, rows, expected, n_requests, concurrency):
+def _run_load(handle, payloads, expected, n_requests, concurrency):
     start = time.perf_counter()
     results = asyncio.run(
-        _drive_load(handle.host, handle.port, name, rows,
+        _drive_load(handle.host, handle.port, payloads,
                     n_requests, concurrency)
     )
     elapsed = time.perf_counter() - start
-    summary = _summarize_load(results, rows, expected)
+    summary = _summarize_load(results, expected)
     summary["total_s"] = elapsed
     summary["rps"] = n_requests / elapsed
     return summary
@@ -355,20 +365,29 @@ def test_serve_saturation_sheds_load_cleanly(store_dir):
     aig = read_aag(RunStore(store_dir).solution_path(store.info(name).key))
     rows = _rows(32, 16, seed=5)
     expected = aig.simulate(rows)
+    singles, answers = _single_row_requests(name, rows, expected)
 
-    # Queue bounded far below the offered load: with 24 connections
-    # hammering an 8-row admission cap across a 20 ms tick, rejects
-    # are structurally guaranteed, not a timing accident.
-    app = ServeApp(
-        ModelStore(store_dir), tick_s=0.02, max_queued_rows=8
-    )
+    # An 8-row admission cap, and every fifth request carries 9 rows:
+    # more than the cap admits even into an empty queue, so those are
+    # always shed, while a single row that finds the queue empty is
+    # always served.  Rejects are structural, not a timing accident.
+    oversized = _predict_request_bytes(name, {"rows": rows[:9].tolist()})
+    payloads, wanted = [], []
+    for i, (payload, answer) in enumerate(zip(singles, answers)):
+        payloads.append(payload)
+        wanted.append(answer)
+        if i % 4 == 3:
+            payloads.append(oversized)
+            wanted.append(expected[:9])
+    app = ServeApp(ModelStore(store_dir), max_queued_rows=8)
     with ServerHandle(app) as handle:
-        summary = _run_load(handle, name, rows, expected, 144, 24)
+        summary = _run_load(handle, payloads, wanted, 144, 24)
         stats = app.batcher.stats()
 
     served = summary["statuses"].get(200, 0)
     shed = summary["statuses"].get(503, 0)
-    echo("\n=== Saturation behavior (8-row cap, 24 connections) ===")
+    echo("\n=== Saturation behavior (8-row cap, 24 connections, "
+         "every fifth request 9 rows) ===")
     echo(f"  {served} served / {shed} shed (503) of 144; "
          f"p99 {summary['p99_ms']:.1f} ms; "
          f"batcher saw {stats['rejected_saturated']} saturated rejects")
@@ -410,9 +429,6 @@ def _load_main(argv=None):
                         help="fixed connection count (default: sweep "
                              "1..64 and report the knee)")
     parser.add_argument("--max-queued-rows", type=int, default=None)
-    parser.add_argument("--deadline-ms", type=float, default=None)
-    parser.add_argument("--tick-ms", type=float,
-                        default=DEFAULT_TICK_S * 1000.0)
     args = parser.parse_args(argv)
     if not args.load:
         parser.error("this entry point only implements --load")
@@ -424,12 +440,12 @@ def _load_main(argv=None):
         name = store.resolve(args.model)
         info = store.info(name)
         rows = _rows(64, info.n_inputs, seed=7)
-        expected = store.load(name).run(rows)
+        payloads, answers = _single_row_requests(
+            name, rows, store.load(name).run(rows)
+        )
 
         app = ServeApp(
-            ModelStore(store_root), tick_s=args.tick_ms / 1000.0,
-            max_queued_rows=args.max_queued_rows,
-            deadline_ms=args.deadline_ms,
+            ModelStore(store_root), max_queued_rows=args.max_queued_rows
         )
         levels = [args.concurrency] if args.concurrency else \
             [1, 2, 4, 8, 16, 32, 64]
@@ -440,10 +456,10 @@ def _load_main(argv=None):
         knee = None
         previous_rps = 0.0
         with ServerHandle(app) as handle:
-            _run_load(handle, name, rows, expected, 32, 2)  # warm-up
+            _run_load(handle, payloads, answers, 32, 2)  # warm-up
             for concurrency in levels:
                 summary = _run_load(
-                    handle, name, rows, expected, args.requests, concurrency
+                    handle, payloads, answers, args.requests, concurrency
                 )
                 statuses = summary["statuses"]
                 print(f"{concurrency:>6} {summary['rps']:>10.0f} "

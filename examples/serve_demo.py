@@ -6,7 +6,7 @@ End-to-end tour of the serving layer (`repro.serve`):
    the winning circuits,
 2. start the microbatching HTTP server on a background thread,
 3. fire concurrent single-row requests at ``/predict/{model}`` and
-   watch them coalesce into a handful of engine passes,
+   watch the ones that arrive together share an engine pass,
 4. score a rows file offline with the same models (`repro predict`).
 
 Run:  python examples/serve_demo.py            (seconds)
@@ -59,7 +59,7 @@ def demo(tmp: Path) -> None:
               f"{info.num_ands} ANDs, flow {info.flow}, "
               f"test acc {info.test_accuracy}")
 
-    app = ServeApp(store, tick_s=0.005)
+    app = ServeApp(store)
     with ServerHandle(app) as handle:
         print(f"\n2) serving on http://{handle.host}:{handle.port}")
         rng = np.random.default_rng(0)

@@ -72,17 +72,6 @@ def _expand_map(k: int) -> np.ndarray:
     return src
 
 
-def _levels(aig: AIG) -> np.ndarray:
-    """Logic level of every variable (constant and inputs are 0)."""
-    lv = [0] * aig.num_vars
-    var = aig.n_inputs + 1
-    for f0, f1 in zip(aig._fanin0, aig._fanin1, strict=True):
-        a, b = lv[f0 >> 1], lv[f1 >> 1]
-        lv[var] = (a if a > b else b) + 1
-        var += 1
-    return np.asarray(lv, dtype=np.int64)
-
-
 @lru_cache(maxsize=256)
 def _before(width: int) -> np.ndarray:
     """``out[p, c]``: candidate ``p`` sorts before candidate ``c``."""
@@ -128,7 +117,7 @@ class _CutArrays:
         if ands.size == 0:
             return
         fanins = np.array([aig._fanin0, aig._fanin1], dtype=np.int64)
-        levels = _levels(aig)[base:][ands]
+        levels = aig.compiled().var_levels[base:][ands]
         order = np.argsort(levels, kind="stable")
         bounds = np.flatnonzero(np.diff(levels[order])) + 1
         order = ands[order]

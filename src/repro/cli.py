@@ -222,10 +222,9 @@ def _cmd_serve(parser, args) -> None:
 
     try:
         app = ServeApp(
-            args.store, tick_s=args.tick_ms / 1000.0,
+            args.store,
             max_batch=args.max_batch, cache_size=args.cache_size,
             max_queued_rows=args.max_queued_rows,
-            deadline_ms=args.deadline_ms,
         )
     except (FileNotFoundError, ValueError) as exc:
         parser.error(str(exc))
@@ -364,13 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "or any directory of .aag files")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8080)
-    # repro.serve.batching.DEFAULT_TICK_S, spelled here so that every
-    # other command starts without loading the serving package.
-    serve_p.add_argument("--tick-ms", type=float, default=0.0,
-                         help="extra microbatch wait in milliseconds; 0 "
-                              "(the default) means flush on the next "
-                              "event-loop turn, a larger value trades "
-                              "latency for batch size")
     serve_p.add_argument("--max-batch", type=int, default=4096,
                          help="flush a model's queue at this many rows")
     serve_p.add_argument("--cache-size", type=int, default=32,
@@ -379,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-model cap on queued rows; past "
                               "it /predict answers 503 (default: "
                               "unbounded)")
-    serve_p.add_argument("--deadline-ms", type=float, default=None,
-                         help="fail requests still queued after this "
-                              "long with 503; needs a positive --tick-ms "
-                              "(default: no deadline)")
 
     predict_p = sub.add_parser(
         "predict", help="offline batch scoring: rows file in, "

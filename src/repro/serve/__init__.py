@@ -22,8 +22,8 @@ Batch (:mod:`repro.serve.batching`)
 
     Every flush runs inline on the event loop: at serving batch sizes
     an engine pass costs less than the HTTP handling around it.
-    Per-model backpressure (``--max-queued-rows``, ``--deadline-ms``)
-    answers overload with 503s instead of unbounded queues.
+    Per-model backpressure (``--max-queued-rows``) answers overload
+    with 503s instead of unbounded queues.
 
 Observe (:mod:`repro.serve.metrics`)
     ``GET /metrics`` serves Prometheus-text counters, latency and
@@ -41,12 +41,7 @@ through the LRU, and (``--load``) saturation behavior under
 thousands of concurrent keep-alive connections.
 """
 
-from repro.serve.batching import (
-    DeadlineExceeded,
-    ExecutionError,
-    MicroBatcher,
-    QueueSaturated,
-)
+from repro.serve.batching import ExecutionError, MicroBatcher, QueueSaturated
 from repro.serve.bundle import CircuitBundle, ModelInfo
 from repro.serve.http import ServeApp, ServerHandle, serve_forever
 from repro.serve.metrics import MetricsRegistry, ServeMetrics
@@ -55,7 +50,6 @@ from repro.serve.store import ModelStore
 
 __all__ = [
     "CircuitBundle",
-    "DeadlineExceeded",
     "ExecutionError",
     "MetricsRegistry",
     "MicroBatcher",

@@ -3,17 +3,14 @@
 Single-row HTTP requests are the worst case for a vectorized engine —
 every request would pay packing, per-level dispatch and Python
 overhead for one row of work.  The :class:`MicroBatcher` closes that
-gap: requests enqueue into a per-model queue and a *tick* timer is
-armed on the first arrival; when it fires — or as soon as
-``max_batch`` rows are waiting — the whole queue is flushed as **one**
-grouped engine pass, and each awaiting caller receives exactly its own
-slice of the result.
+gap: requests enqueue into a per-model queue, and the queue is
+flushed on the next event-loop turn — or as soon as ``max_batch``
+rows are waiting — as **one** grouped engine pass, and each awaiting
+caller receives exactly its own slice of the result.
 
-The default tick, :data:`DEFAULT_TICK_S`, is 0: the flush runs on the
-next event-loop turn and takes every request that arrived while the
-loop was busy, with no fixed wait.  A positive tick is an extra wait
-that trades latency for batch size; on sparse traffic it coalesces
-nothing and every request pays all of it.
+There is no fixed wait: the flush takes every request that arrived
+while the loop was busy, so a burst becomes one pass, and a request
+that arrives alone pays nothing for company it will not get.
 
 The flush runs the engine synchronously on the event loop. At
 serving batch sizes one grouped pass takes well under a millisecond,
@@ -31,11 +28,7 @@ statuses):
 :class:`QueueSaturated` at enqueue
     The model's queued rows are at ``max_queued_rows``; admitting
     more would grow latency without bound.  The caller should retry
-    after :attr:`~QueueSaturated.retry_after_s`.
-:class:`DeadlineExceeded` while queued
-    The request sat in the queue past ``deadline_s``; it is answered
-    (503) immediately — *before* the batch flushes — and its rows are
-    excluded from the dispatch.
+    later.
 :class:`ExecutionError` at flush
     The engine or compile failed for the whole batch.  That is a
     server-side failure (500) hitting every coalesced caller — it
@@ -45,7 +38,7 @@ statuses):
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -55,21 +48,9 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.store import ModelStore
 from repro.sim.batch import simulate_rows_grouped
 
-#: The default tick: flush a model's queue on the next event-loop turn.
-DEFAULT_TICK_S = 0.0
-
 
 class QueueSaturated(Exception):
     """A model's queue is full; the request was rejected, not queued."""
-
-    def __init__(self, message: str, retry_after_s: float = 1.0):
-        super().__init__(message)
-        self.message = message
-        self.retry_after_s = retry_after_s
-
-
-class DeadlineExceeded(Exception):
-    """A queued request aged out before its batch was dispatched."""
 
 
 class ExecutionError(Exception):
@@ -83,12 +64,6 @@ class _Pending:
 
     mat: np.ndarray
     future: asyncio.Future[np.ndarray]
-    timer: asyncio.TimerHandle | None = field(default=None)
-
-    def settle_timer(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
 
 
 class MicroBatcher:
@@ -98,23 +73,12 @@ class MicroBatcher:
     ----------
     store:
         The :class:`~repro.serve.store.ModelStore` to serve from.
-    tick_s:
-        How long the first request of a batch waits for company.  The
-        default ``0`` still coalesces bursts: the flush callback runs
-        on the next loop iteration, after every already-scheduled
-        enqueue.  A larger value trades latency for batch size.
     max_batch:
         Flush immediately once this many rows are queued for a model.
     max_queued_rows:
         Per-model admission bound on queued rows; beyond it,
         :meth:`predict` raises :class:`QueueSaturated` instead of
         queueing (``None`` = unbounded, the historical behavior).
-    deadline_s:
-        Maximum time a request may wait in the queue before being
-        answered with :class:`DeadlineExceeded` (``None`` = no
-        deadline).  Needs a positive ``tick_s``: at tick 0 the flush
-        timer is armed first and always fires first, so a deadline
-        could never expire.
     metrics:
         The :class:`~repro.serve.metrics.ServeMetrics` that counts
         batches, rows, rejections and execution errors; a fresh one
@@ -124,28 +88,17 @@ class MicroBatcher:
     def __init__(
         self,
         store: ModelStore,
-        tick_s: float = DEFAULT_TICK_S,
         max_batch: int = 4096,
         max_queued_rows: int | None = None,
-        deadline_s: float | None = None,
         metrics: ServeMetrics | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queued_rows is not None and max_queued_rows < 1:
             raise ValueError("max_queued_rows must be >= 1 (or None)")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 (or None)")
-        if deadline_s is not None and tick_s <= 0:
-            raise ValueError(
-                "a queue deadline needs a positive tick: at tick 0 every "
-                "request is flushed before its deadline can expire"
-            )
         self.store = store
-        self.tick_s = tick_s
         self.max_batch = max_batch
         self.max_queued_rows = max_queued_rows
-        self.deadline_s = deadline_s
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._queues: dict[str, list[_Pending]] = {}
         self._queued_rows: dict[str, int] = {}
@@ -169,8 +122,8 @@ class MicroBatcher:
         Raises ``KeyError`` for unknown models and ``ValueError`` for
         malformed rows *before* anything is queued (per-request
         errors), :class:`QueueSaturated` when the model's queue is at
-        capacity, :class:`DeadlineExceeded`/:class:`ExecutionError`
-        asynchronously via the returned future.
+        capacity, and :class:`ExecutionError` asynchronously via the
+        returned future.
         """
         name = self.store.resolve(name)
         # Validation needs only the model's interface, which the
@@ -184,41 +137,20 @@ class MicroBatcher:
             raise QueueSaturated(
                 f"model {name!r} is saturated "
                 f"({self.pending_rows(name)} rows pending, "
-                f"limit {self.max_queued_rows}); retry later",
-                retry_after_s=max(self.tick_s, 0.001) * 16,
+                f"limit {self.max_queued_rows}); retry later"
             )
         loop = asyncio.get_running_loop()
         future: asyncio.Future[np.ndarray] = loop.create_future()
-        entry = _Pending(mat, future)
-        if self.deadline_s is not None:
-            entry.timer = loop.call_later(
-                self.deadline_s, self._expire, name, entry
-            )
         queue = self._queues.setdefault(name, [])
-        queue.append(entry)
+        queue.append(_Pending(mat, future))
         self._queued_rows[name] = self._queued_rows.get(name, 0) + mat.shape[0]
         self.requests += 1
         if self._queued_rows[name] >= self.max_batch:
             self._flush(name)
         elif name not in self._timers:
-            self._timers[name] = loop.call_later(self.tick_s, self._flush, name)
+            # The next loop turn, after every enqueue already scheduled.
+            self._timers[name] = loop.call_later(0, self._flush, name)
         return await future
-
-    def _expire(self, name: str, entry: _Pending) -> None:
-        """Deadline fired while the request was still queued: answer
-        its caller *now* and release its rows from the queue budget
-        (the flush will skip the already-settled future)."""
-        entry.timer = None
-        if entry.future.done():
-            return
-        self.metrics.rejected_total.inc(label_value="deadline")
-        self._queued_rows[name] = max(
-            0, self._queued_rows.get(name, 0) - entry.mat.shape[0]
-        )
-        entry.future.set_exception(DeadlineExceeded(
-            f"request for model {name!r} exceeded its "
-            f"{self.deadline_s}s queue deadline"
-        ))
 
     # -- flush -------------------------------------------------------
 
@@ -228,11 +160,9 @@ class MicroBatcher:
             timer.cancel()
         queue = self._queues.pop(name, [])
         self._queued_rows.pop(name, None)
-        # Deadline-expired (or otherwise settled) entries were already
-        # answered; their rows must not be simulated.
+        # A caller that went away (its future cancelled) was already
+        # settled; its rows must not be simulated.
         live = [e for e in queue if not e.future.done()]
-        for entry in live:
-            entry.settle_timer()
         if not live:
             return
         # Blocks were validated at enqueue; they go to the engine as is.
@@ -283,10 +213,7 @@ class MicroBatcher:
             "rows_served": int(m.rows_served_total.total),
             "max_coalesced": self.max_coalesced,
             "rejected_saturated": int(m.rejected_total.value("saturated")),
-            "rejected_deadline": int(m.rejected_total.value("deadline")),
             "execution_errors": int(m.execution_errors_total.total),
-            "tick_s": self.tick_s,
             "max_batch": self.max_batch,
             "max_queued_rows": self.max_queued_rows,
-            "deadline_s": self.deadline_s,
         }

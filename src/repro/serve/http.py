@@ -22,14 +22,12 @@ A deliberately small HTTP/1.1 server (no third-party dependencies —
     only queues rows into the shared
     :class:`~repro.serve.batching.MicroBatcher`, which coalesces
     concurrent requests into one engine pass per model, flushed on the
-    next event-loop turn (or after ``tick_s``) and run inline on the
-    event loop.
+    next event-loop turn and run inline on the event loop.
 
 Error statuses are *classified*: a malformed request is that
-caller's 400; a saturated queue or an expired queue deadline is a 503
-(with ``Retry-After`` when saturated); an engine failure mid-batch is
-a 500 for every coalesced caller — never a 400, because it was never
-their fault.
+caller's 400; a saturated queue is a 503 with ``Retry-After: 1``; an
+engine failure mid-batch is a 500 for every coalesced caller — never
+a 400, because it was never their fault.
 
 Connections are keep-alive (HTTP/1.1 semantics), so request loops
 from one client don't pay a TCP handshake per row.  Bodies are capped
@@ -47,13 +45,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.serve.batching import (
-    DEFAULT_TICK_S,
-    DeadlineExceeded,
-    ExecutionError,
-    MicroBatcher,
-    QueueSaturated,
-)
+from repro.serve.batching import ExecutionError, MicroBatcher, QueueSaturated
 from repro.serve.metrics import ServeMetrics
 from repro.serve.store import ModelStore
 
@@ -90,18 +82,16 @@ class ServeApp:
     """Routes requests over one :class:`ModelStore` + microbatcher.
 
     Engine passes run inline on the event loop, one process in all.
-    ``max_queued_rows``/``deadline_ms`` bound each model's queue (see
+    ``max_queued_rows`` bounds each model's queue (see
     :mod:`repro.serve.batching` for the 503 semantics).
     """
 
     def __init__(
         self,
         store: ModelStore | str,
-        tick_s: float = DEFAULT_TICK_S,
         max_batch: int = 4096,
         cache_size: int = 32,
         max_queued_rows: int | None = None,
-        deadline_ms: float | None = None,
     ):
         if not isinstance(store, ModelStore):
             store = ModelStore(store, cache_size=cache_size)
@@ -109,10 +99,8 @@ class ServeApp:
         self.metrics = ServeMetrics()
         self.batcher = MicroBatcher(
             store,
-            tick_s=tick_s,
             max_batch=max_batch,
             max_queued_rows=max_queued_rows,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
             metrics=self.metrics,
         )
         self.started = time.monotonic()
@@ -200,11 +188,8 @@ class ServeApp:
             outputs = await self.batcher.predict(name, rows)
         except QueueSaturated as exc:
             raise HttpError(
-                503, exc.message,
-                headers={"Retry-After": str(max(1, round(exc.retry_after_s)))},
+                503, str(exc), headers={"Retry-After": "1"}
             ) from None
-        except DeadlineExceeded as exc:
-            raise HttpError(503, str(exc)) from None
         except ExecutionError as exc:
             raise HttpError(500, str(exc)) from None
         except (TypeError, ValueError, OverflowError) as exc:
@@ -449,7 +434,7 @@ async def serve_forever(app: ServeApp, host: str, port: int) -> None:
     addr = server.sockets[0].getsockname()
     print(
         f"repro serve: {len(app.store.names())} model(s) on "
-        f"http://{addr[0]}:{addr[1]}  (tick {app.batcher.tick_s * 1e3:g} ms, "
+        f"http://{addr[0]}:{addr[1]}  (flush on the next loop turn, "
         f"max batch {app.batcher.max_batch})"
     )
     async with server:
@@ -515,8 +500,8 @@ class ServerHandle:
             async def _graceful_stop() -> None:
                 # Answer anything still queued in the microbatcher and
                 # give the awakened handlers a beat to write their
-                # responses before the loop stops — requests parked
-                # mid-tick must not be abandoned.
+                # responses before the loop stops — queued requests
+                # must not be abandoned.
                 self.app.batcher.flush_all()
                 await asyncio.sleep(0.05)
                 loop.stop()

@@ -316,8 +316,7 @@ class ServeMetrics:
         self.rejected_total = reg.counter(
             "rejected_total",
             "Requests rejected by backpressure, by reason "
-            "(saturated = queue full at admission, deadline = aged "
-            "out while queued).",
+            "(saturated = queue full at admission).",
             label="reason",
         )
         self.execution_errors_total = reg.counter(

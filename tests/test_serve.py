@@ -20,7 +20,6 @@ from repro.runner import contest_tasks, run_contest_tasks
 from repro.runner.store import RunStore, _solution_filename
 from repro.serve import (
     CircuitBundle,
-    DeadlineExceeded,
     ExecutionError,
     MicroBatcher,
     ModelStore,
@@ -28,7 +27,6 @@ from repro.serve import (
     ServeApp,
     ServerHandle,
 )
-from repro.serve.batching import DEFAULT_TICK_S
 from repro.serve.bundle import validate_rows
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.predict import format_outputs, predict_file, read_rows_file
@@ -293,7 +291,7 @@ def test_microbatcher_coalesces_concurrent_singles(model_store):
     batcher, outs = asyncio.run(drive())
     for i, out in enumerate(outs):
         assert np.array_equal(out[0], expected[i])
-    # All 8 requests were queued in one loop turn, and the default tick
+    # All 8 requests were queued in one loop turn, and the queue
     # flushes on the next one: exactly one engine pass.
     stats = batcher.stats()
     assert stats["batches"] == 1
@@ -302,37 +300,32 @@ def test_microbatcher_coalesces_concurrent_singles(model_store):
 
 
 def test_default_tick_resolves_on_the_next_loop_turns(model_store):
-    row = _random_rows(1, 16, seed=5)
-    expected = model_store.load("ex74").run(row)
-
-    async def within_five_turns(batcher):
-        task = asyncio.ensure_future(batcher.predict("ex74", row))
-        for _ in range(5):
-            await asyncio.sleep(0)
-            if task.done():
-                return task.result()
-        task.cancel()
-        return None
+    rows = _random_rows(3, 16, seed=5)
+    expected = model_store.load("ex74").run(rows)
 
     async def drive():
-        # No wall-clock wait: the default flush is one loop turn away,
-        # while a tick far beyond the test budget parks the request.
-        return (await within_five_turns(MicroBatcher(model_store)),
-                await within_five_turns(MicroBatcher(model_store, tick_s=5.0)))
+        # No wall-clock wait: requests that arrive in one loop turn stay
+        # queued through it, and the flush answers them turns later.
+        batcher = MicroBatcher(model_store)
+        tasks = [
+            asyncio.ensure_future(batcher.predict("ex74", row))
+            for row in rows
+        ]
+        await asyncio.sleep(0)  # every request enqueues in this turn
+        queued = batcher.pending_rows("ex74")
+        waiting = not any(task.done() for task in tasks)
+        for _ in range(5):
+            await asyncio.sleep(0)
+            if all(task.done() for task in tasks):
+                break
+        return batcher, queued, waiting, tasks
 
-    out, parked = asyncio.run(drive())
-    assert out is not None and np.array_equal(out, expected)
-    assert parked is None
-
-
-def test_tick_defaults_agree(model_store):
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["serve", "--store", "x"])
-    assert DEFAULT_TICK_S == 0.0
-    assert MicroBatcher(model_store).tick_s == DEFAULT_TICK_S
-    assert ServeApp(model_store).batcher.tick_s == DEFAULT_TICK_S
-    assert args.tick_ms / 1000.0 == DEFAULT_TICK_S
+    batcher, queued, waiting, tasks = asyncio.run(drive())
+    assert queued == 3 and waiting
+    assert all(task.done() for task in tasks)
+    for task, want in zip(tasks, expected, strict=True):
+        assert np.array_equal(task.result()[0], want)
+    assert batcher.stats()["batches"] == 1
 
 
 def test_microbatcher_max_batch_flushes_early(model_store):
@@ -341,7 +334,7 @@ def test_microbatcher_max_batch_flushes_early(model_store):
     expected = circuit.run(rows)
 
     async def drive():
-        batcher = MicroBatcher(model_store, tick_s=5.0, max_batch=4)
+        batcher = MicroBatcher(model_store, max_batch=4)
         outs = await asyncio.gather(
             *(batcher.predict("ex74", rows[i]) for i in range(len(rows)))
         )
@@ -350,15 +343,16 @@ def test_microbatcher_max_batch_flushes_early(model_store):
     batcher, outs = asyncio.run(drive())
     for i, out in enumerate(outs):
         assert np.array_equal(out[0], expected[i])
-    # tick_s is far beyond the test budget, so only the max_batch
-    # trigger can have flushed -- twice, at 4 rows each.
+    # All 8 requests enqueue in one loop turn, before the next-turn
+    # flush can run, so only the max_batch trigger flushed -- twice,
+    # at 4 rows each.
     assert batcher.stats()["batches"] == 2
     assert batcher.stats()["max_coalesced"] == 4
 
 
 def test_microbatcher_rejects_bad_rows_before_enqueue(model_store):
     async def drive():
-        batcher = MicroBatcher(model_store, tick_s=0.01)
+        batcher = MicroBatcher(model_store)
         with pytest.raises(ValueError):
             await batcher.predict("ex74", np.zeros((1, 2), dtype=np.uint8))
         with pytest.raises(KeyError):
@@ -623,38 +617,27 @@ def test_serve_cli_parser():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["serve", "--store", "runs/x", "--port", "9000", "--tick-ms", "1"]
+        ["serve", "--store", "runs/x", "--port", "9000"]
     )
     assert args.command == "serve"
-    assert args.port == 9000 and args.tick_ms == 1.0
-
-
-def test_deadline_needs_a_positive_tick(model_store):
-    # At tick 0 the flush timer always fires before a deadline timer,
-    # so a deadline would silently never reject anything.
-    with pytest.raises(ValueError, match="positive tick"):
-        MicroBatcher(model_store, deadline_s=0.001)
-    with pytest.raises(ValueError, match="positive tick"):
-        ServeApp(model_store, deadline_ms=1.0)
-    assert MicroBatcher(model_store, tick_s=0.002,
-                        deadline_s=0.001).deadline_s == 0.001
+    assert args.port == 9000
 
 
 def test_serve_cli_parser_pool_flags():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(["serve", "--store", "runs/x"])
-    assert args.max_queued_rows is None and args.deadline_ms is None
+    assert args.max_queued_rows is None
     args = build_parser().parse_args([
-        "serve", "--store", "runs/x",
-        "--max-queued-rows", "4096", "--deadline-ms", "50",
+        "serve", "--store", "runs/x", "--max-queued-rows", "4096",
     ])
-    assert args.max_queued_rows == 4096 and args.deadline_ms == 50.0
-    # The process pool is gone: --workers is no longer an option.
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(
-            ["serve", "--store", "runs/x", "--workers", "4"]
-        )
+    assert args.max_queued_rows == 4096
+    # The process pool, the tick and the queue deadline are gone.
+    for flag in ("--workers", "--tick-ms", "--deadline-ms"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--store", "runs/x", flag, "4"]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +704,7 @@ def test_flush_failure_is_execution_error_for_all_callers(
     rows = _random_rows(4, 16, seed=1)
 
     async def drive():
-        batcher = MicroBatcher(model_store, tick_s=0.01)
+        batcher = MicroBatcher(model_store)
         results = await asyncio.gather(
             *(batcher.predict("ex74", rows[i]) for i in range(4)),
             return_exceptions=True,
@@ -766,7 +749,7 @@ def test_http_flush_failure_is_500_not_400(model_store, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Backpressure: saturation + deadlines (bounded queues, classified 503s)
+# Backpressure: saturation (bounded queues, classified 503s)
 # ---------------------------------------------------------------------------
 
 
@@ -774,21 +757,18 @@ def test_microbatcher_saturation_rejects_at_admission(model_store):
     rows = _random_rows(8, 16, seed=6)
 
     async def drive():
-        batcher = MicroBatcher(
-            model_store, tick_s=5.0, max_queued_rows=8
-        )
-        task = asyncio.ensure_future(batcher.predict("ex74", rows))
-        await asyncio.sleep(0)  # let the first request enqueue
-        assert batcher.pending_rows("ex74") == 8
-        # The queue is exactly at capacity: one more row must bounce.
-        with pytest.raises(QueueSaturated) as excinfo:
-            await batcher.predict("ex74", rows[:1])
-        assert excinfo.value.retry_after_s > 0
+        batcher = MicroBatcher(model_store, max_queued_rows=8)
+        first = asyncio.ensure_future(batcher.predict("ex74", rows))
+        extra = asyncio.ensure_future(batcher.predict("ex74", rows[:1]))
+        await asyncio.sleep(0)  # both reach admission in this turn
+        # The first filled the queue exactly; one more row bounced
+        # before the flush, a turn away, could empty it.
+        assert not first.done()
+        assert isinstance(extra.exception(), QueueSaturated)
         assert batcher.stats()["rejected_saturated"] == 1
         # The admission bound held: never more than max_queued_rows.
         assert batcher.pending_rows("ex74") == 8
-        batcher.flush_all()
-        out = await task  # the queued request was not stranded
+        out = await first  # the queued request was not stranded
         return batcher, out
 
     batcher, out = asyncio.run(drive())
@@ -797,81 +777,60 @@ def test_microbatcher_saturation_rejects_at_admission(model_store):
     assert batcher.stats()["rows_served"] == 8
 
 
-def test_microbatcher_deadline_fires_before_flush(model_store):
-    async def drive():
-        # Deadline far shorter than the tick: the request must be
-        # answered by the deadline timer, not the (distant) flush.
-        batcher = MicroBatcher(model_store, tick_s=5.0, deadline_s=0.02)
-        with pytest.raises(DeadlineExceeded):
-            await batcher.predict("ex74", np.zeros((1, 16), dtype=np.uint8))
-        assert batcher.stats()["batches"] == 0  # answered before any flush
-        assert batcher.stats()["rejected_deadline"] == 1
-        assert batcher.pending_rows("ex74") == 0  # budget released
-        # The queue stays usable afterwards: flush skips settled
-        # futures and a fresh request still gets served.
-        batcher.deadline_s = None
-        task = asyncio.ensure_future(
-            batcher.predict("ex74", np.ones((1, 16), dtype=np.uint8))
-        )
-        await asyncio.sleep(0)
-        batcher.flush_all()
-        out = await task
-        return batcher, out
+def test_flush_skips_cancelled_callers(model_store):
+    circuit = model_store.load("ex74")
+    rows = _random_rows(6, circuit.n_inputs, seed=9)
+    blocks = [rows[0:1], rows[1:3], rows[3:4], rows[4:6]]
 
-    batcher, out = asyncio.run(drive())
-    assert out.shape[0] == 1 and batcher.stats()["rows_served"] == 1
+    async def drive():
+        batcher = MicroBatcher(model_store)
+        tasks = [
+            asyncio.ensure_future(batcher.predict("ex74", block))
+            for block in blocks
+        ]
+        await asyncio.sleep(0)  # all four enqueue; the flush is next turn
+        tasks[1].cancel()  # its caller went away before the flush
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        return batcher, results
+
+    batcher, results = asyncio.run(drive())
+    assert isinstance(results[1], asyncio.CancelledError)
+    for i in (0, 2, 3):
+        assert np.array_equal(results[i], circuit.run(blocks[i]))
+    stats = batcher.stats()
+    assert stats["batches"] == 1 and stats["max_coalesced"] == 3
+    assert stats["rows_served"] == 4  # the cancelled 2 rows never ran
 
 
 def test_http_saturation_returns_503_with_retry_after(model_store):
-    app = ServeApp(model_store, tick_s=1.0, max_queued_rows=4)
-    rows = _random_rows(4, 16, seed=8)
+    app = ServeApp(model_store, max_queued_rows=4)
+    rows = _random_rows(5, 16, seed=8)
     with ServerHandle(app) as handle:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            # Fill the queue; the long tick parks it server-side.
-            first = pool.submit(
-                _request, handle, "POST", "/predict/ex74",
-                json.dumps({"rows": rows.tolist()}),
+        # More rows than the cap can never be admitted, whatever else
+        # is queued: always 503, with Retry-After.
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
+        try:
+            conn.request(
+                "POST", "/predict/ex74", body=json.dumps({"rows": rows.tolist()})
             )
-            deadline = 1.0
-            while app.batcher.pending_rows("ex74") < 4 and deadline > 0:
-                import time as _time
-                _time.sleep(0.01)
-                deadline -= 0.01
-            conn = http.client.HTTPConnection(
-                handle.host, handle.port, timeout=30
-            )
-            try:
-                conn.request(
-                    "POST", "/predict/ex74",
-                    body=json.dumps({"row": [0] * 16}),
-                )
-                response = conn.getresponse()
-                body = json.loads(response.read())
-                assert response.status == 503
-                assert "saturated" in body["error"]
-                retry_after = response.getheader("Retry-After")
-                assert retry_after is not None and int(retry_after) >= 1
-            finally:
-                conn.close()
-            # The parked request rides out the tick and completes:
-            # saturation must shed new load, never strand queued work.
-            status, body = first.result(timeout=30)
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 503
+            assert "saturated" in body["error"]
+            assert response.getheader("Retry-After") == "1"
+        finally:
+            conn.close()
+        # Shedding leaves the queue usable: rows within the cap serve.
+        status, body = _request(
+            handle, "POST", "/predict/ex74",
+            json.dumps({"rows": rows[:4].tolist()}),
+        )
     assert status == 200
-    expected = model_store.load("ex74").run(rows)
+    expected = model_store.load("ex74").run(rows[:4])
     assert np.array_equal(
         np.asarray(body["outputs"], dtype=np.uint8), expected
     )
-
-
-def test_http_deadline_returns_503_before_flush(model_store):
-    app = ServeApp(model_store, tick_s=5.0, deadline_ms=30)
-    with ServerHandle(app) as handle:
-        status, body = _request(
-            handle, "POST", "/predict/ex74", json.dumps({"row": [1] * 16})
-        )
-    assert status == 503
-    assert "deadline" in body["error"]
-    assert app.batcher.stats()["batches"] == 0  # the 503 preceded any flush
+    assert app.batcher.stats()["rejected_saturated"] == 1
 
 
 def test_metrics_reconcile_with_requests_handled(model_store):

@@ -7,6 +7,11 @@ simulation, AIGER file I/O, circuit builders, ABC-style size
 optimization and the simulation-guided approximation used by Team 1.
 """
 
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.aig.aig import (
     AIG,
     CONST0,
@@ -16,10 +21,35 @@ from repro.aig.aig import (
     lit_var,
 )
 from repro.aig.aiger import dumps_aag, read_aag, write_aag
-from repro.aig.approx import approximate_to_size
-from repro.aig.cec import check_equivalence
-from repro.aig.opt.passes import (balance, compress, fraig_lite, refactor,
-                                  rewrite)
+
+if TYPE_CHECKING:
+    from repro.aig.approx import approximate_to_size
+    from repro.aig.cec import check_equivalence
+    from repro.aig.opt.passes import balance, compress, fraig_lite, refactor, rewrite
+
+#: Exports loaded on first access (PEP 562), so that reading and
+#: simulating a circuit does not load the optimization engine.
+_LAZY = {
+    "approximate_to_size": "repro.aig.approx",
+    "check_equivalence": "repro.aig.cec",
+    **dict.fromkeys(
+        ("balance", "compress", "fraig_lite", "refactor", "rewrite"),
+        "repro.aig.opt.passes",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "AIG",

@@ -46,9 +46,6 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
-from repro.analysis import format_table3
-from repro.contest import DEFAULT_REGISTRY, evaluate_solution
-
 
 def _selected_specs(parser, patterns) -> list[object]:
     """Resolve benchmark selectors through the problem registry.
@@ -57,6 +54,8 @@ def _selected_specs(parser, patterns) -> list[object]:
     argparse error (e.g. ``unknown benchmark 'ex9a' ... did you mean
     'ex90', 'ex91'?``).
     """
+    from repro.contest import DEFAULT_REGISTRY
+
     try:
         specs = DEFAULT_REGISTRY.select(patterns)
     except (KeyError, IndexError, ValueError) as exc:
@@ -79,6 +78,8 @@ def _resolved_flow(parser, spec: str):
 
 
 def _cmd_list(parser, args) -> None:
+    from repro.contest import DEFAULT_REGISTRY
+
     if args.families:
         for name in DEFAULT_REGISTRY.family_names():
             family = DEFAULT_REGISTRY.families[name]
@@ -116,6 +117,8 @@ def _cmd_flows(parser, args) -> None:
 
 
 def _cmd_run(parser, args) -> None:
+    from repro.contest import DEFAULT_REGISTRY, evaluate_solution
+
     specs = _selected_specs(parser, [args.benchmark])
     if len(specs) != 1:
         parser.error(
@@ -144,6 +147,8 @@ def _cmd_run(parser, args) -> None:
 
 
 def _cmd_contest(parser, args) -> None:
+    from repro.analysis import format_table3
+    from repro.flows import TEAM_FLOW_NAMES
     from repro.runner import (
         contest_tasks,
         parse_shard,
@@ -154,9 +159,10 @@ def _cmd_contest(parser, args) -> None:
     benchmarks = _selected_specs(parser, args.benchmarks)
     try:
         specs = contest_tasks(
-            benchmarks, args.flows, n_train=args.samples,
-            n_valid=args.samples, n_test=args.samples,
-            effort=args.effort, master_seed=args.seed, trials=args.trials,
+            benchmarks, args.flows or sorted(TEAM_FLOW_NAMES),
+            n_train=args.samples, n_valid=args.samples,
+            n_test=args.samples, effort=args.effort,
+            master_seed=args.seed, trials=args.trials,
         )
         if args.shard is not None:
             specs = shard_tasks(specs, *parse_shard(args.shard))
@@ -182,6 +188,7 @@ def _format_win_rates(wins) -> str:
 
 
 def _cmd_report(parser, args) -> None:
+    from repro.analysis import format_table3
     from repro.runner import load_contest_runs
 
     try:
@@ -260,12 +267,6 @@ def _cmd_lint(parser, args) -> None:
         raise SystemExit(code)
 
 
-def _default_contest_flows() -> list:
-    from repro.flows import TEAM_FLOW_NAMES
-
-    return sorted(TEAM_FLOW_NAMES)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,11 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="indices, names, family specs (adder:width=48), globs "
              "('adder*,ex8?' — quote them) or @manifest files")
     contest_p.add_argument(
-        "--flows", nargs="+", default=_default_contest_flows(),
-        metavar="FLOW",
+        "--flows", nargs="+", metavar="FLOW",
         help="registry names or spec strings (default: the ten team "
-             "flows); 'portfolio' and overrides like team01:effort=full "
-             "are valid")
+             "flows, team01 to team10); 'portfolio' and overrides like "
+             "team01:effort=full are valid")
     contest_p.add_argument("--samples", type=int, default=400)
     contest_p.add_argument("--effort", choices=("small", "full"),
                            default="small")

@@ -42,16 +42,11 @@ merge records through ``merge_records``, which rejects a task stored
 twice with different bytes.
 """
 
-from repro.runner.runner import (
-    contest_run_from_records,
-    contest_tasks,
-    load_contest_runs,
-    parse_shard,
-    run_contest_tasks,
-    run_tasks,
-    shard_of,
-    shard_tasks,
-)
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
 from repro.runner.store import (
     RunStore,
     benchmark_sort_key,
@@ -59,13 +54,55 @@ from repro.runner.store import (
     merge_records,
     merge_stores,
 )
-from repro.runner.task import (
-    TaskSpec,
-    resolve_flow,
-    run_task,
-    score_from_record,
-    score_to_record,
-)
+
+if TYPE_CHECKING:
+    from repro.runner.runner import (
+        contest_run_from_records,
+        contest_tasks,
+        load_contest_runs,
+        parse_shard,
+        run_contest_tasks,
+        run_tasks,
+        shard_of,
+        shard_tasks,
+    )
+    from repro.runner.task import (
+        TaskSpec,
+        resolve_flow,
+        run_task,
+        score_from_record,
+        score_to_record,
+    )
+
+#: Exports loaded on first access (PEP 562).  ``runner`` and ``task``
+#: import the contest package, the flows and every learner; a reader
+#: of stores, such as the serving tier, needs only ``store``.
+_LAZY = {
+    **dict.fromkeys(
+        ("contest_run_from_records", "contest_tasks", "load_contest_runs",
+         "parse_shard", "run_contest_tasks", "run_tasks", "shard_of",
+         "shard_tasks"),
+        "repro.runner.runner",
+    ),
+    **dict.fromkeys(
+        ("TaskSpec", "resolve_flow", "run_task", "score_from_record",
+         "score_to_record"),
+        "repro.runner.task",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "TaskSpec",

@@ -31,9 +31,10 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-from repro.runner.task import RECORD_SCHEMA
-
 PathLike = str | Path
+
+#: Bump when the record layout changes incompatibly.
+RECORD_SCHEMA = 1
 
 MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"

@@ -30,9 +30,7 @@ import numpy as np
 
 from repro.contest.evaluate import Score, evaluate_solution
 from repro.contest.problem import LearningProblem
-
-#: Bump when the record layout changes incompatibly.
-RECORD_SCHEMA = 1
+from repro.runner.store import RECORD_SCHEMA
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,21 @@ class TestContestAndReport:
             _run(["contest", "--benchmarks", "0", "--flows", "teamXX"])
         assert exc.value.code == 2
 
+    def test_contest_defaults_to_the_ten_team_flows(self, monkeypatch):
+        # The parser leaves --flows unset; the command fills it in.
+        import repro.runner
+
+        seen = []
+
+        def stop(benchmarks, flows, **kwargs):
+            seen.append(flows)
+            raise ValueError("stop before running")
+
+        monkeypatch.setattr(repro.runner, "contest_tasks", stop)
+        with pytest.raises(SystemExit):
+            _run(["contest", "--benchmarks", "74"])
+        assert seen == [[f"team{i:02d}" for i in range(1, 11)]]
+
     def test_unimportable_flow_path_is_a_usage_error(self, capsys):
         for argv in (["contest", "--benchmarks", "0", "--flows",
                       "no_such_module:flow"],
